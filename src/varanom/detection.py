@@ -104,6 +104,7 @@ def calibrate_threshold(
     ``law`` may be the known process or one rebuilt from estimates (a
     parametric bootstrap); ``baseline`` defaults to the law's own
     coefficients, in which case the simulated responses are pure noise.
+    Each run's maximum skips unreliable statistics, as selection does.
     """
     if runs < 1:
         raise ParameterError("runs must be >= 1")
@@ -116,10 +117,18 @@ def calibrate_threshold(
     for r in range(runs):
         panel = simulate(law, horizon, burn_in=burn_in, seed=int(seeds[r]))
         scanner = PanelScanner(panel, baseline, law.q, sigma)
-        stats = scanner.scan(interval_set, config)
-        maxima[r] = max(s.value for s in stats)
+        maxima[r] = max_reliable_statistic(scanner.scan(interval_set, config))
     threshold = max(empirical_quantile(maxima, quantile), THRESHOLD_FLOOR)
     return CalibrationResult(threshold, quantile, runs, maxima)
+
+
+def max_reliable_statistic(stats: Iterable[IntervalStatistic]) -> float:
+    """Largest statistic the selection rules may compare with a threshold.
+
+    Unreliable statistics are skipped; a scan with none reliable, or an
+    empty one, gives 0.0, the value of a statistic at exactly zero.
+    """
+    return max((s.value for s in stats if s.reliable), default=0.0)
 
 
 def _tie_key(stat: IntervalStatistic) -> tuple[float, int, int]:

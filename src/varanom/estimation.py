@@ -14,6 +14,14 @@ lets one factorisation serve many response columns. That is what makes
 the interval scan cheap: the block-diagonal Kronecker designs used by the
 test statistics decouple into p single-response problems sharing one G.
 
+The batched solver behind interval scans runs synchronised coordinate-descent
+sweeps and, every few sweeps, finishes problems whose sign pattern has
+settled with one linear solve on their support,
+G_SS b_S = C_S - (lam / 2) sign_S (the active-set idea of Osborne, Presnell
+and Turlach, 2000). A batched fit is ``converged`` when it is zero by the KKT
+test at zero, when that exact support solution passes the KKT test, or when
+its coefficient change per sweep fell to the tolerance.
+
 Solvers are pure and reentrant; fits of independent responses may run in
 parallel and give identical results regardless of schedule.
 """
@@ -30,6 +38,15 @@ from .errors import DesignError, ParameterError
 from .var_model import TimeSeriesPanel, lag_design
 
 _RANK_RTOL = 1e-10
+# Batched lasso: sweeps between attempts to finish problems on their support.
+# An attempt costs about as much as a dozen sweeps of the problems it tries;
+# on null p=10 scans, attempts every 3, 4 or 8 sweeps were slower than every 5.
+_FINISH_EVERY = 5
+# Matrix entries per batched support solve, which bounds its memory.
+_FINISH_ENTRIES = 1 << 16
+# Smallest pivot a support solve accepts, on its unit-diagonal scale; a
+# smaller one means a singular or ill-conditioned support, left to CD.
+_FINISH_MIN_PIVOT = 1e-8
 
 
 @dataclass
@@ -128,11 +145,26 @@ def lasso_cd_gram_batch(
 
     ``grams`` is (N, m, m), ``crosses`` (N, m, k) and ``lams`` (N,): problem
     n minimises its objective with penalty lams[n]. All problems take the
-    same cyclic coordinate steps as :func:`lasso_cd_gram`; problems that
-    converge are frozen and compacted out of the working set, so a scan
-    costs roughly one batched matrix product per coordinate per sweep.
+    same cyclic coordinate steps as :func:`lasso_cd_gram`, so a scan costs
+    roughly one batched matrix product per coordinate per sweep.
 
-    Returns (coefficients (N, m, k), converged (N,)).
+    Every few sweeps, the running problems whose sign pattern has not changed
+    since the previous attempt are finished exactly on their support: each
+    column solves G_SS b_S = c_S - (lam / 2) sign_S, and the problem takes
+    that solution when every column keeps its signs and satisfies
+    |c - G b| <= (lam / 2) (1 + 1e-12) off its support, the lasso KKT
+    conditions; a sign flip in the solve first drops one coordinate from
+    the support and solves once more. A support whose system is singular or
+    too ill-conditioned to certify stays on coordinate descent. Finished problems, and problems
+    whose largest coefficient change in a sweep falls to ``tolerance``, are
+    frozen and compacted out of the working set. Each problem's result
+    depends on that problem alone, not on the rest of the batch.
+
+    Returns (coefficients (N, m, k), converged (N,)). ``converged[n]`` is
+    True when problem n is zero by the KKT test at zero, was finished by an
+    exact support solution that passes the KKT test, or stopped on a
+    coefficient change of at most ``tolerance`` within ``max_iterations``
+    sweeps.
     """
     n_prob, m, k = crosses.shape
     out = np.zeros((n_prob, m, k))
@@ -146,11 +178,13 @@ def lasso_cd_gram_batch(
     G = grams[idx].copy()
     C = crosses[idx].copy()
     B = np.zeros((idx.size, m, k))
+    signs = np.zeros((idx.size, m, k))
     diag = np.einsum("nii->ni", G).copy()
     zero_col = diag <= 0.0
     diag_safe = np.where(zero_col, 1.0, diag)
     level = (np.asarray(lams, dtype=float)[idx] / 2.0)[:, None]
-    for _ in range(max_iterations):
+    per_chunk = max(1, _FINISH_ENTRIES // (m * m * k))
+    for sweep in range(1, max_iterations + 1):
         max_change = np.zeros(idx.size)
         for j in range(m):
             rho = C[:, j, :] - (G[:, None, j, :] @ B)[:, 0, :] + diag[:, j, None] * B[:, j, :]
@@ -160,17 +194,98 @@ def lasso_cd_gram_batch(
             np.maximum(max_change, np.abs(new - B[:, j, :]).max(axis=1), out=max_change)
             B[:, j, :] = new
         done = max_change <= tolerance
+        if sweep % _FINISH_EVERY == 0:
+            now = np.sign(B)
+            stable = np.flatnonzero(~done & (now == signs).all(axis=(1, 2)))
+            signs = now
+            for at in range(0, stable.size, per_chunk):
+                chunk = stable[at : at + per_chunk]
+                exact, ok = _finish_on_support(G[chunk], C[chunk], B[chunk], level[chunk])
+                B[chunk[ok]] = exact[ok]
+                done[chunk[ok]] = True
         if done.any():
             out[idx[done]] = B[done]
             converged[idx[done]] = True
             if done.all():
                 return out, converged
             keep = ~done
-            idx, G, C, B = idx[keep], G[keep], C[keep], B[keep]
+            idx, G, C, B, signs = idx[keep], G[keep], C[keep], B[keep], signs[keep]
             diag, diag_safe = diag[keep], diag_safe[keep]
             zero_col, level = zero_col[keep], level[keep]
     out[idx] = B
     return out, converged
+
+
+def _finish_on_support(
+    G: np.ndarray, C: np.ndarray, B: np.ndarray, level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact lasso solutions on the supports and signs of the iterates ``B``.
+
+    ``G`` is (n, m, m), ``C`` and ``B`` (n, m, k), ``level`` (n, 1). Returns
+    (coefficients (n, m, k), accepted (n,)); only accepted problems hold
+    solutions, certified by the KKT test. When a support coordinate changes
+    sign between the iterate and the solve, the coordinate that reaches
+    zero first on the segment between them leaves the support and the
+    column is solved once more, a step of the active-set method of Osborne,
+    Presnell and Turlach (2000).
+    """
+    signs = np.sign(B)
+    beta, solved = _solve_on_support(G, C, signs, level)
+    flipped = (signs != 0.0) & (np.sign(beta) != signs)
+    cols = flipped.any(axis=1)  # (n, k)
+    if cols.any():
+        # B and beta differ in sign wherever flipped, so B - beta is non-zero there
+        crossing = np.where(flipped, B / np.where(flipped, B - beta, 1.0), np.inf)
+        first = np.argmin(crossing, axis=1)
+        prob, col = np.nonzero(cols)
+        signs[prob, first[prob, col], col] = 0.0
+        again = np.flatnonzero(cols.any(axis=1))
+        beta[again], solved[again] = _solve_on_support(
+            G[again], C[again], signs[again], level[again]
+        )
+    grad = C - G @ beta
+    kkt = np.where(
+        signs != 0.0, np.sign(beta) == signs, np.abs(grad) <= level[:, :, None] * (1.0 + 1e-12)
+    )
+    return beta, solved & kkt.all(axis=(1, 2))
+
+
+def _solve_on_support(
+    G: np.ndarray, C: np.ndarray, signs: np.ndarray, level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve G_SS b_S = c_S - level sign_S for every column of every problem.
+
+    Each column is one m x m system, scaled to a unit diagonal on its support
+    and set to the identity off it, so it is positive semi-definite and
+    Gaussian elimination needs no pivoting. The systems are eliminated
+    together along a trailing batch axis, which keeps each system's
+    arithmetic independent of the others. Returns (coefficients (n, m, k),
+    solved (n,)); a problem is unsolved when some column meets a pivot at or
+    below ``_FINISH_MIN_PIVOT``, which marks a singular or ill-conditioned
+    support.
+    """
+    n, m, k = signs.shape
+    on = (signs != 0.0).transpose(1, 0, 2)  # (m, n, k)
+    diag = np.einsum("nii->in", G)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # (m, n)
+    scaled = G.transpose(1, 2, 0) * scale[:, None, :] * scale[None, :, :]
+    A = np.where(
+        on[:, None] & on[None, :], scaled[:, :, :, None], np.eye(m)[:, :, None, None]
+    ).reshape(m, m, n * k)
+    rhs = (C - level[:, :, None] * signs).transpose(1, 0, 2) * scale[:, :, None]
+    x = np.where(on, rhs, 0.0).reshape(m, n * k)
+    solved = np.ones(n * k, dtype=bool)
+    for j in range(m):
+        pivot = A[j, j]
+        good = pivot > _FINISH_MIN_PIVOT
+        solved &= good
+        factor = A[j + 1 :, j] / np.where(good, pivot, 1.0)
+        A[j + 1 :, j + 1 :] -= factor[:, None] * A[j, j + 1 :]
+        x[j + 1 :] -= factor * x[j]
+    for j in range(m - 1, -1, -1):
+        x[j] = (x[j] - np.sum(A[j, j + 1 :] * x[j + 1 :], axis=0)) / np.where(solved, A[j, j], 1.0)
+    beta = np.where(on, x.reshape(m, n, k) * scale[:, :, None], 0.0).transpose(1, 0, 2)
+    return beta, solved.reshape(n, k).all(axis=1)
 
 
 def kkt_violation(gram: np.ndarray, cross: np.ndarray, beta: np.ndarray, lam: float) -> float:

@@ -18,6 +18,7 @@ from .detection import (
     THRESHOLD_FLOOR,
     detect_online,
     empirical_quantile,
+    max_reliable_statistic,
     online_max_statistic,
     select_multiple,
     select_single,
@@ -25,7 +26,7 @@ from .detection import (
 from .errors import ParameterError
 from .estimation import SolverOptions, estimate_baseline
 from .evaluation import ScenarioOutcome, intervals_as_tuples
-from .intervals import IntervalSet, random_intervals, seeded_intervals
+from .intervals import IntervalSet, build_intervals, seeded_intervals
 from .interval_stats import PanelScanner, StatConfig, default_lambda
 from .var_model import (
     AnomalyScenario,
@@ -65,16 +66,6 @@ def dense_base_with_change(
     raise ParameterError(
         f"no stationary base/change pair found in {attempts} attempts (p={p}, delta={delta})"
     )
-
-
-def _build_intervals(
-    scheme: str, horizon: int, min_length: int, q: int, count: int, decay: float, seed: int
-) -> IntervalSet:
-    if scheme == "random":
-        return random_intervals(horizon, min_length, count, seed, q=q)
-    if scheme == "seeded":
-        return seeded_intervals(horizon, min_length, decay, q=q)
-    raise ParameterError(f"unknown interval scheme {scheme!r}")
 
 
 def _threshold(maxima: Sequence[float], quantile: float) -> float:
@@ -125,16 +116,14 @@ def run_single_anomaly_study(
     scenario = AnomalyScenario(base, theta, window, horizon)
     root = np.random.SeedSequence(seed)
     iv_seed, cal_seed, eval_seed = (int(s.generate_state(1)[0]) for s in root.spawn(3))
-    interval_set = _build_intervals(scheme, horizon, min_length, q, count, decay, iv_seed)
+    interval_set = build_intervals(scheme, horizon, min_length, q, count, decay, iv_seed)
     configs = {
         m: StatConfig(method=m, lambda_scale=lambda_scale, lambda_policy=lambda_policy)
         for m in methods
     }
 
     def scan_maxima(scanner: PanelScanner) -> dict:
-        return {
-            m: max(s.value for s in scanner.scan(interval_set, configs[m])) for m in methods
-        }
+        return {m: max_reliable_statistic(scanner.scan(interval_set, configs[m])) for m in methods}
 
     cal_states = np.random.SeedSequence(cal_seed).generate_state(3 * calibration_runs)
     maxima = {(mode, m): [] for mode in modes for m in methods}
@@ -232,7 +221,7 @@ def run_two_anomaly_study(
     for r in range(calibration_runs):
         null_panel = simulate(base, horizon, seed=int(cal_states[r]))
         scanner = PanelScanner(null_panel, base.stacked, q)
-        maxima.append(max(s.value for s in scanner.scan(interval_set, config)))
+        maxima.append(max_reliable_statistic(scanner.scan(interval_set, config)))
     threshold = _threshold(maxima, quantile)
 
     eval_states = np.random.SeedSequence(eval_seed).generate_state(runs)

@@ -191,10 +191,6 @@ def interval_statistic(view: RegressionView, config: StatConfig, lam: float) -> 
     return lasso_statistic(view, lam, config.solver)
 
 
-def resolve_lambda(config: StatConfig, min_length: int, p: int, n_rows: int) -> float:
-    return default_lambda(min_length, p, n_rows, config.lambda_scale)
-
-
 def lambda_for_interval(
     config: StatConfig, min_length: int, p: int, n_rows: int, length: int
 ) -> float:
@@ -205,6 +201,18 @@ def lambda_for_interval(
     if config.lambda_policy == "interval_linear":
         return base * length / min_length
     return base
+
+
+def interval_lambdas(
+    config: StatConfig, interval_set: IntervalSet, p: int, n_rows: int
+) -> np.ndarray:
+    """Penalty of every interval in the set under the configured policy, in storage order."""
+    return np.array(
+        [
+            lambda_for_interval(config, interval_set.min_length, p, n_rows, iv.length)
+            for iv in interval_set.intervals
+        ]
+    )
 
 
 class PanelScanner:
@@ -277,14 +285,7 @@ class PanelScanner:
         ivs = interval_set.intervals
         if not ivs:
             return []
-        lams = np.array(
-            [
-                lambda_for_interval(
-                    config, interval_set.min_length, self.n_series, self.n_rows, iv.length
-                )
-                for iv in ivs
-            ]
-        )
+        lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
         if config.method == "ols":
             return [self.statistic(iv, config, lam) for iv, lam in zip(ivs, lams)]
         starts = np.array([iv.start for iv in ivs])

@@ -145,3 +145,15 @@ def seeded_intervals(n_rows: int, min_length: int, decay: float, q: int = 0) -> 
         (lo, n_rows),
         {"kind": "seeded", "decay": decay, "q": q},
     )
+
+
+def build_intervals(
+    scheme: str, n_rows: int, min_length: int, q: int, count: int, decay: float, seed: int
+) -> IntervalSet:
+    """The ``random`` set (which uses ``count`` and ``seed``) or the ``seeded``
+    set (which uses ``decay``) over a panel of ``n_rows`` rows."""
+    if scheme == "random":
+        return random_intervals(n_rows, min_length, count, seed, q=q)
+    if scheme == "seeded":
+        return seeded_intervals(n_rows, min_length, decay, q=q)
+    raise ParameterError(f"unknown interval scheme {scheme!r}")

@@ -25,8 +25,8 @@ import numpy as np
 from .detection import CalibrationResult, DetectionResult, calibrate_threshold, detect_multiple, detect_single
 from .errors import NumericalError, ParameterError
 from .estimation import estimate_baseline, estimate_noise_covariance
-from .intervals import IntervalSet, random_intervals, seeded_intervals
-from .interval_stats import StatConfig, resolve_lambda
+from .intervals import IntervalSet, build_intervals
+from .interval_stats import StatConfig, interval_lambdas
 from .panels import difference as difference_panel
 from .panels import load_panel
 from .var_model import TimeSeriesPanel, VarParams
@@ -112,12 +112,6 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, lambda tmp: Path(tmp).write_text(json.dumps(payload, indent=2) + "\n"))
 
 
-def _build_intervals(config: RunConfig, horizon: int, min_length: int, seed: int) -> IntervalSet:
-    if config.scheme == "random":
-        return random_intervals(horizon, min_length, config.count, seed, q=config.q)
-    return seeded_intervals(horizon, min_length, config.decay, q=config.q)
-
-
 @dataclass
 class PipelineRun:
     config: RunConfig
@@ -187,7 +181,9 @@ def run_pipeline(
         raise NumericalError(f"estimated law unusable for bootstrap calibration: {exc}") from exc
 
     n_cal_rows = slices["calibrate"].shape[0]
-    cal_intervals = _build_intervals(config, n_cal_rows, min_length, config.seed + 1)
+    cal_intervals = build_intervals(
+        config.scheme, n_cal_rows, min_length, q, config.count, config.decay, config.seed + 1
+    )
     calibration = calibrate_threshold(
         law,
         cal_intervals,
@@ -204,7 +200,9 @@ def run_pipeline(
     if stage == "detect":
         test_panel = TimeSeriesPanel(slices["test"])
         n_test = test_panel.n_rows
-        test_intervals = _build_intervals(config, n_test, min_length, config.seed + 3)
+        test_intervals = build_intervals(
+            config.scheme, n_test, min_length, q, config.count, config.decay, config.seed + 3
+        )
         detect = detect_multiple if config.multiple else detect_single
         detection = detect(
             test_panel,
@@ -228,16 +226,14 @@ def run_pipeline(
         "resolved_min_length": min_length,
         "slice_rows": {k: int(v.shape[0]) for k, v in slices.items()},
         "test_start_row": n_train + n_cal + 1,
-        "lambda_calibration": resolve_lambda(stat_config, min_length, p, n_cal_rows),
+        "lambda_calibration": _lambda_range(stat_config, cal_intervals, p, n_cal_rows),
         "threshold": calibration.threshold,
         "calibration_intervals": {**cal_intervals.provenance, "n": len(cal_intervals)},
         "sigma_mode": config.sigma_mode,
         "baseline_penalty": config.baseline_penalty,
     }
     if test_intervals is not None:
-        manifest["lambda_test"] = resolve_lambda(
-            stat_config, min_length, p, slices["test"].shape[0]
-        )
+        manifest["lambda_test"] = _lambda_range(stat_config, test_intervals, p, n_test)
         manifest["test_intervals"] = {**test_intervals.provenance, "n": len(test_intervals)}
     if detection is not None:
         manifest["detected"] = [
@@ -254,6 +250,12 @@ def run_pipeline(
         _atomic_write(out / "detections.csv", lambda tmp: _write_detections(tmp, detection))
     _write_json(out / "manifest.json", manifest)
     return PipelineRun(config, theta_hat, sigma_hat, calibration, detection, manifest)
+
+
+def _lambda_range(config: StatConfig, intervals: IntervalSet, p: int, n_rows: int) -> dict:
+    """Smallest and largest penalty the scan of ``intervals`` used."""
+    lams = interval_lambdas(config, intervals, p, n_rows)
+    return {"min": float(lams.min()), "max": float(lams.max())}
 
 
 def _write_detections(path, detection: DetectionResult) -> None:

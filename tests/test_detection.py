@@ -16,6 +16,7 @@ from varanom import (
     detect_multiple,
     detect_online,
     detect_single,
+    IntervalSet,
     generate_dense_stationary,
     online_windows,
     random_intervals,
@@ -24,7 +25,9 @@ from varanom import (
     simulate_with_anomaly,
 )
 from varanom.detection import (
+    THRESHOLD_FLOOR,
     empirical_quantile,
+    max_reliable_statistic,
     online_max_statistic,
     select_multiple,
     select_single,
@@ -54,6 +57,34 @@ def test_calibrate_threshold_protocol():
     assert cal.max_statistics.shape == (10,)
     assert cal.threshold == max(np.sort(cal.max_statistics)[8], 1e-12)
     assert cal.threshold > 0
+
+
+def test_max_reliable_statistic_skips_unreliable():
+    stats = [_stat(1, 10, 100.0, reliable=False), _stat(20, 30, 7.0), _stat(5, 9, 3.0)]
+    assert max_reliable_statistic(stats) == 7.0
+    assert max_reliable_statistic([_stat(1, 10, 100.0, reliable=False)]) == 0.0
+    assert max_reliable_statistic([]) == 0.0
+
+
+def test_calibrate_threshold_empty_scan():
+    base = generate_dense_stationary(3, seed=2)
+    empty = IntervalSet((), 5, (2, 80))
+    cal = calibrate_threshold(base, empty, StatConfig(), runs=3, seed=4, burn_in=50)
+    assert cal.max_statistics.tolist() == [0.0, 0.0, 0.0]
+    assert cal.threshold == THRESHOLD_FLOOR
+
+
+def test_calibrate_threshold_skips_unreliable_statistics():
+    # three sweeps with no tolerance leave every problem the solver works on
+    # unconverged, so only statistics screened at exactly zero stay reliable
+    base = generate_dense_stationary(3, seed=2)
+    ivs = random_intervals(80, 5, 30, seed=3, q=1)
+    config = StatConfig(solver=SolverOptions(tolerance=0.0, max_iterations=3))
+    cal = calibrate_threshold(base, ivs, config, runs=4, seed=4, burn_in=50)
+    assert cal.max_statistics.tolist() == [0.0] * 4
+    assert cal.threshold == THRESHOLD_FLOOR
+    loose = calibrate_threshold(base, ivs, StatConfig(), runs=4, seed=4, burn_in=50)
+    assert (loose.max_statistics > 0.0).all()
 
 
 def test_select_single_tie_break():

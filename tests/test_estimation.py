@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varanom import (
     DesignError,
+    PanelScanner,
     ParameterError,
     SolverOptions,
+    StatConfig,
     TimeSeriesPanel,
     VarParams,
     estimate_baseline,
@@ -14,8 +20,10 @@ from varanom import (
     lasso_solve,
     ols_solve,
     ridge_solve,
+    seeded_intervals,
     simulate,
 )
+from varanom import estimation
 from varanom.estimation import (
     default_baseline_lambda,
     kkt_violation,
@@ -23,6 +31,7 @@ from varanom.estimation import (
     lasso_cd_gram_batch,
     soft_threshold,
 )
+from varanom.interval_stats import interval_lambdas
 
 
 def test_lasso_identity_design_no_penalty():
@@ -249,3 +258,97 @@ def test_noise_covariance_edge_cases():
 
 def test_default_baseline_lambda_positive():
     assert default_baseline_lambda(10, 500) > 0
+
+
+def _hard_batch(seed: int = 0):
+    """Batched problems the support finish must survive or leave to CD."""
+    rng = np.random.default_rng(seed)
+    grams, crosses, lams = [], [], []
+
+    def add(X, Y, lam):
+        grams.append(X.T @ X)
+        crosses.append(X.T @ Y)
+        lams.append(lam)
+
+    for _ in range(6):  # near-collinear columns
+        X = rng.standard_normal((30, 6))
+        X[:, 3] = X[:, 2] + 1e-2 * rng.standard_normal(30)
+        add(X, rng.standard_normal((30, 3)) + X[:, [2]], float(rng.uniform(0.5, 5.0)))
+    for sign in (1.0, -1.0):  # penalty just above and just below 2 max|c|
+        for _ in range(3):
+            X = rng.standard_normal((25, 6))
+            Y = rng.standard_normal((25, 3))
+            add(X, Y, 2.0 * np.abs(X.T @ Y).max() * (1.0 + sign * 1e-6))
+    for _ in range(4):  # a zero Gram column
+        X = rng.standard_normal((20, 6))
+        X[:, 1] = 0.0
+        add(X, rng.standard_normal((20, 3)), float(rng.uniform(0.5, 3.0)))
+    for n in (2, 3, 5):  # rank-deficient windows with fewer rows than columns
+        for _ in range(3):
+            X = rng.standard_normal((n, 6))
+            add(X, rng.standard_normal((n, 3)), float(rng.uniform(0.05, 1.0)))
+    return np.stack(grams), np.stack(crosses), np.array(lams)
+
+
+def _gains(grams, crosses, lams, beta):
+    return (
+        2.0 * np.einsum("nmk,nmk->n", crosses, beta)
+        - np.einsum("nmk,nmk->n", beta, grams @ beta)
+        - lams * np.abs(beta).sum(axis=(1, 2))
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_solver_kkt_on_hard_problems(seed):
+    # a coefficient-change stop leaves a violation of order tolerance * G_jj,
+    # so the stop is tightened; an exact finish on the support leaves ~1e-15
+    grams, crosses, lams = _hard_batch(seed)
+    beta, conv = lasso_cd_gram_batch(grams, crosses, lams, tolerance=1e-12)
+    assert conv.all()
+    for G, C, b, lam in zip(grams, crosses, beta, lams):
+        assert kkt_violation(G, C, b, lam) <= 1e-9 * (1.0 + np.linalg.norm(C))
+
+
+def test_batch_solver_gains_match_tight_single_solver():
+    base = generate_dense_stationary(4, seed=3)
+    panel = simulate(base, 200, seed=8)
+    intervals = seeded_intervals(200, 8, 1 / 1.1, q=1)
+    config = StatConfig(lambda_policy="interval_linear")
+    scanner = PanelScanner(panel, base.stacked, 1)
+    pairs = [scanner.gram(iv) for iv in intervals]
+    grams = np.stack([g for g, _ in pairs])
+    crosses = np.stack([c for _, c in pairs])
+    lams = interval_lambdas(config, intervals, 4, 200)
+    beta, conv = lasso_cd_gram_batch(grams, crosses, lams)
+    assert conv.all()
+    got = _gains(grams, crosses, lams, beta)
+    tight = SolverOptions(tolerance=1e-13, max_iterations=200000)
+    for i, (G, C, lam) in enumerate(zip(grams, crosses, lams)):
+        ref, _, ok, _ = lasso_cd_gram(G, C, lam, tight)
+        assert ok
+        want = _gains(G[None], C[None], np.array([lam]), ref[None])[0]
+        assert abs(got[i] - want) <= 1e-10 * (1.0 + abs(want))
+
+
+def test_batch_solver_stops_before_first_finish_without_tolerance():
+    # the near-collinear problems, which coordinate descent cannot settle in 3 sweeps
+    grams, crosses, lams = (a[:6] for a in _hard_batch(2))
+    _, conv = lasso_cd_gram_batch(grams, crosses, lams, tolerance=0.0, max_iterations=3)
+    assert not conv.any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cut=st.integers(1, 24))
+def test_batch_solver_results_depend_on_each_problem_alone(seed, cut):
+    grams, crosses, lams = _hard_batch(seed % 1000)
+    solve = lambda g, c, l: lasso_cd_gram_batch(g, c, l, max_iterations=300)  # noqa: E731
+    whole, conv = solve(grams, crosses, lams)
+    order = np.random.default_rng(seed).permutation(len(lams))
+    with mock.patch.object(estimation, "_FINISH_ENTRIES", 3 * 6 * 6 * 3):  # 3 per solve
+        shuffled, sconv = solve(grams[order], crosses[order], lams[order])
+    assert np.array_equal(shuffled, whole[order])
+    assert np.array_equal(sconv, conv[order])
+    head, hconv = solve(grams[:cut], crosses[:cut], lams[:cut])
+    tail, tconv = solve(grams[cut:], crosses[cut:], lams[cut:])
+    assert np.array_equal(np.concatenate([head, tail]), whole)
+    assert np.array_equal(np.concatenate([hconv, tconv]), conv)

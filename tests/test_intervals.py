@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from varanom import Interval, ParameterError, random_intervals, seeded_intervals
+from varanom.intervals import build_intervals
 
 
 def test_random_intervals_contract():
@@ -98,3 +99,10 @@ def test_interval_set_csv(tmp_path):
     assert len(rows) == 21
     start, end = map(int, rows[1].split(","))
     assert (start, end) == (ivs.intervals[0].start, ivs.intervals[0].end)
+
+
+def test_build_intervals_dispatches_on_scheme():
+    assert build_intervals("random", 300, 5, 1, 40, 0.9, 3) == random_intervals(300, 5, 40, 3, q=1)
+    assert build_intervals("seeded", 300, 5, 1, 40, 0.9, 3) == seeded_intervals(300, 5, 0.9, q=1)
+    with pytest.raises(ParameterError):
+        build_intervals("grid", 300, 5, 1, 40, 0.9, 3)

@@ -8,11 +8,13 @@ from varanom import (
     ParameterError,
     RunConfig,
     TimeSeriesPanel,
+    default_lambda,
     difference,
     generate_dense_stationary,
     load_panel,
     run_pipeline,
     save_panel,
+    seeded_intervals,
     simulate,
     simulate_episodes,
 )
@@ -101,6 +103,20 @@ def test_pipeline_null_run(tmp_path):
     assert manifest["threshold"] > 0
     assert manifest["slice_rows"]["train"] == 105
     assert "lambda_test" in manifest
+
+
+def test_pipeline_manifest_lambda_range_under_interval_linear(tmp_path):
+    _, path = _write_null_panel(tmp_path)
+    config = RunConfig(calibration_runs=5, lambda_policy="interval_linear", seed=2)
+    manifest = run_pipeline(config, path, tmp_path / "out").manifest
+    p, L = 4, manifest["resolved_min_length"]
+    for key, rows in (("lambda_calibration", "calibrate"), ("lambda_test", "test")):
+        n_rows = manifest["slice_rows"][rows]
+        lengths = [iv.length for iv in seeded_intervals(n_rows, L, config.decay, q=1)]
+        base = default_lambda(L, p, n_rows, config.lambda_scale)
+        want = {"min": base * min(lengths) / L, "max": base * max(lengths) / L}
+        assert manifest[key] == pytest.approx(want, rel=1e-12)
+        assert manifest[key]["max"] > manifest[key]["min"]
 
 
 def test_pipeline_reproducible(tmp_path):
