@@ -29,7 +29,7 @@ from .experiments import (
     run_single_anomaly_study,
     run_two_anomaly_study,
 )
-from .interval_stats import default_lambda
+from .interval_stats import LAMBDA_POLICIES, default_lambda
 from .panels import load_panel, save_panel
 from .pipeline import RunConfig, run_pipeline
 from .var_model import (
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--min-length", dest="min_length", type=int, default=None)
         cmd.add_argument("--lambda-scale", dest="lambda_scale", type=float, default=None)
         cmd.add_argument("--lambda-policy", dest="lambda_policy",
-                         choices=["global", "interval_sqrt", "interval_linear"], default=None)
+                         choices=LAMBDA_POLICIES, default=None)
         cmd.add_argument("--sigma-mode", dest="sigma_mode",
                          choices=["identity", "estimated"], default=None)
         cmd.add_argument("--quantile", type=float, default=None)

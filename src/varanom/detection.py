@@ -7,9 +7,13 @@
   disjoint detections;
 * online detection: after each new observation at time t, scan the
   geometric windows [t - 2^(j-1), t] for j = 1..floor(log2(t)) and stop at
-  the first exceedance;
+  the first exceedance; window statistics come from running Gram and
+  cross-product prefix sums, O(t (pq)^2) memory after t observations;
 * threshold calibration: an empirical quantile of the per-run maximum
-  statistic over simulated null panels.
+  reliable statistic over simulated null panels, offline or online.
+
+Offline scans and online windows share one statistic kernel,
+:func:`varanom.interval_stats.prefix_statistics`.
 
 Ties at the argmax break toward the earlier start, then the shorter
 interval, so results are invariant to candidate storage order.
@@ -25,16 +29,18 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .estimation import SolverOptions, lasso_cd_gram_batch
+from .estimation import SolverOptions
 from .intervals import Interval, IntervalSet
 from .interval_stats import (
+    LAMBDA_POLICIES,
     IntervalStatistic,
     PanelScanner,
     StatConfig,
     inverse_sqrt_psd,
-    lasso_statistic,
+    prefix_statistics,
+    scaled_lambda,
 )
-from .var_model import RegressionView, VarParams, simulate
+from .var_model import VarParams, simulate
 
 THRESHOLD_FLOOR = 1e-12
 
@@ -221,13 +227,13 @@ class OnlineDetector:
     before monitoring begins (calibrated offline). State is not meant to be
     shared mutably across threads.
 
-    By default every window statistic is recomputed from scratch. With
-    ``incremental=True`` the detector maintains running Gram and
-    cross-product prefix sums instead, which changes nothing but
-    floating-point summation order (covered by tests). ``lambda_policy``
-    is "global" (one penalty for every window) or "interval_linear"
-    (penalty proportional to the window length, anchored at the shortest
-    window of length two).
+    The detector keeps running Gram and cross-product prefix sums of the lag
+    vectors and (whitened) residuals, O(t (pq)^2) memory after t
+    observations, and reads every window's blocks from two prefix entries.
+    ``lambda_policy`` is one of ``LAMBDA_POLICIES``: "global" uses ``lam``
+    for every window, "interval_sqrt" and "interval_linear" scale it by the
+    square root of, or in proportion to, the window length, anchored at the
+    shortest window of two rows.
     """
 
     def __init__(
@@ -240,7 +246,6 @@ class OnlineDetector:
         solver: Optional[SolverOptions] = None,
         sigma: Optional[np.ndarray] = None,
         lambda_policy: str = "global",
-        incremental: bool = False,
     ):
         if threshold <= 0:
             raise ParameterError("threshold must be strictly positive")
@@ -248,7 +253,7 @@ class OnlineDetector:
             raise ParameterError(
                 f"monitoring start t0={t0} leaves fewer than q + 1 = {q + 1} observations for lags"
             )
-        if lambda_policy not in ("global", "interval_linear", "interval_sqrt"):
+        if lambda_policy not in LAMBDA_POLICIES:
             raise ParameterError(f"unknown online lambda policy {lambda_policy!r}")
         self.baseline = np.asarray(baseline, dtype=float)
         self.q = q
@@ -258,89 +263,38 @@ class OnlineDetector:
         self.solver = solver or SolverOptions()
         self.sigma = sigma
         self.lambda_policy = lambda_policy
-        self.incremental = incremental
         self.stopped_at: Optional[OnlineAlarm] = None
-        p = self.baseline.shape[0]
-        m = self.baseline.shape[1]
+        p, m = self.baseline.shape
         self._whiten = inverse_sqrt_psd(sigma) if sigma is not None else None
-        self._data = np.empty((256, p))
+        self._lags = np.zeros(m)  # x_{t-1}, ..., x_{t-q} stacked
         self._n = 0
-        if incremental:
-            self._gram_prefix = np.zeros((257, m, m))
-            self._cross_prefix = np.zeros((257, m, p))
+        self._gram_prefix = np.zeros((257, m, m))
+        self._cross_prefix = np.zeros((257, m, p))
 
     @property
     def t(self) -> int:
         return self._n
 
-    def _window_lambda(self, length: int) -> float:
-        if self.lambda_policy == "interval_linear":
-            return self.lam * length / 2.0
-        if self.lambda_policy == "interval_sqrt":
-            return self.lam * math.sqrt(length / 2.0)
-        return self.lam
-
     def _append(self, x: np.ndarray) -> None:
         x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self._data.shape[1]:
-            raise ParameterError(f"observation has {x.shape[0]} entries, expected {self._data.shape[1]}")
+        p = self.baseline.shape[0]
+        if x.shape[0] != p:
+            raise ParameterError(f"observation has {x.shape[0]} entries, expected {p}")
         if not np.all(np.isfinite(x)):
             raise ParameterError("observation contains non-finite entries")
-        if self._n == self._data.shape[0]:
-            grown = np.empty((2 * self._n, self._data.shape[1]))
-            grown[: self._n] = self._data
-            self._data = grown
-            if self.incremental:
-                gp = np.zeros((2 * self._n + 1,) + self._gram_prefix.shape[1:])
-                gp[: self._gram_prefix.shape[0]] = self._gram_prefix
-                cp = np.zeros((2 * self._n + 1,) + self._cross_prefix.shape[1:])
-                cp[: self._cross_prefix.shape[0]] = self._cross_prefix
-                self._gram_prefix, self._cross_prefix = gp, cp
-        self._data[self._n] = x
         self._n += 1
-        if self.incremental and self._n >= self.q + 1:
-            t = self._n
-            z = np.concatenate([self._data[t - 1 - k] for k in range(1, self.q + 1)])
+        i = self._n - self.q
+        if i >= 1:
+            if i == self._gram_prefix.shape[0]:
+                self._gram_prefix = np.concatenate([self._gram_prefix, np.zeros_like(self._gram_prefix)])
+                self._cross_prefix = np.concatenate([self._cross_prefix, np.zeros_like(self._cross_prefix)])
+            z = self._lags
             u = x - self.baseline @ z
             if self._whiten is not None:
                 u = self._whiten @ u
-            i = t - self.q
             self._gram_prefix[i] = self._gram_prefix[i - 1] + np.outer(z, z)
             self._cross_prefix[i] = self._cross_prefix[i - 1] + np.outer(z, u)
-
-    def _window_statistic(self, start: int, end: int) -> IntervalStatistic:
-        values = self._data
-        lagged = np.hstack([values[start - 1 - k : end - k] for k in range(1, self.q + 1)])
-        resid = values[start - 1 : end] - lagged @ self.baseline.T
-        view = RegressionView(start, end, resid, lagged)
-        return lasso_statistic(
-            view, self._window_lambda(end - start + 1), self.solver, sigma=self.sigma
-        )
-
-    def _scan_windows(self, windows: list[tuple[int, int]]) -> list[IntervalStatistic]:
-        if not self.incremental:
-            return [self._window_statistic(s, e) for s, e in windows]
-        grams = np.stack([
-            self._gram_prefix[e - self.q] - self._gram_prefix[s - self.q - 1] for s, e in windows
-        ])
-        crosses = np.stack([
-            self._cross_prefix[e - self.q] - self._cross_prefix[s - self.q - 1] for s, e in windows
-        ])
-        lams = np.array([self._window_lambda(e - s + 1) for s, e in windows])
-        beta, converged = lasso_cd_gram_batch(
-            grams, crosses, lams, self.solver.tolerance, self.solver.max_iterations
-        )
-        gains = (
-            2.0 * np.einsum("nmk,nmk->n", crosses, beta)
-            - np.einsum("nmk,nmk->n", beta, grams @ beta)
-            - lams * np.abs(beta).sum(axis=(1, 2))
-        )
-        values = np.maximum(gains, 0.0)
-        return [
-            IntervalStatistic(Interval(s, e), float(values[i]), "lasso", float(lams[i]),
-                              int(np.count_nonzero(beta[i])), bool(converged[i]))
-            for i, (s, e) in enumerate(windows)
-        ]
+        self._lags = np.concatenate([x, self._lags[: (self.q - 1) * p]])
 
     def step(self, x: np.ndarray) -> list[IntervalStatistic]:
         """Ingest one observation and return every window statistic at this time.
@@ -351,8 +305,17 @@ class OnlineDetector:
         t = self._n
         if t <= self.t0:
             return []
-        windows = [(s, e) for s, e in online_windows(t) if s >= self.q + 1]
-        return self._scan_windows(windows)
+        starts = np.array([s for s, _ in online_windows(t) if s >= self.q + 1], dtype=int)
+        lams = scaled_lambda(self.lam, t - starts + 1, 2, self.lambda_policy)
+        values, nonzero, reliable = prefix_statistics(
+            self._gram_prefix, self._cross_prefix, starts - self.q - 1,
+            np.full(starts.size, t - self.q), lams, "lasso", self.solver,
+        )
+        return [
+            IntervalStatistic(Interval(int(s), t), float(values[i]), "lasso", float(lams[i]),
+                              int(nonzero[i]), bool(reliable[i]))
+            for i, s in enumerate(starts)
+        ]
 
     def update(self, x: np.ndarray) -> Optional[OnlineAlarm]:
         """Ingest one observation; return an alarm if a window fires.
@@ -379,12 +342,9 @@ def detect_online(
     solver: Optional[SolverOptions] = None,
     sigma: Optional[np.ndarray] = None,
     lambda_policy: str = "global",
-    incremental: bool = False,
 ) -> Optional[OnlineAlarm]:
     """Run the online monitor over a finite stream; None if it never fires."""
-    detector = OnlineDetector(
-        baseline, q, lam, threshold, t0, solver, sigma, lambda_policy, incremental
-    )
+    detector = OnlineDetector(baseline, q, lam, threshold, t0, solver, sigma, lambda_policy)
     for x in stream:
         alarm = detector.update(x)
         if alarm is not None:
@@ -401,20 +361,14 @@ def online_max_statistic(
     solver: Optional[SolverOptions] = None,
     sigma: Optional[np.ndarray] = None,
     lambda_policy: str = "global",
-    incremental: bool = False,
 ) -> float:
-    """Maximum statistic the online scan would inspect over a whole panel.
+    """Maximum reliable statistic the online scan would inspect over a whole panel.
 
     Used to calibrate the online threshold on simulated null streams: no
-    stopping rule is applied, every (t, window) pair contributes.
+    stopping rule is applied, and every (t, window) pair contributes unless
+    its statistic is unreliable, which the alarm rule of
+    :meth:`OnlineDetector.update` skips as well.
     """
     values = np.asarray(values, dtype=float)
-    detector = OnlineDetector(
-        baseline, q, lam, np.inf, t0, solver, sigma, lambda_policy, incremental
-    )
-    best = 0.0
-    for x in values:
-        for stat in detector.step(x):
-            if stat.value > best:
-                best = stat.value
-    return best
+    detector = OnlineDetector(baseline, q, lam, np.inf, t0, solver, sigma, lambda_policy)
+    return max((max_reliable_statistic(detector.step(x)) for x in values), default=0.0)

@@ -308,7 +308,7 @@ def run_online_study(
     maxima = [
         online_max_statistic(
             simulate(base, onset, seed=int(cal_states[r])).values, base.stacked, q, lam, t0,
-            solver=solver, lambda_policy=lambda_policy, incremental=True,
+            solver=solver, lambda_policy=lambda_policy,
         )
         for r in range(calibration_runs)
     ]
@@ -322,7 +322,7 @@ def run_online_study(
         )
         alarms.append(detect_online(
             panel.values, base.stacked, q, lam, threshold, t0,
-            solver=solver, lambda_policy=lambda_policy, incremental=True,
+            solver=solver, lambda_policy=lambda_policy,
         ))
     return OnlineStudy(
         threshold,

@@ -12,6 +12,15 @@ which is how they are computed here; the equivalence with the monolithic
 problem is covered by tests. The lasso statistic is clamped at zero and is
 exactly zero whenever lam >= 2 ||X_J' Y_J||_inf.
 
+One kernel, :func:`prefix_statistics`, computes the statistics of the
+offline scan, of calibration and of the online monitor: each interval's
+Gram and cross-product blocks are the difference of two prefix-sum
+entries, the lasso statistics of all intervals come from one batched
+solve, and the OLS ones from one solve per interval. ``ols_statistic``,
+``lasso_statistic`` and ``whiten`` compute a statistic directly from a
+regression view; they are the independent reference the kernel is tested
+against.
+
 Statistics over distinct intervals are independent pure computations; the
 scan may be parallelised freely and reduces deterministically.
 """
@@ -30,6 +39,7 @@ from .intervals import Interval, IntervalSet
 from .var_model import RegressionView, TimeSeriesPanel
 
 _RANK_RTOL = 1e-10
+LAMBDA_POLICIES = ("global", "interval_sqrt", "interval_linear")
 
 
 @dataclass
@@ -65,7 +75,7 @@ class StatConfig:
             raise ParameterError(f"unknown sigma mode {self.sigma_mode!r}")
         if self.sigma_mode != "identity" and self.sigma is None:
             raise ParameterError(f"sigma mode {self.sigma_mode!r} requires a covariance matrix")
-        if self.lambda_policy not in ("global", "interval_sqrt", "interval_linear"):
+        if self.lambda_policy not in LAMBDA_POLICIES:
             raise ParameterError(f"unknown lambda policy {self.lambda_policy!r}")
 
 
@@ -115,12 +125,6 @@ def whiten(view: RegressionView, sigma: np.ndarray) -> RegressionView:
     return RegressionView(view.start, view.end, view.residuals @ w, view.lagged)
 
 
-def _apply_sigma(view: RegressionView, config: StatConfig) -> RegressionView:
-    if config.sigma_mode == "identity" or config.sigma is None:
-        return view
-    return whiten(view, config.sigma)
-
-
 def gram_ols_value(gram: np.ndarray, cross: np.ndarray) -> tuple[float, np.ndarray]:
     """OLS statistic sum_i c_i' G^{-1} c_i with the fitted coefficients."""
     sv = np.linalg.eigvalsh(gram)
@@ -128,18 +132,6 @@ def gram_ols_value(gram: np.ndarray, cross: np.ndarray) -> tuple[float, np.ndarr
         raise DesignError("ill-posed design: interval Gram matrix is rank deficient")
     theta = np.linalg.solve(gram, cross)
     return float(np.sum(cross * theta)), theta
-
-
-def gram_lasso_value(
-    gram: np.ndarray, cross: np.ndarray, lam: float, opts: SolverOptions
-) -> tuple[float, int, bool]:
-    """Lasso statistic on Gram form: (value, nonzero count, converged)."""
-    if 2.0 * float(np.max(np.abs(cross), initial=0.0)) <= lam:
-        return 0.0, 0, True
-    beta, _, converged, _ = lasso_cd_gram(gram, cross, lam, opts)
-    gain = 2.0 * float(np.sum(cross * beta)) - float(np.sum(beta * (gram @ beta)))
-    gain -= lam * float(np.abs(beta).sum())
-    return max(gain, 0.0), int(np.count_nonzero(beta)), converged
 
 
 def ols_statistic(view: RegressionView, sigma: Optional[np.ndarray] = None) -> IntervalStatistic:
@@ -175,44 +167,88 @@ def lasso_statistic(
         raise ParameterError("lasso penalty must be non-negative")
     if sigma is not None:
         view = whiten(view, sigma)
-    opts = opts or SolverOptions()
     gram = view.lagged.T @ view.lagged
     cross = view.lagged.T @ view.residuals
-    value, nonzero, converged = gram_lasso_value(gram, cross, lam, opts)
+    if 2.0 * float(np.max(np.abs(cross), initial=0.0)) <= lam:
+        return IntervalStatistic(Interval(view.start, view.end), 0.0, "lasso", lam, 0)
+    beta, _, converged, _ = lasso_cd_gram(gram, cross, lam, opts or SolverOptions())
+    gain = 2.0 * float(np.sum(cross * beta)) - float(np.sum(beta * (gram @ beta)))
+    gain -= lam * float(np.abs(beta).sum())
     return IntervalStatistic(
-        Interval(view.start, view.end), value, "lasso", lam, nonzero, reliable=converged,
+        Interval(view.start, view.end), max(gain, 0.0), "lasso", lam,
+        int(np.count_nonzero(beta)), reliable=converged,
     )
 
 
-def interval_statistic(view: RegressionView, config: StatConfig, lam: float) -> IntervalStatistic:
-    view = _apply_sigma(view, config)
-    if config.method == "ols":
-        return ols_statistic(view)
-    return lasso_statistic(view, lam, config.solver)
+def scaled_lambda(base: float, length, anchor: int, policy: str) -> np.ndarray:
+    """Penalty of windows of ``length`` rows under ``policy``; ``base`` at ``anchor`` rows.
 
-
-def lambda_for_interval(
-    config: StatConfig, min_length: int, p: int, n_rows: int, length: int
-) -> float:
-    """Penalty for one interval under the configured policy."""
-    base = default_lambda(min_length, p, n_rows, config.lambda_scale)
-    if config.lambda_policy == "interval_sqrt":
-        return default_lambda(length, p, n_rows, config.lambda_scale)
-    if config.lambda_policy == "interval_linear":
-        return base * length / min_length
-    return base
+    "global" keeps ``base`` for every length, "interval_sqrt" scales it by
+    sqrt(length / anchor) and "interval_linear" by length / anchor. The
+    offline scan anchors at the set's minimum length, the online monitor at
+    its shortest window of two rows. ``length`` may be an array.
+    """
+    length = np.asarray(length)
+    if policy == "interval_sqrt":
+        return base * np.sqrt(length / anchor)
+    if policy == "interval_linear":
+        return base * length / anchor
+    return np.full(length.shape, float(base))
 
 
 def interval_lambdas(
     config: StatConfig, interval_set: IntervalSet, p: int, n_rows: int
 ) -> np.ndarray:
     """Penalty of every interval in the set under the configured policy, in storage order."""
-    return np.array(
-        [
-            lambda_for_interval(config, interval_set.min_length, p, n_rows, iv.length)
-            for iv in interval_set.intervals
-        ]
+    base = default_lambda(interval_set.min_length, p, n_rows, config.lambda_scale)
+    lengths = np.array([iv.length for iv in interval_set.intervals], dtype=int)
+    return scaled_lambda(base, lengths, interval_set.min_length, config.lambda_policy)
+
+
+def prefix_statistics(
+    gram_prefix: np.ndarray,
+    cross_prefix: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    lams: np.ndarray,
+    method: str,
+    solver: SolverOptions,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Statistics of the intervals whose blocks are ``prefix[hi[i]] - prefix[lo[i]]``.
+
+    ``gram_prefix`` is (rows, m, m) and ``cross_prefix`` (rows, m, p), running
+    sums of z_t z_t' and z_t u_t' over lag vectors z_t and (whitened) residuals
+    u_t, so ``hi[i] - lo[i]`` is interval i's length. Lasso statistics come from
+    one batched solve with penalties ``lams``; OLS ones from one solve per
+    interval, which keeps a single pair of blocks in memory at a time and
+    ignores ``lams``. Returns arrays (values, nonzero, reliable), one entry per
+    interval: the statistic clamped at zero, the count of non-zero
+    coefficients, and whether the lasso solve converged (always True for OLS).
+    """
+    n = len(lo)
+    if method == "ols":
+        m = gram_prefix.shape[1]
+        values = np.empty(n)
+        nonzero = np.empty(n, dtype=int)
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            if b - a < m:
+                raise DesignError(f"interval of {b - a} rows cannot fit {m} predictors")
+            values[i], theta = gram_ols_value(
+                gram_prefix[b] - gram_prefix[a], cross_prefix[b] - cross_prefix[a]
+            )
+            nonzero[i] = np.count_nonzero(theta)
+        return values, nonzero, np.ones(n, dtype=bool)
+    grams = gram_prefix[hi] - gram_prefix[lo]
+    crosses = cross_prefix[hi] - cross_prefix[lo]
+    beta, converged = lasso_cd_gram_batch(
+        grams, crosses, lams, solver.tolerance, solver.max_iterations
     )
+    gains = (
+        2.0 * np.einsum("nmk,nmk->n", crosses, beta)
+        - np.einsum("nmk,nmk->n", beta, grams @ beta)
+        - lams * np.abs(beta).sum(axis=(1, 2))
+    )
+    return np.maximum(gains, 0.0), np.count_nonzero(beta.reshape(n, -1), axis=1), converged
 
 
 class PanelScanner:
@@ -263,50 +299,30 @@ class PanelScanner:
         cross = self._cross_prefix[b] - self._cross_prefix[a]
         return gram, cross
 
-    def statistic(self, interval: Interval, config: StatConfig, lam: float) -> IntervalStatistic:
-        gram, cross = self.gram(interval)
-        if config.method == "ols":
-            if interval.length < self.n_series * self.q:
-                raise DesignError(
-                    f"interval of {interval.length} rows cannot fit {self.n_series * self.q} predictors"
-                )
-            value, theta = gram_ols_value(gram, cross)
-            return IntervalStatistic(interval, value, "ols", 0.0, int(np.count_nonzero(theta)))
-        value, nonzero, converged = gram_lasso_value(gram, cross, lam, config.solver)
-        return IntervalStatistic(interval, value, "lasso", lam, nonzero, reliable=converged)
-
     def scan(self, interval_set: IntervalSet, config: StatConfig) -> list[IntervalStatistic]:
         """Statistics for every interval in the set, in storage order.
 
-        Lasso scans run all intervals' decoupled problems through one
-        batched coordinate descent; results match the per-interval path up
-        to floating-point summation order.
+        Computed by :func:`prefix_statistics`; results match the direct
+        per-view computation up to floating-point summation order.
         """
         ivs = interval_set.intervals
         if not ivs:
             return []
-        lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
-        if config.method == "ols":
-            return [self.statistic(iv, config, lam) for iv, lam in zip(ivs, lams)]
         starts = np.array([iv.start for iv in ivs])
         ends = np.array([iv.end for iv in ivs])
         if starts.min() < self.q + 1 or ends.max() > self.n_rows:
             raise DesignError("interval set escapes the usable domain of the panel")
-        grams = self._gram_prefix[ends - self.q] - self._gram_prefix[starts - self.q - 1]
-        crosses = self._cross_prefix[ends - self.q] - self._cross_prefix[starts - self.q - 1]
-        beta, converged = lasso_cd_gram_batch(
-            grams, crosses, lams, config.solver.tolerance, config.solver.max_iterations
+        if config.method == "ols":
+            lams = np.zeros(len(ivs))
+        else:
+            lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
+        values, nonzero, reliable = prefix_statistics(
+            self._gram_prefix, self._cross_prefix, starts - self.q - 1, ends - self.q,
+            lams, config.method, config.solver,
         )
-        gains = (
-            2.0 * np.einsum("nmk,nmk->n", crosses, beta)
-            - np.einsum("nmk,nmk->n", beta, grams @ beta)
-            - lams * np.abs(beta).sum(axis=(1, 2))
-        )
-        values = np.maximum(gains, 0.0)
-        nonzero = np.count_nonzero(beta.reshape(len(ivs), -1), axis=1)
         return [
-            IntervalStatistic(iv, float(values[i]), "lasso", float(lams[i]), int(nonzero[i]),
-                              reliable=bool(converged[i]))
+            IntervalStatistic(iv, float(values[i]), config.method, float(lams[i]),
+                              int(nonzero[i]), reliable=bool(reliable[i]))
             for i, iv in enumerate(ivs)
         ]
 

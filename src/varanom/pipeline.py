@@ -26,7 +26,7 @@ from .detection import CalibrationResult, DetectionResult, calibrate_threshold, 
 from .errors import NumericalError, ParameterError
 from .estimation import estimate_baseline, estimate_noise_covariance
 from .intervals import IntervalSet, build_intervals
-from .interval_stats import StatConfig, interval_lambdas
+from .interval_stats import LAMBDA_POLICIES, StatConfig, interval_lambdas
 from .panels import difference as difference_panel
 from .panels import load_panel
 from .var_model import TimeSeriesPanel, VarParams
@@ -66,7 +66,7 @@ class RunConfig:
             raise ParameterError(f"unknown interval scheme {self.scheme!r}")
         if self.sigma_mode not in ("identity", "estimated"):
             raise ParameterError(f"unknown sigma mode {self.sigma_mode!r}")
-        if self.lambda_policy not in ("global", "interval_sqrt", "interval_linear"):
+        if self.lambda_policy not in LAMBDA_POLICIES:
             raise ParameterError(f"unknown lambda policy {self.lambda_policy!r}")
         if not 0 < self.quantile < 1:
             raise ParameterError("quantile must lie strictly between 0 and 1")

@@ -17,7 +17,9 @@ from varanom import (
     detect_online,
     detect_single,
     IntervalSet,
+    build_regression_view,
     generate_dense_stationary,
+    lasso_statistic,
     online_windows,
     random_intervals,
     seeded_intervals,
@@ -212,25 +214,53 @@ def test_online_threshold_positive():
         OnlineDetector(np.zeros((2, 2)), 1, 1.0, 0.0)
 
 
-def test_online_incremental_matches_direct():
-    base = generate_dense_stationary(4, seed=4)
+@pytest.mark.parametrize("sigma_seed", [None, 5])
+@pytest.mark.parametrize("policy", ["interval_linear", "interval_sqrt"])
+def test_online_windows_match_direct_statistics(policy, sigma_seed):
+    # every window of every step against the direct computation on its view;
+    # with p=4 and q=1 each step's length-2 window has fewer rows than the
+    # pq=4 predictors, so its Gram matrix is singular
+    p, lam = 4, 3.0
+    base = generate_dense_stationary(p, seed=4)
     panel = simulate(base, 150, seed=11)
-    lam = 3.0
-    kwargs = dict(t0=10, solver=SolverOptions(tolerance=1e-10))
-    direct = OnlineDetector(base.stacked, 1, lam, 1e9, lambda_policy="interval_linear", **kwargs)
-    incr = OnlineDetector(
-        base.stacked, 1, lam, 1e9, lambda_policy="interval_linear", incremental=True, **kwargs
+    sigma = None
+    if sigma_seed is not None:
+        a = np.random.default_rng(sigma_seed).standard_normal((p, p))
+        sigma = a @ a.T + 0.5 * np.eye(p)
+    solver = SolverOptions(tolerance=1e-10)
+    scale = {"interval_linear": lambda n: n / 2.0, "interval_sqrt": lambda n: math.sqrt(n / 2.0)}
+    detector = OnlineDetector(
+        base.stacked, 1, lam, 1e9, t0=10, solver=solver, sigma=sigma, lambda_policy=policy
     )
-    for row in panel.values:
-        a = direct.step(row)
-        b = incr.step(row)
-        assert len(a) == len(b)
-        for sa, sb in zip(a, b):
-            assert sa.interval == sb.interval
-            assert abs(sa.value - sb.value) < 1e-7 * (1.0 + abs(sa.value))
-    m_direct = online_max_statistic(panel.values, base.stacked, 1, lam, 10)
-    m_incr = online_max_statistic(panel.values, base.stacked, 1, lam, 10, incremental=True)
-    assert abs(m_direct - m_incr) < 1e-7 * (1.0 + m_direct)
+    best = 0.0
+    for t, row in enumerate(panel.values, start=1):
+        stats = detector.step(row)
+        want = [Interval(s, e) for s, e in online_windows(t) if s >= 2] if t > 10 else []
+        assert [s.interval for s in stats] == want
+        for stat in stats:
+            iv = stat.interval
+            window_lam = lam * scale[policy](iv.length)
+            assert abs(stat.lam - window_lam) <= 1e-14 * window_lam
+            view = build_regression_view(panel, base.stacked, iv.start, iv.end, 1)
+            direct = lasso_statistic(view, window_lam, solver, sigma=sigma)
+            assert stat.reliable and direct.reliable
+            assert abs(stat.value - direct.value) <= 1e-7 * (1.0 + abs(direct.value))
+            best = max(best, stat.value)
+    assert best > 0.0
+    maximum = online_max_statistic(
+        panel.values, base.stacked, 1, lam, 10, solver, sigma, lambda_policy=policy
+    )
+    assert maximum == best
+
+
+def test_online_max_statistic_skips_unreliable_windows():
+    # one sweep with no tolerance leaves every window the solver works on
+    # unconverged, so only windows screened at exactly zero stay reliable
+    base = generate_dense_stationary(3, seed=3)
+    values = simulate(base, 60, seed=10).values
+    stuck = SolverOptions(tolerance=0.0, max_iterations=1)
+    assert online_max_statistic(values, base.stacked, 1, 0.1, 10, solver=stuck) == 0.0
+    assert online_max_statistic(values, base.stacked, 1, 0.1, 10) > 0.0
 
 
 def test_online_detects_strong_shift():
@@ -242,13 +272,13 @@ def test_online_detects_strong_shift():
     null_max = max(
         online_max_statistic(
             simulate(base, 100, seed=100 + r).values, base.stacked, 1, lam, 10,
-            lambda_policy="interval_sqrt", incremental=True,
+            lambda_policy="interval_sqrt",
         )
         for r in range(20)
     )
     alarm = detect_online(
         stream.values, base.stacked, 1, lam, max(null_max, 1e-6), 10,
-        lambda_policy="interval_sqrt", incremental=True,
+        lambda_policy="interval_sqrt",
     )
     assert alarm is not None
     assert alarm.time >= 100

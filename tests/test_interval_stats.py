@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from varanom import (
     DesignError,
+    Interval,
+    IntervalSet,
+    OnlineDetector,
     ParameterError,
     PanelScanner,
     RegressionView,
+    RunConfig,
     SolverOptions,
     StatConfig,
     VarParams,
@@ -23,7 +29,13 @@ from varanom import (
     simulate,
     whiten,
 )
-from varanom.interval_stats import inverse_sqrt_psd, lambda_for_interval
+from varanom.detection import select_multiple, select_single
+from varanom.interval_stats import (
+    LAMBDA_POLICIES,
+    interval_lambdas,
+    inverse_sqrt_psd,
+    scaled_lambda,
+)
 
 
 def _view_from(rng, n, p, q=1):
@@ -42,15 +54,37 @@ def test_default_lambda_values():
 
 
 def test_lambda_policies():
-    cfg_g = StatConfig(lambda_policy="global")
-    cfg_s = StatConfig(lambda_policy="interval_sqrt")
-    cfg_l = StatConfig(lambda_policy="interval_linear")
+    # offline: anchored at the set's minimum length L = 11
     base = default_lambda(11, 10, 500, 0.15)
-    assert lambda_for_interval(cfg_g, 11, 10, 500, 44) == base
-    assert abs(lambda_for_interval(cfg_s, 11, 10, 500, 44) - default_lambda(44, 10, 500, 0.15)) < 1e-12
-    assert abs(lambda_for_interval(cfg_l, 11, 10, 500, 44) - base * 4.0) < 1e-12
+    assert scaled_lambda(base, 44, 11, "global") == base
+    assert abs(scaled_lambda(base, 44, 11, "interval_sqrt") - default_lambda(44, 10, 500, 0.15)) < 1e-12
+    assert abs(scaled_lambda(base, 44, 11, "interval_linear") - base * 4.0) < 1e-12
+    ivs = IntervalSet((Interval(2, 12), Interval(3, 46)), 11, (2, 500))
+    got = interval_lambdas(StatConfig(lambda_policy="interval_linear"), ivs, 10, 500)
+    assert np.allclose(got, [base, base * 4.0], rtol=1e-14, atol=0.0)
+    # online: anchored at the shortest window of two rows; at t=16 the
+    # windows hold 2, 3, 5 and 9 rows
+    lengths = np.array([2, 3, 5, 9])
+    want = {
+        "global": 3.0 * np.ones(4),
+        "interval_sqrt": 3.0 * np.sqrt(lengths / 2.0),
+        "interval_linear": 3.0 * lengths / 2.0,
+    }
+    assert set(want) == set(LAMBDA_POLICIES)
+    for policy in LAMBDA_POLICIES:
+        detector = OnlineDetector(np.zeros((2, 2)), 1, 3.0, 1e9, t0=15, lambda_policy=policy)
+        for x in np.random.default_rng(0).standard_normal((16, 2)):
+            stats = detector.step(x)
+        assert [s.interval.length for s in stats] == lengths.tolist()
+        assert np.allclose([s.lam for s in stats], want[policy], rtol=1e-14, atol=0.0)
+        StatConfig(lambda_policy=policy)
+        RunConfig(lambda_policy=policy)
     with pytest.raises(ParameterError):
         StatConfig(lambda_policy="nope")
+    with pytest.raises(ParameterError):
+        OnlineDetector(np.zeros((2, 2)), 1, 3.0, 1e9, lambda_policy="nope")
+    with pytest.raises(ParameterError):
+        RunConfig(lambda_policy="nope")
 
 
 def test_whiten_identity_returns_same_object():
@@ -248,3 +282,33 @@ def test_unreliable_statistic_flagged():
     view = _view_from(rng, 30, 3)
     stat = lasso_statistic(view, 0.01, SolverOptions(tolerance=0.0, max_iterations=2))
     assert not stat.reliable
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2))
+def test_scan_invariant_to_storage_order(seed, q):
+    # storage order and prefix-equals-direct invariants of the scan
+    rng = np.random.default_rng(seed)
+    a = generate_dense_stationary(3, seed=int(rng.integers(1 << 30))).coeffs[0]
+    law = VarParams((a / q,) * q, np.eye(3))
+    panel = simulate(law, 150, burn_in=20, seed=int(rng.integers(1 << 30)))
+    ivs = random_intervals(150, 8, 40, seed=int(rng.integers(1 << 30)), q=q)
+    order = rng.permutation(len(ivs))
+    shuffled = IntervalSet(tuple(ivs.intervals[i] for i in order), ivs.min_length, ivs.domain)
+    scanner = PanelScanner(panel, law.stacked, q)
+    for method in ("ols", "lasso"):
+        cfg = StatConfig(method=method, lambda_scale=0.05, lambda_policy="interval_linear")
+        stats = scanner.scan(ivs, cfg)
+        moved = scanner.scan(shuffled, cfg)
+        assert moved == [stats[i] for i in order]
+        threshold = float(np.median([s.value for s in stats]))
+        for select in (select_single, select_multiple):
+            picked = [s.interval for s in select(stats, threshold)]
+            assert picked and [s.interval for s in select(moved, threshold)] == picked
+    for iv in ivs.intervals[::4]:
+        gram, cross = scanner.gram(iv)
+        view = build_regression_view(panel, law.stacked, iv.start, iv.end, q)
+        want_gram = view.lagged.T @ view.lagged
+        want_cross = view.lagged.T @ view.residuals
+        assert np.abs(gram - want_gram).max() <= 1e-10 * np.abs(want_gram).max()
+        assert np.abs(cross - want_cross).max() <= 1e-10 * np.abs(want_cross).max()
