@@ -13,7 +13,8 @@
   reliable statistic over simulated null panels, offline or online.
 
 Offline scans and online windows share one statistic kernel,
-:func:`varanom.interval_stats.prefix_statistics`.
+:func:`varanom.interval_stats.prefix_statistics`, which also whitens:
+offline by ``StatConfig.sigma``, online by the detector's ``sigma``.
 
 Ties at the argmax break toward the earlier start, then the shorter
 interval, so results are invariant to candidate storage order.
@@ -36,9 +37,9 @@ from .interval_stats import (
     IntervalStatistic,
     PanelScanner,
     StatConfig,
-    inverse_sqrt_psd,
     prefix_statistics,
     scaled_lambda,
+    whitening_matrix,
 )
 from .var_model import VarParams, simulate
 
@@ -95,6 +96,11 @@ def empirical_quantile(samples: Sequence[float], quantile: float) -> float:
     return float(ordered[max(k - 1, 0)])
 
 
+def null_threshold(maxima: Sequence[float], quantile: float) -> float:
+    """Empirical quantile of null maxima, floored to stay strictly positive."""
+    return max(empirical_quantile(maxima, quantile), THRESHOLD_FLOOR)
+
+
 def calibrate_threshold(
     law: VarParams,
     interval_set: IntervalSet,
@@ -118,14 +124,12 @@ def calibrate_threshold(
         baseline = law.stacked
     horizon = interval_set.horizon
     seeds = np.random.SeedSequence(seed).generate_state(runs)
-    sigma = config.sigma if config.sigma_mode != "identity" else None
     maxima = np.empty(runs)
     for r in range(runs):
         panel = simulate(law, horizon, burn_in=burn_in, seed=int(seeds[r]))
-        scanner = PanelScanner(panel, baseline, law.q, sigma)
+        scanner = PanelScanner(panel, baseline, law.q)
         maxima[r] = max_reliable_statistic(scanner.scan(interval_set, config))
-    threshold = max(empirical_quantile(maxima, quantile), THRESHOLD_FLOOR)
-    return CalibrationResult(threshold, quantile, runs, maxima)
+    return CalibrationResult(null_threshold(maxima, quantile), quantile, runs, maxima)
 
 
 def max_reliable_statistic(stats: Iterable[IntervalStatistic]) -> float:
@@ -170,8 +174,7 @@ def _run_scan(
 ) -> DetectionResult:
     if threshold <= 0:
         raise ParameterError("threshold must be strictly positive")
-    sigma = config.sigma if config.sigma_mode != "identity" else None
-    scanner = PanelScanner(panel, np.asarray(baseline, dtype=float), q, sigma)
+    scanner = PanelScanner(panel, np.asarray(baseline, dtype=float), q)
     stats = scanner.scan(interval_set, config)
     excluded = [s for s in stats if not s.reliable]
     select = select_multiple if multiple else select_single
@@ -228,8 +231,8 @@ class OnlineDetector:
     shared mutably across threads.
 
     The detector keeps running Gram and cross-product prefix sums of the lag
-    vectors and (whitened) residuals, O(t (pq)^2) memory after t
-    observations, and reads every window's blocks from two prefix entries.
+    vectors and raw residuals, O(t (pq)^2) memory after t observations, and
+    reads every window's blocks from two prefix entries, whitened by ``sigma``.
     ``lambda_policy`` is one of ``LAMBDA_POLICIES``: "global" uses ``lam``
     for every window, "interval_sqrt" and "interval_linear" scale it by the
     square root of, or in proportion to, the window length, anchored at the
@@ -265,7 +268,7 @@ class OnlineDetector:
         self.lambda_policy = lambda_policy
         self.stopped_at: Optional[OnlineAlarm] = None
         p, m = self.baseline.shape
-        self._whiten = inverse_sqrt_psd(sigma) if sigma is not None else None
+        self._whitening = whitening_matrix(sigma, p)
         self._lags = np.zeros(m)  # x_{t-1}, ..., x_{t-q} stacked
         self._n = 0
         self._gram_prefix = np.zeros((257, m, m))
@@ -290,8 +293,6 @@ class OnlineDetector:
                 self._cross_prefix = np.concatenate([self._cross_prefix, np.zeros_like(self._cross_prefix)])
             z = self._lags
             u = x - self.baseline @ z
-            if self._whiten is not None:
-                u = self._whiten @ u
             self._gram_prefix[i] = self._gram_prefix[i - 1] + np.outer(z, z)
             self._cross_prefix[i] = self._cross_prefix[i - 1] + np.outer(z, u)
         self._lags = np.concatenate([x, self._lags[: (self.q - 1) * p]])
@@ -309,7 +310,7 @@ class OnlineDetector:
         lams = scaled_lambda(self.lam, t - starts + 1, 2, self.lambda_policy)
         values, nonzero, reliable = prefix_statistics(
             self._gram_prefix, self._cross_prefix, starts - self.q - 1,
-            np.full(starts.size, t - self.q), lams, "lasso", self.solver,
+            np.full(starts.size, t - self.q), lams, "lasso", self.solver, self._whitening,
         )
         return [
             IntervalStatistic(Interval(int(s), t), float(values[i]), "lasso", float(lams[i]),

@@ -15,12 +15,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detection import (
-    THRESHOLD_FLOOR,
+    calibrate_threshold,
+    detect_multiple,
     detect_online,
-    empirical_quantile,
     max_reliable_statistic,
+    null_threshold,
     online_max_statistic,
-    select_multiple,
     select_single,
 )
 from .errors import ParameterError
@@ -66,10 +66,6 @@ def dense_base_with_change(
     raise ParameterError(
         f"no stationary base/change pair found in {attempts} attempts (p={p}, delta={delta})"
     )
-
-
-def _threshold(maxima: Sequence[float], quantile: float) -> float:
-    return max(empirical_quantile(maxima, quantile), THRESHOLD_FLOOR)
 
 
 @dataclass
@@ -139,7 +135,7 @@ def run_single_anomaly_study(
             est = scan_maxima(PanelScanner(null_panel, theta_hat, q))
             for m in methods:
                 maxima[("estimated", m)].append(est[m])
-    thresholds = {key: _threshold(vals, quantile) for key, vals in maxima.items()}
+    thresholds = {key: null_threshold(vals, quantile) for key, vals in maxima.items()}
 
     eval_states = np.random.SeedSequence(eval_seed).generate_state(2 * runs)
     outcomes = {key: [] for key in maxima}
@@ -216,21 +212,15 @@ def run_two_anomaly_study(
     root = np.random.SeedSequence(seed)
     cal_seed, eval_seed = (int(s.generate_state(1)[0]) for s in root.spawn(2))
 
-    cal_states = np.random.SeedSequence(cal_seed).generate_state(calibration_runs)
-    maxima = []
-    for r in range(calibration_runs):
-        null_panel = simulate(base, horizon, seed=int(cal_states[r]))
-        scanner = PanelScanner(null_panel, base.stacked, q)
-        maxima.append(max_reliable_statistic(scanner.scan(interval_set, config)))
-    threshold = _threshold(maxima, quantile)
+    threshold = calibrate_threshold(
+        base, interval_set, config, calibration_runs, quantile, seed=cal_seed
+    ).threshold
 
     eval_states = np.random.SeedSequence(eval_seed).generate_state(runs)
     outcomes = []
     for r in range(runs):
         panel = simulate_episodes(base, episodes, horizon, seed=int(eval_states[r]))
-        scanner = PanelScanner(panel, base.stacked, q)
-        stats = scanner.scan(interval_set, config)
-        picked = select_multiple(stats, threshold)
+        picked = detect_multiple(panel, base.stacked, interval_set, config, threshold, q).detected
         outcomes.append(
             ScenarioOutcome(
                 list(windows), intervals_as_tuples(s.interval for s in picked), {"run": r}
@@ -312,7 +302,7 @@ def run_online_study(
         )
         for r in range(calibration_runs)
     ]
-    threshold = _threshold(maxima, quantile)
+    threshold = null_threshold(maxima, quantile)
 
     eval_states = np.random.SeedSequence(eval_seed).generate_state(runs)
     alarms = []

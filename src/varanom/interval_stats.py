@@ -16,10 +16,12 @@ One kernel, :func:`prefix_statistics`, computes the statistics of the
 offline scan, of calibration and of the online monitor: each interval's
 Gram and cross-product blocks are the difference of two prefix-sum
 entries, the lasso statistics of all intervals come from one batched
-solve, and the OLS ones from one solve per interval. ``ols_statistic``,
-``lasso_statistic`` and ``whiten`` compute a statistic directly from a
-regression view; they are the independent reference the kernel is tested
-against.
+solve, and the OLS ones from one solve per interval. The kernel is also
+the one place that whitens: prefix sums hold raw residuals u_t, and as
+W = Sigma^(-1/2) is symmetric, sum_t z_t (W u_t)' = (sum_t z_t u_t') W.
+``ols_statistic``, ``lasso_statistic`` and ``whiten`` compute a statistic
+directly from a regression view; they are the independent reference the
+kernel is tested against.
 
 Statistics over distinct intervals are independent pure computations; the
 scan may be parallelised freely and reduces deterministically.
@@ -46,10 +48,8 @@ LAMBDA_POLICIES = ("global", "interval_sqrt", "interval_linear")
 class StatConfig:
     """How interval statistics are computed.
 
-    ``sigma_mode`` is one of "identity", "known" or "estimated"; for the
-    latter two ``sigma`` carries the (estimated) innovation covariance used
-    for whitening. ``lambda_scale`` is the constant in front of the default
-    penalty rate.
+    ``sigma`` is the (known or estimated) innovation covariance that whitens
+    the residuals; None means the identity. ``lambda_scale`` is the constant in front of the default penalty rate.
 
     ``lambda_policy`` controls how the scan assigns a penalty to each
     interval. "global" (default) uses the set-level minimum length L for
@@ -61,7 +61,6 @@ class StatConfig:
 
     method: str = "lasso"
     lambda_scale: float = 0.15
-    sigma_mode: str = "identity"
     sigma: Optional[np.ndarray] = None
     solver: SolverOptions = field(default_factory=SolverOptions)
     lambda_policy: str = "global"
@@ -71,10 +70,8 @@ class StatConfig:
             raise ParameterError(f"unknown method {self.method!r}")
         if self.lambda_scale < 0:
             raise ParameterError("lambda constant must be non-negative")
-        if self.sigma_mode not in ("identity", "known", "estimated"):
-            raise ParameterError(f"unknown sigma mode {self.sigma_mode!r}")
-        if self.sigma_mode != "identity" and self.sigma is None:
-            raise ParameterError(f"sigma mode {self.sigma_mode!r} requires a covariance matrix")
+        if self.sigma is not None:
+            whitening_matrix(self.sigma, len(np.atleast_2d(self.sigma)))  # validates
         if self.lambda_policy not in LAMBDA_POLICIES:
             raise ParameterError(f"unknown lambda policy {self.lambda_policy!r}")
 
@@ -101,14 +98,25 @@ def default_lambda(min_length: int, p: int, n_rows: int, scale: float = 0.15) ->
 def inverse_sqrt_psd(sigma: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of a positive definite matrix."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ParameterError("covariance must be square")
     if not np.allclose(sigma, sigma.T, atol=1e-10):
         raise ParameterError("covariance must be symmetric")
     w, v = np.linalg.eigh(sigma)
     if np.min(w) <= 0.0:
         raise ParameterError("covariance must be positive definite")
     return (v / np.sqrt(w)) @ v.T
+
+
+def whitening_matrix(sigma: Optional[np.ndarray], p: int) -> Optional[np.ndarray]:
+    """sigma^(-1/2) for a p x p symmetric positive definite ``sigma``; None
+    (no whitening) for ``sigma`` None or the identity."""
+    if sigma is None:
+        return None
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (p, p):
+        raise ParameterError(f"covariance must be {p} x {p}, got {sigma.shape}")
+    if np.array_equal(sigma, np.eye(p)):
+        return None
+    return inverse_sqrt_psd(sigma)
 
 
 def whiten(view: RegressionView, sigma: np.ndarray) -> RegressionView:
@@ -118,10 +126,9 @@ def whiten(view: RegressionView, sigma: np.ndarray) -> RegressionView:
     coefficient matrix, so the whitened view keeps the block-diagonal
     structure. Passing the identity returns the view untouched.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if np.array_equal(sigma, np.eye(view.n_series)):
+    w = whitening_matrix(sigma, view.n_series)
+    if w is None:
         return view
-    w = inverse_sqrt_psd(sigma)
     return RegressionView(view.start, view.end, view.residuals @ w, view.lagged)
 
 
@@ -213,12 +220,15 @@ def prefix_statistics(
     lams: np.ndarray,
     method: str,
     solver: SolverOptions,
+    whitening: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Statistics of the intervals whose blocks are ``prefix[hi[i]] - prefix[lo[i]]``.
 
     ``gram_prefix`` is (rows, m, m) and ``cross_prefix`` (rows, m, p), running
-    sums of z_t z_t' and z_t u_t' over lag vectors z_t and (whitened) residuals
-    u_t, so ``hi[i] - lo[i]`` is interval i's length. Lasso statistics come from
+    sums of z_t z_t' and z_t u_t' over lag vectors z_t and raw residuals u_t,
+    so ``hi[i] - lo[i]`` is interval i's length. Each interval's cross block is
+    right-multiplied by ``whitening`` (:func:`whitening_matrix`) after the
+    prefix difference, never the whole prefix. Lasso statistics come from
     one batched solve with penalties ``lams``; OLS ones from one solve per
     interval, which keeps a single pair of blocks in memory at a time and
     ignores ``lams``. Returns arrays (values, nonzero, reliable), one entry per
@@ -233,13 +243,16 @@ def prefix_statistics(
         for i, (a, b) in enumerate(zip(lo, hi)):
             if b - a < m:
                 raise DesignError(f"interval of {b - a} rows cannot fit {m} predictors")
-            values[i], theta = gram_ols_value(
-                gram_prefix[b] - gram_prefix[a], cross_prefix[b] - cross_prefix[a]
-            )
+            cross = cross_prefix[b] - cross_prefix[a]
+            if whitening is not None:
+                cross = cross @ whitening
+            values[i], theta = gram_ols_value(gram_prefix[b] - gram_prefix[a], cross)
             nonzero[i] = np.count_nonzero(theta)
         return values, nonzero, np.ones(n, dtype=bool)
     grams = gram_prefix[hi] - gram_prefix[lo]
     crosses = cross_prefix[hi] - cross_prefix[lo]
+    if whitening is not None:
+        crosses = crosses @ whitening
     beta, converged = lasso_cd_gram_batch(
         grams, crosses, lams, solver.tolerance, solver.max_iterations
     )
@@ -260,13 +273,7 @@ class PanelScanner:
     direct per-view computation up to floating-point summation order.
     """
 
-    def __init__(
-        self,
-        panel: TimeSeriesPanel,
-        baseline: np.ndarray,
-        q: int,
-        sigma: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, panel: TimeSeriesPanel, baseline: np.ndarray, q: int):
         values = panel.values
         n, p = values.shape
         if n <= q:
@@ -276,8 +283,6 @@ class PanelScanner:
             raise ParameterError(f"baseline must be {p} x {p * q}, got {baseline.shape}")
         lagged = np.hstack([values[q - k : n - k] for k in range(1, q + 1)])
         resid = values[q:] - lagged @ baseline.T
-        if sigma is not None and not np.array_equal(sigma, np.eye(p)):
-            resid = resid @ inverse_sqrt_psd(sigma)
         m = p * q
         self.q = q
         self.n_rows = n
@@ -288,6 +293,7 @@ class PanelScanner:
         np.cumsum(np.einsum("ti,tj->tij", lagged, resid), axis=0, out=self._cross_prefix[1:])
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
+        """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""
         if interval.start < self.q + 1 or interval.end > self.n_rows:
             raise DesignError(
                 f"interval [{interval.start}, {interval.end}] outside usable domain "
@@ -302,8 +308,8 @@ class PanelScanner:
     def scan(self, interval_set: IntervalSet, config: StatConfig) -> list[IntervalStatistic]:
         """Statistics for every interval in the set, in storage order.
 
-        Computed by :func:`prefix_statistics`; results match the direct
-        per-view computation up to floating-point summation order.
+        Computed by :func:`prefix_statistics`, whitened by ``config.sigma``;
+        results match the direct per-view computation up to summation order.
         """
         ivs = interval_set.intervals
         if not ivs:
@@ -319,6 +325,7 @@ class PanelScanner:
         values, nonzero, reliable = prefix_statistics(
             self._gram_prefix, self._cross_prefix, starts - self.q - 1, ends - self.q,
             lams, config.method, config.solver,
+            whitening_matrix(config.sigma, self.n_series),
         )
         return [
             IntervalStatistic(iv, float(values[i]), config.method, float(lams[i]),
@@ -335,5 +342,4 @@ def scan_intervals(
     q: int,
 ) -> list[IntervalStatistic]:
     """Scan a panel over an interval collection with the configured statistic."""
-    scanner = PanelScanner(panel, baseline, q, config.sigma if config.sigma_mode != "identity" else None)
-    return scanner.scan(interval_set, config)
+    return PanelScanner(panel, baseline, q).scan(interval_set, config)

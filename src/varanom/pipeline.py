@@ -163,22 +163,16 @@ def run_pipeline(
         c=config.lambda_scale,
     )
     sigma_hat: Optional[np.ndarray] = None
-    stat_config = StatConfig(
-        method=config.method, lambda_scale=config.lambda_scale, lambda_policy=config.lambda_policy
-    )
     if config.sigma_mode == "estimated":
         sigma_hat = estimate_noise_covariance(train_panel, theta_hat, q)
-        stat_config = StatConfig(
-            method=config.method,
-            lambda_scale=config.lambda_scale,
-            lambda_policy=config.lambda_policy,
-            sigma_mode="estimated",
-            sigma=sigma_hat,
-        )
     try:
         law = VarParams.from_stacked(theta_hat, sigma_hat if sigma_hat is not None else np.eye(p), q)
     except ParameterError as exc:
         raise NumericalError(f"estimated law unusable for bootstrap calibration: {exc}") from exc
+    stat_config = StatConfig(
+        method=config.method, lambda_scale=config.lambda_scale,
+        lambda_policy=config.lambda_policy, sigma=sigma_hat,
+    )
 
     n_cal_rows = slices["calibrate"].shape[0]
     cal_intervals = build_intervals(

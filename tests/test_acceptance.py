@@ -42,6 +42,8 @@ from varanom.experiments import (
 )
 from varanom.interval_stats import PanelScanner
 
+pytestmark = pytest.mark.slow
+
 RUNS = 100
 CAL_RUNS = 100
 STUDY_RADIUS = 0.75

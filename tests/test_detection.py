@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varanom import (
     AnomalyScenario,
     Interval,
     IntervalStatistic,
     OnlineDetector,
+    PanelScanner,
     ParameterError,
     SolverOptions,
     StatConfig,
@@ -24,17 +27,19 @@ from varanom import (
     random_intervals,
     seeded_intervals,
     simulate,
+    simulate_episodes,
     simulate_with_anomaly,
 )
 from varanom.detection import (
     THRESHOLD_FLOOR,
     empirical_quantile,
     max_reliable_statistic,
+    null_threshold,
     online_max_statistic,
     select_multiple,
     select_single,
 )
-from varanom.experiments import dense_base_with_change
+from varanom.experiments import dense_base_with_change, run_two_anomaly_study
 
 
 def _stat(start, end, value, reliable=True):
@@ -49,6 +54,8 @@ def test_empirical_quantile_order_statistic():
     assert empirical_quantile([5.0, 5.0, 5.0], 0.9) == 5.0
     with pytest.raises(ParameterError):
         empirical_quantile(samples, 1.0)
+    assert null_threshold(samples, 0.99) == 99.0
+    assert null_threshold([0.0, 0.0, 3.0], 0.5) == THRESHOLD_FLOOR
 
 
 def test_calibrate_threshold_protocol():
@@ -124,6 +131,59 @@ def test_select_multiple_order_invariance():
         for b in want:
             if a != b:
                 assert not a.overlaps(b)
+
+
+_stat_lists = st.lists(
+    st.tuples(
+        st.integers(1, 40), st.integers(0, 15),
+        st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0, 9.0]), st.booleans(),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_stat_lists, threshold=st.sampled_from([0.0, 1.0, 4.0]))
+def test_selection_properties(rows, threshold):
+    # few distinct values and short ranges make ties and overlaps common
+    stats = [_stat(s, s + extra, v, ok) for s, extra, v, ok in rows]
+    picked = select_multiple(stats, threshold)
+    for i, a in enumerate(picked):
+        assert a.reliable and a.value > threshold
+        for b in picked[i + 1:]:
+            assert not a.interval.overlaps(b.interval)
+            assert b.value <= a.value
+    for s in stats:
+        if s.reliable and s.value > threshold and s not in picked:
+            assert any(s.interval.overlaps(b.interval) and b.value >= s.value for b in picked)
+    assert select_single(stats, threshold) == picked[:1]
+
+
+def test_two_anomaly_study_matches_private_loop():
+    # the study calibrates and detects through the library's entry points;
+    # the loop it replaced gives bitwise the same threshold and picks
+    kw = dict(p=5, horizon=200, windows=((50, 80), (130, 160)), min_length=8, seed=3)
+    study = run_two_anomaly_study(runs=2, calibration_runs=5, **kw)
+    base, theta = dense_base_with_change(5, 0.6, 5, 3)
+    config = StatConfig(method="lasso", lambda_policy="interval_linear")
+    ivs = seeded_intervals(200, 8, 1 / 1.1, q=1)
+    root = np.random.SeedSequence(3)
+    cal_seed, eval_seed = (int(s.generate_state(1)[0]) for s in root.spawn(2))
+    maxima = [
+        max_reliable_statistic(
+            PanelScanner(simulate(base, 200, seed=int(s)), base.stacked, 1).scan(ivs, config)
+        )
+        for s in np.random.SeedSequence(cal_seed).generate_state(5)
+    ]
+    threshold = max(empirical_quantile(maxima, 0.99), THRESHOLD_FLOOR)
+    assert study.threshold == threshold
+    episodes = [(w, theta) for w in kw["windows"]]
+    for outcome, s in zip(study.outcomes, np.random.SeedSequence(eval_seed).generate_state(2)):
+        panel = simulate_episodes(base, episodes, 200, seed=int(s))
+        stats = PanelScanner(panel, base.stacked, 1).scan(ivs, config)
+        want = [(p.interval.start, p.interval.end) for p in select_multiple(stats, threshold)]
+        assert [tuple(d) for d in outcome.detected] == want
+    assert any(outcome.detected for outcome in study.outcomes)
 
 
 def test_unreliable_statistics_are_excluded():

@@ -228,18 +228,50 @@ def test_scanner_matches_direct_statistics():
     for cfg in (
         StatConfig(method="lasso"),
         StatConfig(method="lasso", lambda_policy="interval_linear"),
-        StatConfig(method="ols", sigma_mode="known", sigma=sigma),
+        StatConfig(method="lasso", lambda_scale=0.05, sigma=sigma),
+        StatConfig(method="ols", sigma=sigma),
     ):
         stats = scan_intervals(panel, base.stacked, ivs, cfg, q=1)
         for s, iv in zip(stats[::7], list(ivs)[::7]):
             view = build_regression_view(panel, base.stacked, iv.start, iv.end, 1)
-            if cfg.sigma_mode == "known":
+            if cfg.sigma is not None:
                 view = whiten(view, sigma)
             if cfg.method == "ols":
                 direct = ols_statistic(view)
             else:
                 direct = lasso_statistic(view, s.lam)
             assert abs(s.value - direct.value) < 1e-8 * (1.0 + abs(direct.value))
+
+
+@pytest.mark.parametrize("method", ["ols", "lasso"])
+def test_scanner_whitens_by_config_sigma(method):
+    # the scanner is built without a covariance; the config's sigma alone whitens
+    base = generate_dense_stationary(4, seed=11)
+    panel = simulate(base, 200, seed=14)
+    ivs = random_intervals(200, 8, 40, seed=15, q=1)
+    sigma = np.diag([4.0, 1.0, 0.25, 9.0])
+    cfg = StatConfig(method=method, lambda_scale=0.05, sigma=sigma)
+    stats = PanelScanner(panel, base.stacked, 1).scan(ivs, cfg)
+    for s, iv in zip(stats, ivs):
+        view = whiten(build_regression_view(panel, base.stacked, iv.start, iv.end, 1), sigma)
+        if method == "ols":
+            direct = ols_statistic(view)
+        else:
+            direct = lasso_statistic(view, s.lam)
+        assert abs(s.value - direct.value) <= 1e-8 * abs(direct.value)
+
+
+def test_stat_config_validates_sigma():
+    StatConfig(sigma=np.array([[2.0, 0.5], [0.5, 1.0]]))
+    for bad in (
+        np.ones((2, 3)),  # not square
+        np.ones(3),  # not a matrix
+        np.array([[2.0, 0.5], [0.0, 1.0]]),  # asymmetric
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite: eigenvalues 3 and -1
+        np.zeros((2, 2)),  # singular
+    ):
+        with pytest.raises(ParameterError):
+            StatConfig(sigma=bad)
 
 
 def test_scanner_order_two_matches_direct():
