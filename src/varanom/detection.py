@@ -48,12 +48,17 @@ THRESHOLD_FLOOR = 1e-12
 
 @dataclass
 class CalibrationResult:
-    """Null-calibrated detection threshold and the maxima behind it."""
+    """Null-calibrated detection threshold and the maxima behind it.
+
+    ``unreliable`` counts the statistics the maxima skipped as unreliable,
+    summed over runs.
+    """
 
     threshold: float
     quantile: float
     runs: int
     max_statistics: np.ndarray
+    unreliable: int
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -116,7 +121,8 @@ def calibrate_threshold(
     ``law`` may be the known process or one rebuilt from estimates (a
     parametric bootstrap); ``baseline`` defaults to the law's own
     coefficients, in which case the simulated responses are pure noise.
-    Each run's maximum skips unreliable statistics, as selection does.
+    Each run's maximum skips unreliable statistics, as selection does, and
+    the result counts them.
     """
     if runs < 1:
         raise ParameterError("runs must be >= 1")
@@ -125,11 +131,13 @@ def calibrate_threshold(
     horizon = interval_set.horizon
     seeds = np.random.SeedSequence(seed).generate_state(runs)
     maxima = np.empty(runs)
+    unreliable = 0
     for r in range(runs):
         panel = simulate(law, horizon, burn_in=burn_in, seed=int(seeds[r]))
-        scanner = PanelScanner(panel, baseline, law.q)
-        maxima[r] = max_reliable_statistic(scanner.scan(interval_set, config))
-    return CalibrationResult(null_threshold(maxima, quantile), quantile, runs, maxima)
+        stats = PanelScanner(panel, baseline, law.q).scan(interval_set, config)
+        maxima[r] = max_reliable_statistic(stats)
+        unreliable += sum(not s.reliable for s in stats)
+    return CalibrationResult(null_threshold(maxima, quantile), quantile, runs, maxima, unreliable)
 
 
 def max_reliable_statistic(stats: Iterable[IntervalStatistic]) -> float:

@@ -15,8 +15,16 @@ exactly zero whenever lam >= 2 ||X_J' Y_J||_inf.
 One kernel, :func:`prefix_statistics`, computes the statistics of the
 offline scan, of calibration and of the online monitor: each interval's
 Gram and cross-product blocks are the difference of two prefix-sum
-entries, the lasso statistics of all intervals come from one batched
-solve, and the OLS ones from one solve per interval. The kernel is also
+entries, and the lasso statistics of all intervals come from one batched
+solve. The OLS ones come a chunk of intervals at a time from one stacked
+Cholesky factorisation G = LL' and the forward substitution L^(-1): the
+statistic is ||L^(-1) C||_F^2. An interval counts as full rank only when
+1 / ||L^(-1)||_F^2 > 2 rtol tr(G). As 1 / ||L^(-1)||_F^2 = 1 / tr(G^(-1)) is
+at most lambda_min and tr(G) at least lambda_max, this certifies, with a
+factor 2 to spare for rounding, the test lambda_min > rtol lambda_max of
+:func:`gram_ols_value`. A chunk that cannot be factorised, and every
+interval that misses the certificate, go through :func:`gram_ols_value`,
+which raises on a rank-deficient Gram. The kernel is also
 the one place that whitens: prefix sums hold raw residuals u_t, and as
 W = Sigma^(-1/2) is symmetric, sum_t z_t (W u_t)' = (sum_t z_t u_t') W.
 ``ols_statistic``, ``lasso_statistic`` and ``whiten`` compute a statistic
@@ -41,6 +49,12 @@ from .intervals import Interval, IntervalSet
 from .var_model import RegressionView, TimeSeriesPanel
 
 _RANK_RTOL = 1e-10
+# Rows per block of the prefix build: a block of pq x pq products (640 kB at
+# pq = 50) stays in cache while it is summed.
+_PREFIX_BLOCK_ROWS = 32
+# Gram entries per stacked OLS chunk (m^2 per interval): about 50 intervals
+# at m = 50, which keeps the chunk's arrays to a few megabytes.
+_OLS_CHUNK_ENTRIES = 1 << 17
 LAMBDA_POLICIES = ("global", "interval_sqrt", "interval_linear")
 
 
@@ -229,25 +243,21 @@ def prefix_statistics(
     so ``hi[i] - lo[i]`` is interval i's length. Each interval's cross block is
     right-multiplied by ``whitening`` (:func:`whitening_matrix`) after the
     prefix difference, never the whole prefix. Lasso statistics come from
-    one batched solve with penalties ``lams``; OLS ones from one solve per
-    interval, which keeps a single pair of blocks in memory at a time and
-    ignores ``lams``. Returns arrays (values, nonzero, reliable), one entry per
+    one batched solve with penalties ``lams``. OLS statistics ignore
+    ``lams`` and come in chunks of at most ``_OLS_CHUNK_ENTRIES`` Gram
+    entries: one stacked Cholesky factorisation, the batched forward
+    substitution L^(-1), the statistic ||L^(-1) C||_F^2 and the coefficients
+    L^(-T) L^(-1) C. An interval whose factor misses the rank certificate
+    1 / ||L^(-1)||_F^2 > 2 * ``_RANK_RTOL`` * tr(G), or whose chunk cannot be
+    factorised, falls back to :func:`gram_ols_value`, so DesignError is
+    raised for the first interval, in storage order, that is too short or
+    rank deficient. Returns arrays (values, nonzero, reliable), one entry per
     interval: the statistic clamped at zero, the count of non-zero
     coefficients, and whether the lasso solve converged (always True for OLS).
     """
     n = len(lo)
     if method == "ols":
-        m = gram_prefix.shape[1]
-        values = np.empty(n)
-        nonzero = np.empty(n, dtype=int)
-        for i, (a, b) in enumerate(zip(lo, hi)):
-            if b - a < m:
-                raise DesignError(f"interval of {b - a} rows cannot fit {m} predictors")
-            cross = cross_prefix[b] - cross_prefix[a]
-            if whitening is not None:
-                cross = cross @ whitening
-            values[i], theta = gram_ols_value(gram_prefix[b] - gram_prefix[a], cross)
-            nonzero[i] = np.count_nonzero(theta)
+        values, nonzero = _ols_statistics(gram_prefix, cross_prefix, lo, hi, whitening)
         return values, nonzero, np.ones(n, dtype=bool)
     grams = gram_prefix[hi] - gram_prefix[lo]
     crosses = cross_prefix[hi] - cross_prefix[lo]
@@ -264,13 +274,116 @@ def prefix_statistics(
     return np.maximum(gains, 0.0), np.count_nonzero(beta.reshape(n, -1), axis=1), converged
 
 
+def _ols_statistics(
+    gram_prefix: np.ndarray,
+    cross_prefix: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    whitening: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """OLS values and non-zero counts of :func:`prefix_statistics`, chunk by chunk.
+
+    Intervals before the first too-short one are computed in storage order,
+    so a rank-deficient one among them raises first, then the short one
+    raises without being solved.
+    """
+    n = len(lo)
+    m = gram_prefix.shape[1]
+    values = np.empty(n)
+    nonzero = np.empty(n, dtype=int)
+    short = np.flatnonzero(hi - lo < m)
+    stop = int(short[0]) if len(short) else n
+    chunk = max(1, _OLS_CHUNK_ENTRIES // (m * m))
+    for s in range(0, stop, chunk):
+        sl = slice(s, min(s + chunk, stop))
+        grams = gram_prefix[hi[sl]]
+        grams -= gram_prefix[lo[sl]]
+        crosses = cross_prefix[hi[sl]]
+        crosses -= cross_prefix[lo[sl]]
+        if whitening is not None:
+            crosses = crosses @ whitening
+        values[sl], nonzero[sl], certified = _cholesky_ols(grams, crosses)
+        for j in np.flatnonzero(~certified):
+            values[s + j], theta = gram_ols_value(grams[j], crosses[j])
+            nonzero[s + j] = np.count_nonzero(theta)
+    if stop < n:
+        raise DesignError(f"interval of {hi[stop] - lo[stop]} rows cannot fit {m} predictors")
+    return values, nonzero
+
+
+def _cholesky_ols(grams: np.ndarray, crosses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, nonzero, certified) of stacked OLS problems from one Cholesky factorisation.
+
+    Values and counts are only meaningful where ``certified`` holds; none is
+    certified when the stack cannot be factorised.
+    """
+    k = len(grams)
+    try:
+        chol = np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        return np.zeros(k), np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
+    inv = _inverse_lower(chol)
+    x = inv @ crosses
+    theta = np.swapaxes(inv, 1, 2) @ x
+    values = np.einsum("nij,nij->n", x, x)
+    nonzero = np.count_nonzero(theta.reshape(k, -1), axis=1)
+    inv_norm = np.einsum("nij,nij->n", inv, inv)
+    certified = 1.0 / inv_norm > 2.0 * _RANK_RTOL * np.trace(grams, axis1=1, axis2=2)
+    return values, nonzero, certified
+
+
+def _inverse_lower(chol: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices by forward substitution.
+
+    Row i of L^(-1) is (e_i - L[i, :i] L^(-1)[:i]) / L[i, i], and only its
+    first i + 1 entries are non-zero.
+    """
+    m = chol.shape[1]
+    inv = np.zeros_like(chol)
+    diag = 1.0 / np.diagonal(chol, axis1=1, axis2=2)
+    inv[:, 0, 0] = diag[:, 0]
+    for i in range(1, m):
+        row = inv[:, i, :i]
+        np.matmul(chol[:, i, None, :i], inv[:, :i, :i], out=row[:, None])
+        row *= -diag[:, i, None]
+        inv[:, i, i] = diag[:, i]
+    return inv
+
+
+def _prefix_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Running sums of the outer products left[t] right[t]', after a zero entry.
+
+    Built ``_PREFIX_BLOCK_ROWS`` rows at a time: a block's products are
+    written straight into the output and, while the block is in cache, each
+    row gets the running sum before it added. That adds every term in the
+    same order as one cumsum over all rows, so the result is bitwise the
+    same, without a temporary of the output's size. Whole-row additions are
+    contiguous; cumsum along the leading axis runs a strided loop per entry
+    and made the build three times slower at pq = 50.
+    """
+    rows = len(left)
+    out = np.zeros((rows + 1, left.shape[1], right.shape[1]))
+    total = out[0]
+    for s in range(0, rows, _PREFIX_BLOCK_ROWS):
+        block = out[s + 1 : s + 1 + _PREFIX_BLOCK_ROWS]
+        e = s + len(block)
+        np.einsum("ti,tj->tij", left[s:e], right[s:e], out=block)
+        for row in block:
+            np.add(total, row, out=row)
+            total = row
+    return out
+
+
 class PanelScanner:
     """Precomputed prefix sums for constant-time per-interval Gram matrices.
 
-    Building the scanner costs O(T (pq)^2); each interval statistic then
-    reads its Gram and cross-product blocks by subtracting two prefix
-    entries, independently of the interval length. Results agree with the
-    direct per-view computation up to floating-point summation order.
+    Building the scanner costs O(T (pq)^2) time and holds the two prefix
+    arrays, (T - q + 1) (pq)(pq + p) floats; they are built in blocks of
+    ``_PREFIX_BLOCK_ROWS`` rows, so no (T, pq, pq) temporary is made. Each
+    interval statistic then reads its Gram and cross-product blocks by
+    subtracting two prefix entries, independently of the interval length.
+    Results agree with the direct per-view computation up to floating-point
+    summation order.
     """
 
     def __init__(self, panel: TimeSeriesPanel, baseline: np.ndarray, q: int):
@@ -283,14 +396,11 @@ class PanelScanner:
             raise ParameterError(f"baseline must be {p} x {p * q}, got {baseline.shape}")
         lagged = np.hstack([values[q - k : n - k] for k in range(1, q + 1)])
         resid = values[q:] - lagged @ baseline.T
-        m = p * q
         self.q = q
         self.n_rows = n
         self.n_series = p
-        self._gram_prefix = np.zeros((n - q + 1, m, m))
-        np.cumsum(np.einsum("ti,tj->tij", lagged, lagged), axis=0, out=self._gram_prefix[1:])
-        self._cross_prefix = np.zeros((n - q + 1, m, p))
-        np.cumsum(np.einsum("ti,tj->tij", lagged, resid), axis=0, out=self._cross_prefix[1:])
+        self._gram_prefix = _prefix_sum(lagged, lagged)
+        self._cross_prefix = _prefix_sum(lagged, resid)
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
         """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""

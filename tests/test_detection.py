@@ -96,6 +96,22 @@ def test_calibrate_threshold_skips_unreliable_statistics():
     assert (loose.max_statistics > 0.0).all()
 
 
+def test_calibrate_threshold_counts_unreliable_statistics():
+    # one sweep with no tolerance leaves every problem the solver works on
+    # unconverged; the count covers every run, re-scanned by the documented seeding
+    base = generate_dense_stationary(3, seed=2)
+    ivs = random_intervals(80, 5, 30, seed=3, q=1)
+    config = StatConfig(solver=SolverOptions(tolerance=0.0, max_iterations=1))
+    cal = calibrate_threshold(base, ivs, config, runs=3, seed=4, burn_in=50)
+    seeds = np.random.SeedSequence(4).generate_state(3)
+    want = 0
+    for r in range(3):
+        panel = simulate(base, ivs.horizon, burn_in=50, seed=int(seeds[r]))
+        want += sum(not s.reliable for s in PanelScanner(panel, base.stacked, 1).scan(ivs, config))
+    assert 0 < cal.unreliable == want
+    assert calibrate_threshold(base, ivs, StatConfig(), runs=3, seed=4, burn_in=50).unreliable == 0
+
+
 def test_select_single_tie_break():
     stats = [_stat(5, 14, 9.0), _stat(3, 12, 9.0), _stat(20, 30, 2.0)]
     picked = select_single(stats, 1.0)

@@ -17,6 +17,7 @@ from varanom import (
     RunConfig,
     SolverOptions,
     StatConfig,
+    TimeSeriesPanel,
     VarParams,
     build_regression_view,
     default_lambda,
@@ -26,14 +27,19 @@ from varanom import (
     ols_statistic,
     random_intervals,
     scan_intervals,
+    seeded_intervals,
     simulate,
     whiten,
 )
 from varanom.detection import select_multiple, select_single
+from varanom import interval_stats
 from varanom.interval_stats import (
+    _PREFIX_BLOCK_ROWS,
     LAMBDA_POLICIES,
+    gram_ols_value,
     interval_lambdas,
     inverse_sqrt_psd,
+    prefix_statistics,
     scaled_lambda,
 )
 
@@ -289,6 +295,156 @@ def test_scanner_order_two_matches_direct():
     ols_stats = scan_intervals(panel, base.stacked, ivs, StatConfig(method="ols"), q=2)
     view = build_regression_view(panel, base.stacked, ivs.intervals[0].start, ivs.intervals[0].end, 2)
     assert abs(ols_stats[0].value - ols_statistic(view).value) < 1e-8
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize(
+    "rows", [_PREFIX_BLOCK_ROWS - 1, _PREFIX_BLOCK_ROWS, _PREFIX_BLOCK_ROWS + 1, 3 * _PREFIX_BLOCK_ROWS + 5]
+)
+def test_prefix_build_is_bitwise_one_cumsum(rows, q):
+    # the blocked build adds every term in the order of one cumsum over all
+    # rows, and in the order the online detector accumulates its rows
+    base = generate_dense_stationary(3, seed=5)
+    law = VarParams((base.coeffs[0] / q,) * q, np.eye(3))
+    panel = simulate(law, rows + q, burn_in=20, seed=6)
+    values = panel.values
+    n = len(values)
+    lagged = np.hstack([values[q - k : n - k] for k in range(1, q + 1)])
+    resid = values[q:] - lagged @ law.stacked.T
+    scanner = PanelScanner(panel, law.stacked, q)
+    assert scanner._gram_prefix.shape == (rows + 1, 3 * q, 3 * q)
+    assert not scanner._gram_prefix[0].any() and not scanner._cross_prefix[0].any()
+    assert np.array_equal(scanner._gram_prefix[1:], np.cumsum(np.einsum("ti,tj->tij", lagged, lagged), axis=0))
+    assert np.array_equal(scanner._cross_prefix[1:], np.cumsum(np.einsum("ti,tj->tij", lagged, resid), axis=0))
+    detector = OnlineDetector(law.stacked, q, 1.0, 1.0, t0=q + 1)
+    for x in values:
+        detector._append(x)
+    assert np.array_equal(scanner._gram_prefix, detector._gram_prefix[: rows + 1])
+    # offline residuals come from one matrix product, online ones row by row
+    online_cross = detector._cross_prefix[: rows + 1]
+    assert np.max(np.abs(scanner._cross_prefix - online_cross)) <= 1e-12 * np.max(np.abs(online_cross))
+
+
+def _ols_reference(gram_prefix, cross_prefix, lo, hi, whitening=None):
+    values, nonzero = [], []
+    for a, b in zip(lo, hi):
+        cross = cross_prefix[b] - cross_prefix[a]
+        if whitening is not None:
+            cross = cross @ whitening
+        value, theta = gram_ols_value(gram_prefix[b] - gram_prefix[a], cross)
+        values.append(value)
+        nonzero.append(np.count_nonzero(theta))
+    return np.array(values), np.array(nonzero)
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+
+    def counted(gram, cross):
+        calls.append(1)
+        return gram_ols_value(gram, cross)
+
+    monkeypatch.setattr(interval_stats, "gram_ols_value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("whitened", [False, True])
+def test_ols_kernel_certified_path_matches_gram_ols_value(monkeypatch, whitened):
+    # chunks of 16 intervals, so the seeded scan spans several of them
+    monkeypatch.setattr(interval_stats, "_OLS_CHUNK_ENTRIES", 16 * 6 * 6)
+    base = generate_dense_stationary(6, seed=31)
+    panel = simulate(base, 400, seed=32)
+    ivs = seeded_intervals(400, 8, 1 / 1.1, q=1)
+    assert len(ivs) > 3 * 16
+    scanner = PanelScanner(panel, base.stacked, 1)
+    lo = np.array([iv.start for iv in ivs]) - 2
+    hi = np.array([iv.end for iv in ivs]) - 1
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((6, 6))
+    whitening = inverse_sqrt_psd(a @ a.T + 0.5 * np.eye(6)) if whitened else None
+    want, want_nonzero = _ols_reference(scanner._gram_prefix, scanner._cross_prefix, lo, hi, whitening)
+    calls = _count_fallbacks(monkeypatch)
+    values, nonzero, reliable = prefix_statistics(
+        scanner._gram_prefix, scanner._cross_prefix, lo, hi, np.zeros(len(lo)), "ols",
+        SolverOptions(), whitening,
+    )
+    assert not calls  # every interval certified
+    assert np.all(np.abs(values - want) <= 1e-12 * (1.0 + np.abs(want)))
+    assert np.array_equal(nonzero, want_nonzero) and reliable.all()
+
+
+def _stacked_prefix(grams):
+    """Prefix arrays whose interval (0, m + i) has Gram ``grams[i]`` and a random cross block."""
+    m = grams[0].shape[0]
+    gram_prefix = np.zeros((m + len(grams), m, m))
+    gram_prefix[m:] = grams
+    cross_prefix = np.zeros((m + len(grams), m, 2))
+    cross_prefix[m:] = np.random.default_rng(41).standard_normal((len(grams), m, 2))
+    return gram_prefix, cross_prefix, np.zeros(len(grams), dtype=int), m + np.arange(len(grams))
+
+
+def _spd(rng, eigenvalues):
+    rot, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    return (rot * eigenvalues) @ rot.T
+
+
+def test_ols_kernel_falls_back_when_certificate_fails(monkeypatch):
+    # lambda_min / lambda_max = 3e-10 passes gram_ols_value's 1e-10 test, but
+    # 1 / tr(G^-1) is below 2e-10 tr(G), so the interval is not certified
+    rng = np.random.default_rng(40)
+    near = _spd(rng, [1.0, 1.0, 1.0, 3e-10])
+    grams = [_spd(rng, [1.0, 2.0, 3.0, 4.0]), near, _spd(rng, [0.5, 1.0, 1.5, 2.0])]
+    gram_prefix, cross_prefix, lo, hi = _stacked_prefix(grams)
+    want, want_nonzero = _ols_reference(gram_prefix, cross_prefix, lo, hi)
+    calls = _count_fallbacks(monkeypatch)
+    values, nonzero, _ = prefix_statistics(
+        gram_prefix, cross_prefix, lo, hi, np.zeros(3), "ols", SolverOptions(), None
+    )
+    assert len(calls) == 1
+    assert values[1] == want[1] and nonzero[1] == want_nonzero[1]
+    assert np.all(np.abs(values - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def test_ols_kernel_rank_deficient_interval_raises_like_gram_ols_value():
+    # series 1 copies series 0 on rows 150..199, so a lag window inside them
+    # has two identical predictors and a singular Gram
+    base = generate_dense_stationary(3, seed=51)
+    values = simulate(base, 300, seed=52).values.copy()
+    values[150:200, 1] = values[150:200, 0]
+    panel = TimeSeriesPanel(values)
+    normal = [Interval(s, s + 19) for s in range(2, 140, 6)]
+    singular = Interval(160, 190)
+    scanner = PanelScanner(panel, base.stacked, 1)
+    gram, cross = scanner.gram(singular)
+    with pytest.raises(DesignError) as direct:
+        gram_ols_value(gram, cross)
+    cfg = StatConfig(method="ols")
+    mid = len(normal) // 2
+    ivs = IntervalSet(tuple(normal[:mid] + [singular] + normal[mid:]), 8, (2, 300))
+    with pytest.raises(DesignError) as scanned:
+        scanner.scan(ivs, cfg)
+    assert str(scanned.value) == str(direct.value)
+    # the first failing interval in storage order decides the message
+    short = Interval(200, 201)
+    with pytest.raises(DesignError, match="rank deficient"):
+        scanner.scan(IntervalSet(tuple(normal + [singular, short]), 2, (2, 300)), cfg)
+    with pytest.raises(DesignError, match="interval of 2 rows cannot fit 3 predictors"):
+        scanner.scan(IntervalSet(tuple(normal + [short, singular]), 2, (2, 300)), cfg)
+    assert len(scanner.scan(IntervalSet(tuple(normal), 8, (2, 300)), cfg)) == len(normal)
+
+
+def test_ols_kernel_short_interval_raises_before_any_solve(monkeypatch):
+    rng = np.random.default_rng(60)
+    gram_prefix, cross_prefix, lo, hi = _stacked_prefix([_spd(rng, [1.0, 2.0, 3.0, 4.0])] * 3)
+    lo[0] = hi[0] - 3  # 3 rows for 4 predictors
+
+    def no_solve(*args):
+        raise AssertionError("solved an interval")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_solve)
+    monkeypatch.setattr(interval_stats, "gram_ols_value", no_solve)
+    with pytest.raises(DesignError, match="interval of 3 rows cannot fit 4 predictors"):
+        prefix_statistics(gram_prefix, cross_prefix, lo, hi, np.zeros(3), "ols", SolverOptions(), None)
 
 
 def test_scanner_rejects_out_of_domain():
