@@ -114,7 +114,8 @@ def _cmd_detect_online(args) -> int:
     lam = args.lam if args.lam is not None else default_lambda(
         2, panel.n_series, panel.n_rows, args.lambda_scale)
     alarm = detect_online(
-        panel.values, baseline, args.q, lam, args.threshold, t0=args.t0)
+        panel.values, baseline, args.q, lam, args.threshold, t0=args.t0,
+        lambda_policy=args.lambda_policy)
     if alarm is None:
         print("no alarm: stream exhausted")
     else:
@@ -250,6 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument("--threshold", type=float, required=True)
     online.add_argument("--lam", type=float, default=None)
     online.add_argument("--lambda-scale", dest="lambda_scale", type=float, default=0.15)
+    online.add_argument("--lambda-policy", dest="lambda_policy",
+                        choices=LAMBDA_POLICIES, default="global")
     online.add_argument("--q", type=int, default=1)
     online.add_argument("--t0", type=int, default=10)
     online.add_argument("--has-header", dest="has_header", action="store_true")

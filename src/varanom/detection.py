@@ -14,7 +14,22 @@
 
 Offline scans and online windows share one statistic kernel,
 :func:`varanom.interval_stats.prefix_statistics`, which also whitens:
-offline by ``StatConfig.sigma``, online by the detector's ``sigma``.
+offline by ``StatConfig.sigma``, online by the detector's ``sigma``. The
+kernel screens a window by the KKT test at zero on its cross block before
+it gathers the window's Gram block, so an online step whose windows are
+all zero, the common case at the online study's penalties, costs one
+cross-block gather.
+
+``OnlineDetector.step`` and ``update`` ingest one row at a time. The
+replays of a stream already in hand, ``online_max_statistic`` and
+``detect_online``, append a block of ``_REPLAY_BLOCK_ROWS`` rows and make
+one kernel call over every window of the block's steps, which gives the
+same statistics as stepping. ``detect_online`` stops at the first block
+holding a reliable exceedance and, inside it, first solves the steps up to
+the earliest window whose one-coefficient lower bound already clears the
+threshold, so the steps after an alarm are rarely solved. A block's cross
+blocks, about ``_REPLAY_BLOCK_ROWS`` log2(t) pq p doubles, bound the extra
+memory.
 
 Ties at the argmax break toward the earlier start, then the shorter
 interval, so results are invariant to candidate storage order.
@@ -23,9 +38,10 @@ interval, so results are invariant to candidate storage order.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,13 +53,25 @@ from .interval_stats import (
     IntervalStatistic,
     PanelScanner,
     StatConfig,
+    check_batch_solver,
     prefix_statistics,
     scaled_lambda,
+    statistic_list,
     whitening_matrix,
 )
 from .var_model import VarParams, simulate
 
 THRESHOLD_FLOOR = 1e-12
+# Rows per block of an online replay: one kernel call covers every window of
+# the block's steps, whose cross blocks hold about 64 log2(t) pq p doubles
+# (0.5 MB at p = 10, q = 1). On 30 of the online study's calibration
+# streams, 32-, 64- and 128-row blocks took 0.99, 0.77 and 0.55 s, the
+# row-by-row loop 4.9 s; larger blocks trade memory, which grows as (pq)p,
+# for fewer calls.
+_REPLAY_BLOCK_ROWS = 64
+# t - start of the online windows: 2^(j-1) for j = 1..62, every window an
+# int64 time can have.
+_WINDOW_OFFSETS = 1 << np.arange(62, dtype=np.int64)
 
 
 @dataclass
@@ -223,6 +251,19 @@ def online_windows(t: int) -> list[tuple[int, int]]:
     return [(t - 2 ** (j - 1), t) for j in range(1, int(math.floor(math.log2(t))) + 1)]
 
 
+def _window_pairs(times: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (t, window) pair the monitor inspects at ``times``, vectorised.
+
+    The windows of :func:`online_windows` at each t that start at q + 1 or
+    later, ordered by time, then shortest first. Returns (the time of each
+    pair, the index j - 1 of its window in ``_WINDOW_OFFSETS``).
+    """
+    # window j exists while 2^j <= t and starts at t - 2^(j-1) >= q + 1
+    reach = np.minimum(times // 2, times - (q + 1))
+    at, j = np.nonzero(_WINDOW_OFFSETS <= reach[:, None])
+    return times[at], j
+
+
 @dataclass
 class OnlineAlarm:
     time: int
@@ -266,17 +307,20 @@ class OnlineDetector:
             )
         if lambda_policy not in LAMBDA_POLICIES:
             raise ParameterError(f"unknown online lambda policy {lambda_policy!r}")
+        self.solver = solver or SolverOptions()
+        check_batch_solver(self.solver)
         self.baseline = np.asarray(baseline, dtype=float)
         self.q = q
         self.lam = lam
         self.threshold = threshold
         self.t0 = t0
-        self.solver = solver or SolverOptions()
         self.sigma = sigma
         self.lambda_policy = lambda_policy
         self.stopped_at: Optional[OnlineAlarm] = None
         p, m = self.baseline.shape
         self._whitening = whitening_matrix(sigma, p)
+        # penalty of each window length 2^(j-1) + 1, in _WINDOW_OFFSETS order
+        self._window_lams = scaled_lambda(lam, _WINDOW_OFFSETS + 1, 2, lambda_policy)
         self._lags = np.zeros(m)  # x_{t-1}, ..., x_{t-q} stacked
         self._n = 0
         self._gram_prefix = np.zeros((257, m, m))
@@ -291,7 +335,7 @@ class OnlineDetector:
         p = self.baseline.shape[0]
         if x.shape[0] != p:
             raise ParameterError(f"observation has {x.shape[0]} entries, expected {p}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ParameterError("observation contains non-finite entries")
         self._n += 1
         i = self._n - self.q
@@ -300,10 +344,56 @@ class OnlineDetector:
                 self._gram_prefix = np.concatenate([self._gram_prefix, np.zeros_like(self._gram_prefix)])
                 self._cross_prefix = np.concatenate([self._cross_prefix, np.zeros_like(self._cross_prefix)])
             z = self._lags
-            u = x - self.baseline @ z
-            self._gram_prefix[i] = self._gram_prefix[i - 1] + np.outer(z, z)
-            self._cross_prefix[i] = self._cross_prefix[i - 1] + np.outer(z, u)
-        self._lags = np.concatenate([x, self._lags[: (self.q - 1) * p]])
+            column = z[:, None]
+            gram, cross = self._gram_prefix, self._cross_prefix
+            np.multiply(column, z, out=gram[i])
+            gram[i] += gram[i - 1]
+            np.multiply(column, x - self.baseline @ z, out=cross[i])
+            cross[i] += cross[i - 1]
+        self._lags[p:] = self._lags[:-p]
+        self._lags[:p] = x
+
+    def _pairs(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, ends, lams) of every window inspected at times ``first`` to
+        ``last``, ordered by time, then shortest window."""
+        times = np.arange(max(first, self.t0 + 1), last + 1)
+        ends, j = _window_pairs(times, self.q)
+        return ends - _WINDOW_OFFSETS[j], ends, self._window_lams[j]
+
+    def _scan(self, first: int, last: int) -> tuple[np.ndarray, ...]:
+        """Statistics of every window inspected at times ``first`` to ``last``.
+
+        One :func:`prefix_statistics` call over :meth:`_pairs`; returns the
+        columns (starts, ends, values, lams, nonzero, reliable).
+        """
+        starts, ends, lams = self._pairs(first, last)
+        values, nonzero, reliable = prefix_statistics(
+            self._gram_prefix, self._cross_prefix, starts - (self.q + 1), ends - self.q,
+            lams, "lasso", self.solver, self._whitening,
+        )
+        return starts, ends, values, lams, nonzero, reliable
+
+    def _bound_crossing(self, first: int, last: int) -> int:
+        """Earliest time in ``first`` to ``last`` at which a window's statistic
+        surely exceeds the threshold, or ``last`` if none surely does.
+
+        The bound is the gain of the best fit with one non-zero coefficient,
+        (2 |c_jk| - lam)^2 / (4 G_jj) where 2 |c_jk| > lam, which the lasso
+        gain can only exceed. It needs the cross blocks and Gram diagonals,
+        no solve.
+        """
+        starts, ends, lams = self._pairs(first, last)
+        lo, hi = starts - (self.q + 1), ends - self.q
+        crosses = self._cross_prefix.take(hi, axis=0) - self._cross_prefix.take(lo, axis=0)
+        if self._whitening is not None:
+            crosses = crosses @ self._whitening
+        diag = np.diagonal(self._gram_prefix, axis1=1, axis2=2)
+        gram_diag = (diag.take(hi, axis=0) - diag.take(lo, axis=0))[:, :, None]
+        excess = np.maximum(2.0 * np.abs(crosses) - lams[:, None, None], 0.0)
+        # a predictor that is zero over the window (zero Gram diagonal) bounds nothing
+        bound = np.divide(excess**2, 4.0 * gram_diag, out=np.zeros_like(excess), where=gram_diag > 0.0)
+        over = np.flatnonzero(bound.max(axis=(1, 2), initial=0.0) > self.threshold)
+        return int(ends[over[0]]) if over.size else last
 
     def step(self, x: np.ndarray) -> list[IntervalStatistic]:
         """Ingest one observation and return every window statistic at this time.
@@ -311,20 +401,11 @@ class OnlineDetector:
         No stopping rule is applied; used for calibration sweeps.
         """
         self._append(x)
-        t = self._n
-        if t <= self.t0:
+        if self._n <= self.t0:
             return []
-        starts = np.array([s for s, _ in online_windows(t) if s >= self.q + 1], dtype=int)
-        lams = scaled_lambda(self.lam, t - starts + 1, 2, self.lambda_policy)
-        values, nonzero, reliable = prefix_statistics(
-            self._gram_prefix, self._cross_prefix, starts - self.q - 1,
-            np.full(starts.size, t - self.q), lams, "lasso", self.solver, self._whitening,
-        )
-        return [
-            IntervalStatistic(Interval(int(s), t), float(values[i]), "lasso", float(lams[i]),
-                              int(nonzero[i]), bool(reliable[i]))
-            for i, s in enumerate(starts)
-        ]
+        starts, ends, values, lams, nonzero, reliable = self._scan(self._n, self._n)
+        windows = map(Interval, starts.tolist(), ends.tolist())
+        return statistic_list(windows, values, "lasso", lams, nonzero, reliable)
 
     def update(self, x: np.ndarray) -> Optional[OnlineAlarm]:
         """Ingest one observation; return an alarm if a window fires.
@@ -341,6 +422,32 @@ class OnlineDetector:
         return None
 
 
+def _replay(detector: OnlineDetector, stream: Iterable[np.ndarray]) -> Iterator[tuple[int, int]]:
+    """Feed ``stream`` to ``detector`` ``_REPLAY_BLOCK_ROWS`` rows at a time.
+
+    Yields the first and last time of each block once its rows are in. A
+    row that cannot be appended, or a stream that fails, ends the block
+    early; its exception is raised only after the rows before it have been
+    yielded, so a consumer that stops at an alarm on those rows never sees
+    it, as a row-by-row replay would never have read that row.
+    """
+    rows = iter(stream)
+    while True:
+        first = detector.t + 1
+        failure = None
+        try:
+            for x in itertools.islice(rows, _REPLAY_BLOCK_ROWS):
+                detector._append(x)
+        except Exception as exc:  # re-raised below unless an earlier alarm ends the replay
+            failure = exc
+        if detector.t >= first:
+            yield first, detector.t
+        if failure is not None:
+            raise failure
+        if detector.t < first + _REPLAY_BLOCK_ROWS - 1:
+            return
+
+
 def detect_online(
     stream: Iterable[np.ndarray],
     baseline: np.ndarray,
@@ -352,12 +459,25 @@ def detect_online(
     sigma: Optional[np.ndarray] = None,
     lambda_policy: str = "global",
 ) -> Optional[OnlineAlarm]:
-    """Run the online monitor over a finite stream; None if it never fires."""
+    """Run the online monitor over a finite stream; None if it never fires.
+
+    The stream is read and solved a block of rows at a time, and the replay
+    stops at the first block holding a reliable exceedance. The alarm is the
+    one :meth:`OnlineDetector.update` raises row by row: the earliest time,
+    then the shortest window. A row that fails validation raises only when
+    no alarm fires before it.
+    """
     detector = OnlineDetector(baseline, q, lam, threshold, t0, solver, sigma, lambda_policy)
-    for x in stream:
-        alarm = detector.update(x)
-        if alarm is not None:
-            return alarm
+    for first, last in _replay(detector, stream):
+        # solve up to the first sure exceedance, and the rest only if no
+        # reliable alarm comes before it
+        cut = detector._bound_crossing(first, last)
+        for a, b in ((first, cut), (cut + 1, last)):
+            starts, ends, values, _, _, reliable = detector._scan(a, b)
+            hit = np.flatnonzero(reliable & (values > threshold))
+            if hit.size:
+                i = hit[0]
+                return OnlineAlarm(int(ends[i]), Interval(int(starts[i]), int(ends[i])), float(values[i]))
     return None
 
 
@@ -376,8 +496,14 @@ def online_max_statistic(
     Used to calibrate the online threshold on simulated null streams: no
     stopping rule is applied, and every (t, window) pair contributes unless
     its statistic is unreliable, which the alarm rule of
-    :meth:`OnlineDetector.update` skips as well.
+    :meth:`OnlineDetector.update` skips as well. The panel is replayed a
+    block of rows at a time, with the same statistics as a
+    :meth:`OnlineDetector.step` loop.
     """
     values = np.asarray(values, dtype=float)
     detector = OnlineDetector(baseline, q, lam, np.inf, t0, solver, sigma, lambda_policy)
-    return max((max_reliable_statistic(detector.step(x)) for x in values), default=0.0)
+    best = 0.0
+    for first, last in _replay(detector, values):
+        _, _, stats, _, _, reliable = detector._scan(first, last)
+        best = max(best, float(stats[reliable].max(initial=0.0)))
+    return best

@@ -31,7 +31,9 @@ from varanom import (
     simulate_with_anomaly,
 )
 from varanom.detection import (
+    _REPLAY_BLOCK_ROWS,
     THRESHOLD_FLOOR,
+    _window_pairs,
     empirical_quantile,
     max_reliable_statistic,
     null_threshold,
@@ -40,6 +42,7 @@ from varanom.detection import (
     select_single,
 )
 from varanom.experiments import dense_base_with_change, run_two_anomaly_study
+from varanom.interval_stats import LAMBDA_POLICIES
 
 
 def _stat(start, end, value, reliable=True):
@@ -327,6 +330,121 @@ def test_online_windows_match_direct_statistics(policy, sigma_seed):
         panel.values, base.stacked, 1, lam, 10, solver, sigma, lambda_policy=policy
     )
     assert maximum == best
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_window_pairs_match_online_windows(q):
+    times = np.arange(1, 4101)
+    ends, j = _window_pairs(times, q)
+    starts = ends - (1 << j)
+    got = list(zip(starts.tolist(), ends.tolist()))
+    want = [(s, e) for t in times.tolist() for s, e in online_windows(t) if s >= q + 1]
+    assert got == want
+    single_ends, single_j = _window_pairs(np.array([4100]), q)
+    assert np.array_equal(single_ends - (1 << single_j), starts[ends == 4100])
+
+
+def _step_loop_max(values, baseline, q, lam, t0, sigma, policy):
+    detector = OnlineDetector(baseline, q, lam, np.inf, t0, sigma=sigma, lambda_policy=policy)
+    return max(
+        (max((s.value for s in detector.step(x) if s.reliable), default=0.0) for x in values),
+        default=0.0,
+    )
+
+
+@pytest.mark.parametrize("sigma_seed", [None, 8])
+@pytest.mark.parametrize("policy", LAMBDA_POLICIES)
+@pytest.mark.parametrize("q", [1, 2])
+def test_online_max_statistic_equals_step_loop(q, policy, sigma_seed):
+    p = 3
+    base = generate_dense_stationary(p, seed=20)
+    law = VarParams((base.coeffs[0] / q,) * q, np.eye(p))
+    sigma = None
+    if sigma_seed is not None:
+        a = np.random.default_rng(sigma_seed).standard_normal((p, p))
+        sigma = a @ a.T + 0.5 * np.eye(p)
+    values = simulate(law, 2 * _REPLAY_BLOCK_ROWS + 1, seed=21).values
+    for n in (5, _REPLAY_BLOCK_ROWS, 2 * _REPLAY_BLOCK_ROWS + 1):  # shorter than t0, block edges
+        for lam in (1.5, 6.0):
+            want = _step_loop_max(values[:n], law.stacked, q, lam, 10, sigma, policy)
+            got = online_max_statistic(values[:n], law.stacked, q, lam, 10, sigma=sigma, lambda_policy=policy)
+            assert got == want
+            if n <= 10 or lam == 1.5:
+                assert (got > 0.0) == (n > 10)
+
+
+def _update_loop(stream, baseline, q, lam, threshold, t0=10, solver=None):
+    detector = OnlineDetector(baseline, q, lam, threshold, t0, solver)
+    for x in stream:
+        alarm = detector.update(x)
+        if alarm is not None:
+            return alarm
+    return None
+
+
+def _alarm_key(alarm):
+    return None if alarm is None else (alarm.time, alarm.window, alarm.statistic)
+
+
+def test_detect_online_equals_update_loop():
+    # null rows at a penalty that screens them to zero, then one shock row
+    # whose time is the first that can fire
+    base = generate_dense_stationary(3, seed=22)
+    null = simulate(base, 3 * _REPLAY_BLOCK_ROWS, seed=23).values
+    lam = 60.0
+    assert online_max_statistic(null, base.stacked, 1, lam) == 0.0
+    for shock_time in (11, _REPLAY_BLOCK_ROWS, _REPLAY_BLOCK_ROWS + 1, 2 * _REPLAY_BLOCK_ROWS + 5):
+        stream = null.copy()
+        stream[shock_time - 1] += 40.0
+        want = _update_loop(stream, base.stacked, 1, lam, 1.0)
+        assert want is not None and want.time == shock_time
+        got = detect_online(stream, base.stacked, 1, lam, 1.0)
+        assert _alarm_key(got) == _alarm_key(want)
+        # a generator is read a block at a time, with the same alarm
+        got = detect_online((row for row in stream), base.stacked, 1, lam, 1.0)
+        assert _alarm_key(got) == _alarm_key(want)
+        # a bad row after the alarm is never reached by the row-by-row loop
+        broken = stream.copy()
+        broken[shock_time + 1] = np.nan
+        assert _alarm_key(detect_online(broken, base.stacked, 1, lam, 1.0)) == _alarm_key(want)
+    # no alarm
+    assert _update_loop(null, base.stacked, 1, lam, 1.0) is None
+    assert detect_online(iter(null), base.stacked, 1, lam, 1.0) is None
+    # a bad row before any alarm raises, as the row-by-row loop does
+    broken = null.copy()
+    broken[_REPLAY_BLOCK_ROWS + 3, 1] = np.inf
+    with pytest.raises(ParameterError):
+        detect_online(broken, base.stacked, 1, lam, 1.0)
+
+
+def test_detect_online_equals_update_loop_on_anomalous_stream():
+    # a block is solved up to its first window whose one-coefficient bound
+    # clears the threshold, then past it if no reliable alarm came first; a
+    # 12-sweep solver leaves some windows unreliable, including such ones
+    base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
+    stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
+    for solver in (None, SolverOptions(max_iterations=12)):
+        for threshold in (5.0, 20.0, 80.0):
+            want = _update_loop(stream, base.stacked, 1, 4.0, threshold, solver=solver)
+            got = detect_online(stream, base.stacked, 1, 4.0, threshold, solver=solver)
+            assert _alarm_key(got) == _alarm_key(want)
+
+
+def test_bound_crossing_is_a_sure_exceedance():
+    base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
+    stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
+    crossings = 0
+    for threshold in (5.0, 20.0, 80.0, 1e9):
+        detector = OnlineDetector(base.stacked, 1, 4.0, threshold, solver=SolverOptions(tolerance=1e-12))
+        for x in stream:
+            detector._append(x)
+        for first in range(1, 200, 16):
+            cut = detector._bound_crossing(first, first + 15)
+            if cut < first + 15:
+                crossings += 1
+                values = detector._scan(cut, cut)[2]
+                assert values.max() > threshold
+    assert crossings > 3
 
 
 def test_online_max_statistic_skips_unreliable_windows():

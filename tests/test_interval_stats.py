@@ -33,6 +33,7 @@ from varanom import (
 )
 from varanom.detection import select_multiple, select_single
 from varanom import interval_stats
+from varanom.estimation import lasso_cd_gram_batch
 from varanom.interval_stats import (
     _PREFIX_BLOCK_ROWS,
     LAMBDA_POLICIES,
@@ -445,6 +446,95 @@ def test_ols_kernel_short_interval_raises_before_any_solve(monkeypatch):
     monkeypatch.setattr(interval_stats, "gram_ols_value", no_solve)
     with pytest.raises(DesignError, match="interval of 3 rows cannot fit 4 predictors"):
         prefix_statistics(gram_prefix, cross_prefix, lo, hi, np.zeros(3), "ols", SolverOptions(), None)
+
+
+def _lasso_without_screen(gram_prefix, cross_prefix, lo, hi, lams, solver, whitening):
+    """The lasso kernel that gathers every Gram block and solves every interval."""
+    grams = gram_prefix[hi] - gram_prefix[lo]
+    crosses = cross_prefix[hi] - cross_prefix[lo]
+    if whitening is not None:
+        crosses = crosses @ whitening
+    beta, converged = lasso_cd_gram_batch(grams, crosses, lams, solver.tolerance, solver.max_iterations)
+    gains = (
+        2.0 * np.einsum("nmk,nmk->n", crosses, beta)
+        - np.einsum("nmk,nmk->n", beta, grams @ beta)
+        - lams * np.abs(beta).sum(axis=(1, 2))
+    )
+    return np.maximum(gains, 0.0), np.count_nonzero(beta.reshape(len(lo), -1), axis=1), converged
+
+
+@pytest.mark.parametrize("whitened", [False, True])
+def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
+    base = generate_dense_stationary(4, seed=70)
+    panel = simulate(base, 300, seed=71)
+    ivs = seeded_intervals(300, 6, 1 / 1.2, q=1)
+    scanner = PanelScanner(panel, base.stacked, 1)
+    lo = np.array([iv.start for iv in ivs]) - 2
+    hi = np.array([iv.end for iv in ivs]) - 1
+    rng = np.random.default_rng(72)
+    a = rng.standard_normal((4, 4))
+    whitening = inverse_sqrt_psd(a @ a.T + 0.5 * np.eye(4)) if whitened else None
+    crosses = scanner._cross_prefix[hi] - scanner._cross_prefix[lo]
+    if whitening is not None:
+        crosses = crosses @ whitening
+    # penalties around each interval's screening level 2 max|c|, half above it
+    level = 2.0 * np.abs(crosses).max(axis=(1, 2))
+    lams = level * rng.choice([0.5, 0.9, 1.0, 1.1, 2.0], len(lo))
+    busy = level > lams
+    assert 0 < busy.sum() < len(lo)
+    solver = SolverOptions(tolerance=1e-9)
+    args = (scanner._gram_prefix, scanner._cross_prefix, lo, hi, lams)
+    want = _lasso_without_screen(*args, solver, whitening)
+    seen = []
+
+    def spy(grams, crosses, lams, *rest):
+        seen.append(len(grams))
+        return lasso_cd_gram_batch(grams, crosses, lams, *rest)
+
+    monkeypatch.setattr(interval_stats, "lasso_cd_gram_batch", spy)
+    got = prefix_statistics(*args, "lasso", solver, whitening)
+    assert seen == [busy.sum()]  # only the busy intervals reach the solver
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert not got[0][~busy].any() and not got[1][~busy].any() and got[2][~busy].all()
+    # a set with every interval screened never calls the solver
+    seen.clear()
+    values, nonzero, reliable = prefix_statistics(*args[:4], level, "lasso", solver, whitening)
+    assert seen == []
+    assert not values.any() and not nonzero.any() and reliable.all()
+
+
+def test_statistic_lists_hold_python_scalars():
+    # scan and step build their lists through one helper from tolist columns
+    base = generate_dense_stationary(3, seed=74)
+    panel = simulate(base, 120, seed=75)
+    ivs = seeded_intervals(120, 12, 1 / 1.3, q=1)
+    detector = OnlineDetector(base.stacked, 1, 0.5, 1e9, t0=10)
+    for row in panel.values[:40]:
+        stepped = detector.step(row)
+    assert stepped
+    scanner = PanelScanner(panel, base.stacked, 1)
+    for method in ("lasso", "ols"):
+        scanned = scanner.scan(ivs, StatConfig(method=method))
+        # the scan shares the set's interval objects rather than copying them
+        assert all(s.interval is iv for s, iv in zip(scanned, ivs.intervals, strict=True))
+        for s in scanned + stepped:
+            assert type(s.interval.start) is int and type(s.interval.end) is int
+            assert type(s.value) is float and type(s.lam) is float
+            assert type(s.nonzero) is int and type(s.reliable) is bool
+
+
+def test_batch_kernel_rejects_ignored_solver_options():
+    for opts in (SolverOptions(warm_start=np.zeros(4)), SolverOptions(track_objective=True)):
+        with pytest.raises(ParameterError):
+            StatConfig(solver=opts)
+        with pytest.raises(ParameterError):
+            OnlineDetector(np.zeros((2, 2)), 1, 1.0, 5.0, solver=opts)
+    # the per-interval reference and the single-problem solver keep both
+    rng = np.random.default_rng(73)
+    view = _view_from(rng, 30, 2)
+    traced = lasso_statistic(view, 1.0, SolverOptions(track_objective=True, warm_start=np.zeros(4)))
+    assert traced.value == pytest.approx(lasso_statistic(view, 1.0).value, rel=1e-6)
 
 
 def test_scanner_rejects_out_of_domain():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from varanom import (
     RunConfig,
     TimeSeriesPanel,
     default_lambda,
+    detect_online,
     difference,
     generate_dense_stationary,
     load_panel,
@@ -18,6 +20,7 @@ from varanom import (
     simulate,
     simulate_episodes,
 )
+from varanom import pipeline
 from varanom.cli import main
 from varanom.experiments import dense_base_with_change
 from varanom.panels import undifference
@@ -103,6 +106,24 @@ def test_pipeline_null_run(tmp_path):
     assert manifest["threshold"] > 0
     assert manifest["slice_rows"]["train"] == 105
     assert "lambda_test" in manifest
+
+
+def test_pipeline_manifest_reports_calibration_unreliable(tmp_path, monkeypatch):
+    _, path = _write_null_panel(tmp_path)
+    config = RunConfig(calibration_runs=5, seed=2)
+    run = run_pipeline(config, path, tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["calibration_unreliable"] == run.calibration.unreliable
+    # the count is passed through, whatever calibration found
+    calibrate = pipeline.calibrate_threshold
+
+    def with_unreliable(*args, **kwargs):
+        return dataclasses.replace(calibrate(*args, **kwargs), unreliable=7)
+
+    monkeypatch.setattr(pipeline, "calibrate_threshold", with_unreliable)
+    run = run_pipeline(config, path, tmp_path / "again")
+    manifest = json.loads((tmp_path / "again" / "manifest.json").read_text())
+    assert manifest["calibration_unreliable"] == run.calibration.unreliable == 7
 
 
 def test_pipeline_manifest_lambda_range_under_interval_linear(tmp_path):
@@ -284,3 +305,30 @@ def test_cli_detect_online(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "alarm" in out
+
+
+def test_cli_detect_online_lambda_policy(tmp_path, capsys):
+    base, theta = dense_base_with_change(3, 0.8, 3, seed=9)
+    stream = simulate_episodes(base, [((60, 119), theta)], 120, seed=10)
+    data = tmp_path / "stream.csv"
+    save_panel(stream, data)
+    bl = tmp_path / "baseline.csv"
+    np.savetxt(bl, base.stacked, delimiter=",")
+    args = ["detect-online", "--data", str(data), "--baseline", str(bl), "--threshold", "10.0"]
+    alarms = {}
+    for policy in ("global", "interval_sqrt"):
+        assert main(args + ["--lam", "4.0", "--lambda-policy", policy]) == 0
+        out = capsys.readouterr().out
+        alarm = detect_online(stream.values, base.stacked, 1, 4.0, 10.0, lambda_policy=policy)
+        assert alarm is not None
+        alarms[policy] = (alarm.time, alarm.window)
+        assert out.strip() == (
+            f"alarm at t={alarm.time}, window [{alarm.window.start}, {alarm.window.end}], "
+            f"statistic {alarm.statistic:.6g}"
+        )
+    assert alarms["global"] != alarms["interval_sqrt"]
+    # the default policy is the library's
+    assert main(args + ["--lam", "4.0"]) == 0
+    assert str(alarms["global"][0]) in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(args + ["--lambda-policy", "nope"])
