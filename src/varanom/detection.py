@@ -411,15 +411,27 @@ class OnlineDetector:
         """Ingest one observation; return an alarm if a window fires.
 
         Windows are checked shortest first and the monitor stops at the
-        first exceedance.
+        first reliable exceedance. That is the alarm the statistics of
+        :meth:`step` would give, read from the kernel's result columns
+        without building them.
         """
         if self.stopped_at is not None:
             return self.stopped_at
-        for stat in self.step(x):
-            if stat.reliable and stat.value > self.threshold:
-                self.stopped_at = OnlineAlarm(self._n, stat.interval, stat.value)
-                return self.stopped_at
+        self._append(x)
+        if self._n > self.t0:
+            self.stopped_at = _first_alarm(self._scan(self._n, self._n), self.threshold)
+        return self.stopped_at
+
+
+def _first_alarm(columns: tuple[np.ndarray, ...], threshold: float) -> Optional[OnlineAlarm]:
+    """Alarm of the first reliable exceedance in :meth:`OnlineDetector._scan`
+    columns, which are ordered by time, then shortest window; None if none."""
+    starts, ends, values, _, _, reliable = columns
+    hit = np.flatnonzero(reliable & (values > threshold))
+    if hit.size == 0:
         return None
+    i = hit[0]
+    return OnlineAlarm(int(ends[i]), Interval(int(starts[i]), int(ends[i])), float(values[i]))
 
 
 def _replay(detector: OnlineDetector, stream: Iterable[np.ndarray]) -> Iterator[tuple[int, int]]:
@@ -473,11 +485,9 @@ def detect_online(
         # reliable alarm comes before it
         cut = detector._bound_crossing(first, last)
         for a, b in ((first, cut), (cut + 1, last)):
-            starts, ends, values, _, _, reliable = detector._scan(a, b)
-            hit = np.flatnonzero(reliable & (values > threshold))
-            if hit.size:
-                i = hit[0]
-                return OnlineAlarm(int(ends[i]), Interval(int(starts[i]), int(ends[i])), float(values[i]))
+            alarm = _first_alarm(detector._scan(a, b), threshold)
+            if alarm is not None:
+                return alarm
     return None
 
 

@@ -430,6 +430,25 @@ def test_detect_online_equals_update_loop_on_anomalous_stream():
             assert _alarm_key(got) == _alarm_key(want)
 
 
+def test_update_alarms_on_the_first_reliable_step_statistic():
+    base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
+    stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
+    for solver in (None, SolverOptions(max_iterations=12)):
+        for threshold in (5.0, 20.0, 80.0):
+            monitor = OnlineDetector(base.stacked, 1, 4.0, threshold, solver=solver)
+            stepper = OnlineDetector(base.stacked, 1, 4.0, threshold, solver=solver)
+            for t, x in enumerate(stream, start=1):
+                alarm = monitor.update(x)
+                fired = [s for s in stepper.step(x) if s.reliable and s.value > threshold]
+                if fired:
+                    assert _alarm_key(alarm) == (t, fired[0].interval, fired[0].value)
+                    assert monitor.update(stream[t]) is alarm
+                    break
+                assert alarm is None
+            else:
+                raise AssertionError(f"no alarm at threshold {threshold}")
+
+
 def test_bound_crossing_is_a_sure_exceedance():
     base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
     stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
