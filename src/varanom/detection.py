@@ -37,16 +37,16 @@ interval, so results are invariant to candidate storage order.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
 from .estimation import SolverOptions
+from .evaluation import write_table
 from .intervals import Interval, IntervalSet
 from .interval_stats import (
     LAMBDA_POLICIES,
@@ -54,6 +54,7 @@ from .interval_stats import (
     PanelScanner,
     StatConfig,
     check_batch_solver,
+    cross_blocks,
     prefix_statistics,
     scaled_lambda,
     statistic_list,
@@ -89,11 +90,8 @@ class CalibrationResult:
     unreliable: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "max_statistic"])
-            for i, v in enumerate(self.max_statistics):
-                writer.writerow([i, repr(float(v))])
+        rows = ([i, repr(float(v))] for i, v in enumerate(self.max_statistics))
+        write_table(path, ["run", "max_statistic"], rows)
 
 
 @dataclass
@@ -103,21 +101,18 @@ class DetectionResult:
     detected: list[IntervalStatistic]
     statistics: list[IntervalStatistic]
     threshold: float
-    baseline_source: str = "known"
-    excluded: list[IntervalStatistic] = field(default_factory=list)
 
     @property
     def detected_intervals(self) -> list[Interval]:
         return [s.interval for s in self.detected]
 
     def to_csv(self, path) -> None:
-        flagged = {(s.interval.start, s.interval.end) for s in self.detected}
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["start", "end", "statistic", "detected"])
-            for s in self.statistics:
-                key = (s.interval.start, s.interval.end)
-                writer.writerow([key[0], key[1], repr(float(s.value)), int(key in flagged)])
+        flagged = {s.interval for s in self.detected}
+        rows = (
+            [s.interval.start, s.interval.end, repr(float(s.value)), int(s.interval in flagged)]
+            for s in self.statistics
+        )
+        write_table(path, ["start", "end", "statistic", "detected"], rows)
 
 
 def empirical_quantile(samples: Sequence[float], quantile: float) -> float:
@@ -182,10 +177,8 @@ def _tie_key(stat: IntervalStatistic) -> tuple[float, int, int]:
 
 
 def select_single(stats: Iterable[IntervalStatistic], threshold: float) -> list[IntervalStatistic]:
-    candidates = [s for s in stats if s.reliable and s.value > threshold]
-    if not candidates:
-        return []
-    return [min(candidates, key=_tie_key)]
+    """The first detection of :func:`select_multiple`, or none."""
+    return select_multiple(stats, threshold)[:1]
 
 
 def select_multiple(stats: Iterable[IntervalStatistic], threshold: float) -> list[IntervalStatistic]:
@@ -206,16 +199,14 @@ def _run_scan(
     threshold: float,
     q: int,
     multiple: bool,
-    baseline_source: str,
 ) -> DetectionResult:
     if threshold <= 0:
         raise ParameterError("threshold must be strictly positive")
     scanner = PanelScanner(panel, np.asarray(baseline, dtype=float), q)
     stats = scanner.scan(interval_set, config)
-    excluded = [s for s in stats if not s.reliable]
     select = select_multiple if multiple else select_single
     detected = select(stats, threshold)
-    return DetectionResult(detected, stats, threshold, baseline_source, excluded)
+    return DetectionResult(detected, stats, threshold)
 
 
 def detect_single(
@@ -225,10 +216,9 @@ def detect_single(
     config: StatConfig,
     threshold: float,
     q: int = 1,
-    baseline_source: str = "known",
 ) -> DetectionResult:
     """Scan every interval and report the argmax if it clears the threshold."""
-    return _run_scan(panel, baseline, interval_set, config, threshold, q, False, baseline_source)
+    return _run_scan(panel, baseline, interval_set, config, threshold, q, False)
 
 
 def detect_multiple(
@@ -238,10 +228,9 @@ def detect_multiple(
     config: StatConfig,
     threshold: float,
     q: int = 1,
-    baseline_source: str = "known",
 ) -> DetectionResult:
     """Iterated argmax detection with overlap removal; detections are disjoint."""
-    return _run_scan(panel, baseline, interval_set, config, threshold, q, True, baseline_source)
+    return _run_scan(panel, baseline, interval_set, config, threshold, q, True)
 
 
 def online_windows(t: int) -> list[tuple[int, int]]:
@@ -384,9 +373,7 @@ class OnlineDetector:
         """
         starts, ends, lams = self._pairs(first, last)
         lo, hi = starts - (self.q + 1), ends - self.q
-        crosses = self._cross_prefix.take(hi, axis=0) - self._cross_prefix.take(lo, axis=0)
-        if self._whitening is not None:
-            crosses = crosses @ self._whitening
+        crosses = cross_blocks(self._cross_prefix, lo, hi, self._whitening)
         diag = np.diagonal(self._gram_prefix, axis1=1, axis2=2)
         gram_diag = (diag.take(hi, axis=0) - diag.take(lo, axis=0))[:, :, None]
         excess = np.maximum(2.0 * np.abs(crosses) - lams[:, None, None], 0.0)

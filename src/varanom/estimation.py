@@ -18,9 +18,12 @@ The batched solver behind interval scans runs synchronised coordinate-descent
 sweeps and, every few sweeps, finishes problems whose sign pattern has
 settled with one linear solve on their support,
 G_SS b_S = C_S - (lam / 2) sign_S (the active-set idea of Osborne, Presnell
-and Turlach, 2000). A batched fit is ``converged`` when it is zero by the KKT
-test at zero, when that exact support solution passes the KKT test, or when
-its coefficient change per sweep fell to the tolerance.
+and Turlach, 2000). A batched fit is ``converged`` when that exact support
+solution passes the KKT test, or when its coefficient change per sweep fell
+to the tolerance; a problem already solved at zero stops after its first
+sweep. The solver does not screen: the statistic kernel in
+:mod:`varanom.interval_stats` passes it only problems that are not zero by
+the KKT test at zero.
 
 Solvers are pure and reentrant; fits of independent responses may run in
 parallel and give identical results regardless of schedule.
@@ -161,33 +164,30 @@ def lasso_cd_gram_batch(
     depends on that problem alone, not on the rest of the batch.
 
     Returns (coefficients (N, m, k), converged (N,)). ``converged[n]`` is
-    True when problem n is zero by the KKT test at zero, was finished by an
-    exact support solution that passes the KKT test, or stopped on a
-    coefficient change of at most ``tolerance`` within ``max_iterations``
-    sweeps.
+    True when problem n was finished by an exact support solution that
+    passes the KKT test, or stopped on a coefficient change of at most
+    ``tolerance`` within ``max_iterations`` sweeps. The solver applies no
+    screen of its own: a problem with 2 max|c| <= lam, zero by the KKT test
+    at zero, keeps every coefficient at zero and stops after its first
+    sweep. ``grams`` and ``crosses`` are read, never written.
     """
     n_prob, m, k = crosses.shape
     out = np.zeros((n_prob, m, k))
     converged = np.zeros(n_prob, dtype=bool)
-    # KKT at zero: problems with 2 max|c| <= lam are done immediately
-    busy = 2.0 * np.abs(crosses).max(axis=(1, 2)) > lams
-    converged[~busy] = True
-    idx = np.flatnonzero(busy)
-    if idx.size == 0:
-        return out, converged
-    G = grams[idx].copy()
-    C = crosses[idx].copy()
-    B = np.zeros((idx.size, m, k))
-    signs = np.zeros((idx.size, m, k))
-    diag = np.einsum("nii->ni", G).copy()
+    idx = np.arange(n_prob)
+    B = np.zeros((n_prob, m, k))
+    signs = np.zeros((n_prob, m, k))
+    diag = np.einsum("nii->ni", grams).copy()
     zero_col = diag <= 0.0
     diag_safe = np.where(zero_col, 1.0, diag)
-    level = (np.asarray(lams, dtype=float)[idx] / 2.0)[:, None]
+    level = (np.asarray(lams, dtype=float) / 2.0)[:, None]
     per_chunk = max(1, _FINISH_ENTRIES // (m * m * k))
     for sweep in range(1, max_iterations + 1):
+        if idx.size == 0:
+            return out, converged
         max_change = np.zeros(idx.size)
         for j in range(m):
-            rho = C[:, j, :] - (G[:, None, j, :] @ B)[:, 0, :] + diag[:, j, None] * B[:, j, :]
+            rho = crosses[:, j, :] - (grams[:, None, j, :] @ B)[:, 0, :] + diag[:, j, None] * B[:, j, :]
             new = np.sign(rho) * np.maximum(np.abs(rho) - level, 0.0) / diag_safe[:, j, None]
             if zero_col[:, j].any():
                 new[zero_col[:, j]] = 0.0
@@ -200,16 +200,14 @@ def lasso_cd_gram_batch(
             signs = now
             for at in range(0, stable.size, per_chunk):
                 chunk = stable[at : at + per_chunk]
-                exact, ok = _finish_on_support(G[chunk], C[chunk], B[chunk], level[chunk])
+                exact, ok = _finish_on_support(grams[chunk], crosses[chunk], B[chunk], level[chunk])
                 B[chunk[ok]] = exact[ok]
                 done[chunk[ok]] = True
         if done.any():
             out[idx[done]] = B[done]
             converged[idx[done]] = True
-            if done.all():
-                return out, converged
             keep = ~done
-            idx, G, C, B, signs = idx[keep], G[keep], C[keep], B[keep], signs[keep]
+            idx, grams, crosses, B, signs = idx[keep], grams[keep], crosses[keep], B[keep], signs[keep]
             diag, diag_safe = diag[keep], diag_safe[keep]
             zero_col, level = zero_col[keep], level[keep]
     out[idx] = B

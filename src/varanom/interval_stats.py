@@ -47,11 +47,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DesignError, ParameterError
-from .estimation import SolverOptions, lasso_cd_gram, lasso_cd_gram_batch
+from .estimation import _RANK_RTOL, SolverOptions, lasso_cd_gram, lasso_cd_gram_batch
 from .intervals import Interval, IntervalSet
-from .var_model import RegressionView, TimeSeriesPanel
+from .var_model import RegressionView, TimeSeriesPanel, lag_design
 
-_RANK_RTOL = 1e-10
 # Rows per block of the prefix build: a block of pq x pq products (640 kB at
 # pq = 50) stays in cache while it is summed.
 _PREFIX_BLOCK_ROWS = 32
@@ -263,6 +262,18 @@ def interval_lambdas(
     return scaled_lambda(base, lengths, interval_set.min_length, config.lambda_policy)
 
 
+def cross_blocks(
+    cross_prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, whitening: Optional[np.ndarray]
+) -> np.ndarray:
+    """Cross blocks ``cross_prefix[hi[i]] - cross_prefix[lo[i]]``, right-multiplied
+    by ``whitening`` unless it is None; (len(lo), m, p)."""
+    # take along axis 0 gathers the same rows as fancy indexing, in half the time
+    crosses = cross_prefix.take(hi, axis=0) - cross_prefix.take(lo, axis=0)
+    if whitening is not None:
+        crosses = crosses @ whitening
+    return crosses
+
+
 def prefix_statistics(
     gram_prefix: np.ndarray,
     cross_prefix: np.ndarray,
@@ -280,7 +291,8 @@ def prefix_statistics(
     so ``hi[i] - lo[i]`` is interval i's length. Each interval's cross block is
     right-multiplied by ``whitening`` (:func:`whitening_matrix`) after the
     prefix difference, never the whole prefix. Lasso statistics screen
-    first: the cross blocks are gathered and whitened, and an interval with
+    first, and this is the only place that screens: the cross blocks are
+    gathered and whitened by :func:`cross_blocks`, and an interval with
     2 max|c| <= ``lams[i]`` is exactly zero by the KKT test at zero (value
     0.0, no non-zero coefficient, reliable) without its Gram block ever
     being gathered. Only the rest, the busy intervals, get their Gram blocks
@@ -302,13 +314,10 @@ def prefix_statistics(
     if method == "ols":
         values, nonzero = _ols_statistics(gram_prefix, cross_prefix, lo, hi, whitening)
         return values, nonzero, reliable
-    # take along axis 0 gathers the same rows as fancy indexing, in half the time
-    crosses = cross_prefix.take(hi, axis=0) - cross_prefix.take(lo, axis=0)
-    if whitening is not None:
-        crosses = crosses @ whitening
+    crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     values = np.zeros(n)
     nonzero = np.zeros(n, dtype=int)
-    # KKT at zero, the solver's own test: 2 max|c| <= lam means the statistic is 0
+    # KKT at zero: 2 max|c| <= lam means the statistic is 0; the solver never screens
     busy = np.flatnonzero(2.0 * np.abs(crosses).max(axis=(1, 2)) > lams)
     if busy.size == 0:
         return values, nonzero, reliable
@@ -351,10 +360,7 @@ def _ols_statistics(
         sl = slice(s, min(s + chunk, stop))
         grams = gram_prefix[hi[sl]]
         grams -= gram_prefix[lo[sl]]
-        crosses = cross_prefix[hi[sl]]
-        crosses -= cross_prefix[lo[sl]]
-        if whitening is not None:
-            crosses = crosses @ whitening
+        crosses = cross_blocks(cross_prefix, lo[sl], hi[sl], whitening)
         values[sl], nonzero[sl], certified = _cholesky_ols(grams, crosses)
         for j in np.flatnonzero(~certified):
             values[s + j], theta = gram_ols_value(grams[j], crosses[j])
@@ -447,8 +453,8 @@ class PanelScanner:
         baseline = np.asarray(baseline, dtype=float)
         if baseline.shape != (p, p * q):
             raise ParameterError(f"baseline must be {p} x {p * q}, got {baseline.shape}")
-        lagged = np.hstack([values[q - k : n - k] for k in range(1, q + 1)])
-        resid = values[q:] - lagged @ baseline.T
+        lagged, response = lag_design(values, q)
+        resid = response - lagged @ baseline.T
         self.q = q
         self.n_rows = n
         self.n_series = p

@@ -11,7 +11,6 @@ file. All file writes are atomic (write then rename).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -25,6 +24,7 @@ import numpy as np
 from .detection import CalibrationResult, DetectionResult, calibrate_threshold, detect_multiple, detect_single
 from .errors import NumericalError, ParameterError
 from .estimation import estimate_baseline, estimate_noise_covariance
+from .evaluation import write_table
 from .intervals import IntervalSet, build_intervals
 from .interval_stats import LAMBDA_POLICIES, StatConfig, interval_lambdas
 from .panels import difference as difference_panel
@@ -205,7 +205,6 @@ def run_pipeline(
             stat_config,
             calibration.threshold,
             q=q,
-            baseline_source="estimated",
         )
     elif stage != "calibrate":
         raise ParameterError(f"unknown stage {stage!r}")
@@ -254,8 +253,8 @@ def _lambda_range(config: StatConfig, intervals: IntervalSet, p: int, n_rows: in
 
 
 def _write_detections(path, detection: DetectionResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pass", "start", "end", "statistic"])
-        for i, s in enumerate(detection.detected, start=1):
-            writer.writerow([i, s.interval.start, s.interval.end, repr(float(s.value))])
+    rows = (
+        [i, s.interval.start, s.interval.end, repr(float(s.value))]
+        for i, s in enumerate(detection.detected, start=1)
+    )
+    write_table(path, ["pass", "start", "end", "statistic"], rows)

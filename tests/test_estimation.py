@@ -337,6 +337,27 @@ def test_batch_solver_stops_before_first_finish_without_tolerance():
     assert not conv.any()
 
 
+def test_batch_solver_stops_problems_at_zero_after_one_sweep():
+    # the solver does not screen; a problem with 2 max|c| <= lam among busy
+    # ones stays at zero, converges on its first sweep and changes no other
+    grams, crosses, lams = _hard_batch(4)
+    n = len(lams)
+    level = 2.0 * np.abs(crosses).max(axis=(1, 2))
+    lams = np.where(np.arange(n) % 3 == 0, level * np.resize([1.0, 1.5], n), lams)
+    crosses[1] = 0.0  # zero at any penalty, zero included
+    lams[1] = 0.0
+    busy = level > lams
+    assert 3 < (~busy).sum() < n - 3
+    beta, conv = lasso_cd_gram_batch(grams, crosses, lams, max_iterations=300)
+    assert not beta[~busy].any() and conv[~busy].all()
+    for i in np.flatnonzero(busy):
+        one = slice(i, i + 1)
+        alone, aconv = lasso_cd_gram_batch(grams[one], crosses[one], lams[one], max_iterations=300)
+        assert alone[0].tobytes() == beta[i].tobytes() and aconv[0] == conv[i]
+    first, fconv = lasso_cd_gram_batch(grams, crosses, lams, max_iterations=1)
+    assert not first[~busy].any() and fconv[~busy].all()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), cut=st.integers(1, 24))
 def test_batch_solver_results_depend_on_each_problem_alone(seed, cut):

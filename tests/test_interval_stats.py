@@ -489,6 +489,8 @@ def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
 
     def spy(grams, crosses, lams, *rest):
         seen.append(len(grams))
+        # the kernel is the only screen: the solver gets no problem at zero
+        assert (2.0 * np.abs(crosses).max(axis=(1, 2)) > lams).all()
         return lasso_cd_gram_batch(grams, crosses, lams, *rest)
 
     monkeypatch.setattr(interval_stats, "lasso_cd_gram_batch", spy)
