@@ -145,7 +145,9 @@ def calibrate_threshold(
     parametric bootstrap); ``baseline`` defaults to the law's own
     coefficients, in which case the simulated responses are pure noise.
     Each run's maximum skips unreliable statistics, as selection does, and
-    the result counts them.
+    the result counts them. Every run's panel has the same shape, so one
+    :class:`PanelScanner` serves them all: each run after the first refills
+    its prefix arrays in place, with bitwise the sums a fresh scanner builds.
     """
     if runs < 1:
         raise ParameterError("runs must be >= 1")
@@ -157,7 +159,11 @@ def calibrate_threshold(
     unreliable = 0
     for r in range(runs):
         panel = simulate(law, horizon, burn_in=burn_in, seed=int(seeds[r]))
-        stats = PanelScanner(panel, baseline, law.q).scan(interval_set, config)
+        if r == 0:
+            scanner = PanelScanner(panel, baseline, law.q)
+        else:
+            scanner._refill(panel)
+        stats = scanner.scan(interval_set, config)
         maxima[r] = max_reliable_statistic(stats)
         unreliable += sum(not s.reliable for s in stats)
     return CalibrationResult(null_threshold(maxima, quantile), quantile, runs, maxima, unreliable)

@@ -256,7 +256,12 @@ def scaled_lambda(base: float, length, anchor: int, policy: str) -> np.ndarray:
 def interval_lambdas(
     config: StatConfig, interval_set: IntervalSet, p: int, n_rows: int
 ) -> np.ndarray:
-    """Penalty of every interval in the set under the configured policy, in storage order."""
+    """Penalty of every interval in the set under the configured policy, in storage order.
+
+    OLS statistics are unpenalised, so every OLS interval gets 0.0.
+    """
+    if config.method == "ols":
+        return np.zeros(len(interval_set))
     base = default_lambda(interval_set.min_length, p, n_rows, config.lambda_scale)
     lengths = np.array([iv.length for iv in interval_set.intervals], dtype=int)
     return scaled_lambda(base, lengths, interval_set.min_length, config.lambda_policy)
@@ -300,20 +305,21 @@ def prefix_statistics(
     windows are, costs one cross-block gather. OLS statistics ignore
     ``lams`` and come in chunks of at most ``_OLS_CHUNK_ENTRIES`` Gram
     entries: one stacked Cholesky factorisation, the batched forward
-    substitution L^(-1), the statistic ||L^(-1) C||_F^2 and the coefficients
-    L^(-T) L^(-1) C. An interval whose factor misses the rank certificate
+    substitution L^(-1) and the statistic ||L^(-1) C||_F^2; the coefficients
+    are never formed. An interval whose factor misses the rank certificate
     1 / ||L^(-1)||_F^2 > 2 * ``_RANK_RTOL`` * tr(G), or whose chunk cannot be
     factorised, falls back to :func:`gram_ols_value`, so DesignError is
     raised for the first interval, in storage order, that is too short or
     rank deficient. Returns arrays (values, nonzero, reliable), one entry per
     interval: the statistic clamped at zero, the count of non-zero
     coefficients, and whether the lasso solve converged (always True for OLS).
+    An OLS fit is dense, so its count is the size m p of the coefficient block.
     """
     n = len(lo)
     reliable = np.ones(n, dtype=bool)
     if method == "ols":
-        values, nonzero = _ols_statistics(gram_prefix, cross_prefix, lo, hi, whitening)
-        return values, nonzero, reliable
+        values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, whitening)
+        return values, np.full(n, gram_prefix.shape[1] * cross_prefix.shape[2]), reliable
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     values = np.zeros(n)
     nonzero = np.zeros(n, dtype=int)
@@ -342,8 +348,8 @@ def _ols_statistics(
     lo: np.ndarray,
     hi: np.ndarray,
     whitening: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """OLS values and non-zero counts of :func:`prefix_statistics`, chunk by chunk.
+) -> np.ndarray:
+    """OLS values of :func:`prefix_statistics`, chunk by chunk.
 
     Intervals before the first too-short one are computed in storage order,
     so a rank-deficient one among them raises first, then the short one
@@ -352,7 +358,6 @@ def _ols_statistics(
     n = len(lo)
     m = gram_prefix.shape[1]
     values = np.empty(n)
-    nonzero = np.empty(n, dtype=int)
     short = np.flatnonzero(hi - lo < m)
     stop = int(short[0]) if len(short) else n
     chunk = max(1, _OLS_CHUNK_ENTRIES // (m * m))
@@ -361,34 +366,31 @@ def _ols_statistics(
         grams = gram_prefix[hi[sl]]
         grams -= gram_prefix[lo[sl]]
         crosses = cross_blocks(cross_prefix, lo[sl], hi[sl], whitening)
-        values[sl], nonzero[sl], certified = _cholesky_ols(grams, crosses)
+        values[sl], certified = _cholesky_ols(grams, crosses)
         for j in np.flatnonzero(~certified):
-            values[s + j], theta = gram_ols_value(grams[j], crosses[j])
-            nonzero[s + j] = np.count_nonzero(theta)
+            values[s + j], _ = gram_ols_value(grams[j], crosses[j])
     if stop < n:
         raise DesignError(f"interval of {hi[stop] - lo[stop]} rows cannot fit {m} predictors")
-    return values, nonzero
+    return values
 
 
-def _cholesky_ols(grams: np.ndarray, crosses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, nonzero, certified) of stacked OLS problems from one Cholesky factorisation.
+def _cholesky_ols(grams: np.ndarray, crosses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, certified) of stacked OLS problems from one Cholesky factorisation.
 
-    Values and counts are only meaningful where ``certified`` holds; none is
-    certified when the stack cannot be factorised.
+    Values are only meaningful where ``certified`` holds; none is certified
+    when the stack cannot be factorised.
     """
     k = len(grams)
     try:
         chol = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
-        return np.zeros(k), np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
+        return np.zeros(k), np.zeros(k, dtype=bool)
     inv = _inverse_lower(chol)
     x = inv @ crosses
-    theta = np.swapaxes(inv, 1, 2) @ x
     values = np.einsum("nij,nij->n", x, x)
-    nonzero = np.count_nonzero(theta.reshape(k, -1), axis=1)
     inv_norm = np.einsum("nij,nij->n", inv, inv)
     certified = 1.0 / inv_norm > 2.0 * _RANK_RTOL * np.trace(grams, axis1=1, axis2=2)
-    return values, nonzero, certified
+    return values, certified
 
 
 def _inverse_lower(chol: np.ndarray) -> np.ndarray:
@@ -409,8 +411,9 @@ def _inverse_lower(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _prefix_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Running sums of the outer products left[t] right[t]', after a zero entry.
+def _prefix_sum(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the running sums of the outer products left[t] right[t]',
+    after a zero entry; ``out`` is (len(left) + 1, left.shape[1], right.shape[1]).
 
     Built ``_PREFIX_BLOCK_ROWS`` rows at a time: a block's products are
     written straight into the output and, while the block is in cache, each
@@ -418,10 +421,11 @@ def _prefix_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     same order as one cumsum over all rows, so the result is bitwise the
     same, without a temporary of the output's size. Whole-row additions are
     contiguous; cumsum along the leading axis runs a strided loop per entry
-    and made the build three times slower at pq = 50.
+    and made the build three times slower at pq = 50. Every entry of ``out``
+    is overwritten, so an array of an earlier build can be filled again.
     """
     rows = len(left)
-    out = np.zeros((rows + 1, left.shape[1], right.shape[1]))
+    out[0] = 0.0
     total = out[0]
     for s in range(0, rows, _PREFIX_BLOCK_ROWS):
         block = out[s + 1 : s + 1 + _PREFIX_BLOCK_ROWS]
@@ -430,7 +434,6 @@ def _prefix_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         for row in block:
             np.add(total, row, out=row)
             total = row
-    return out
 
 
 class PanelScanner:
@@ -442,24 +445,34 @@ class PanelScanner:
     interval statistic then reads its Gram and cross-product blocks by
     subtracting two prefix entries, independently of the interval length.
     Results agree with the direct per-view computation up to floating-point
-    summation order.
+    summation order. ``_refill`` rebuilds the prefix arrays in place from
+    another panel of the same shape; ``calibrate_threshold`` refills one
+    scanner for every run after its first, so those runs allocate no prefix
+    arrays.
     """
 
     def __init__(self, panel: TimeSeriesPanel, baseline: np.ndarray, q: int):
-        values = panel.values
-        n, p = values.shape
+        n, p = panel.values.shape
         if n <= q:
             raise DesignError(f"panel of {n} rows cannot support order q={q}")
         baseline = np.asarray(baseline, dtype=float)
         if baseline.shape != (p, p * q):
             raise ParameterError(f"baseline must be {p} x {p * q}, got {baseline.shape}")
-        lagged, response = lag_design(values, q)
-        resid = response - lagged @ baseline.T
         self.q = q
         self.n_rows = n
         self.n_series = p
-        self._gram_prefix = _prefix_sum(lagged, lagged)
-        self._cross_prefix = _prefix_sum(lagged, resid)
+        self._baseline = baseline
+        self._gram_prefix = np.empty((n - q + 1, p * q, p * q))
+        self._cross_prefix = np.empty((n - q + 1, p * q, p))
+        self._refill(panel)
+
+    def _refill(self, panel: TimeSeriesPanel) -> None:
+        """Rebuild both prefix arrays in place from ``panel``, whose shape must
+        be the one the scanner was built for; the baseline stays."""
+        lagged, response = lag_design(panel.values, self.q)
+        resid = response - lagged @ self._baseline.T
+        _prefix_sum(lagged, lagged, self._gram_prefix)
+        _prefix_sum(lagged, resid, self._cross_prefix)
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
         """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""
@@ -487,10 +500,7 @@ class PanelScanner:
         ends = np.array([iv.end for iv in ivs])
         if starts.min() < self.q + 1 or ends.max() > self.n_rows:
             raise DesignError("interval set escapes the usable domain of the panel")
-        if config.method == "ols":
-            lams = np.zeros(len(ivs))
-        else:
-            lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
+        lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
         values, nonzero, reliable = prefix_statistics(
             self._gram_prefix, self._cross_prefix, starts - self.q - 1, ends - self.q,
             lams, config.method, config.solver,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -13,9 +14,30 @@ from .var_model import TimeSeriesPanel
 def load_panel(path, has_header: bool = False, delimiter: str = ",") -> TimeSeriesPanel:
     """Parse a numeric rectangle (rows = time, columns = series) into a panel.
 
-    Ragged rows and non-numeric cells raise PanelFormatError naming the
-    offending row and column (1-based, header excluded).
+    ``np.loadtxt`` parses a plain numeric file in C. A file it rejects goes
+    through a per-cell loop over ``csv.reader``, which also accepts quoted
+    cells, lines that are blank, whitespace or delimiters only, and anything
+    Python's ``float`` reads (such as ``1_0``); there ragged rows and
+    non-numeric cells raise PanelFormatError naming the offending row and
+    column (1-based, header excluded). Both paths give bitwise the same
+    values. A file with no data rows raises PanelFormatError.
     """
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns and parses to an empty array, refused below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(
+                path, delimiter=delimiter, skiprows=int(has_header), ndmin=2, comments=None
+            )
+    except ValueError:
+        values = _parse_cells(path, has_header, delimiter)
+    if values.size == 0:
+        raise PanelFormatError(f"{path} contains no data rows")
+    return TimeSeriesPanel(values)
+
+
+def _parse_cells(path, has_header: bool, delimiter: str) -> np.ndarray:
+    """The values of :func:`load_panel` read cell by cell with ``float``."""
     rows: list[list[float]] = []
     width = None
     with open(path, newline="") as fh:
@@ -41,9 +63,7 @@ def load_panel(path, has_header: bool = False, delimiter: str = ",") -> TimeSeri
                         f"row {row_no}, column {j + 1}: {cell!r} is not numeric"
                     ) from None
             rows.append(parsed)
-    if not rows:
-        raise PanelFormatError(f"{path} contains no data rows")
-    return TimeSeriesPanel(np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
 
 
 def save_panel(panel: TimeSeriesPanel, path, delimiter: str = ",") -> None:

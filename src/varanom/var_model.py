@@ -178,13 +178,15 @@ def _simulate(
     for (eta1, eta2), delta in episodes:
         stacks.append(base.stacked + np.asarray(delta, dtype=float))
         starts[eta1 : eta2 + 1] = len(stacks) - 1
-    rng = np.random.default_rng(seed)
+    # one draw of every row's shocks is the same stream as a draw per row
+    shocks = np.random.default_rng(seed).standard_normal((burn_in + n_rows, p))
     chol = np.linalg.cholesky(base.noise_cov)
     state = np.zeros(p * q)  # (x_{t-1}, ..., x_{t-q}) flattened
     out = np.empty((n_rows, p))
     for t in range(-burn_in, n_rows):
         theta = stacks[starts[t + 1]] if t >= 0 else stacks[0]
-        x = theta @ state + chol @ rng.standard_normal(p)
+        # row by row: a block shocks @ chol.T rounds differently for a non-identity chol
+        x = theta @ state + chol @ shocks[burn_in + t]
         state = x if q == 1 else np.concatenate([x, state[:-p]])
         if t >= 0:
             out[t] = x

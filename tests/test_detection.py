@@ -115,6 +115,32 @@ def test_calibrate_threshold_counts_unreliable_statistics():
     assert calibrate_threshold(base, ivs, StatConfig(), runs=3, seed=4, burn_in=50).unreliable == 0
 
 
+@pytest.mark.parametrize("whitened", [False, True])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("method", ["ols", "lasso"])
+def test_calibrate_threshold_equals_fresh_scanner_loop(method, q, whitened):
+    # calibration refills one scanner in place; a fresh scanner per run,
+    # under the documented seeding, gives bitwise the same maxima and count
+    # (20 sweeps leave some lasso problems unconverged, so the count is not 0)
+    base = generate_dense_stationary(3, seed=7)
+    a = np.random.default_rng(8).standard_normal((3, 3))
+    cov = a @ a.T + 0.5 * np.eye(3)
+    law = VarParams((base.coeffs[0] / q,) * q, cov)
+    ivs = seeded_intervals(120, 3 * q + 2, 1 / 1.1, q=q)
+    config = StatConfig(
+        method=method, sigma=cov if whitened else None, solver=SolverOptions(max_iterations=20)
+    )
+    cal = calibrate_threshold(law, ivs, config, runs=4, seed=9, burn_in=30)
+    maxima, unreliable = [], 0
+    for s in np.random.SeedSequence(9).generate_state(4):
+        panel = simulate(law, ivs.horizon, burn_in=30, seed=int(s))
+        stats = PanelScanner(panel, law.stacked, q).scan(ivs, config)
+        maxima.append(max_reliable_statistic(stats))
+        unreliable += sum(not x.reliable for x in stats)
+    assert cal.max_statistics.tobytes() == np.array(maxima).tobytes()
+    assert cal.unreliable == unreliable
+
+
 def test_select_single_tie_break():
     stats = [_stat(5, 14, 9.0), _stat(3, 12, 9.0), _stat(20, 30, 2.0)]
     picked = select_single(stats, 1.0)

@@ -300,9 +300,14 @@ def test_scanner_order_two_matches_direct():
 
 @pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize(
-    "rows", [_PREFIX_BLOCK_ROWS - 1, _PREFIX_BLOCK_ROWS, _PREFIX_BLOCK_ROWS + 1, 3 * _PREFIX_BLOCK_ROWS + 5]
+    "rows, refilled",
+    [
+        pytest.param(rows, False, id=str(rows))
+        for rows in (_PREFIX_BLOCK_ROWS - 1, _PREFIX_BLOCK_ROWS, _PREFIX_BLOCK_ROWS + 1, 3 * _PREFIX_BLOCK_ROWS + 5)
+    ]
+    + [pytest.param(3 * _PREFIX_BLOCK_ROWS + 5, True, id="refilled")],
 )
-def test_prefix_build_is_bitwise_one_cumsum(rows, q):
+def test_prefix_build_is_bitwise_one_cumsum(rows, refilled, q):
     # the blocked build adds every term in the order of one cumsum over all
     # rows, and in the order the online detector accumulates its rows
     base = generate_dense_stationary(3, seed=5)
@@ -312,7 +317,14 @@ def test_prefix_build_is_bitwise_one_cumsum(rows, q):
     n = len(values)
     lagged = np.hstack([values[q - k : n - k] for k in range(1, q + 1)])
     resid = values[q:] - lagged @ law.stacked.T
-    scanner = PanelScanner(panel, law.stacked, q)
+    if refilled:
+        # built from another panel of the same shape, poisoned, then refilled in place
+        scanner = PanelScanner(simulate(law, rows + q, burn_in=20, seed=60), law.stacked, q)
+        scanner._gram_prefix.fill(np.nan)
+        scanner._cross_prefix.fill(np.nan)
+        scanner._refill(panel)
+    else:
+        scanner = PanelScanner(panel, law.stacked, q)
     assert scanner._gram_prefix.shape == (rows + 1, 3 * q, 3 * q)
     assert not scanner._gram_prefix[0].any() and not scanner._cross_prefix[0].any()
     assert np.array_equal(scanner._gram_prefix[1:], np.cumsum(np.einsum("ti,tj->tij", lagged, lagged), axis=0))

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +55,85 @@ def test_load_panel_non_numeric(tmp_path):
     path.write_text("1,2\n3,x\n")
     with pytest.raises(PanelFormatError, match="row 2, column 2"):
         load_panel(path)
+
+
+def _cell_loop_panel(path, has_header=False):
+    """The per-cell csv.reader loop load_panel used before it parsed with np.loadtxt."""
+    rows, width = [], None
+    with open(path, newline="") as fh:
+        for i, record in enumerate(csv.reader(fh)):
+            if has_header and i == 0:
+                continue
+            if not record or all(cell.strip() == "" for cell in record):
+                continue
+            row_no = len(rows) + 1
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise PanelFormatError(f"row {row_no} has {len(record)} fields, expected {width}")
+            parsed = []
+            for j, cell in enumerate(record):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise PanelFormatError(
+                        f"row {row_no}, column {j + 1}: {cell!r} is not numeric"
+                    ) from None
+            rows.append(parsed)
+    if not rows:
+        raise PanelFormatError(f"{path} contains no data rows")
+    return TimeSeriesPanel(np.asarray(rows, dtype=float))
+
+
+def _outcome(load, path, has_header):
+    try:
+        return load(path, has_header=has_header).values.tobytes()
+    except (PanelFormatError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text, has_header",
+    [
+        ("a,b\n1.5,-2\n3e-3,4\n", True),
+        ("1,2\n\n3,4\n\n", False),
+        ("1,2\n   \n3,4\n", False),
+        ("1,2\n,\n3,4\n", False),
+        ('"1.5",2\n3,"4"\n', False),
+        ("1,2\n3,#\n", False),
+        ("#1,2\n3,4\n", False),
+        ("1_0,2\n3,4\n", False),
+        ("nan,2\n3,4\n", False),
+        ("1,inf\n3,4\n", False),
+        ("1,2,\n3,4,\n", False),
+        ("0.1,0.30000000000000004,1e-310\n", False),
+        ("1\n-2.5\n3\n", False),
+        ("1,2\r\n 3 ,4\r\n", False),
+        ("", False),
+        ("\n\n", False),
+        ("a,b\n", True),
+    ],
+    ids=[
+        "header", "blank-lines", "whitespace-line", "delimiter-line", "quoted", "hash-cell",
+        "hash-first", "underscore", "nan", "inf", "trailing-delimiter", "single-row",
+        "single-column", "crlf-padded", "empty", "blank-only", "header-only",
+    ],
+)
+def test_load_panel_matches_cell_loop(tmp_path, text, has_header):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no loadtxt warning escapes
+        got = _outcome(load_panel, path, has_header)
+    assert got == _outcome(_cell_loop_panel, path, has_header)
+
+
+def test_load_panel_is_bitwise_on_full_precision_values(tmp_path):
+    values = np.random.default_rng(3).standard_normal((300, 7)) * 10.0 ** np.arange(-3, 4)
+    path = tmp_path / "panel.csv"
+    save_panel(TimeSeriesPanel(values), path)
+    assert load_panel(path).values.tobytes() == _cell_loop_panel(path).values.tobytes()
+    assert load_panel(path).values.tobytes() == values.tobytes()
 
 
 def test_difference():
@@ -138,6 +219,16 @@ def test_pipeline_manifest_lambda_range_under_interval_linear(tmp_path):
         want = {"min": base * min(lengths) / L, "max": base * max(lengths) / L}
         assert manifest[key] == pytest.approx(want, rel=1e-12)
         assert manifest[key]["max"] > manifest[key]["min"]
+
+
+def test_pipeline_manifest_lambda_range_is_zero_for_ols(tmp_path):
+    # the OLS scan is unpenalised; the manifest reports the penalties it used
+    _, path = _write_null_panel(tmp_path)
+    config = RunConfig(method="ols", calibration_runs=2, lambda_policy="interval_linear", seed=2)
+    run = run_pipeline(config, path, tmp_path / "out")
+    zero = {"min": 0.0, "max": 0.0}
+    assert run.manifest["lambda_calibration"] == run.manifest["lambda_test"] == zero
+    assert {s.lam for s in run.detection.statistics} == {0.0}
 
 
 def test_pipeline_reproducible(tmp_path):

@@ -63,6 +63,41 @@ def test_null_scenario_matches_plain_simulation_bytewise():
     assert np.array_equal(a.values, b.values)
 
 
+def _per_row_draws(base, episodes, n_rows, burn_in, seed):
+    """The VAR recursion with one RNG call per row for that row's shock."""
+    p, q = base.p, base.q
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(base.noise_cov)
+    state = np.zeros(p * q)
+    out = np.empty((n_rows, p))
+    for t in range(-burn_in, n_rows):
+        theta = base.stacked
+        for (eta1, eta2), delta in episodes:
+            if eta1 <= t + 1 <= eta2:
+                theta = base.stacked + delta
+        x = theta @ state + chol @ rng.standard_normal(p)
+        state = np.concatenate([x, state[:-p]])
+        if t >= 0:
+            out[t] = x
+    return out
+
+
+def test_simulation_matches_per_row_draws_bytewise():
+    a = np.random.default_rng(3).standard_normal((3, 3))
+    cov = a @ a.T + 0.5 * np.eye(3)
+    lag = generate_dense_stationary(3, seed=4).coeffs[0] / 2
+    law = VarParams((lag, lag), cov)
+    delta = np.zeros((3, 6))
+    delta[0, 1], delta[2, 4] = 0.3, -0.2
+    episodes = [((20, 45), delta), ((70, 90), -delta)]
+    assert simulate(law, 120, burn_in=25, seed=5).values.tobytes() == (
+        _per_row_draws(law, [], 120, 25, 5).tobytes()
+    )
+    assert simulate_episodes(law, episodes, 120, burn_in=25, seed=6).values.tobytes() == (
+        _per_row_draws(law, episodes, 120, 25, 6).tobytes()
+    )
+
+
 def test_case1_style_scenario_shape():
     base = generate_dense_stationary(10, seed=0)
     delta = np.zeros((10, 10))
