@@ -15,15 +15,18 @@ the interval scan cheap: the block-diagonal Kronecker designs used by the
 test statistics decouple into p single-response problems sharing one G.
 
 The batched solver behind interval scans runs synchronised coordinate-descent
-sweeps and, every few sweeps, finishes problems whose sign pattern has
+sweeps (the "covariance updates" of Friedman, Hastie and Tibshirani, 2010)
+and, every few sweeps, finishes problems whose sign pattern has
 settled with one linear solve on their support,
 G_SS b_S = C_S - (lam / 2) sign_S (the active-set idea of Osborne, Presnell
-and Turlach, 2000). A batched fit is ``converged`` when that exact support
-solution passes the KKT test, or when its coefficient change per sweep fell
-to the tolerance; a problem already solved at zero stops after its first
-sweep. The solver does not screen: the statistic kernel in
-:mod:`varanom.interval_stats` passes it only problems that are not zero by
-the KKT test at zero.
+and Turlach, 2000). It keeps coordinate-major copies of its inputs, so each
+coordinate step of every problem is one batched row product
+c_j - G_{j,-j} b and an in-place soft-threshold. A batched fit is
+``converged`` when that exact support solution passes the KKT test, or when
+its largest coefficient change over a sweep fell to the tolerance; a
+problem already solved at zero stops after its first sweep. The solver
+does not screen: the statistic kernel in :mod:`varanom.interval_stats`
+passes it only problems that are not zero by the KKT test at zero.
 
 Solvers are pure and reentrant; fits of independent responses may run in
 parallel and give identical results regardless of schedule.
@@ -149,7 +152,16 @@ def lasso_cd_gram_batch(
     ``grams`` is (N, m, m), ``crosses`` (N, m, k) and ``lams`` (N,): problem
     n minimises its objective with penalty lams[n]. All problems take the
     same cyclic coordinate steps as :func:`lasso_cd_gram`, so a scan costs
-    roughly one batched matrix product per coordinate per sweep.
+    roughly one batched matrix product per coordinate per sweep. At entry
+    the solver copies the Gram rows coordinate-major with their diagonal
+    zeroed, (m, N, 1, m), and the crosses as (m, N, k): coordinate j's
+    step is rho = c_j - G_{j,-j} b, one matmul and one subtraction, then
+    the soft-threshold max(|rho| - lams / 2, 0) / G_jj with the sign of
+    rho, written into the iterate in place. A zero Gram column divides by
+    an infinite diagonal, so its coefficients stay zero (possibly -0.0)
+    whatever its cross row holds. The coefficient change is tested once per
+    sweep, as max |b - b_at_sweep_start|; each coordinate moves once per
+    sweep, so that is its largest single step.
 
     Every few sweeps, the running problems whose sign pattern has not changed
     since the previous attempt are finished exactly on their support: each
@@ -158,10 +170,12 @@ def lasso_cd_gram_batch(
     |c - G b| <= (lam / 2) (1 + 1e-12) off its support, the lasso KKT
     conditions; a sign flip in the solve first drops one coordinate from
     the support and solves once more. A support whose system is singular or
-    too ill-conditioned to certify stays on coordinate descent. Finished problems, and problems
-    whose largest coefficient change in a sweep falls to ``tolerance``, are
-    frozen and compacted out of the working set. Each problem's result
-    depends on that problem alone, not on the rest of the batch.
+    too ill-conditioned to certify stays on coordinate descent. Finished
+    problems, and problems whose largest coefficient change in a sweep
+    falls to ``tolerance``, are frozen and compacted out of the working
+    copies; the support solves read ``grams`` and ``crosses`` through the
+    problems' original indices. Each problem's result depends on that
+    problem alone, not on the rest of the batch.
 
     Returns (coefficients (N, m, k), converged (N,)). ``converged[n]`` is
     True when problem n was finished by an exact support solution that
@@ -169,7 +183,8 @@ def lasso_cd_gram_batch(
     ``tolerance`` within ``max_iterations`` sweeps. The solver applies no
     screen of its own: a problem with 2 max|c| <= lam, zero by the KKT test
     at zero, keeps every coefficient at zero and stops after its first
-    sweep. ``grams`` and ``crosses`` are read, never written.
+    sweep. ``grams``, ``crosses`` and ``lams`` are read, never written, and
+    may be read-only.
     """
     n_prob, m, k = crosses.shape
     out = np.zeros((n_prob, m, k))
@@ -177,39 +192,47 @@ def lasso_cd_gram_batch(
     idx = np.arange(n_prob)
     B = np.zeros((n_prob, m, k))
     signs = np.zeros((n_prob, m, k))
-    diag = np.einsum("nii->ni", grams).copy()
-    zero_col = diag <= 0.0
-    diag_safe = np.where(zero_col, 1.0, diag)
-    level = (np.asarray(lams, dtype=float) / 2.0)[:, None]
+    rows = grams.transpose(1, 0, 2).copy()  # rows[j] is G_{j,-j} of every problem
+    on_diag = np.arange(m), slice(None), np.arange(m)
+    diag = np.where(rows[on_diag] > 0.0, rows[on_diag], np.inf)[:, :, None]  # (m, N, 1)
+    rows[on_diag] = 0.0
+    rows = rows[:, :, None, :]
+    cols = crosses.transpose(1, 0, 2).copy()  # (m, N, k)
+    # (N, k) rather than (N, 1): a broadcast along k = p columns costs more than the copy
+    level = np.repeat((np.asarray(lams, dtype=float) / 2.0)[:, None], k, axis=1)
     per_chunk = max(1, _FINISH_ENTRIES // (m * m * k))
     for sweep in range(1, max_iterations + 1):
         if idx.size == 0:
             return out, converged
-        max_change = np.zeros(idx.size)
+        change = B.copy()
         for j in range(m):
-            rho = crosses[:, j, :] - (grams[:, None, j, :] @ B)[:, 0, :] + diag[:, j, None] * B[:, j, :]
-            new = np.sign(rho) * np.maximum(np.abs(rho) - level, 0.0) / diag_safe[:, j, None]
-            if zero_col[:, j].any():
-                new[zero_col[:, j]] = 0.0
-            np.maximum(max_change, np.abs(new - B[:, j, :]).max(axis=1), out=max_change)
-            B[:, j, :] = new
-        done = max_change <= tolerance
+            rho = cols[j] - (rows[j] @ B)[:, 0, :]
+            step = np.abs(rho)
+            step -= level
+            np.maximum(step, 0.0, out=step)
+            step /= diag[j]
+            np.copysign(step, rho, out=B[:, j, :])
+        change -= B
+        np.abs(change, out=change)
+        done = change.max(axis=(1, 2)) <= tolerance
         if sweep % _FINISH_EVERY == 0:
             now = np.sign(B)
             stable = np.flatnonzero(~done & (now == signs).all(axis=(1, 2)))
             signs = now
             for at in range(0, stable.size, per_chunk):
                 chunk = stable[at : at + per_chunk]
-                exact, ok = _finish_on_support(grams[chunk], crosses[chunk], B[chunk], level[chunk])
+                which = idx[chunk]
+                exact, ok = _finish_on_support(
+                    grams[which], crosses[which], B[chunk], level[chunk, :1]
+                )
                 B[chunk[ok]] = exact[ok]
                 done[chunk[ok]] = True
         if done.any():
             out[idx[done]] = B[done]
             converged[idx[done]] = True
             keep = ~done
-            idx, grams, crosses, B, signs = idx[keep], grams[keep], crosses[keep], B[keep], signs[keep]
-            diag, diag_safe = diag[keep], diag_safe[keep]
-            zero_col, level = zero_col[keep], level[keep]
+            idx, B, signs, level = idx[keep], B[keep], signs[keep], level[keep]
+            rows, cols, diag = rows[:, keep], cols[:, keep], diag[:, keep]
     out[idx] = B
     return out, converged
 
@@ -253,26 +276,32 @@ def _solve_on_support(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve G_SS b_S = c_S - level sign_S for every column of every problem.
 
-    Each column is one m x m system, scaled to a unit diagonal on its support
-    and set to the identity off it, so it is positive semi-definite and
-    Gaussian elimination needs no pivoting. The systems are eliminated
-    together along a trailing batch axis, which keeps each system's
-    arithmetic independent of the others. Returns (coefficients (n, m, k),
+    Each column is one m x m system: G scaled to a unit diagonal, with each
+    row off the support replaced by the identity row, which pins the
+    unknown there to zero (the right-hand side is zero there too).
+    Such a row has a zero factor and eliminates without changing any other
+    entry, so the pivots are those of the positive semi-definite G_SS and
+    Gaussian elimination needs no pivoting; the columns off the support only
+    ever multiply zeros. The systems are eliminated together along a trailing
+    batch axis, which keeps each system's arithmetic independent of the
+    others. Returns (coefficients (n, m, k),
     solved (n,)); a problem is unsolved when some column meets a pivot at or
     below ``_FINISH_MIN_PIVOT``, which marks a singular or ill-conditioned
     support.
     """
     n, m, k = signs.shape
-    on = (signs != 0.0).transpose(1, 0, 2)  # (m, n, k)
+    # batch axis ordered (column, problem): G's broadcast over columns is then
+    # along an outer axis, which numpy does faster than along a short inner one
+    on = (signs != 0.0).transpose(1, 2, 0).astype(float)  # (m, k, n), 1.0 on the support
     diag = np.einsum("nii->in", G)
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # (m, n)
     scaled = G.transpose(1, 2, 0) * scale[:, None, :] * scale[None, :, :]
-    A = np.where(
-        on[:, None] & on[None, :], scaled[:, :, :, None], np.eye(m)[:, :, None, None]
-    ).reshape(m, m, n * k)
-    rhs = (C - level[:, :, None] * signs).transpose(1, 0, 2) * scale[:, :, None]
-    x = np.where(on, rhs, 0.0).reshape(m, n * k)
-    solved = np.ones(n * k, dtype=bool)
+    A = (scaled[:, :, None, :] * on[:, None]).reshape(m * m, k * n)
+    A[:: m + 1] += 1.0 - on.reshape(m, k * n)  # identity rows off the support
+    A = A.reshape(m, m, k * n)
+    rhs = (C - level[:, :, None] * signs).transpose(1, 2, 0) * scale[:, None, :]
+    x = (rhs * on).reshape(m, k * n)
+    solved = np.ones(k * n, dtype=bool)
     for j in range(m):
         pivot = A[j, j]
         good = pivot > _FINISH_MIN_PIVOT
@@ -281,9 +310,10 @@ def _solve_on_support(
         A[j + 1 :, j + 1 :] -= factor[:, None] * A[j, j + 1 :]
         x[j + 1 :] -= factor * x[j]
     for j in range(m - 1, -1, -1):
-        x[j] = (x[j] - np.sum(A[j, j + 1 :] * x[j + 1 :], axis=0)) / np.where(solved, A[j, j], 1.0)
-    beta = np.where(on, x.reshape(m, n, k) * scale[:, :, None], 0.0).transpose(1, 0, 2)
-    return beta, solved.reshape(n, k).all(axis=1)
+        dot = np.add.reduce(A[j, j + 1 :] * x[j + 1 :], axis=0)  # np.sum, without its wrapper
+        x[j] = (x[j] - dot) / np.where(solved, A[j, j], 1.0)
+    beta = np.where(on, x.reshape(m, k, n) * scale[:, None, :], 0.0).transpose(2, 0, 1)
+    return beta, solved.reshape(k, n).all(axis=0)
 
 
 def kkt_violation(gram: np.ndarray, cross: np.ndarray, beta: np.ndarray, lam: float) -> float:

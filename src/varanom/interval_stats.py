@@ -17,8 +17,9 @@ offline scan, of calibration and of the online monitor: each interval's
 Gram and cross-product blocks are the difference of two prefix-sum
 entries. An interval whose cross block already passes the KKT test at
 zero has a lasso statistic of exactly zero and is screened out before any
-Gram block is gathered; the lasso statistics of the others come from one
-batched solve. The OLS ones come a chunk of intervals at a time from one
+Gram block is gathered. Both methods gather Gram blocks a bounded chunk of
+intervals at a time: the lasso statistics of the busy intervals come from
+one batched solve per chunk, the OLS ones from one
 stacked Cholesky factorisation G = LL' and the forward substitution
 L^(-1): the statistic is ||L^(-1) C||_F^2. An interval counts as full rank only when
 1 / ||L^(-1)||_F^2 > 2 rtol tr(G). As 1 / ||L^(-1)||_F^2 = 1 / tr(G^(-1)) is
@@ -54,9 +55,10 @@ from .var_model import RegressionView, TimeSeriesPanel, lag_design
 # Rows per block of the prefix build: a block of pq x pq products (640 kB at
 # pq = 50) stays in cache while it is summed.
 _PREFIX_BLOCK_ROWS = 32
-# Gram entries per stacked OLS chunk (m^2 per interval): about 50 intervals
-# at m = 50, which keeps the chunk's arrays to a few megabytes.
-_OLS_CHUNK_ENTRIES = 1 << 17
+# Gram entries per chunk of intervals the kernel gathers and solves at once
+# (m^2 per interval): about 50 intervals at m = 50, which keeps a chunk's
+# arrays to a few megabytes, and a whole p = 10 scan (1078 intervals) at m = 10.
+_CHUNK_ENTRIES = 1 << 17
 LAMBDA_POLICIES = ("global", "interval_sqrt", "interval_linear")
 
 
@@ -301,19 +303,24 @@ def prefix_statistics(
     2 max|c| <= ``lams[i]`` is exactly zero by the KKT test at zero (value
     0.0, no non-zero coefficient, reliable) without its Gram block ever
     being gathered. Only the rest, the busy intervals, get their Gram blocks
-    and one batched solve, so a set that is all screened, as most online
-    windows are, costs one cross-block gather. OLS statistics ignore
-    ``lams`` and come in chunks of at most ``_OLS_CHUNK_ENTRIES`` Gram
-    entries: one stacked Cholesky factorisation, the batched forward
-    substitution L^(-1) and the statistic ||L^(-1) C||_F^2; the coefficients
-    are never formed. An interval whose factor misses the rank certificate
-    1 / ||L^(-1)||_F^2 > 2 * ``_RANK_RTOL`` * tr(G), or whose chunk cannot be
-    factorised, falls back to :func:`gram_ols_value`, so DesignError is
+    and a batched solve, so a set that is all screened, as most online
+    windows are, costs one cross-block gather. Both methods gather Gram
+    blocks in chunks of at most ``_CHUNK_ENTRIES`` entries, which bounds
+    the kernel's memory whatever the number of intervals; each interval's
+    result depends on that interval alone, so chunking changes no value.
+    Busy lasso intervals are solved one chunk per batched call. OLS
+    statistics ignore ``lams``; each chunk takes one stacked Cholesky
+    factorisation, the batched forward substitution L^(-1) and the statistic
+    ||L^(-1) C||_F^2; the coefficients are never formed. An interval whose
+    factor misses the rank certificate
+    1 / ||L^(-1)||_F^2 > 2 * ``_RANK_RTOL`` * tr(G), or whose chunk cannot
+    be factorised, falls back to :func:`gram_ols_value`, so DesignError is
     raised for the first interval, in storage order, that is too short or
     rank deficient. Returns arrays (values, nonzero, reliable), one entry per
     interval: the statistic clamped at zero, the count of non-zero
-    coefficients, and whether the lasso solve converged (always True for OLS).
-    An OLS fit is dense, so its count is the size m p of the coefficient block.
+    coefficients, and whether the lasso solve converged (always True for
+    OLS). An OLS fit is dense, so its count is the size m p of the
+    coefficient block.
     """
     n = len(lo)
     reliable = np.ones(n, dtype=bool)
@@ -325,20 +332,22 @@ def prefix_statistics(
     nonzero = np.zeros(n, dtype=int)
     # KKT at zero: 2 max|c| <= lam means the statistic is 0; the solver never screens
     busy = np.flatnonzero(2.0 * np.abs(crosses).max(axis=(1, 2)) > lams)
-    if busy.size == 0:
-        return values, nonzero, reliable
-    grams = gram_prefix.take(hi[busy], axis=0) - gram_prefix.take(lo[busy], axis=0)
-    crosses, lams = crosses[busy], lams[busy]
-    beta, reliable[busy] = lasso_cd_gram_batch(
-        grams, crosses, lams, solver.tolerance, solver.max_iterations
-    )
-    gains = (
-        2.0 * np.einsum("nmk,nmk->n", crosses, beta)
-        - np.einsum("nmk,nmk->n", beta, grams @ beta)
-        - lams * np.abs(beta).sum(axis=(1, 2))
-    )
-    values[busy] = np.maximum(gains, 0.0)
-    nonzero[busy] = np.count_nonzero(beta.reshape(busy.size, -1), axis=1)
+    m = gram_prefix.shape[1]
+    chunk = max(1, _CHUNK_ENTRIES // (m * m))
+    for s in range(0, busy.size, chunk):
+        part = busy[s : s + chunk]
+        grams = gram_prefix.take(hi[part], axis=0) - gram_prefix.take(lo[part], axis=0)
+        c, lam = crosses[part], lams[part]
+        beta, reliable[part] = lasso_cd_gram_batch(
+            grams, c, lam, solver.tolerance, solver.max_iterations
+        )
+        gains = (
+            2.0 * np.einsum("nmk,nmk->n", c, beta)
+            - np.einsum("nmk,nmk->n", beta, grams @ beta)
+            - lam * np.abs(beta).sum(axis=(1, 2))
+        )
+        values[part] = np.maximum(gains, 0.0)
+        nonzero[part] = np.count_nonzero(beta.reshape(part.size, -1), axis=1)
     return values, nonzero, reliable
 
 
@@ -360,7 +369,7 @@ def _ols_statistics(
     values = np.empty(n)
     short = np.flatnonzero(hi - lo < m)
     stop = int(short[0]) if len(short) else n
-    chunk = max(1, _OLS_CHUNK_ENTRIES // (m * m))
+    chunk = max(1, _CHUNK_ENTRIES // (m * m))
     for s in range(0, stop, chunk):
         sl = slice(s, min(s + chunk, stop))
         grams = gram_prefix[hi[sl]]

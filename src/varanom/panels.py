@@ -10,6 +10,9 @@ import numpy as np
 from .errors import PanelFormatError, ParameterError
 from .var_model import TimeSeriesPanel
 
+# ASCII information separators, which np.loadtxt skips as whitespace and float refuses
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
 
 def load_panel(path, has_header: bool = False, delimiter: str = ",") -> TimeSeriesPanel:
     """Parse a numeric rectangle (rows = time, columns = series) into a panel.
@@ -19,21 +22,35 @@ def load_panel(path, has_header: bool = False, delimiter: str = ",") -> TimeSeri
     cells, lines that are blank, whitespace or delimiters only, and anything
     Python's ``float`` reads (such as ``1_0``); there ragged rows and
     non-numeric cells raise PanelFormatError naming the offending row and
-    column (1-based, header excluded). Both paths give bitwise the same
-    values. A file with no data rows raises PanelFormatError.
+    column (1-based, header excluded). ``loadtxt`` would read a cell padded
+    with an ASCII information separator (0x1C-0x1F) as a number, so a file
+    holding one of them goes to the loop, which refuses the cell. Both paths
+    give bitwise the same values. A file with no data rows raises
+    PanelFormatError.
     """
-    try:
-        with warnings.catch_warnings():
-            # an empty file warns and parses to an empty array, refused below
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(
-                path, delimiter=delimiter, skiprows=int(has_header), ndmin=2, comments=None
-            )
-    except ValueError:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    values = None
+    if not any(sep in data for sep in _SEPARATORS):
+        values = _load_plain(path, has_header, delimiter)
+    if values is None:
         values = _parse_cells(path, has_header, delimiter)
     if values.size == 0:
         raise PanelFormatError(f"{path} contains no data rows")
     return TimeSeriesPanel(values)
+
+
+def _load_plain(path, has_header: bool, delimiter: str) -> np.ndarray | None:
+    """The values of :func:`load_panel` parsed by ``np.loadtxt``, or None if it rejects the file."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns and parses to an empty array, refused by the caller
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(
+                path, delimiter=delimiter, skiprows=int(has_header), ndmin=2, comments=None
+            )
+    except ValueError:
+        return None
 
 
 def _parse_cells(path, has_header: bool, delimiter: str) -> np.ndarray:

@@ -31,7 +31,7 @@ from varanom.estimation import (
     lasso_cd_gram_batch,
     soft_threshold,
 )
-from varanom.interval_stats import interval_lambdas
+from varanom.interval_stats import interval_lambdas, prefix_statistics
 
 
 def test_lasso_identity_design_no_penalty():
@@ -373,3 +373,62 @@ def test_batch_solver_results_depend_on_each_problem_alone(seed, cut):
     tail, tconv = solve(grams[cut:], crosses[cut:], lams[cut:])
     assert np.array_equal(np.concatenate([head, tail]), whole)
     assert np.array_equal(np.concatenate([hconv, tconv]), conv)
+
+
+def test_batch_solver_reads_read_only_inputs():
+    grams, crosses, lams = _hard_batch(5)
+    want, wconv = lasso_cd_gram_batch(grams, crosses, lams, max_iterations=300)
+    for a in (grams, crosses, lams):
+        a.flags.writeable = False
+    got, conv = lasso_cd_gram_batch(grams, crosses, lams, max_iterations=300)
+    assert np.array_equal(got, want) and np.array_equal(conv, wconv)
+
+
+def test_batch_solver_keeps_a_zero_gram_column_at_zero():
+    # a cross row no design could give: the column's coefficients still stay
+    # zero, as in lasso_cd_gram, and a negative zero counts as zero
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((30, 5))
+    X[:, 2] = 0.0
+    G = X.T @ X
+    C = X.T @ rng.standard_normal((30, 3))
+    C[2] = [-4.0, 3.0, -5.0]
+    lam = 1.0
+    beta, conv = lasso_cd_gram_batch(G[None], C[None], np.array([lam]))
+    assert conv[0]
+    assert not beta[0, 2].any() and np.signbit(beta[0, 2]).any()
+    ref, _, ok, _ = lasso_cd_gram(G, C, lam, SolverOptions(tolerance=1e-13, max_iterations=200000))
+    assert ok and not ref[2].any()
+    got = _gains(G[None], C[None], np.array([lam]), beta)[0]
+    want = _gains(G[None], C[None], np.array([lam]), ref[None])[0]
+    assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+    zero = np.zeros((1, 5, 5))
+    values, nonzero, reliable = prefix_statistics(
+        np.concatenate([zero, G[None]]), np.concatenate([zero[:, :, :3], C[None]]),
+        np.array([0]), np.array([1]), np.array([lam]), "lasso", SolverOptions(), None,
+    )
+    assert nonzero[0] == np.count_nonzero(beta[0]) == np.count_nonzero(beta[0] != 0.0)
+    assert nonzero[0] <= 12 and reliable[0] and values[0] == max(got, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), k=st.integers(1, 4),
+    extra=st.integers(2, 20), scale=st.floats(0.05, 0.95),
+)
+def test_batch_solver_gains_match_tight_single_solver_property(seed, m, k, extra, scale):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((5, m + extra, m))
+    Y = rng.standard_normal((5, m + extra, k))
+    grams = X.transpose(0, 2, 1) @ X
+    crosses = X.transpose(0, 2, 1) @ Y
+    lams = scale * 2.0 * np.abs(crosses).max(axis=(1, 2))  # busy: not zero by the KKT test at zero
+    beta, conv = lasso_cd_gram_batch(grams, crosses, lams)
+    assert conv.all()
+    got = _gains(grams, crosses, lams, beta)
+    tight = SolverOptions(tolerance=1e-13, max_iterations=200000)
+    for i, (G, C, lam) in enumerate(zip(grams, crosses, lams)):
+        ref, _, ok, _ = lasso_cd_gram(G, C, lam, tight)
+        assert ok
+        want = _gains(G[None], C[None], np.array([lam]), ref[None])[0]
+        assert abs(got[i] - want) <= 1e-10 * (1.0 + abs(want))

@@ -364,7 +364,7 @@ def _count_fallbacks(monkeypatch):
 @pytest.mark.parametrize("whitened", [False, True])
 def test_ols_kernel_certified_path_matches_gram_ols_value(monkeypatch, whitened):
     # chunks of 16 intervals, so the seeded scan spans several of them
-    monkeypatch.setattr(interval_stats, "_OLS_CHUNK_ENTRIES", 16 * 6 * 6)
+    monkeypatch.setattr(interval_stats, "_CHUNK_ENTRIES", 16 * 6 * 6)
     base = generate_dense_stationary(6, seed=31)
     panel = simulate(base, 400, seed=32)
     ivs = seeded_intervals(400, 8, 1 / 1.1, q=1)
@@ -516,6 +516,40 @@ def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
     values, nonzero, reliable = prefix_statistics(*args[:4], level, "lasso", solver, whitening)
     assert seen == []
     assert not values.any() and not nonzero.any() and reliable.all()
+
+
+@pytest.mark.parametrize("whitened", [False, True])
+def test_lasso_kernel_chunks_change_no_value(monkeypatch, whitened):
+    base = generate_dense_stationary(4, seed=80)
+    panel = simulate(base, 300, seed=81)
+    ivs = seeded_intervals(300, 6, 1 / 1.2, q=1)
+    scanner = PanelScanner(panel, base.stacked, 1)
+    lo = np.array([iv.start for iv in ivs]) - 2
+    hi = np.array([iv.end for iv in ivs]) - 1
+    rng = np.random.default_rng(82)
+    a = rng.standard_normal((4, 4))
+    whitening = inverse_sqrt_psd(a @ a.T + 0.5 * np.eye(4)) if whitened else None
+    crosses = scanner._cross_prefix[hi] - scanner._cross_prefix[lo]
+    if whitening is not None:
+        crosses = crosses @ whitening
+    level = 2.0 * np.abs(crosses).max(axis=(1, 2))
+    lams = level * rng.choice([0.2, 0.5, 0.9, 2.0], len(lo))
+    busy = int((level > lams).sum())
+    solver = SolverOptions()
+    args = (scanner._gram_prefix, scanner._cross_prefix, lo, hi, lams, "lasso", solver, whitening)
+    whole = prefix_statistics(*args)
+    seen = []
+
+    def spy(grams, *rest):
+        seen.append(len(grams))
+        return lasso_cd_gram_batch(grams, *rest)
+
+    monkeypatch.setattr(interval_stats, "lasso_cd_gram_batch", spy)
+    monkeypatch.setattr(interval_stats, "_CHUNK_ENTRIES", 7 * 4 * 4)  # 7 intervals a chunk
+    chunked = prefix_statistics(*args)
+    assert sum(seen) == busy and len(seen) == -(-busy // 7) > 3 and max(seen) == 7
+    for got, want in zip(chunked, whole):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_statistic_lists_hold_python_scalars():

@@ -112,11 +112,14 @@ def _outcome(load, path, has_header):
         ("", False),
         ("\n\n", False),
         ("a,b\n", True),
+        ("\x1c1\n", False),
+        ("1,2\x1f\n3,4\n", False),
     ],
     ids=[
         "header", "blank-lines", "whitespace-line", "delimiter-line", "quoted", "hash-cell",
         "hash-first", "underscore", "nan", "inf", "trailing-delimiter", "single-row",
         "single-column", "crlf-padded", "empty", "blank-only", "header-only",
+        "separator-padded", "separator-trailing",
     ],
 )
 def test_load_panel_matches_cell_loop(tmp_path, text, has_header):
