@@ -10,7 +10,10 @@
   the first exceedance; window statistics come from running Gram and
   cross-product prefix sums, O(t (pq)^2) memory after t observations;
 * threshold calibration: an empirical quantile of the per-run maximum
-  reliable statistic over simulated null panels, offline or online.
+  reliable statistic over simulated null panels, offline or online. Offline
+  calibration reads only each run's maximum, from
+  :meth:`~varanom.interval_stats.PanelScanner.max_statistic`, which solves
+  in full only the lasso intervals a duality-gap bracket cannot rule out.
 
 Offline scans and online windows share one statistic kernel,
 :func:`varanom.interval_stats.prefix_statistics`, which also whitens:
@@ -79,8 +82,12 @@ _WINDOW_OFFSETS = 1 << np.arange(62, dtype=np.int64)
 class CalibrationResult:
     """Null-calibrated detection threshold and the maxima behind it.
 
-    ``unreliable`` counts the statistics the maxima skipped as unreliable,
-    summed over runs.
+    Summed over runs, ``unreliable`` counts the statistics that were solved
+    to the end and skipped by the maxima as unreliable, and ``pruned`` the
+    lasso statistics a duality-gap bracket certified below their run's
+    maximum without a full solve (:meth:`PanelScanner.max_statistic`). A
+    pruned statistic cannot be its run's maximum, so it is never counted as
+    unreliable.
     """
 
     threshold: float
@@ -88,6 +95,7 @@ class CalibrationResult:
     runs: int
     max_statistics: np.ndarray
     unreliable: int
+    pruned: int
 
     def to_csv(self, path) -> None:
         rows = ([i, repr(float(v))] for i, v in enumerate(self.max_statistics))
@@ -144,8 +152,9 @@ def calibrate_threshold(
     ``law`` may be the known process or one rebuilt from estimates (a
     parametric bootstrap); ``baseline`` defaults to the law's own
     coefficients, in which case the simulated responses are pure noise.
-    Each run's maximum skips unreliable statistics, as selection does, and
-    the result counts them. Every run's panel has the same shape, so one
+    Each run's maximum skips unreliable statistics, as selection does; it
+    comes from :meth:`PanelScanner.max_statistic`, bitwise the maximum of a
+    full scan. Every run's panel has the same shape, so one
     :class:`PanelScanner` serves them all: each run after the first refills
     its prefix arrays in place, with bitwise the sums a fresh scanner builds.
     """
@@ -156,17 +165,19 @@ def calibrate_threshold(
     horizon = interval_set.horizon
     seeds = np.random.SeedSequence(seed).generate_state(runs)
     maxima = np.empty(runs)
-    unreliable = 0
+    unreliable = pruned = 0
     for r in range(runs):
         panel = simulate(law, horizon, burn_in=burn_in, seed=int(seeds[r]))
         if r == 0:
             scanner = PanelScanner(panel, baseline, law.q)
         else:
             scanner._refill(panel)
-        stats = scanner.scan(interval_set, config)
-        maxima[r] = max_reliable_statistic(stats)
-        unreliable += sum(not s.reliable for s in stats)
-    return CalibrationResult(null_threshold(maxima, quantile), quantile, runs, maxima, unreliable)
+        maxima[r], skipped, ruled_out = scanner.max_statistic(interval_set, config)
+        unreliable += skipped
+        pruned += ruled_out
+    return CalibrationResult(
+        null_threshold(maxima, quantile), quantile, runs, maxima, unreliable, pruned
+    )
 
 
 def max_reliable_statistic(stats: Iterable[IntervalStatistic]) -> float:

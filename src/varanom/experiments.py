@@ -18,7 +18,6 @@ from .detection import (
     calibrate_threshold,
     detect_multiple,
     detect_online,
-    max_reliable_statistic,
     null_threshold,
     online_max_statistic,
     select_single,
@@ -119,7 +118,7 @@ def run_single_anomaly_study(
     }
 
     def scan_maxima(scanner: PanelScanner) -> dict:
-        return {m: max_reliable_statistic(scanner.scan(interval_set, configs[m])) for m in methods}
+        return {m: scanner.max_statistic(interval_set, configs[m]).value for m in methods}
 
     cal_states = np.random.SeedSequence(cal_seed).generate_state(3 * calibration_runs)
     maxima = {(mode, m): [] for mode in modes for m in methods}

@@ -34,6 +34,14 @@ W = Sigma^(-1/2) is symmetric, sum_t z_t (W u_t)' = (sum_t z_t u_t') W.
 directly from a regression view; they are the independent reference the
 kernel is tested against.
 
+Null calibration reads only a scan's largest reliable statistic, which
+:meth:`PanelScanner.max_statistic` gives bitwise without solving most
+lasso intervals in full (:func:`lasso_maximum`). A few sweeps of every busy
+interval give, through :func:`~varanom.estimation.lasso_bracket`, a bracket
+[value, value + duality gap] of its statistic; an interval whose upper
+bound stays below the best value found is pruned. A pruned statistic
+cannot be the maximum, so it is never counted as unreliable.
+
 Statistics over distinct intervals are independent pure computations; the
 scan may be parallelised freely and reduces deterministically.
 """
@@ -43,12 +51,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DesignError, ParameterError
-from .estimation import _RANK_RTOL, SolverOptions, lasso_cd_gram, lasso_cd_gram_batch
+from .estimation import _RANK_RTOL, SolverOptions, lasso_bracket, lasso_cd_gram, lasso_cd_gram_batch
 from .intervals import Interval, IntervalSet
 from .var_model import RegressionView, TimeSeriesPanel, lag_design
 
@@ -59,6 +67,17 @@ _PREFIX_BLOCK_ROWS = 32
 # (m^2 per interval): about 50 intervals at m = 50, which keeps a chunk's
 # arrays to a few megabytes, and a whole p = 10 scan (1078 intervals) at m = 10.
 _CHUNK_ENTRIES = 1 << 17
+# Sweeps of the lasso maximum's first pass over every busy interval, whose
+# duality-gap brackets rule most intervals out of the maximum. On 8 null
+# p = 10, T = 500 runs over 1078 seeded intervals, 3, 4 and 5 sweeps left
+# 22-94, 9-44 and 5-29 intervals to solve under interval_linear, and
+# 241-385, 53-144 and 9-35 under global. Timed alternately on 12 other
+# runs, the three took the same time within 4% under interval_linear and
+# interval_sqrt, while under global 3 sweeps took 35% longer than 4 or 5.
+_BRACKET_SWEEPS = 4
+# Slack added to every upper bound, relative to 1 + sum_k ||y_k||^2, which
+# covers the rounding of the prefix differences and of the bound itself.
+_BRACKET_MARGIN = 1e-9
 LAMBDA_POLICIES = ("global", "interval_sqrt", "interval_linear")
 
 
@@ -122,6 +141,18 @@ def statistic_list(
         IntervalStatistic, intervals, values.tolist(), itertools.repeat(method),
         lams.tolist(), nonzero.tolist(), reliable.tolist(),
     ))
+
+
+class ScanMaximum(NamedTuple):
+    """Result of :meth:`PanelScanner.max_statistic`: the largest reliable
+    statistic (0.0 if none is), the count of statistics solved to the end
+    and skipped as unreliable, and the count of busy lasso intervals a
+    duality-gap bracket certified below the maximum without a full solve.
+    """
+
+    value: float
+    unreliable: int
+    pruned: int
 
 
 def check_batch_solver(solver: SolverOptions) -> None:
@@ -281,6 +312,12 @@ def cross_blocks(
     return crosses
 
 
+def busy_intervals(crosses: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Indices of the intervals whose cross blocks fail the KKT test at zero,
+    2 max|c| <= lam, which makes a lasso statistic exactly 0."""
+    return np.flatnonzero(2.0 * np.abs(crosses).max(axis=(1, 2)) > lams)
+
+
 def prefix_statistics(
     gram_prefix: np.ndarray,
     cross_prefix: np.ndarray,
@@ -298,7 +335,8 @@ def prefix_statistics(
     so ``hi[i] - lo[i]`` is interval i's length. Each interval's cross block is
     right-multiplied by ``whitening`` (:func:`whitening_matrix`) after the
     prefix difference, never the whole prefix. Lasso statistics screen
-    first, and this is the only place that screens: the cross blocks are
+    first, through :func:`busy_intervals`, the library's one screen (the
+    solver has none): the cross blocks are
     gathered and whitened by :func:`cross_blocks`, and an interval with
     2 max|c| <= ``lams[i]`` is exactly zero by the KKT test at zero (value
     0.0, no non-zero coefficient, reliable) without its Gram block ever
@@ -330,8 +368,7 @@ def prefix_statistics(
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     values = np.zeros(n)
     nonzero = np.zeros(n, dtype=int)
-    # KKT at zero: 2 max|c| <= lam means the statistic is 0; the solver never screens
-    busy = np.flatnonzero(2.0 * np.abs(crosses).max(axis=(1, 2)) > lams)
+    busy = busy_intervals(crosses, lams)
     m = gram_prefix.shape[1]
     chunk = max(1, _CHUNK_ENTRIES // (m * m))
     for s in range(0, busy.size, chunk):
@@ -341,14 +378,70 @@ def prefix_statistics(
         beta, reliable[part] = lasso_cd_gram_batch(
             grams, c, lam, solver.tolerance, solver.max_iterations
         )
-        gains = (
-            2.0 * np.einsum("nmk,nmk->n", c, beta)
-            - np.einsum("nmk,nmk->n", beta, grams @ beta)
-            - lam * np.abs(beta).sum(axis=(1, 2))
-        )
-        values[part] = np.maximum(gains, 0.0)
+        values[part], _ = lasso_bracket(grams, c, beta, lam)
         nonzero[part] = np.count_nonzero(beta.reshape(part.size, -1), axis=1)
     return values, nonzero, reliable
+
+
+def lasso_maximum(
+    gram_prefix: np.ndarray,
+    cross_prefix: np.ndarray,
+    sq_prefix: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    lams: np.ndarray,
+    solver: SolverOptions,
+    whitening: Optional[np.ndarray],
+) -> ScanMaximum:
+    """Largest reliable lasso statistic of the intervals of :func:`prefix_statistics`,
+    bitwise that of its values, with only a few intervals solved in full.
+
+    ``sq_prefix`` is (rows, p), the running sums of the squared whitened
+    residuals, so interval i's column norms ||y_k||^2 are
+    ``sq_prefix[hi[i]] - sq_prefix[lo[i]]``. The busy intervals (the
+    kernel's screen) first take ``_BRACKET_SWEEPS`` sweeps of the batched
+    solver, and :func:`lasso_bracket` turns those iterates into brackets
+    [value, upper] of their statistics; ``upper`` gets a slack of
+    ``_BRACKET_MARGIN`` (1 + sum_k ||y_k||^2) for rounding. With F the
+    largest ``value``, every interval whose ``upper`` reaches F is solved by
+    :func:`prefix_statistics`, from zero, as in a full scan; each problem's
+    result is independent of its batch, so its value is bitwise the full
+    scan's. Should the best reliable solved value M fall below F, every
+    interval whose ``upper`` reaches M is solved too, which makes the
+    result exact at any solver budget. The intervals left unsolved have
+    statistics below M, so they cannot change the maximum.
+    """
+    crosses = cross_blocks(cross_prefix, lo, hi, whitening)
+    busy = busy_intervals(crosses, lams)
+    y_sq = sq_prefix.take(hi[busy], axis=0) - sq_prefix.take(lo[busy], axis=0)
+    value = np.empty(busy.size)
+    upper = np.empty(busy.size)
+    m = gram_prefix.shape[1]
+    chunk = max(1, _CHUNK_ENTRIES // (m * m))
+    sweeps = min(_BRACKET_SWEEPS, solver.max_iterations)
+    for s in range(0, busy.size, chunk):
+        at = slice(s, s + chunk)
+        part = busy[at]
+        grams = gram_prefix.take(hi[part], axis=0) - gram_prefix.take(lo[part], axis=0)
+        beta, _ = lasso_cd_gram_batch(grams, crosses[part], lams[part], solver.tolerance, sweeps)
+        value[at], upper[at] = lasso_bracket(grams, crosses[part], beta, lams[part], y_sq[at])
+    upper += _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
+    solved = np.zeros(busy.size, dtype=bool)
+    best, unreliable = 0.0, 0
+    level = float(value.max(initial=0.0))
+    while True:
+        todo = np.flatnonzero(~solved & (upper >= level))
+        if todo.size:
+            part = busy[todo]
+            values, _, reliable = prefix_statistics(
+                gram_prefix, cross_prefix, lo[part], hi[part], lams[part], "lasso", solver, whitening
+            )
+            solved[todo] = True
+            unreliable += int(np.count_nonzero(~reliable))
+            best = max(best, float(values[reliable].max(initial=0.0)))
+        if best >= level:
+            return ScanMaximum(best, unreliable, int(busy.size - np.count_nonzero(solved)))
+        level = best
 
 
 def _ols_statistics(
@@ -477,11 +570,12 @@ class PanelScanner:
 
     def _refill(self, panel: TimeSeriesPanel) -> None:
         """Rebuild both prefix arrays in place from ``panel``, whose shape must
-        be the one the scanner was built for; the baseline stays."""
+        be the one the scanner was built for; the baseline stays. The
+        (T - q) x p residual rows are kept for :meth:`max_statistic`."""
         lagged, response = lag_design(panel.values, self.q)
-        resid = response - lagged @ self._baseline.T
+        self._resid = response - lagged @ self._baseline.T
         _prefix_sum(lagged, lagged, self._gram_prefix)
-        _prefix_sum(lagged, resid, self._cross_prefix)
+        _prefix_sum(lagged, self._resid, self._cross_prefix)
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
         """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""
@@ -496,26 +590,54 @@ class PanelScanner:
         cross = self._cross_prefix[b] - self._cross_prefix[a]
         return gram, cross
 
+    def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple[np.ndarray, ...]:
+        """(lo, hi, lams) of a non-empty set: its prefix indices and penalties."""
+        starts = np.array([iv.start for iv in interval_set.intervals])
+        ends = np.array([iv.end for iv in interval_set.intervals])
+        if starts.min() < self.q + 1 or ends.max() > self.n_rows:
+            raise DesignError("interval set escapes the usable domain of the panel")
+        lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
+        return starts - self.q - 1, ends - self.q, lams
+
     def scan(self, interval_set: IntervalSet, config: StatConfig) -> list[IntervalStatistic]:
         """Statistics for every interval in the set, in storage order.
 
         Computed by :func:`prefix_statistics`, whitened by ``config.sigma``;
         results match the direct per-view computation up to summation order.
         """
-        ivs = interval_set.intervals
-        if not ivs:
+        if not interval_set.intervals:
             return []
-        starts = np.array([iv.start for iv in ivs])
-        ends = np.array([iv.end for iv in ivs])
-        if starts.min() < self.q + 1 or ends.max() > self.n_rows:
-            raise DesignError("interval set escapes the usable domain of the panel")
-        lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
+        lo, hi, lams = self._kernel_args(interval_set, config)
         values, nonzero, reliable = prefix_statistics(
-            self._gram_prefix, self._cross_prefix, starts - self.q - 1, ends - self.q,
-            lams, config.method, config.solver,
+            self._gram_prefix, self._cross_prefix, lo, hi, lams, config.method, config.solver,
             whitening_matrix(config.sigma, self.n_series),
         )
-        return statistic_list(ivs, values, config.method, lams, nonzero, reliable)
+        return statistic_list(interval_set.intervals, values, config.method, lams, nonzero, reliable)
+
+    def max_statistic(self, interval_set: IntervalSet, config: StatConfig) -> ScanMaximum:
+        """The largest reliable statistic of the set, bitwise
+        ``max_reliable_statistic(self.scan(interval_set, config))``, with counts.
+
+        OLS takes the maximum of the kernel's values; lasso goes through
+        :func:`lasso_maximum`, fed a prefix of the squared whitened
+        residuals, (T - q + 1) x p, formed here. No
+        :class:`IntervalStatistic` is built. An empty set gives 0.0.
+        """
+        if not interval_set.intervals:
+            return ScanMaximum(0.0, 0, 0)
+        lo, hi, lams = self._kernel_args(interval_set, config)
+        whitening = whitening_matrix(config.sigma, self.n_series)
+        if config.method == "ols":
+            values, _, _ = prefix_statistics(
+                self._gram_prefix, self._cross_prefix, lo, hi, lams, "ols", config.solver, whitening
+            )
+            return ScanMaximum(float(values.max()), 0, 0)
+        resid = self._resid if whitening is None else self._resid @ whitening
+        sq_prefix = np.zeros((len(resid) + 1, self.n_series))
+        np.cumsum(resid * resid, axis=0, out=sq_prefix[1:])
+        return lasso_maximum(
+            self._gram_prefix, self._cross_prefix, sq_prefix, lo, hi, lams, config.solver, whitening
+        )
 
 
 def scan_intervals(

@@ -222,6 +222,7 @@ def run_pipeline(
         "lambda_calibration": _lambda_range(stat_config, cal_intervals, p, n_cal_rows),
         "threshold": calibration.threshold,
         "calibration_unreliable": calibration.unreliable,
+        "calibration_pruned": calibration.pruned,
         "calibration_intervals": {**cal_intervals.provenance, "n": len(cal_intervals)},
         "sigma_mode": config.sigma_mode,
         "baseline_penalty": config.baseline_penalty,

@@ -120,8 +120,9 @@ def test_calibrate_threshold_counts_unreliable_statistics():
 @pytest.mark.parametrize("method", ["ols", "lasso"])
 def test_calibrate_threshold_equals_fresh_scanner_loop(method, q, whitened):
     # calibration refills one scanner in place; a fresh scanner per run,
-    # under the documented seeding, gives bitwise the same maxima and count
-    # (20 sweeps leave some lasso problems unconverged, so the count is not 0)
+    # under the documented seeding, gives bitwise the same maxima and counts;
+    # the maxima equal a full scan's, the counts those of max_statistic,
+    # which counts only the statistics it solves in full
     base = generate_dense_stationary(3, seed=7)
     a = np.random.default_rng(8).standard_normal((3, 3))
     cov = a @ a.T + 0.5 * np.eye(3)
@@ -131,14 +132,16 @@ def test_calibrate_threshold_equals_fresh_scanner_loop(method, q, whitened):
         method=method, sigma=cov if whitened else None, solver=SolverOptions(max_iterations=20)
     )
     cal = calibrate_threshold(law, ivs, config, runs=4, seed=9, burn_in=30)
-    maxima, unreliable = [], 0
+    maxima, unreliable, pruned = [], 0, 0
     for s in np.random.SeedSequence(9).generate_state(4):
         panel = simulate(law, ivs.horizon, burn_in=30, seed=int(s))
-        stats = PanelScanner(panel, law.stacked, q).scan(ivs, config)
-        maxima.append(max_reliable_statistic(stats))
-        unreliable += sum(not x.reliable for x in stats)
+        scanner = PanelScanner(panel, law.stacked, q)
+        maxima.append(max_reliable_statistic(scanner.scan(ivs, config)))
+        fresh = scanner.max_statistic(ivs, config)
+        unreliable += fresh.unreliable
+        pruned += fresh.pruned
     assert cal.max_statistics.tobytes() == np.array(maxima).tobytes()
-    assert cal.unreliable == unreliable
+    assert (cal.unreliable, cal.pruned) == (unreliable, pruned)
 
 
 def test_select_single_tie_break():

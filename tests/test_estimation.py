@@ -9,6 +9,7 @@ from varanom import (
     DesignError,
     PanelScanner,
     ParameterError,
+    RegressionView,
     SolverOptions,
     StatConfig,
     TimeSeriesPanel,
@@ -18,6 +19,7 @@ from varanom import (
     generate_dense_stationary,
     generate_sparse_offdiag,
     lasso_solve,
+    lasso_statistic,
     ols_solve,
     ridge_solve,
     seeded_intervals,
@@ -27,6 +29,7 @@ from varanom import estimation
 from varanom.estimation import (
     default_baseline_lambda,
     kkt_violation,
+    lasso_bracket,
     lasso_cd_gram,
     lasso_cd_gram_batch,
     soft_threshold,
@@ -432,3 +435,56 @@ def test_batch_solver_gains_match_tight_single_solver_property(seed, m, k, extra
         assert ok
         want = _gains(G[None], C[None], np.array([lam]), ref[None])[0]
         assert abs(got[i] - want) <= 1e-10 * (1.0 + abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), k=st.integers(1, 3),
+    n=st.integers(1, 14), scale=st.floats(0.05, 1.2), sweeps=st.integers(0, 6),
+    size=st.floats(0.1, 10.0),
+)
+def test_lasso_bracket_contains_the_statistic_property(seed, m, k, n, scale, sweeps, size):
+    # explicit designs, n < m included: after any number of sweeps the
+    # bracket [value, upper] holds the statistic of a tight solve, and at the
+    # tight solve's coefficients, an exact finish, the bracket closes
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((3, n, m))
+    Y = size * rng.standard_normal((3, n, k))
+    grams = X.transpose(0, 2, 1) @ X
+    crosses = X.transpose(0, 2, 1) @ Y
+    y_sq = (Y * Y).sum(axis=1)
+    lams = scale * 2.0 * np.abs(crosses).max(axis=(1, 2))
+    beta = np.zeros_like(crosses)
+    if sweeps:
+        beta, _ = lasso_cd_gram_batch(grams, crosses, lams, max_iterations=sweeps)
+    value, upper = lasso_bracket(grams, crosses, beta, lams, y_sq)
+    tight = SolverOptions(tolerance=1e-13, max_iterations=200000)
+    exact = np.zeros_like(crosses)
+    for i in range(3):
+        ref = lasso_statistic(RegressionView(1, n, Y[i], X[i]), lams[i], tight)
+        assert ref.reliable
+        slack = 1e-10 * (1.0 + ref.value)
+        assert value[i] <= ref.value + slack
+        assert ref.value <= upper[i] + slack
+        exact[i] = lasso_cd_gram(grams[i], crosses[i], lams[i], tight)[0]
+    value, upper = lasso_bracket(grams, crosses, exact, lams, y_sq)
+    assert (upper - value <= 1e-8 * (1.0 + y_sq.sum(axis=1))).all()
+    assert lasso_bracket(grams, crosses, exact, lams)[1] is None
+
+
+def test_prefix_statistics_values_are_the_bracket_values():
+    # the kernel's values come from the bracket's value formula, bitwise
+    base = generate_dense_stationary(4, seed=3)
+    panel = simulate(base, 200, seed=8)
+    intervals = seeded_intervals(200, 8, 1 / 1.1, q=1)
+    scanner = PanelScanner(panel, base.stacked, 1)
+    lo = np.array([iv.start for iv in intervals.intervals]) - 2
+    hi = np.array([iv.end for iv in intervals.intervals]) - 1
+    lams = interval_lambdas(StatConfig(), intervals, 4, 200)
+    values, _, _ = prefix_statistics(
+        scanner._gram_prefix, scanner._cross_prefix, lo, hi, lams, "lasso", SolverOptions(), None
+    )
+    grams = scanner._gram_prefix[hi] - scanner._gram_prefix[lo]
+    crosses = scanner._cross_prefix[hi] - scanner._cross_prefix[lo]
+    beta, _ = lasso_cd_gram_batch(grams, crosses, lams)
+    assert lasso_bracket(grams, crosses, beta, lams)[0].tobytes() == values.tobytes()

@@ -31,10 +31,11 @@ from varanom import (
     simulate,
     whiten,
 )
-from varanom.detection import select_multiple, select_single
+from varanom.detection import max_reliable_statistic, select_multiple, select_single
 from varanom import interval_stats
 from varanom.estimation import lasso_cd_gram_batch
 from varanom.interval_stats import (
+    _BRACKET_SWEEPS,
     _PREFIX_BLOCK_ROWS,
     LAMBDA_POLICIES,
     gram_ols_value,
@@ -638,3 +639,118 @@ def test_scan_invariant_to_storage_order(seed, q):
         want_cross = view.lagged.T @ view.residuals
         assert np.abs(gram - want_gram).max() <= 1e-10 * np.abs(want_gram).max()
         assert np.abs(cross - want_cross).max() <= 1e-10 * np.abs(want_cross).max()
+
+
+def _max_case(q, whitened, seed):
+    base = generate_dense_stationary(3, seed=7)
+    a = np.random.default_rng(8).standard_normal((3, 3))
+    cov = a @ a.T + 0.5 * np.eye(3)
+    law = VarParams((base.coeffs[0] / q,) * q, cov)
+    panel = simulate(law, 160, burn_in=30, seed=seed)
+    ivs = seeded_intervals(160, 3 * q + 2, 1 / 1.1, q=q)
+    return PanelScanner(panel, law.stacked, q), ivs, cov if whitened else None
+
+
+@pytest.mark.parametrize("budget", [10000, 20])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("whitened", [False, True])
+@pytest.mark.parametrize("policy", LAMBDA_POLICIES)
+def test_max_statistic_is_the_full_scan_maximum(policy, whitened, q, budget):
+    # bitwise the maximum reliable statistic of a full scan, for both
+    # methods; it counts at most the scan's unreliable statistics
+    for seed in (1, 2):
+        scanner, ivs, sigma = _max_case(q, whitened, seed)
+        for method in ("lasso", "ols"):
+            config = StatConfig(
+                method=method, sigma=sigma, lambda_policy=policy,
+                solver=SolverOptions(max_iterations=budget),
+            )
+            stats = scanner.scan(ivs, config)
+            got = scanner.max_statistic(ivs, config)
+            assert type(got.value) is float
+            assert np.float64(got.value).tobytes() == np.float64(max_reliable_statistic(stats)).tobytes()
+            assert got.unreliable <= sum(not x.reliable for x in stats)
+            if method == "ols":
+                assert (got.unreliable, got.pruned) == (0, 0)
+            else:
+                busy = sum(x.nonzero > 0 for x in stats)
+                assert 0 < got.pruned < busy
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_max_statistic_counts_every_unreliable_statistic_at_tiny_budgets(budget):
+    # with no tolerance nothing the solver works on converges, so no reliable
+    # value rules anything out and every busy interval is solved in full
+    scanner, ivs, _ = _max_case(1, False, 3)
+    config = StatConfig(solver=SolverOptions(tolerance=0.0, max_iterations=budget))
+    stats = scanner.scan(ivs, config)
+    got = scanner.max_statistic(ivs, config)
+    unreliable = sum(not x.reliable for x in stats)
+    assert unreliable > 0
+    assert got == (max_reliable_statistic(stats), unreliable, 0)
+
+
+def test_max_statistic_of_empty_and_all_screened_sets_is_zero():
+    scanner, ivs, _ = _max_case(1, False, 4)
+    for method in ("lasso", "ols"):
+        assert scanner.max_statistic(IntervalSet((), 5, (2, 160)), StatConfig(method=method)) == (0.0, 0, 0)
+    screened = StatConfig(lambda_scale=1e6)
+    assert all(x.value == 0.0 for x in scanner.scan(ivs, screened))
+    assert scanner.max_statistic(ivs, screened) == (0.0, 0, 0)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_max_statistic_brackets_read_whitened_column_norms(monkeypatch, q):
+    # the ||y_k||^2 behind each busy interval's bracket are those of its
+    # whitened response, taken from the squared-residual prefix
+    base = generate_dense_stationary(3, seed=7)
+    a = np.random.default_rng(8).standard_normal((3, 3))
+    cov = 0.1 * (a @ a.T + 0.5 * np.eye(3))
+    law = VarParams((base.coeffs[0] / q,) * q, cov)
+    panel = simulate(law, 160, burn_in=30, seed=5)
+    ivs = seeded_intervals(160, 3 * q + 2, 1 / 1.1, q=q)
+    config = StatConfig(sigma=cov)
+    scanner = PanelScanner(panel, law.stacked, q)
+    busy = [x.interval for x in scanner.scan(ivs, config) if x.nonzero > 0]
+    seen = []
+    bracket = interval_stats.lasso_bracket
+
+    def spy(grams, crosses, beta, lams, y_sq=None):
+        if y_sq is not None:
+            seen.append(y_sq)
+        return bracket(grams, crosses, beta, lams, y_sq)
+
+    monkeypatch.setattr(interval_stats, "lasso_bracket", spy)
+    scanner.max_statistic(ivs, config)
+    views = (whiten(build_regression_view(panel, law.stacked, iv.start, iv.end, q), cov) for iv in busy)
+    want = np.array([(v.residuals**2).sum(axis=0) for v in views])
+    assert len(seen) == 1
+    np.testing.assert_allclose(seen[0], want, rtol=1e-10)
+
+
+def test_max_statistic_solves_fewer_problems_than_its_first_pass(monkeypatch):
+    # a p = 10 null run: the survivors' solve gets fewer problems than the
+    # first pass over every busy interval, and the maximum is the scan's
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, size=(10, 10))
+    a *= 0.7 / np.max(np.abs(np.linalg.eigvals(a)))
+    law = VarParams((a,), np.eye(10))
+    scanner = PanelScanner(simulate(law, 500, seed=6), a, 1)
+    ivs = seeded_intervals(500, 11, 1 / 1.1, q=1)
+    config = StatConfig(lambda_policy="interval_linear")
+    calls = []
+    solve = interval_stats.lasso_cd_gram_batch
+
+    def spy(grams, crosses, lams, tolerance, max_iterations):
+        calls.append((len(grams), max_iterations))
+        return solve(grams, crosses, lams, tolerance, max_iterations)
+
+    monkeypatch.setattr(interval_stats, "lasso_cd_gram_batch", spy)
+    got = scanner.max_statistic(ivs, config)
+    (first, sweeps), *rest = calls
+    assert sweeps == _BRACKET_SWEEPS
+    assert rest and all(it == config.solver.max_iterations for _, it in rest)
+    assert 0 < sum(n for n, _ in rest) < first
+    assert got.pruned == first - sum(n for n, _ in rest)
+    calls.clear()
+    assert got.value == max_reliable_statistic(scanner.scan(ivs, config))

@@ -210,6 +210,26 @@ def test_pipeline_manifest_reports_calibration_unreliable(tmp_path, monkeypatch)
     assert manifest["calibration_unreliable"] == run.calibration.unreliable == 7
 
 
+def test_pipeline_manifest_reports_calibration_pruned(tmp_path, monkeypatch):
+    _, path = _write_null_panel(tmp_path)
+    config = RunConfig(calibration_runs=5, seed=2)
+    run = run_pipeline(config, path, tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["calibration_pruned"] == run.calibration.pruned > 0
+    ols = run_pipeline(RunConfig(calibration_runs=5, seed=2, method="ols"), path, tmp_path / "ols")
+    assert ols.manifest["calibration_pruned"] == 0
+    # the count is passed through, whatever calibration found
+    calibrate = pipeline.calibrate_threshold
+
+    def with_pruned(*args, **kwargs):
+        return dataclasses.replace(calibrate(*args, **kwargs), pruned=11)
+
+    monkeypatch.setattr(pipeline, "calibrate_threshold", with_pruned)
+    run_pipeline(config, path, tmp_path / "again")
+    manifest = json.loads((tmp_path / "again" / "manifest.json").read_text())
+    assert manifest["calibration_pruned"] == 11
+
+
 def test_pipeline_manifest_lambda_range_under_interval_linear(tmp_path):
     _, path = _write_null_panel(tmp_path)
     config = RunConfig(calibration_runs=5, lambda_policy="interval_linear", seed=2)
