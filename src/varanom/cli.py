@@ -279,10 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PanelFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParameterError as exc:
+    except (PanelFormatError, ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:

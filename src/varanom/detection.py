@@ -316,6 +316,9 @@ class OnlineDetector:
         self.solver = solver or SolverOptions()
         check_batch_solver(self.solver)
         self.baseline = np.asarray(baseline, dtype=float)
+        p = self.baseline.shape[0] if self.baseline.ndim else 1
+        if self.baseline.shape != (p, p * q):
+            raise ParameterError(f"baseline must be {p} x {p * q}, got {self.baseline.shape}")
         self.q = q
         self.lam = lam
         self.threshold = threshold
@@ -323,7 +326,7 @@ class OnlineDetector:
         self.sigma = sigma
         self.lambda_policy = lambda_policy
         self.stopped_at: Optional[OnlineAlarm] = None
-        p, m = self.baseline.shape
+        m = p * q
         self._whitening = whitening_matrix(sigma, p)
         # penalty of each window length 2^(j-1) + 1, in _WINDOW_OFFSETS order
         self._window_lams = scaled_lambda(lam, _WINDOW_OFFSETS + 1, 2, lambda_policy)

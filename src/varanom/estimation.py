@@ -31,7 +31,13 @@ passes it only problems that are not zero by the KKT test at zero.
 :func:`lasso_bracket` turns any iterates into brackets [value, upper] of
 the statistics, from the Gram-form duality gap; the kernel's values are its
 lower end, and the maximum of a calibration scan uses the whole bracket to
-skip the intervals that cannot reach it.
+skip the intervals that cannot reach it. In the library, one helper of
+:mod:`varanom.interval_stats` makes every call of
+:func:`lasso_cd_gram_batch` and :func:`lasso_bracket`.
+
+:class:`SolverOptions` holds a tolerance, a sweep budget and whether
+:func:`lasso_cd_gram` records its objective path. Every solver starts from
+zero.
 
 Solvers are pure and reentrant; fits of independent responses may run in
 parallel and give identical results regardless of schedule.
@@ -62,11 +68,12 @@ _FINISH_MIN_PIVOT = 1e-8
 
 @dataclass
 class SolverOptions:
-    """Convergence controls for the coordinate-descent lasso."""
+    """Convergence controls for the coordinate-descent lasso: the coefficient
+    change that stops it, the sweep budget, and whether :func:`lasso_cd_gram`
+    records the objective after each sweep (the batched solver does not)."""
 
     tolerance: float = 1e-8
     max_iterations: int = 10000
-    warm_start: Optional[np.ndarray] = None
     track_objective: bool = False
 
     def __post_init__(self) -> None:
@@ -110,16 +117,11 @@ def lasso_cd_gram(
         cross = cross[:, None]
     m, k = cross.shape
     beta = np.zeros((m, k))
-    if opts.warm_start is not None:
-        ws = np.asarray(opts.warm_start, dtype=float).reshape(m, k)
-        beta[:] = ws
     diag = np.diag(gram).copy()
     active_cols = diag > 0.0
-    beta[~active_cols, :] = 0.0
     level = lam / 2.0
     path: Optional[list[float]] = [] if opts.track_objective else None
     converged = False
-    sweeps = 0
     for sweeps in range(1, opts.max_iterations + 1):
         max_change = 0.0
         for j in range(m):

@@ -87,9 +87,7 @@ def hausdorff_summary(
     if not outcomes:
         raise ParameterError("need at least one outcome")
     all_vals = np.array([outcome_hausdorff(o, empty_convention) for o in outcomes])
-    det_vals = np.array(
-        [outcome_hausdorff(o, empty_convention) for o in outcomes if o.n_detected > 0]
-    )
+    det_vals = all_vals[np.array([o.n_detected > 0 for o in outcomes])]
     out = {
         "n_runs": float(len(outcomes)),
         "n_detected": float(len(det_vals)),

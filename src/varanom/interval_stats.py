@@ -18,8 +18,10 @@ Gram and cross-product blocks are the difference of two prefix-sum
 entries. An interval whose cross block already passes the KKT test at
 zero has a lasso statistic of exactly zero and is screened out before any
 Gram block is gathered. Both methods gather Gram blocks a bounded chunk of
-intervals at a time: the lasso statistics of the busy intervals come from
-one batched solve per chunk, the OLS ones from one
+intervals at a time. The lasso statistics of the busy intervals come from
+:func:`_solve_busy`, the one lasso solve path of the library: one batched
+solve and one :func:`~varanom.estimation.lasso_bracket` call per chunk. The
+OLS ones come from one
 stacked Cholesky factorisation G = LL' and the forward substitution
 L^(-1): the statistic is ||L^(-1) C||_F^2. An interval counts as full rank only when
 1 / ||L^(-1)||_F^2 > 2 rtol tr(G). As 1 / ||L^(-1)||_F^2 = 1 / tr(G^(-1)) is
@@ -36,11 +38,12 @@ kernel is tested against.
 
 Null calibration reads only a scan's largest reliable statistic, which
 :meth:`PanelScanner.max_statistic` gives bitwise without solving most
-lasso intervals in full (:func:`lasso_maximum`). A few sweeps of every busy
-interval give, through :func:`~varanom.estimation.lasso_bracket`, a bracket
-[value, value + duality gap] of its statistic; an interval whose upper
-bound stays below the best value found is pruned. A pruned statistic
-cannot be the maximum, so it is never counted as unreliable.
+lasso intervals in full (:func:`lasso_maximum`). It screens as the kernel
+does, and a few sweeps of every busy interval through :func:`_solve_busy`
+give a bracket [value, value + duality gap] of its statistic; an interval
+whose upper bound stays below the best value found is pruned, and the rest
+are solved in full through the same helper. A pruned statistic cannot be
+the maximum, so it is never counted as unreliable.
 
 Statistics over distinct intervals are independent pure computations; the
 scan may be parallelised freely and reduces deterministically.
@@ -158,13 +161,10 @@ class ScanMaximum(NamedTuple):
 def check_batch_solver(solver: SolverOptions) -> None:
     """Reject the solver options the batched kernel cannot honour.
 
-    :func:`prefix_statistics` starts every problem at zero and records no
-    objective path, so a ``warm_start`` or ``track_objective`` would be
-    ignored without notice; :func:`lasso_cd_gram` and
-    :func:`lasso_statistic` still accept both.
+    :func:`prefix_statistics` records no objective path, so a
+    ``track_objective`` would be ignored without notice;
+    :func:`lasso_cd_gram` and :func:`lasso_statistic` still accept it.
     """
-    if solver.warm_start is not None:
-        raise ParameterError("the batched lasso kernel takes no warm_start")
     if solver.track_objective:
         raise ParameterError("the batched lasso kernel does not track the objective")
 
@@ -202,12 +202,12 @@ def whitening_matrix(sigma: Optional[np.ndarray], p: int) -> Optional[np.ndarray
     return inverse_sqrt_psd(sigma)
 
 
-def whiten(view: RegressionView, sigma: np.ndarray) -> RegressionView:
+def whiten(view: RegressionView, sigma: Optional[np.ndarray]) -> RegressionView:
     """Left-multiply each time slice of the response by sigma^(-1/2).
 
     The predictor block is unchanged: the transformation reparametrises the
     coefficient matrix, so the whitened view keeps the block-diagonal
-    structure. Passing the identity returns the view untouched.
+    structure. Passing None or the identity returns the view untouched.
     """
     w = whitening_matrix(sigma, view.n_series)
     if w is None:
@@ -226,14 +226,10 @@ def gram_ols_value(gram: np.ndarray, cross: np.ndarray) -> tuple[float, np.ndarr
 
 def ols_statistic(view: RegressionView, sigma: Optional[np.ndarray] = None) -> IntervalStatistic:
     """Squared norm of the projection of the response onto the design space."""
-    if sigma is not None:
-        view = whiten(view, sigma)
+    view = whiten(view, sigma)
     n, m = view.lagged.shape
     if n < m:
         raise DesignError(f"ill-posed design: interval of {n} rows cannot fit {m} predictors")
-    sv = np.linalg.svd(view.lagged, compute_uv=False)
-    if m > 0 and sv[-1] <= _RANK_RTOL * sv[0]:
-        raise DesignError("ill-posed design: rank deficient within tolerance")
     gram = view.lagged.T @ view.lagged
     cross = view.lagged.T @ view.residuals
     value, theta = gram_ols_value(gram, cross)
@@ -255,8 +251,7 @@ def lasso_statistic(
     """
     if lam < 0:
         raise ParameterError("lasso penalty must be non-negative")
-    if sigma is not None:
-        view = whiten(view, sigma)
+    view = whiten(view, sigma)
     gram = view.lagged.T @ view.lagged
     cross = view.lagged.T @ view.residuals
     if 2.0 * float(np.max(np.abs(cross), initial=0.0)) <= lam:
@@ -342,11 +337,13 @@ def prefix_statistics(
     0.0, no non-zero coefficient, reliable) without its Gram block ever
     being gathered. Only the rest, the busy intervals, get their Gram blocks
     and a batched solve, so a set that is all screened, as most online
-    windows are, costs one cross-block gather. Both methods gather Gram
-    blocks in chunks of at most ``_CHUNK_ENTRIES`` entries, which bounds
-    the kernel's memory whatever the number of intervals; each interval's
-    result depends on that interval alone, so chunking changes no value.
-    Busy lasso intervals are solved one chunk per batched call. OLS
+    windows are, costs one cross-block gather, and never calls
+    :func:`_solve_busy`, which solves the busy ones. Both methods gather
+    Gram blocks in chunks of at most ``_CHUNK_ENTRIES`` entries; each
+    interval's result depends on that interval alone, so chunking changes
+    no value. That bounds the OLS kernel's memory whatever the number of
+    intervals, but not the lasso kernel's: its cross blocks, m p doubles
+    per interval, are all gathered before the screen. OLS
     statistics ignore ``lams``; each chunk takes one stacked Cholesky
     factorisation, the batched forward substitution L^(-1) and the statistic
     ||L^(-1) C||_F^2; the coefficients are never formed. An interval whose
@@ -369,18 +366,46 @@ def prefix_statistics(
     values = np.zeros(n)
     nonzero = np.zeros(n, dtype=int)
     busy = busy_intervals(crosses, lams)
+    if busy.size:
+        values[busy], _, nonzero[busy], reliable[busy] = _solve_busy(
+            gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, solver.max_iterations
+        )
+    return values, nonzero, reliable
+
+
+def _solve_busy(
+    gram_prefix: np.ndarray, crosses: np.ndarray, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray,
+    busy: np.ndarray, tolerance: float, sweeps: int, y_sq: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """(value, upper, nonzero, converged) of the intervals ``busy``, each solved from zero.
+
+    ``crosses`` holds the whitened cross blocks of the intervals whose prefix
+    indices are ``lo`` and ``hi`` and whose penalties are ``lams``; ``busy``
+    selects the ones to solve, and the results follow its order. Gram
+    blocks are gathered ``_CHUNK_ENTRIES`` entries at a time, and each chunk
+    takes one :func:`lasso_cd_gram_batch` call of at most ``sweeps`` sweeps
+    and one :func:`lasso_bracket` call at its iterates. ``upper`` is None
+    unless ``y_sq`` holds the column norms ||y_k||^2 of the ``busy``
+    intervals, in that order.
+    """
+    n = busy.size
+    value = np.empty(n)
+    upper = None if y_sq is None else np.empty(n)
+    nonzero = np.empty(n, dtype=int)
+    converged = np.empty(n, dtype=bool)
     m = gram_prefix.shape[1]
     chunk = max(1, _CHUNK_ENTRIES // (m * m))
-    for s in range(0, busy.size, chunk):
-        part = busy[s : s + chunk]
+    for s in range(0, n, chunk):
+        at = slice(s, s + chunk)
+        part = busy[at]
         grams = gram_prefix.take(hi[part], axis=0) - gram_prefix.take(lo[part], axis=0)
         c, lam = crosses[part], lams[part]
-        beta, reliable[part] = lasso_cd_gram_batch(
-            grams, c, lam, solver.tolerance, solver.max_iterations
-        )
-        values[part], _ = lasso_bracket(grams, c, beta, lam)
-        nonzero[part] = np.count_nonzero(beta.reshape(part.size, -1), axis=1)
-    return values, nonzero, reliable
+        beta, converged[at] = lasso_cd_gram_batch(grams, c, lam, tolerance, sweeps)
+        value[at], bound = lasso_bracket(grams, c, beta, lam, None if y_sq is None else y_sq[at])
+        if upper is not None:
+            upper[at] = bound
+        nonzero[at] = np.count_nonzero(beta.reshape(part.size, -1), axis=1)
+    return value, upper, nonzero, converged
 
 
 def lasso_maximum(
@@ -398,33 +423,26 @@ def lasso_maximum(
 
     ``sq_prefix`` is (rows, p), the running sums of the squared whitened
     residuals, so interval i's column norms ||y_k||^2 are
-    ``sq_prefix[hi[i]] - sq_prefix[lo[i]]``. The busy intervals (the
-    kernel's screen) first take ``_BRACKET_SWEEPS`` sweeps of the batched
-    solver, and :func:`lasso_bracket` turns those iterates into brackets
-    [value, upper] of their statistics; ``upper`` gets a slack of
-    ``_BRACKET_MARGIN`` (1 + sum_k ||y_k||^2) for rounding. With F the
-    largest ``value``, every interval whose ``upper`` reaches F is solved by
-    :func:`prefix_statistics`, from zero, as in a full scan; each problem's
-    result is independent of its batch, so its value is bitwise the full
-    scan's. Should the best reliable solved value M fall below F, every
-    interval whose ``upper`` reaches M is solved too, which makes the
-    result exact at any solver budget. The intervals left unsolved have
-    statistics below M, so they cannot change the maximum.
+    ``sq_prefix[hi[i]] - sq_prefix[lo[i]]``. The cross blocks are gathered
+    and screened once, as the kernel does. The busy intervals first take
+    ``_BRACKET_SWEEPS`` sweeps of :func:`_solve_busy`, whose brackets
+    [value, upper] of their statistics get a slack of ``_BRACKET_MARGIN``
+    (1 + sum_k ||y_k||^2) on ``upper`` for rounding. With F the largest
+    ``value``, every interval whose ``upper`` reaches F is solved in full by
+    :func:`_solve_busy`, from zero and in a batch of its own, as in a full
+    scan; each problem's result is independent of its batch, so its value is
+    bitwise the full scan's. Should the best reliable solved value M fall
+    below F, every interval whose ``upper`` reaches M is solved too, which
+    makes the result exact at any solver budget. The intervals left unsolved
+    have statistics below M, so they cannot change the maximum.
     """
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     busy = busy_intervals(crosses, lams)
     y_sq = sq_prefix.take(hi[busy], axis=0) - sq_prefix.take(lo[busy], axis=0)
-    value = np.empty(busy.size)
-    upper = np.empty(busy.size)
-    m = gram_prefix.shape[1]
-    chunk = max(1, _CHUNK_ENTRIES // (m * m))
     sweeps = min(_BRACKET_SWEEPS, solver.max_iterations)
-    for s in range(0, busy.size, chunk):
-        at = slice(s, s + chunk)
-        part = busy[at]
-        grams = gram_prefix.take(hi[part], axis=0) - gram_prefix.take(lo[part], axis=0)
-        beta, _ = lasso_cd_gram_batch(grams, crosses[part], lams[part], solver.tolerance, sweeps)
-        value[at], upper[at] = lasso_bracket(grams, crosses[part], beta, lams[part], y_sq[at])
+    value, upper, _, _ = _solve_busy(
+        gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, sweeps, y_sq
+    )
     upper += _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
     solved = np.zeros(busy.size, dtype=bool)
     best, unreliable = 0.0, 0
@@ -432,9 +450,8 @@ def lasso_maximum(
     while True:
         todo = np.flatnonzero(~solved & (upper >= level))
         if todo.size:
-            part = busy[todo]
-            values, _, reliable = prefix_statistics(
-                gram_prefix, cross_prefix, lo[part], hi[part], lams[part], "lasso", solver, whitening
+            values, _, _, reliable = _solve_busy(
+                gram_prefix, crosses, lo, hi, lams, busy[todo], solver.tolerance, solver.max_iterations
             )
             solved[todo] = True
             unreliable += int(np.count_nonzero(~reliable))
@@ -628,9 +645,7 @@ class PanelScanner:
         lo, hi, lams = self._kernel_args(interval_set, config)
         whitening = whitening_matrix(config.sigma, self.n_series)
         if config.method == "ols":
-            values, _, _ = prefix_statistics(
-                self._gram_prefix, self._cross_prefix, lo, hi, lams, "ols", config.solver, whitening
-            )
+            values = _ols_statistics(self._gram_prefix, self._cross_prefix, lo, hi, whitening)
             return ScanMaximum(float(values.max()), 0, 0)
         resid = self._resid if whitening is None else self._resid @ whitening
         sq_prefix = np.zeros((len(resid) + 1, self.n_series))

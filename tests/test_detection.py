@@ -322,6 +322,32 @@ def test_online_threshold_positive():
         OnlineDetector(np.zeros((2, 2)), 1, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (4, 3), (4, 12)])
+def test_online_rejects_baseline_of_wrong_shape(shape):
+    # at q = 2 a 4 x 4 baseline must not run as lag 1, and a 4 x 3 one must
+    # not fail inside numpy; the message is the offline scanner's
+    base = generate_dense_stationary(4, seed=3)
+    panel = simulate(base, 60, seed=4)
+    baseline = np.zeros(shape)
+    with pytest.raises(ParameterError) as offline:
+        PanelScanner(panel, baseline, 2)
+    assert str(offline.value) == f"baseline must be 4 x 8, got {shape}"
+    for run in (
+        lambda: OnlineDetector(baseline, 2, 1.0, 5.0),
+        lambda: detect_online(panel.values, baseline, 2, 1.0, 5.0),
+        lambda: online_max_statistic(panel.values, baseline, 2, 1.0),
+    ):
+        with pytest.raises(ParameterError) as online:
+            run()
+        assert str(online.value) == str(offline.value)
+    assert detect_online(panel.values, np.zeros((4, 8)), 2, 1.0, 1e12) is None
+
+
+def test_online_rejects_scalar_baseline():
+    with pytest.raises(ParameterError, match=r"baseline must be 1 x 1, got \(\)"):
+        OnlineDetector(np.float64(0.5), 1, 1.0, 5.0)
+
+
 @pytest.mark.parametrize("sigma_seed", [None, 5])
 @pytest.mark.parametrize("policy", ["interval_linear", "interval_sqrt"])
 def test_online_windows_match_direct_statistics(policy, sigma_seed):

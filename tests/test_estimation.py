@@ -134,17 +134,6 @@ def test_lasso_non_convergence_is_flagged():
     assert not fit.converged
 
 
-def test_lasso_warm_start_converges_immediately():
-    rng = np.random.default_rng(33)
-    X = rng.standard_normal((40, 5))
-    y = rng.standard_normal(40)
-    lam = 1.5
-    cold = lasso_solve(X, y, lam, SolverOptions(tolerance=1e-12))
-    warm = lasso_solve(X, y, lam, SolverOptions(tolerance=1e-8, warm_start=cold.coefficients))
-    assert warm.iterations <= 2
-    assert np.abs(warm.coefficients - cold.coefficients).max() < 1e-7
-
-
 def test_lasso_rejects_negative_penalty():
     with pytest.raises(ParameterError):
         lasso_solve(np.eye(2), np.zeros(2), -1.0)

@@ -35,6 +35,7 @@ from varanom.detection import max_reliable_statistic, select_multiple, select_si
 from varanom import interval_stats
 from varanom.estimation import lasso_cd_gram_batch
 from varanom.interval_stats import (
+    _BRACKET_MARGIN,
     _BRACKET_SWEEPS,
     _PREFIX_BLOCK_ROWS,
     LAMBDA_POLICIES,
@@ -574,15 +575,15 @@ def test_statistic_lists_hold_python_scalars():
 
 
 def test_batch_kernel_rejects_ignored_solver_options():
-    for opts in (SolverOptions(warm_start=np.zeros(4)), SolverOptions(track_objective=True)):
-        with pytest.raises(ParameterError):
-            StatConfig(solver=opts)
-        with pytest.raises(ParameterError):
-            OnlineDetector(np.zeros((2, 2)), 1, 1.0, 5.0, solver=opts)
-    # the per-interval reference and the single-problem solver keep both
+    opts = SolverOptions(track_objective=True)
+    with pytest.raises(ParameterError):
+        StatConfig(solver=opts)
+    with pytest.raises(ParameterError):
+        OnlineDetector(np.zeros((2, 2)), 1, 1.0, 5.0, solver=opts)
+    # the per-interval reference and the single-problem solver keep it
     rng = np.random.default_rng(73)
     view = _view_from(rng, 30, 2)
-    traced = lasso_statistic(view, 1.0, SolverOptions(track_objective=True, warm_start=np.zeros(4)))
+    traced = lasso_statistic(view, 1.0, SolverOptions(track_objective=True))
     assert traced.value == pytest.approx(lasso_statistic(view, 1.0).value, rel=1e-6)
 
 
@@ -754,3 +755,60 @@ def test_max_statistic_solves_fewer_problems_than_its_first_pass(monkeypatch):
     assert got.pruned == first - sum(n for n, _ in rest)
     calls.clear()
     assert got.value == max_reliable_statistic(scanner.scan(ivs, config))
+
+
+@pytest.mark.parametrize("tolerance, budget", [(1e-8, 10000), (1e-8, 20), (0.0, 3)])
+def test_max_statistic_gathers_once_and_solves_exactly_the_survivors(monkeypatch, tolerance, budget):
+    # one max_statistic call gathers the cross blocks once, never re-enters
+    # the kernel, and each survivor solve gets exactly the unsolved busy
+    # intervals whose upper bound reaches that round's level; at no
+    # tolerance nothing converges, so a second round solves the rest
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, size=(10, 10))
+    a *= 0.7 / np.max(np.abs(np.linalg.eigvals(a)))
+    law = VarParams((a,), np.eye(10))
+    scanner = PanelScanner(simulate(law, 500, seed=6), a, 1)
+    ivs = seeded_intervals(500, 11, 1 / 1.1, q=1)
+    solver = SolverOptions(tolerance=tolerance, max_iterations=budget)
+    config = StatConfig(lambda_policy="interval_linear", solver=solver)
+    gathers, calls = [], []
+    gather, solve = interval_stats.cross_blocks, interval_stats._solve_busy
+
+    def gather_spy(cross_prefix, lo, hi, whitening):
+        gathers.append(len(lo))
+        return gather(cross_prefix, lo, hi, whitening)
+
+    def no_kernel(*args):
+        raise AssertionError("max_statistic called prefix_statistics")
+
+    def solve_spy(gram_prefix, crosses, lo, hi, lams, busy, tolerance, sweeps, y_sq=None):
+        result = solve(gram_prefix, crosses, lo, hi, lams, busy, tolerance, sweeps, y_sq)
+        copies = tuple(None if r is None else r.copy() for r in result)
+        calls.append((list(zip(lo[busy].tolist(), hi[busy].tolist())), sweeps, y_sq, copies))
+        return result
+
+    monkeypatch.setattr(interval_stats, "cross_blocks", gather_spy)
+    monkeypatch.setattr(interval_stats, "prefix_statistics", no_kernel)
+    monkeypatch.setattr(interval_stats, "_solve_busy", solve_spy)
+    got = scanner.max_statistic(ivs, config)
+    assert gathers == [len(ivs)]
+    (busy, sweeps, y_sq, (value, upper, _, _)), *rounds = calls
+    assert sweeps == min(_BRACKET_SWEEPS, budget) and y_sq is not None and rounds
+    upper = upper + _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
+    solved = np.zeros(len(busy), dtype=bool)
+    level, best = float(value.max(initial=0.0)), 0.0
+    rounds = iter(rounds)
+    while True:
+        todo = ~solved & (upper >= level)
+        if todo.any():
+            survivors, sweeps, y_sq, (values, _, _, reliable) = next(rounds)
+            assert survivors == [iv for iv, t in zip(busy, todo) if t]
+            assert sweeps == budget and y_sq is None
+            solved |= todo
+            best = max(best, float(values[reliable].max(initial=0.0)))
+        if best >= level:
+            break
+        level = best
+    assert next(rounds, None) is None
+    assert len(calls) == (3 if tolerance == 0.0 else 2)
+    assert got.value == best and got.pruned == int(np.count_nonzero(~solved))

@@ -421,6 +421,21 @@ def test_cli_detect_online(tmp_path, capsys):
     assert "alarm" in out
 
 
+@pytest.mark.parametrize("q, columns", [(2, 3), (1, 2)])
+def test_cli_detect_online_rejects_baseline_of_wrong_shape(tmp_path, capsys, q, columns):
+    base = generate_dense_stationary(3, seed=9)
+    data = tmp_path / "stream.csv"
+    save_panel(simulate(base, 120, seed=10), data)
+    bl = tmp_path / "baseline.csv"
+    np.savetxt(bl, base.stacked[:, :columns], delimiter=",")
+    rc = main([
+        "detect-online", "--data", str(data), "--baseline", str(bl),
+        "--threshold", "5.0", "--lam", "4.0", "--q", str(q),
+    ])
+    assert rc == 2
+    assert f"baseline must be 3 x {3 * q}, got (3, {columns})" in capsys.readouterr().err
+
+
 def test_cli_detect_online_lambda_policy(tmp_path, capsys):
     base, theta = dense_base_with_change(3, 0.8, 3, seed=9)
     stream = simulate_episodes(base, [((60, 119), theta)], 120, seed=10)
