@@ -291,8 +291,7 @@ def interval_lambdas(
     if config.method == "ols":
         return np.zeros(len(interval_set))
     base = default_lambda(interval_set.min_length, p, n_rows, config.lambda_scale)
-    lengths = np.array([iv.length for iv in interval_set.intervals], dtype=int)
-    return scaled_lambda(base, lengths, interval_set.min_length, config.lambda_policy)
+    return scaled_lambda(base, interval_set.lengths, interval_set.min_length, config.lambda_policy)
 
 
 def cross_blocks(
@@ -609,8 +608,7 @@ class PanelScanner:
 
     def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple[np.ndarray, ...]:
         """(lo, hi, lams) of a non-empty set: its prefix indices and penalties."""
-        starts = np.array([iv.start for iv in interval_set.intervals])
-        ends = np.array([iv.end for iv in interval_set.intervals])
+        starts, ends = interval_set.starts, interval_set.ends
         if starts.min() < self.q + 1 or ends.max() > self.n_rows:
             raise DesignError("interval set escapes the usable domain of the panel")
         lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)

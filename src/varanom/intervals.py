@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -69,12 +70,33 @@ class IntervalSet:
     def horizon(self) -> int:
         return self.domain[1]
 
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Start of every interval, in storage order; read-only, built once."""
+        return _frozen([iv.start for iv in self.intervals])
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """End of every interval, in storage order; read-only, built once."""
+        return _frozen([iv.end for iv in self.intervals])
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Length of every interval, in storage order; read-only, built once."""
+        return _frozen(self.ends - self.starts + 1)
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["start", "end"])
             for iv in self.intervals:
                 writer.writerow([iv.start, iv.end])
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=int)
+    out.flags.writeable = False
+    return out
 
 
 def random_intervals(n_rows: int, min_length: int, count: int, seed: int, q: int = 0) -> IntervalSet:

@@ -180,13 +180,15 @@ def _simulate(
         starts[eta1 : eta2 + 1] = len(stacks) - 1
     # one draw of every row's shocks is the same stream as a draw per row
     shocks = np.random.default_rng(seed).standard_normal((burn_in + n_rows, p))
-    chol = np.linalg.cholesky(base.noise_cov)
+    # an identity covariance adds the shock itself, which is bitwise I @ shock
+    chol = None if np.array_equal(base.noise_cov, np.eye(p)) else np.linalg.cholesky(base.noise_cov)
     state = np.zeros(p * q)  # (x_{t-1}, ..., x_{t-q}) flattened
     out = np.empty((n_rows, p))
     for t in range(-burn_in, n_rows):
         theta = stacks[starts[t + 1]] if t >= 0 else stacks[0]
+        shock = shocks[burn_in + t]
         # row by row: a block shocks @ chol.T rounds differently for a non-identity chol
-        x = theta @ state + chol @ shocks[burn_in + t]
+        x = theta @ state + (shock if chol is None else chol @ shock)
         state = x if q == 1 else np.concatenate([x, state[:-p]])
         if t >= 0:
             out[t] = x

@@ -426,6 +426,66 @@ def test_batch_solver_gains_match_tight_single_solver_property(seed, m, k, extra
         assert abs(got[i] - want) <= 1e-10 * (1.0 + abs(want))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), m=st.integers(2, 7), k=st.integers(1, 3),
+    n=st.integers(1, 30), collinear=st.booleans(), zero=st.booleans(),
+    scale=st.floats(0.05, 0.95),
+)
+def test_batch_solver_certified_and_independent_property(seed, m, k, n, collinear, zero, scale):
+    # near-collinear, zero-column and n < m designs: every problem marked
+    # converged meets the KKT conditions and the tight solver's gain, and is
+    # bitwise the same solved alone
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((4, n, m))
+    if collinear:
+        X[:, :, 1] = X[:, :, 0] + 0.1 * rng.standard_normal((4, n))
+    if zero:
+        X[:, :, -1] = 0.0
+    Y = X[:, :, :1] + rng.standard_normal((4, n, k))
+    grams = X.transpose(0, 2, 1) @ X
+    crosses = X.transpose(0, 2, 1) @ Y
+    lams = scale * 2.0 * np.abs(crosses).max(axis=(1, 2))
+    beta, conv = lasso_cd_gram_batch(grams, crosses, lams, tolerance=1e-12, max_iterations=2000)
+    tight = SolverOptions(tolerance=1e-13, max_iterations=200000)
+    for i in np.flatnonzero(conv):
+        G, C, lam = grams[i], crosses[i], lams[i]
+        assert kkt_violation(G, C, beta[i], lam) <= 1e-9 * (1.0 + np.linalg.norm(C))
+        ref, _, ok, _ = lasso_cd_gram(G, C, lam, tight)
+        assert ok
+        got = _gains(G[None], C[None], lams[i : i + 1], beta[i : i + 1])[0]
+        want = _gains(G[None], C[None], lams[i : i + 1], ref[None])[0]
+        assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+    for i in range(4):
+        one = slice(i, i + 1)
+        alone, aconv = lasso_cd_gram_batch(
+            grams[one], crosses[one], lams[one], tolerance=1e-12, max_iterations=2000
+        )
+        assert alone[0].tobytes() == beta[i].tobytes() and aconv[0] == conv[i]
+
+
+def test_batch_solver_finish_adds_a_missing_support_coordinate():
+    # at the first finish attempt the coordinate-descent iterate still lacks
+    # one coordinate of the solution's support; the finish adds it, so the
+    # problem is certified at that sweep with no coefficient-change stop
+    rng = np.random.default_rng(272)
+    X = rng.standard_normal((40, 6))
+    X[:, 1] = X[:, 0] + 0.3 * rng.standard_normal(40)
+    Y = X @ rng.standard_normal((6, 1)) * 0.5 + rng.standard_normal((40, 1))
+    G, C = X.T @ X, X.T @ Y
+    lam = 0.8 * np.abs(C).max()
+    first = estimation._FINISH_EVERY
+    iterate = lasso_cd_gram(G, C, lam, SolverOptions(tolerance=0.0, max_iterations=first))[0]
+    ref, _, ok, _ = lasso_cd_gram(G, C, lam, SolverOptions(tolerance=1e-14, max_iterations=100000))
+    assert ok and ((ref != 0.0) & (iterate == 0.0)).any()
+    beta, conv = lasso_cd_gram_batch(
+        G[None], C[None], np.array([lam]), tolerance=0.0, max_iterations=first
+    )
+    assert conv[0]
+    assert np.array_equal(beta[0] != 0.0, ref != 0.0)
+    assert kkt_violation(G, C, beta[0], lam) <= 1e-9 * (1.0 + np.linalg.norm(C))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), k=st.integers(1, 3),

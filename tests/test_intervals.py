@@ -101,6 +101,18 @@ def test_interval_set_csv(tmp_path):
     assert (start, end) == (ivs.intervals[0].start, ivs.intervals[0].end)
 
 
+def test_interval_set_arrays_are_built_once_and_read_only():
+    ivs = random_intervals(100, 5, 20, seed=1)
+    assert ivs.starts.tolist() == [iv.start for iv in ivs]
+    assert ivs.ends.tolist() == [iv.end for iv in ivs]
+    assert ivs.lengths.tolist() == [iv.length for iv in ivs]
+    assert ivs.starts is ivs.starts and ivs.lengths is ivs.lengths
+    for a in (ivs.starts, ivs.ends, ivs.lengths):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert ivs == random_intervals(100, 5, 20, seed=1)
+
+
 def test_build_intervals_dispatches_on_scheme():
     assert build_intervals("random", 300, 5, 1, 40, 0.9, 3) == random_intervals(300, 5, 40, 3, q=1)
     assert build_intervals("seeded", 300, 5, 1, 40, 0.9, 3) == seeded_intervals(300, 5, 0.9, q=1)

@@ -1,12 +1,23 @@
 """Fixed-seed digests of varanom's results, to show that a change is bitwise.
 
-    python3 tools/digest.py
+    python3 tools/digest.py [--save FILE] [--against FILE]
 
 Prints one SHA-256 per item, then a total over the items. Every input is
 drawn from fixed seeds, so two source trees that compute bitwise the same
 results print the same lines. To check a change, run the script in a copy
 of the parent commit (``git archive``) and in the change, and compare. The
 library is imported from ``src/`` of the checkout the script lives in.
+
+A digest shows only that something changed. ``--save FILE`` also writes
+every item's raw result arrays to FILE (``.npz``), and ``--against FILE``
+compares this run's arrays with the saved ones: for each item it prints
+"bitwise", or, for each field that differs, the largest relative
+difference and the count of entries that differ, and then whether the
+thresholds, the detections and the online alarms are identical. So, with
+this script copied into the parent's checkout::
+
+    python3 <parent>/tools/digest.py --save parent.npz
+    python3 tools/digest.py --against parent.npz
 
 Items:
 
@@ -32,6 +43,8 @@ It takes about 10 s on a 2-vCPU machine.
 
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -69,6 +82,12 @@ def _sha(*arrays) -> str:
     return h.hexdigest()
 
 
+def _item(**fields) -> tuple[str, dict]:
+    """(digest, fields) of an item whose digest covers its fields in order."""
+    fields = {name: np.asarray(a) for name, a in fields.items()}
+    return _sha(*fields.values()), fields
+
+
 def _covariance(p: int, seed: int) -> np.ndarray:
     a = np.random.default_rng(seed).standard_normal((p, p))
     return 0.2 * (a @ a.T) + 0.5 * np.eye(p)
@@ -79,7 +98,7 @@ def _law(p: int, q: int, seed: int, cov: np.ndarray | None = None) -> VarParams:
     return VarParams((a / q,) * q, np.eye(p) if cov is None else cov)
 
 
-def scans() -> dict[str, str]:
+def scans() -> dict[str, tuple[str, dict]]:
     out = {}
     for q in (1, 2):
         law = _law(5, q, seed=11, cov=_covariance(5, 12))
@@ -93,17 +112,24 @@ def scans() -> dict[str, str]:
                 for name, sigma in (("none", None), ("sigma", law.noise_cov)):
                     config = StatConfig(method, scale, sigma, lambda_policy=policy)
                     stats = scanner.scan(ivs, config)
-                    out[f"scan/{method}-{scale}/{policy}/{name}/q{q}"] = _sha(
-                        starts, ends,
-                        np.array([s.value for s in stats], dtype=float),
-                        np.array([s.lam for s in stats], dtype=float),
-                        np.array([s.nonzero for s in stats], dtype=np.int64),
-                        np.array([s.reliable for s in stats], dtype=bool),
+                    out[f"scan/{method}-{scale}/{policy}/{name}/q{q}"] = _item(
+                        start=starts, end=ends,
+                        value=np.array([s.value for s in stats], dtype=float),
+                        lam=np.array([s.lam for s in stats], dtype=float),
+                        nonzero=np.array([s.nonzero for s in stats], dtype=np.int64),
+                        reliable=np.array([s.reliable for s in stats], dtype=bool),
                     )
     return out
 
 
-def calibrations() -> dict[str, str]:
+def _calibration(cal) -> tuple[str, dict]:
+    summary = np.array([cal.threshold, cal.unreliable, cal.pruned], dtype=float)
+    fields = {"maxima": np.asarray(cal.max_statistics)}
+    fields.update(zip(("threshold", "unreliable", "pruned"), summary[:, None]))
+    return _sha(fields["maxima"], summary), fields
+
+
+def calibrations() -> dict[str, tuple[str, dict]]:
     rng = np.random.default_rng(21)
     a = rng.uniform(-1.0, 1.0, size=(10, 10))
     a *= 0.7 / np.max(np.abs(np.linalg.eigvals(a)))
@@ -118,21 +144,17 @@ def calibrations() -> dict[str, str]:
     out = {}
     for name, config in cases.items():
         cal = calibrate_threshold(law, ivs, config, runs=10, seed=23)
-        out[f"calibration/{name}"] = _sha(
-            cal.max_statistics, np.array([cal.threshold, cal.unreliable, cal.pruned], dtype=float)
-        )
+        out[f"calibration/{name}"] = _calibration(cal)
     small = _law(3, 2, seed=24)
     cal = calibrate_threshold(
         small, seeded_intervals(160, 8, 1 / 1.1, q=2),
         StatConfig(lambda_policy="interval_linear", lambda_scale=0.1), runs=10, seed=25,
     )
-    out["calibration/lasso/q2"] = _sha(
-        cal.max_statistics, np.array([cal.threshold, cal.unreliable, cal.pruned], dtype=float)
-    )
+    out["calibration/lasso/q2"] = _calibration(cal)
     return out
 
 
-def online() -> dict[str, str]:
+def online() -> dict[str, tuple[str, dict]]:
     p, horizon = 6, 400
     base = generate_dense_stationary(p, seed=31)
     theta = np.zeros((p, p))
@@ -156,13 +178,35 @@ def online() -> dict[str, str]:
                 alarms.append((-1, -1, -1, np.nan) if alarm is None else (
                     alarm.time, alarm.window.start, alarm.window.end, alarm.statistic
                 ))
+    alarms = np.array(alarms, dtype=float)
     return {
-        "online/max": _sha(np.array(maxima, dtype=float)),
-        "online/alarms": _sha(np.array(alarms, dtype=float)),
+        "online/max": _item(maxima=np.array(maxima, dtype=float)),
+        "online/alarms": (
+            _sha(alarms), dict(zip(("time", "start", "end", "statistic"), alarms.T))
+        ),
     }
 
 
-def pipelines() -> dict[str, str]:
+def _file_fields(path: Path, body: bytes) -> dict:
+    """A pipeline file's raw fields: its bytes, and for a CSV file each column
+    as floats, named by its header (``col<i>`` without one); for the manifest,
+    its threshold."""
+    fields = {"bytes": np.frombuffer(body, dtype=np.uint8)}
+    if path.suffix == ".json":
+        fields["threshold"] = np.array([json.loads(body)["threshold"]], dtype=float)
+        return fields
+    rows = list(csv.reader(body.decode().splitlines()))
+    try:
+        float(rows[0][0])
+        names = [f"col{i}" for i in range(len(rows[0]))]
+    except ValueError:
+        names, rows = rows[0], rows[1:]
+    columns = np.array(rows, dtype=float).reshape(len(rows), len(names)).T
+    fields.update(zip(names, columns))
+    return fields
+
+
+def pipelines() -> dict[str, tuple[str, dict]]:
     law = generate_dense_stationary(6, seed=41)
     theta = np.zeros((6, 6))
     theta[0, 1] = theta[2, 3] = theta[4, 5] = 0.5
@@ -188,17 +232,80 @@ def pipelines() -> dict[str, str]:
                     body = json.dumps(manifest, sort_keys=True).encode()
                 else:
                     body = path.read_bytes()
-                out[f"pipeline/{name}/{path.name}"] = hashlib.sha256(body).hexdigest()
+                out[f"pipeline/{name}/{path.name}"] = (
+                    hashlib.sha256(body).hexdigest(), _file_fields(path, body)
+                )
     return out
 
 
+def _difference(a: np.ndarray, b: np.ndarray) -> str:
+    """'' when ``a`` and ``b`` are bitwise equal, else how they differ."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return f"{a.dtype}{a.shape} against {b.dtype}{b.shape}"
+    if a.tobytes() == b.tobytes():
+        return ""
+    differ = ~((a == b) | (np.isnan(a) & np.isnan(b)) if a.dtype.kind == "f" else a == b)
+    count = f"{np.count_nonzero(differ)} of {a.size} differ"
+    if a.dtype.kind != "f":
+        return count
+    x, y = a[differ], b[differ]
+    return f"max rel {np.max(np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))):.2e}, {count}"
+
+
+def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
+    """Print, item by item, how ``items`` differ from ``saved``, then whether
+    the thresholds, detections and alarms are identical: the calibration and
+    pipeline thresholds, which intervals the pipelines detect, and the time
+    and window of each online alarm. A changed statistic of a detection or
+    an alarm shows in its item's line."""
+    same = {"thresholds": True, "detections": True, "alarms": True}
+    for name in sorted(items.keys() | saved.keys()):
+        if name not in items or name not in saved:
+            print(f"{'missing here' if name in saved else 'not saved'}  {name}")
+            continue
+        notes = {}
+        for field in sorted(items[name].keys() | saved[name].keys()):
+            a, b = items[name].get(field), saved[name].get(field)
+            diff = "missing" if a is None or b is None else _difference(a, b)
+            if not diff:
+                continue
+            notes[field] = diff
+            if field == "threshold":
+                same["thresholds"] = False
+            elif field == "detected" or (name.endswith("detections.csv") and field != "statistic"):
+                same["detections"] = False
+            elif name == "online/alarms" and field != "statistic":
+                same["alarms"] = False
+        if len(notes) > 1:
+            notes.pop("bytes", None)  # a file's parsed fields say how its bytes differ
+        print(f"{'; '.join(f'{f}: {d}' for f, d in notes.items()) or 'bitwise'}  {name}")
+    for what, identical in same.items():
+        print(f"{what}: {'identical' if identical else 'DIFFERENT'}")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--save", metavar="FILE", help="write the raw result arrays to FILE (.npz)")
+    parser.add_argument("--against", metavar="FILE", help="compare with arrays saved by --save")
+    args = parser.parse_args()
     items = {**scans(), **calibrations(), **online(), **pipelines()}
     total = hashlib.sha256()
-    for name, digest in items.items():
+    for name, (digest, _) in items.items():
         print(f"{digest}  {name}")
         total.update(f"{name} {digest}\n".encode())
     print(f"{total.hexdigest()}  total")
+    fields = {name: f for name, (_, f) in items.items()}
+    if args.save:
+        np.savez(args.save, **{
+            f"{name}::{field}": a for name, f in fields.items() for field, a in f.items()
+        })
+    if args.against:
+        saved: dict[str, dict] = {}
+        with np.load(args.against) as data:
+            for key in data.files:
+                name, field = key.rsplit("::", 1)
+                saved.setdefault(name, {})[field] = data[key]
+        compare(fields, saved)
 
 
 if __name__ == "__main__":
