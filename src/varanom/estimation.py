@@ -56,14 +56,19 @@ from .errors import DesignError, ParameterError
 from .var_model import TimeSeriesPanel, lag_design
 
 _RANK_RTOL = 1e-10
-# Batched lasso: sweeps between attempts to finish the running problems, and
-# active-set rounds per attempt. On batches captured from null p = 10,
-# T = 500 calibration runs, attempts every 10 sweeps made 1078-problem scans
-# 10-18% faster than the sign-settled finish every 5 sweeps before them, and
-# 5-62-problem survivor batches 2.5 times faster; attempts every 5 sweeps made
-# the scans 10% slower, and every 8, 12 or 15 gave the same times within
-# noise but changed more values at the rounding level. Caps of 6, 12 and 20
-# rounds took the same time; every survivor was accepted at its first attempt.
+# Batched lasso: fewest sweeps between attempts to finish the running problems,
+# and active-set rounds per attempt. A support solve costs about m / 3 sweeps
+# in flops, and more in numpy calls, so problems of m coordinates and k
+# columns are tried every max(_FINISH_EVERY, m k / 10) sweeps. On batches
+# captured from null p = 10, T = 500 calibration runs (m k = 100), attempts
+# every 10 sweeps made 1078-problem scans 10-18% faster than the sign-settled
+# finish every 5 sweeps before them, and 5-62-problem survivor batches 2.5
+# times faster; every 5 made the scans 10% slower, and every 8, 12 or 15 gave
+# the same times but changed more values at the rounding level. On a p = 50,
+# T = 1000 scan of 402 intervals, attempts every 10 sweeps took 17.6 s against
+# 6.4 s for the sign-settled finish, and every 70 to 250 took 3.4-3.9 s; at
+# p = 20 and 30, every 40 to 90 was fastest. Caps of 6, 12 and 20 rounds took
+# the same time at p = 10.
 _FINISH_EVERY = 10
 _FINISH_ROUNDS = 12
 # Matrix entries per batched support solve, which bounds its memory.
@@ -177,7 +182,8 @@ def lasso_cd_gram_batch(
     sweep, as max |b - b_at_sweep_start|; each coordinate moves once per
     sweep, so that is its largest single step.
 
-    Every ``_FINISH_EVERY`` sweeps, every running problem is tried by
+    Every max(``_FINISH_EVERY``, m k / 10) sweeps (at lag 1, 10 at p = 10
+    and 250 at p = 50), every running problem is tried by
     :func:`_finish_active_set`: from the support and signs of its iterate,
     each round solves G_SS b_S = c_S - (lam / 2) sign_S for every column and
     either drops the support coordinate that reaches zero first or adds the
@@ -215,6 +221,7 @@ def lasso_cd_gram_batch(
     # (N, k) rather than (N, 1): a broadcast along k = p columns costs more than the copy
     level = np.repeat((np.asarray(lams, dtype=float) / 2.0)[:, None], k, axis=1)
     per_chunk = max(1, _FINISH_ENTRIES // (m * m * k))
+    every = max(_FINISH_EVERY, m * k // 10)
     for sweep in range(1, max_iterations + 1):
         if idx.size == 0:
             return out, converged
@@ -229,7 +236,7 @@ def lasso_cd_gram_batch(
         change -= B
         np.abs(change, out=change)
         done = change.max(axis=(1, 2)) <= tolerance
-        if sweep % _FINISH_EVERY == 0:
+        if sweep % every == 0:
             running = np.flatnonzero(~done)
             for at in range(0, running.size, per_chunk):
                 chunk = running[at : at + per_chunk]

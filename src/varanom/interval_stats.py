@@ -291,7 +291,8 @@ def interval_lambdas(
     if config.method == "ols":
         return np.zeros(len(interval_set))
     base = default_lambda(interval_set.min_length, p, n_rows, config.lambda_scale)
-    return scaled_lambda(base, interval_set.lengths, interval_set.min_length, config.lambda_policy)
+    lengths = interval_set.ends - interval_set.starts + 1
+    return scaled_lambda(base, lengths, interval_set.min_length, config.lambda_policy)
 
 
 def cross_blocks(

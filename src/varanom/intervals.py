@@ -80,11 +80,6 @@ class IntervalSet:
         """End of every interval, in storage order; read-only, built once."""
         return _frozen([iv.end for iv in self.intervals])
 
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        """Length of every interval, in storage order; read-only, built once."""
-        return _frozen(self.ends - self.starts + 1)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

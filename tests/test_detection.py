@@ -122,26 +122,31 @@ def test_calibrate_threshold_equals_fresh_scanner_loop(method, q, whitened):
     # calibration refills one scanner in place; a fresh scanner per run,
     # under the documented seeding, gives bitwise the same maxima and counts;
     # the maxima equal a full scan's, the counts those of max_statistic,
-    # which counts only the statistics it solves in full
+    # which counts only the statistics it solves in full; 9 sweeps stop
+    # before the batched solver's first finish attempt, so some lasso
+    # statistics stay unreliable and the counts are not all zero
     base = generate_dense_stationary(3, seed=7)
     a = np.random.default_rng(8).standard_normal((3, 3))
     cov = a @ a.T + 0.5 * np.eye(3)
     law = VarParams((base.coeffs[0] / q,) * q, cov)
     ivs = seeded_intervals(120, 3 * q + 2, 1 / 1.1, q=q)
-    config = StatConfig(
-        method=method, sigma=cov if whitened else None, solver=SolverOptions(max_iterations=20)
-    )
-    cal = calibrate_threshold(law, ivs, config, runs=4, seed=9, burn_in=30)
-    maxima, unreliable, pruned = [], 0, 0
-    for s in np.random.SeedSequence(9).generate_state(4):
-        panel = simulate(law, ivs.horizon, burn_in=30, seed=int(s))
-        scanner = PanelScanner(panel, law.stacked, q)
-        maxima.append(max_reliable_statistic(scanner.scan(ivs, config)))
-        fresh = scanner.max_statistic(ivs, config)
-        unreliable += fresh.unreliable
-        pruned += fresh.pruned
-    assert cal.max_statistics.tobytes() == np.array(maxima).tobytes()
-    assert (cal.unreliable, cal.pruned) == (unreliable, pruned)
+    for budget in (20, 9):
+        config = StatConfig(
+            method=method, sigma=cov if whitened else None, solver=SolverOptions(max_iterations=budget)
+        )
+        cal = calibrate_threshold(law, ivs, config, runs=4, seed=9, burn_in=30)
+        maxima, unreliable, pruned = [], 0, 0
+        for s in np.random.SeedSequence(9).generate_state(4):
+            panel = simulate(law, ivs.horizon, burn_in=30, seed=int(s))
+            scanner = PanelScanner(panel, law.stacked, q)
+            maxima.append(max_reliable_statistic(scanner.scan(ivs, config)))
+            fresh = scanner.max_statistic(ivs, config)
+            unreliable += fresh.unreliable
+            pruned += fresh.pruned
+        assert cal.max_statistics.tobytes() == np.array(maxima).tobytes()
+        assert (cal.unreliable, cal.pruned) == (unreliable, pruned)
+        if method == "lasso" and budget == 9:
+            assert unreliable > 0
 
 
 def test_select_single_tie_break():
@@ -475,10 +480,12 @@ def test_detect_online_equals_update_loop():
 def test_detect_online_equals_update_loop_on_anomalous_stream():
     # a block is solved up to its first window whose one-coefficient bound
     # clears the threshold, then past it if no reliable alarm came first; a
-    # 12-sweep solver leaves some windows unreliable, including such ones
+    # 12-sweep solver leaves some windows unreliable, and a 9-sweep one, which
+    # stops before the batched solver's first finish attempt, leaves
+    # unreliable windows above every threshold
     base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
     stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
-    for solver in (None, SolverOptions(max_iterations=12)):
+    for solver in (None, SolverOptions(max_iterations=12), SolverOptions(max_iterations=9)):
         for threshold in (5.0, 20.0, 80.0):
             want = _update_loop(stream, base.stacked, 1, 4.0, threshold, solver=solver)
             got = detect_online(stream, base.stacked, 1, 4.0, threshold, solver=solver)
@@ -488,20 +495,29 @@ def test_detect_online_equals_update_loop_on_anomalous_stream():
 def test_update_alarms_on_the_first_reliable_step_statistic():
     base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
     stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
-    for solver in (None, SolverOptions(max_iterations=12)):
-        for threshold in (5.0, 20.0, 80.0):
-            monitor = OnlineDetector(base.stacked, 1, 4.0, threshold, solver=solver)
-            stepper = OnlineDetector(base.stacked, 1, 4.0, threshold, solver=solver)
-            for t, x in enumerate(stream, start=1):
-                alarm = monitor.update(x)
-                fired = [s for s in stepper.step(x) if s.reliable and s.value > threshold]
-                if fired:
-                    assert _alarm_key(alarm) == (t, fired[0].interval, fired[0].value)
-                    assert monitor.update(stream[t]) is alarm
-                    break
-                assert alarm is None
-            else:
-                raise AssertionError(f"no alarm at threshold {threshold}")
+    cases = [(s, h) for s in (None, SolverOptions(max_iterations=12)) for h in (5.0, 20.0, 80.0)]
+    # 9 sweeps stop before the batched solver's first finish attempt, so
+    # unreliable statistics above the threshold come before its alarms (at
+    # threshold 80 it raises none)
+    nine = SolverOptions(max_iterations=9)
+    for solver, threshold in cases + [(nine, 5.0), (nine, 20.0)]:
+        monitor = OnlineDetector(base.stacked, 1, 4.0, threshold, solver=solver)
+        stepper = OnlineDetector(base.stacked, 1, 4.0, threshold, solver=solver)
+        skipped = 0
+        for t, x in enumerate(stream, start=1):
+            alarm = monitor.update(x)
+            stats = stepper.step(x)
+            skipped += sum(not s.reliable and s.value > threshold for s in stats)
+            fired = [s for s in stats if s.reliable and s.value > threshold]
+            if fired:
+                assert _alarm_key(alarm) == (t, fired[0].interval, fired[0].value)
+                assert monitor.update(stream[t]) is alarm
+                break
+            assert alarm is None
+        else:
+            raise AssertionError(f"no alarm at threshold {threshold}")
+        if solver is nine:
+            assert skipped > 0
 
 
 def test_bound_crossing_is_a_sure_exceedance():

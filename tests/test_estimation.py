@@ -486,6 +486,22 @@ def test_batch_solver_finish_adds_a_missing_support_coordinate():
     assert kkt_violation(G, C, beta[0], lam) <= 1e-9 * (1.0 + np.linalg.norm(C))
 
 
+def test_batch_solver_tries_larger_problems_less_often():
+    # a support solve costs about m / 3 sweeps, so a problem of m k = 400
+    # coefficients is first tried at sweep 40, and is certified there
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 20))
+    Y = X @ (0.3 * rng.standard_normal((20, 20))) + rng.standard_normal((60, 20))
+    G, C = X.T @ X, X.T @ Y
+    lam = 0.6 * np.abs(C).max()
+    for sweeps, finished in ((39, False), (40, True)):
+        beta, conv = lasso_cd_gram_batch(
+            G[None], C[None], np.array([lam]), tolerance=0.0, max_iterations=sweeps
+        )
+        assert conv[0] == finished
+    assert kkt_violation(G, C, beta[0], lam) <= 1e-9 * (1.0 + np.linalg.norm(C))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), k=st.integers(1, 3),

@@ -105,9 +105,8 @@ def test_interval_set_arrays_are_built_once_and_read_only():
     ivs = random_intervals(100, 5, 20, seed=1)
     assert ivs.starts.tolist() == [iv.start for iv in ivs]
     assert ivs.ends.tolist() == [iv.end for iv in ivs]
-    assert ivs.lengths.tolist() == [iv.length for iv in ivs]
-    assert ivs.starts is ivs.starts and ivs.lengths is ivs.lengths
-    for a in (ivs.starts, ivs.ends, ivs.lengths):
+    assert ivs.starts is ivs.starts and ivs.ends is ivs.ends
+    for a in (ivs.starts, ivs.ends):
         with pytest.raises(ValueError):
             a[0] = 0
     assert ivs == random_intervals(100, 5, 20, seed=1)
