@@ -10,10 +10,12 @@
   the first exceedance; window statistics come from running Gram and
   cross-product prefix sums, O(t (pq)^2) memory after t observations;
 * threshold calibration: an empirical quantile of the per-run maximum
-  reliable statistic over simulated null panels, offline or online. Offline
-  calibration reads only each run's maximum, from
-  :meth:`~varanom.interval_stats.PanelScanner.max_statistic`, which solves
-  in full only the lasso intervals a duality-gap bracket cannot rule out.
+  reliable statistic over simulated null panels, offline or online. Both
+  read only each run's maximum through
+  :func:`~varanom.interval_stats.lasso_maximum`, which solves in full only
+  the lasso intervals a duality-gap bracket cannot rule out: offline from
+  :meth:`~varanom.interval_stats.PanelScanner.max_statistic`, online from
+  :func:`online_max_statistic`, one block of window pairs at a time.
 
 Offline scans and online windows share one statistic kernel,
 :func:`varanom.interval_stats.prefix_statistics`, which also whitens:
@@ -23,16 +25,23 @@ it gathers the window's Gram block, so an online step whose windows are
 all zero, the common case at the online study's penalties, costs one
 cross-block gather.
 
-``OnlineDetector.step`` and ``update`` ingest one row at a time. The
-replays of a stream already in hand, ``online_max_statistic`` and
-``detect_online``, append a block of ``_REPLAY_BLOCK_ROWS`` rows and make
-one kernel call over every window of the block's steps, which gives the
-same statistics as stepping. ``detect_online`` stops at the first block
-holding a reliable exceedance and, inside it, first solves the steps up to
-the earliest window whose one-coefficient lower bound already clears the
-threshold, so the steps after an alarm are rarely solved. A block's cross
-blocks, about ``_REPLAY_BLOCK_ROWS`` log2(t) pq p doubles, bound the extra
-memory.
+``OnlineDetector.step`` and ``update`` ingest one row at a time, and form
+each residual as the product x_t - B z_t of that row. A
+:class:`~varanom.interval_stats.PanelScanner` forms its residuals with one
+stacked product that is bitwise the same, row by row, so over the same
+rows its prefix sums, and every window statistic read from them, are
+bitwise the detector's. ``detect_online`` replays a stream already in hand
+a block of ``_REPLAY_BLOCK_ROWS`` rows at a time, with one kernel call over
+every window of the block's steps, which gives the same statistics as
+stepping; it stops at the first block holding a reliable exceedance and,
+inside it, first solves the steps up to the earliest window whose
+one-coefficient lower bound already clears the threshold, so the steps
+after an alarm are rarely solved. ``online_max_statistic`` checks the rows
+as ``step`` does, builds one scanner over the whole panel, and takes the
+maximum of each block of ``_REPLAY_BLOCK_ROWS`` times' window pairs
+through ``lasso_maximum``, bitwise the maximum of a ``step`` loop. A
+block's cross blocks, about ``_REPLAY_BLOCK_ROWS`` log2(t) pq p doubles,
+bound the extra memory.
 
 Ties at the argmax break toward the earlier start, then the shorter
 interval, so results are invariant to candidate storage order.
@@ -58,12 +67,13 @@ from .interval_stats import (
     StatConfig,
     check_batch_solver,
     cross_blocks,
+    lasso_maximum,
     prefix_statistics,
     scaled_lambda,
     statistic_list,
     whitening_matrix,
 )
-from .var_model import VarParams, simulate
+from .var_model import TimeSeriesPanel, VarParams, simulate
 
 THRESHOLD_FLOOR = 1e-12
 # Rows per block of an online replay: one kernel call covers every window of
@@ -127,6 +137,8 @@ def empirical_quantile(samples: Sequence[float], quantile: float) -> float:
     """Lower order statistic: the ceil(n * quantile)-th smallest value."""
     if not 0.0 < quantile < 1.0:
         raise ParameterError("quantile must lie strictly between 0 and 1")
+    if len(samples) == 0:
+        raise ParameterError("a quantile needs at least one sample")
     ordered = np.sort(np.asarray(samples, dtype=float))
     k = math.ceil(len(ordered) * quantile)
     return float(ordered[max(k - 1, 0)])
@@ -513,14 +525,31 @@ def online_max_statistic(
     Used to calibrate the online threshold on simulated null streams: no
     stopping rule is applied, and every (t, window) pair contributes unless
     its statistic is unreliable, which the alarm rule of
-    :meth:`OnlineDetector.update` skips as well. The panel is replayed a
-    block of rows at a time, with the same statistics as a
-    :meth:`OnlineDetector.step` loop.
+    :meth:`OnlineDetector.update` skips as well. The rows are checked as
+    :meth:`OnlineDetector.step` checks them, with the same errors, then one
+    :class:`PanelScanner` takes the whole panel: its prefix sums are bitwise
+    the detector's, so each block of ``_REPLAY_BLOCK_ROWS`` times gives,
+    through :func:`~varanom.interval_stats.lasso_maximum`, bitwise the
+    maximum of a :meth:`OnlineDetector.step` loop over those times while
+    solving in full only the windows a duality-gap bracket cannot rule out.
     """
-    values = np.asarray(values, dtype=float)
     detector = OnlineDetector(baseline, q, lam, np.inf, t0, solver, sigma, lambda_policy)
+    p = detector.baseline.shape[0]
+    rows = np.asarray(values, dtype=float)
+    rows = rows.reshape(len(rows), rows[0].size if len(rows) else p)
+    if rows.shape[1] != p:
+        raise ParameterError(f"observation has {rows.shape[1]} entries, expected {p}")
+    if not np.isfinite(rows).all():
+        raise ParameterError("observation contains non-finite entries")
+    if len(rows) <= t0:
+        return 0.0
+    scanner = PanelScanner(TimeSeriesPanel(rows), detector.baseline, q)
+    sq_prefix = scanner._sq_prefix(detector._whitening)
     best = 0.0
-    for first, last in _replay(detector, values):
-        _, _, stats, _, _, reliable = detector._scan(first, last)
-        best = max(best, float(stats[reliable].max(initial=0.0)))
+    for first in range(t0 + 1, len(rows) + 1, _REPLAY_BLOCK_ROWS):
+        starts, ends, lams = detector._pairs(first, min(first + _REPLAY_BLOCK_ROWS - 1, len(rows)))
+        best = max(best, lasso_maximum(
+            scanner._gram_prefix, scanner._cross_prefix, sq_prefix, starts - (q + 1), ends - q,
+            lams, detector.solver, detector._whitening,
+        ).value)
     return best

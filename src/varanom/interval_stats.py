@@ -37,13 +37,15 @@ directly from a regression view; they are the independent reference the
 kernel is tested against.
 
 Null calibration reads only a scan's largest reliable statistic, which
-:meth:`PanelScanner.max_statistic` gives bitwise without solving most
-lasso intervals in full (:func:`lasso_maximum`). It screens as the kernel
-does, and a few sweeps of every busy interval through :func:`_solve_busy`
-give a bracket [value, value + duality gap] of its statistic; an interval
-whose upper bound stays below the best value found is pruned, and the rest
-are solved in full through the same helper. A pruned statistic cannot be
-the maximum, so it is never counted as unreliable.
+:meth:`PanelScanner.max_statistic` (and, per block of online windows,
+:func:`~varanom.detection.online_max_statistic`) gives bitwise without
+solving most lasso intervals in full (:func:`lasso_maximum`). It screens
+as the kernel does, and a few sweeps of every busy interval through
+:func:`_solve_busy` give a bracket [value, value + duality gap] of its
+statistic; an interval whose upper bound stays below the best value found
+is pruned, and the rest are solved in full through the same helper. A
+pruned statistic cannot be the maximum, so it is never counted as
+unreliable.
 
 Statistics over distinct intervals are independent pure computations; the
 scan may be parallelised freely and reduces deterministically.
@@ -564,10 +566,14 @@ class PanelScanner:
     interval statistic then reads its Gram and cross-product blocks by
     subtracting two prefix entries, independently of the interval length.
     Results agree with the direct per-view computation up to floating-point
-    summation order. ``_refill`` rebuilds the prefix arrays in place from
-    another panel of the same shape; ``calibrate_threshold`` refills one
-    scanner for every run after its first, so those runs allocate no prefix
-    arrays.
+    summation order. The residuals are row-exact: one stacked product of the
+    baseline with every lag row is bitwise the row-by-row product
+    x_t - B z_t of :class:`~varanom.detection.OnlineDetector`, so over the
+    same rows the two build bitwise the same prefix sums, and offline and
+    online statistics of a window agree bitwise. ``_refill`` rebuilds the
+    prefix arrays in place from another panel of the same shape;
+    ``calibrate_threshold`` refills one scanner for every run after its
+    first, so those runs allocate no prefix arrays.
     """
 
     def __init__(self, panel: TimeSeriesPanel, baseline: np.ndarray, q: int):
@@ -588,11 +594,21 @@ class PanelScanner:
     def _refill(self, panel: TimeSeriesPanel) -> None:
         """Rebuild both prefix arrays in place from ``panel``, whose shape must
         be the one the scanner was built for; the baseline stays. The
-        (T - q) x p residual rows are kept for :meth:`max_statistic`."""
+        (T - q) x p residual rows are kept for :meth:`_sq_prefix`."""
         lagged, response = lag_design(panel.values, self.q)
-        self._resid = response - lagged @ self._baseline.T
+        # one stacked product of the baseline with each lag row, bitwise the
+        # online detector's row-by-row baseline @ z (a block lagged @ baseline.T is not)
+        self._resid = response - (self._baseline @ lagged[:, :, None])[:, :, 0]
         _prefix_sum(lagged, lagged, self._gram_prefix)
         _prefix_sum(lagged, self._resid, self._cross_prefix)
+
+    def _sq_prefix(self, whitening: Optional[np.ndarray]) -> np.ndarray:
+        """Running sums of the squared residuals, whitened by ``whitening``
+        unless it is None, after a zero row; (T - q + 1) x p."""
+        resid = self._resid if whitening is None else self._resid @ whitening
+        sq_prefix = np.zeros((len(resid) + 1, self.n_series))
+        np.cumsum(resid * resid, axis=0, out=sq_prefix[1:])
+        return sq_prefix
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
         """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""
@@ -646,11 +662,9 @@ class PanelScanner:
         if config.method == "ols":
             values = _ols_statistics(self._gram_prefix, self._cross_prefix, lo, hi, whitening)
             return ScanMaximum(float(values.max()), 0, 0)
-        resid = self._resid if whitening is None else self._resid @ whitening
-        sq_prefix = np.zeros((len(resid) + 1, self.n_series))
-        np.cumsum(resid * resid, axis=0, out=sq_prefix[1:])
         return lasso_maximum(
-            self._gram_prefix, self._cross_prefix, sq_prefix, lo, hi, lams, config.solver, whitening
+            self._gram_prefix, self._cross_prefix, self._sq_prefix(whitening), lo, hi, lams,
+            config.solver, whitening,
         )
 
 

@@ -159,10 +159,6 @@ class AnomalyScenario:
     def anomalous(self) -> VarParams:
         return self._anomalous  # type: ignore[attr-defined]
 
-    @property
-    def is_null(self) -> bool:
-        return not np.any(self.delta)
-
 
 def _simulate(
     base: VarParams,
@@ -178,17 +174,16 @@ def _simulate(
     for (eta1, eta2), delta in episodes:
         stacks.append(base.stacked + np.asarray(delta, dtype=float))
         starts[eta1 : eta2 + 1] = len(stacks) - 1
-    # one draw of every row's shocks is the same stream as a draw per row
-    shocks = np.random.default_rng(seed).standard_normal((burn_in + n_rows, p))
-    # an identity covariance adds the shock itself, which is bitwise I @ shock
-    chol = None if np.array_equal(base.noise_cov, np.eye(p)) else np.linalg.cholesky(base.noise_cov)
+    # one draw of every row's shocks is the same stream as a draw per row, and
+    # one stacked product chol @ shock of every row is bitwise the per-row
+    # product (a block shocks @ chol.T is not); cholesky(I) is exactly I
+    shocks = np.random.default_rng(seed).standard_normal((burn_in + n_rows, p, 1))
+    shocks = (np.linalg.cholesky(base.noise_cov) @ shocks)[:, :, 0]
     state = np.zeros(p * q)  # (x_{t-1}, ..., x_{t-q}) flattened
     out = np.empty((n_rows, p))
     for t in range(-burn_in, n_rows):
         theta = stacks[starts[t + 1]] if t >= 0 else stacks[0]
-        shock = shocks[burn_in + t]
-        # row by row: a block shocks @ chol.T rounds differently for a non-identity chol
-        x = theta @ state + (shock if chol is None else chol @ shock)
+        x = theta @ state + shocks[burn_in + t]
         state = x if q == 1 else np.concatenate([x, state[:-p]])
         if t >= 0:
             out[t] = x

@@ -41,8 +41,10 @@ from varanom.detection import (
     select_multiple,
     select_single,
 )
+from varanom import interval_stats
+from varanom.estimation import estimate_baseline
 from varanom.experiments import dense_base_with_change, run_two_anomaly_study
-from varanom.interval_stats import LAMBDA_POLICIES
+from varanom.interval_stats import LAMBDA_POLICIES, prefix_statistics, whitening_matrix
 
 
 def _stat(start, end, value, reliable=True):
@@ -59,6 +61,12 @@ def test_empirical_quantile_order_statistic():
         empirical_quantile(samples, 1.0)
     assert null_threshold(samples, 0.99) == 99.0
     assert null_threshold([0.0, 0.0, 3.0], 0.5) == THRESHOLD_FLOOR
+
+
+def test_empirical_quantile_needs_a_sample():
+    for empty in ([], np.empty(0)):
+        with pytest.raises(ParameterError, match="at least one sample"):
+            empirical_quantile(empty, 0.99)
 
 
 def test_calibrate_threshold_protocol():
@@ -431,6 +439,87 @@ def test_online_max_statistic_equals_step_loop(q, policy, sigma_seed):
             assert got == want
             if n <= 10 or lam == 1.5:
                 assert (got > 0.0) == (n > 10)
+
+
+@pytest.mark.parametrize("fortran", [False, True])
+@pytest.mark.parametrize("sigma_seed", [None, 8])
+@pytest.mark.parametrize("policy", LAMBDA_POLICIES)
+@pytest.mark.parametrize("q", [1, 2])
+def test_offline_statistics_of_online_windows_are_bitwise_the_steps(q, policy, sigma_seed, fortran):
+    # a scanner's prefix over the stream is bitwise the detector's, so the
+    # offline kernel gives every window of every step bitwise its step value;
+    # estimate_baseline returns a transposed, Fortran-ordered array
+    p, n, t0 = 3, 150, 10
+    base = generate_dense_stationary(p, seed=20)
+    law = VarParams((base.coeffs[0] / q,) * q, np.eye(p))
+    baseline = law.stacked
+    if fortran:
+        baseline = estimate_baseline(simulate(law, 300, seed=22), q)
+        assert baseline.flags.f_contiguous and not baseline.flags.c_contiguous
+    sigma = None
+    if sigma_seed is not None:
+        a = np.random.default_rng(sigma_seed).standard_normal((p, p))
+        sigma = a @ a.T + 0.5 * np.eye(p)
+    panel = simulate(law, n, seed=21)
+    detector = OnlineDetector(baseline, q, 1.5, np.inf, t0, sigma=sigma, lambda_policy=policy)
+    want = [s for x in panel.values for s in detector.step(x)]
+    starts, ends, lams = detector._pairs(t0 + 1, n)
+    scanner = PanelScanner(panel, baseline, q)
+    got = prefix_statistics(
+        scanner._gram_prefix, scanner._cross_prefix, starts - (q + 1), ends - q, lams, "lasso",
+        SolverOptions(), whitening_matrix(sigma, p),
+    )
+    assert [(s.interval.start, s.interval.end, s.lam) for s in want] == list(
+        zip(starts.tolist(), ends.tolist(), lams.tolist())
+    )
+    assert got[0].tobytes() == np.array([s.value for s in want]).tobytes()
+    assert got[1].tolist() == [s.nonzero for s in want]
+    assert got[2].tolist() == [s.reliable for s in want]
+    assert np.count_nonzero(got[0]) > len(want) // 10
+
+
+def test_online_max_statistic_prunes_busy_windows(monkeypatch):
+    # at a penalty that leaves most windows busy, the maximum solves in full
+    # far fewer windows than are busy and still equals the step loop
+    base = generate_dense_stationary(4, seed=30)
+    values = simulate(base, 3 * _REPLAY_BLOCK_ROWS, seed=31).values
+    want = _step_loop_max(values, base.stacked, 1, 0.5, 10, None, "global")
+    calls = []
+    solve_busy = interval_stats._solve_busy
+
+    def counting(*args, **kwargs):
+        calls.append((args[7], args[5].size))  # (sweeps, busy)
+        return solve_busy(*args, **kwargs)
+
+    monkeypatch.setattr(interval_stats, "_solve_busy", counting)
+    got = online_max_statistic(values, base.stacked, 1, 0.5)
+    assert type(got) is float and got == want > 0.0
+    windows = _window_pairs(np.arange(11, len(values) + 1), 1)[0].size
+    busy = sum(size for sweeps, size in calls if sweeps == interval_stats._BRACKET_SWEEPS)
+    solved = sum(size for sweeps, size in calls if sweeps == SolverOptions().max_iterations)
+    assert busy > windows // 2
+    assert 0 < solved < busy // 4
+
+
+@pytest.mark.parametrize("n", [5, 40])  # no longer than t0, and longer
+def test_online_max_statistic_checks_rows_as_step_does(n):
+    base = generate_dense_stationary(3, seed=32)
+    values = simulate(base, n, seed=33).values
+    for bad in (values[:, :2], np.where(np.arange(n)[:, None] == 3, np.nan, values)):
+        with pytest.raises(ParameterError) as stepped:
+            detector = OnlineDetector(base.stacked, 1, 1.0, np.inf)
+            for x in bad:
+                detector.step(x)
+        with pytest.raises(ParameterError) as replayed:
+            online_max_statistic(bad, base.stacked, 1, 1.0)
+        assert str(replayed.value) == str(stepped.value)
+    # a one-series stream may come as a vector
+    law = VarParams((np.array([[0.5]]),), np.eye(1))
+    series = simulate(law, n, seed=34).values
+    assert online_max_statistic(series[:, 0], law.stacked, 1, 0.1) == (
+        online_max_statistic(series, law.stacked, 1, 0.1)
+    )
+    assert online_max_statistic(np.empty((0, 3)), base.stacked, 1, 1.0) == 0.0
 
 
 def _update_loop(stream, baseline, q, lam, threshold, t0=10, solver=None):

@@ -370,6 +370,14 @@ def test_cli_missing_file_is_input_error(tmp_path):
     assert rc == 2
 
 
+def test_cli_reproduce_tables_without_calibration_runs_is_input_error(tmp_path, capsys):
+    rc = main([
+        "reproduce-tables", "--runs", "1", "--calibration-runs", "0", "--out-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "at least one sample" in capsys.readouterr().err
+
+
 def test_cli_bad_config_is_input_error(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("1,2\n2,3\n")

@@ -83,19 +83,21 @@ def _per_row_draws(base, episodes, n_rows, burn_in, seed):
 
 
 def test_simulation_matches_per_row_draws_bytewise():
+    # one stacked product chol @ shock per row, bitwise the per-row product;
+    # under the identity covariance the Cholesky factor is exactly I
     a = np.random.default_rng(3).standard_normal((3, 3))
-    cov = a @ a.T + 0.5 * np.eye(3)
     lag = generate_dense_stationary(3, seed=4).coeffs[0] / 2
-    law = VarParams((lag, lag), cov)
     delta = np.zeros((3, 6))
     delta[0, 1], delta[2, 4] = 0.3, -0.2
     episodes = [((20, 45), delta), ((70, 90), -delta)]
-    assert simulate(law, 120, burn_in=25, seed=5).values.tobytes() == (
-        _per_row_draws(law, [], 120, 25, 5).tobytes()
-    )
-    assert simulate_episodes(law, episodes, 120, burn_in=25, seed=6).values.tobytes() == (
-        _per_row_draws(law, episodes, 120, 25, 6).tobytes()
-    )
+    for cov in (a @ a.T + 0.5 * np.eye(3), np.eye(3)):
+        law = VarParams((lag, lag), cov)
+        assert simulate(law, 120, burn_in=25, seed=5).values.tobytes() == (
+            _per_row_draws(law, [], 120, 25, 5).tobytes()
+        )
+        assert simulate_episodes(law, episodes, 120, burn_in=25, seed=6).values.tobytes() == (
+            _per_row_draws(law, episodes, 120, 25, 6).tobytes()
+        )
 
 
 def test_case1_style_scenario_shape():

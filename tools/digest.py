@@ -255,9 +255,10 @@ def _difference(a: np.ndarray, b: np.ndarray) -> str:
 def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
     """Print, item by item, how ``items`` differ from ``saved``, then whether
     the thresholds, detections and alarms are identical: the calibration and
-    pipeline thresholds, which intervals the pipelines detect, and the time
-    and window of each online alarm. A changed statistic of a detection or
-    an alarm shows in its item's line."""
+    pipeline thresholds, which intervals the pipelines detect (the start and
+    end columns of ``detections.csv``), and the time and window of each
+    online alarm. A changed statistic of a detection or an alarm, and so the
+    bytes of its file, shows in its item's line."""
     same = {"thresholds": True, "detections": True, "alarms": True}
     for name in sorted(items.keys() | saved.keys()):
         if name not in items or name not in saved:
@@ -272,7 +273,7 @@ def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
             notes[field] = diff
             if field == "threshold":
                 same["thresholds"] = False
-            elif field == "detected" or (name.endswith("detections.csv") and field != "statistic"):
+            elif name.endswith("detections.csv") and field in ("start", "end"):
                 same["detections"] = False
             elif name == "online/alarms" and field != "statistic":
                 same["alarms"] = False
