@@ -111,11 +111,12 @@ def _cmd_pipeline(args, stage: str) -> int:
 def _cmd_detect_online(args) -> int:
     panel = load_panel(args.data, has_header=args.has_header)
     baseline = np.loadtxt(args.baseline, delimiter=",", ndmin=2)
+    sigma = np.loadtxt(args.sigma, delimiter=",", ndmin=2) if args.sigma else None
     lam = args.lam if args.lam is not None else default_lambda(
         2, panel.n_series, panel.n_rows, args.lambda_scale)
     alarm = detect_online(
         panel.values, baseline, args.q, lam, args.threshold, t0=args.t0,
-        lambda_policy=args.lambda_policy)
+        sigma=sigma, lambda_policy=args.lambda_policy)
     if alarm is None:
         print("no alarm: stream exhausted")
     else:
@@ -248,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     online = sub.add_parser("detect-online", help="replay a CSV through the online monitor")
     online.add_argument("--data", required=True)
     online.add_argument("--baseline", required=True, help="CSV with the p x pq coefficients")
+    online.add_argument("--sigma", default=None,
+                        help="CSV with the p x p noise covariance that whitens the residuals")
     online.add_argument("--threshold", type=float, required=True)
     online.add_argument("--lam", type=float, default=None)
     online.add_argument("--lambda-scale", dest="lambda_scale", type=float, default=0.15)

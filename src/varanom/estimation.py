@@ -20,14 +20,17 @@ and, every few sweeps, tries to finish each running problem by the
 active-set method of Osborne, Presnell and Turlach (2000): from the support
 and signs of its iterate, each round solves G_SS b_S = C_S - (lam / 2) sign_S
 on the support, then drops the coordinate whose sign flips first or adds
-the worst KKT violator. It keeps coordinate-major copies of its inputs, so each
-coordinate step of every problem is one batched row product
-c_j - G_{j,-j} b and an in-place soft-threshold. A batched fit is
-``converged`` when that exact support solution passes the KKT test, or when
-its largest coefficient change over a sweep fell to the tolerance; a
-problem already solved at zero stops after its first sweep. The solver
-does not screen: the statistic kernel in :mod:`varanom.interval_stats`
-passes it only problems that are not zero by the KKT test at zero.
+the worst KKT violator. The finish works on a bounded set of live problems,
+refilled as problems leave it, and solves them in bounded chunks, so its
+memory does not grow with the batch. The solver keeps coordinate-major
+copies of its inputs, so each coordinate step of every problem is one
+batched row product c_j - G_{j,-j} b and an in-place soft-threshold. A
+batched fit is ``converged`` when that exact support solution passes the
+KKT test, or when its largest coefficient change over a sweep fell to the
+tolerance; a problem already solved at zero stops after its first sweep.
+The solver does not screen: the statistic kernel in
+:mod:`varanom.interval_stats` passes it only problems that are not zero by
+the KKT test at zero.
 
 :func:`lasso_bracket` turns any iterates into brackets [value, upper] of
 the statistics, from the Gram-form duality gap; the kernel's values are its
@@ -71,7 +74,19 @@ _RANK_RTOL = 1e-10
 # the same time at p = 10.
 _FINISH_EVERY = 10
 _FINISH_ROUNDS = 12
-# Matrix entries per batched support solve, which bounds its memory.
+# Bound on the finish's memory, in matrix entries. One batched support solve
+# builds m^2 k entries per problem, so it takes chunks of _FINISH_ENTRIES //
+# (m^2 k) problems (65 at p = 10, q = 1). The live set keeps four m x k arrays
+# per problem across a round (signs, point, solve and gradient), beside the
+# Gram and cross blocks it gathers each round, so it holds at most
+# _FINISH_ENTRIES // (4 m k) problems (163 at p = 10, 6 at p = 50):
+# the flip, drop and grow steps run once per round over the live set, not
+# once per chunk, and a problem that leaves makes room for a waiting one, so
+# rounds stay full until the last problems of an attempt. On 1078-problem
+# p = 10 scans this halved the support solves (45 per scan, from 90 when each
+# chunk ran its own rounds) and cut the solver's time by about a fifth; one
+# 1078-problem call peaked at 7.0 MB of traced allocations, against 13.0 MB
+# with every running problem live at once.
 _FINISH_ENTRIES = 1 << 16
 # Smallest pivot a support solve accepts, on its unit-diagonal scale; a
 # smaller one means a singular or ill-conditioned support, left to CD.
@@ -191,12 +206,15 @@ def lasso_cd_gram_batch(
     column keeps its signs and satisfies |c - G b| <= (lam / 2) (1 + 1e-12)
     off its support, the lasso KKT conditions. A support whose system is
     singular or too ill-conditioned to certify, or a problem that no round
-    certifies, stays on coordinate descent until the next attempt. Finished
-    problems, and problems whose largest coefficient change in a sweep
-    falls to ``tolerance``, are frozen and compacted out of the working
-    copies; the support solves read ``grams`` and ``crosses`` through the
-    problems' original indices. Each problem's result depends on that
-    problem alone, not on the rest of the batch.
+    certifies, stays on coordinate descent until the next attempt. An
+    attempt keeps at most ``_FINISH_ENTRIES`` // (4 m k) problems live,
+    refilled from the running ones as live problems leave, and solves them
+    in chunks of ``_FINISH_ENTRIES`` // (m^2 k); the support solves read
+    ``grams`` and ``crosses`` through the problems' original indices.
+    Finished problems, and problems whose largest coefficient change in a
+    sweep falls to ``tolerance``, are frozen and compacted out of the
+    working copies. Each problem's result depends on that problem alone,
+    not on the rest of the batch, nor on the live set or chunk it shares.
 
     Returns (coefficients (N, m, k), converged (N,)). ``converged[n]`` is
     True when problem n was finished by an exact support solution that
@@ -220,7 +238,6 @@ def lasso_cd_gram_batch(
     cols = crosses.transpose(1, 0, 2).copy()  # (m, N, k)
     # (N, k) rather than (N, 1): a broadcast along k = p columns costs more than the copy
     level = np.repeat((np.asarray(lams, dtype=float) / 2.0)[:, None], k, axis=1)
-    per_chunk = max(1, _FINISH_ENTRIES // (m * m * k))
     every = max(_FINISH_EVERY, m * k // 10)
     for sweep in range(1, max_iterations + 1):
         if idx.size == 0:
@@ -238,14 +255,7 @@ def lasso_cd_gram_batch(
         done = change.max(axis=(1, 2)) <= tolerance
         if sweep % every == 0:
             running = np.flatnonzero(~done)
-            for at in range(0, running.size, per_chunk):
-                chunk = running[at : at + per_chunk]
-                which = idx[chunk]
-                exact, ok = _finish_active_set(
-                    grams[which], crosses[which], B[chunk], level[chunk, :1]
-                )
-                B[chunk[ok]] = exact[ok]
-                done[chunk[ok]] = True
+            done[running] = _finish_active_set(grams, crosses, idx, B, level[:, :1], running)
         if done.any():
             out[idx[done]] = B[done]
             converged[idx[done]] = True
@@ -257,42 +267,67 @@ def lasso_cd_gram_batch(
 
 
 def _finish_active_set(
-    G: np.ndarray, C: np.ndarray, B: np.ndarray, level: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact lasso solutions reached from the iterates ``B`` by active-set steps.
+    grams: np.ndarray, crosses: np.ndarray, which: np.ndarray, B: np.ndarray,
+    level: np.ndarray, todo: np.ndarray,
+) -> np.ndarray:
+    """Replace the iterates ``B[todo]`` by exact lasso solutions, where active-set steps reach one.
 
-    ``G`` is (n, m, m), ``C`` and ``B`` (n, m, k), ``level`` (n, 1). Returns
-    (coefficients (n, m, k), accepted (n,)); only accepted problems hold
-    solutions, certified by the KKT test. Each column starts from its
-    iterate's support and signs, and each round solves the live problems on
-    their supports and moves every column by one step of the active-set
-    method of Osborne, Presnell and Turlach (2000): when a support
-    coordinate changes sign on the segment from the column's point to its
-    solve, the point moves to where the first such coordinate reaches zero,
-    and that coordinate leaves the support; otherwise the point moves to the
-    solve, and the coordinate off the support that violates the KKT test
-    most joins it with the sign of its gradient. A problem leaves once it
-    passes the test, or once its support is singular, or after
-    ``_FINISH_ROUNDS`` rounds.
+    ``B`` is (N, m, k) and ``level`` (N, 1); their row i belongs to the
+    problem ``grams[which[i]]``, ``crosses[which[i]]``. Returns accepted
+    (len(todo),): the row of ``B`` of an accepted problem now holds its
+    solution, certified by the KKT test, and the other rows are unchanged.
+    Each column starts from its iterate's support and signs, and each round
+    solves the live problems on their supports and moves every column by one
+    step of the active-set method of Osborne, Presnell and Turlach (2000):
+    when a support coordinate changes sign on the segment from the column's
+    point to its solve, the point moves to where the first such coordinate
+    reaches zero, and that coordinate leaves the support; otherwise the point
+    moves to the solve, and the coordinate off the support that violates the
+    KKT test most joins it with the sign of its gradient. A problem leaves
+    once it passes the test, or once its support is singular, or after
+    ``_FINISH_ROUNDS`` rounds of its own.
+
+    At most ``_FINISH_ENTRIES // (4 m k)`` problems are live at a time, and
+    each one that leaves makes room for the next of ``todo``. Each round
+    solves the live problems in chunks of ``_FINISH_ENTRIES // (m^2 k)``
+    problems, then moves them all with one set of array operations. A
+    problem's rounds depend on that problem alone, so its result does not
+    depend on which problems share its rounds or its chunks.
     """
-    out = np.empty_like(B)
-    accepted = np.zeros(len(B), dtype=bool)
-    live = np.arange(len(B))
-    signs, point = np.sign(B), B
-    limit = level[:, :, None] * (1.0 + 1e-12)
-    for _ in range(_FINISH_ROUNDS):
-        G_, C_ = G[live], C[live]
-        beta, solved = _solve_on_support(G_, C_, signs, level[live])
-        flipped = (signs != 0.0) & (np.sign(beta) != signs)
-        grad = C_ - G_ @ beta
-        excess = np.where(signs == 0.0, np.abs(grad) - limit[live], 0.0)
-        ok = solved & ~flipped.any(axis=(1, 2)) & (excess <= 0.0).all(axis=(1, 2))
-        out[live[ok]] = beta[ok]
-        accepted[live[ok]] = True
-        keep = solved & ~ok
-        live, signs, point, beta = live[keep], signs[keep], point[keep], beta[keep]
+    m, k = B.shape[1:]
+    room = max(1, _FINISH_ENTRIES // (4 * m * k))
+    per_chunk = max(1, _FINISH_ENTRIES // (m * m * k))
+    accepted = np.zeros(todo.size, dtype=bool)
+    live = rounds = np.empty(0, dtype=np.intp)  # positions in todo, rounds taken
+    signs = point = np.empty((0, m, k))
+    queued = 0
+    while True:
+        if live.size < room and queued < todo.size:
+            new = np.arange(queued, min(todo.size, queued + room - live.size))
+            queued += new.size
+            live, rounds = np.concatenate([live, new]), np.concatenate([rounds, np.zeros_like(new)])
+            signs = np.concatenate([signs, np.sign(B[todo[new]])])
+            point = np.concatenate([point, B[todo[new]]])
         if not live.size:
-            break
+            return accepted
+        rows = todo[live]
+        G, C, lev = grams[which[rows]], crosses[which[rows]], level[rows]
+        chunks = [slice(at, at + per_chunk) for at in range(0, live.size, per_chunk)]
+        solves = [_solve_on_support(G[c], C[c], signs[c], lev[c]) for c in chunks]
+        beta = np.concatenate([b for b, _ in solves])
+        solved = np.concatenate([ok for _, ok in solves])
+        flipped = (signs != 0.0) & (np.sign(beta) != signs)
+        grad = C - G @ beta
+        excess = np.where(signs == 0.0, np.abs(grad) - lev[:, :, None] * (1.0 + 1e-12), 0.0)
+        ok = solved & ~flipped.any(axis=(1, 2)) & (excess <= 0.0).all(axis=(1, 2))
+        B[rows[ok]] = beta[ok]
+        accepted[live[ok]] = True
+        rounds += 1
+        keep = solved & ~ok & (rounds < _FINISH_ROUNDS)
+        live, rounds, signs, point = live[keep], rounds[keep], signs[keep], point[keep]
+        beta = beta[keep]
+        if not live.size:
+            continue
         flipped, grad, excess = flipped[keep], grad[keep], excess[keep]
         # a flipped coordinate has opposite signs at point and beta, or is zero
         # at beta; one that joined the support last round is zero at point
@@ -308,7 +343,6 @@ def _finish_active_set(
         prob, col = np.nonzero(grow)
         at = excess.argmax(axis=1)[prob, col]
         signs[prob, at, col] = np.sign(grad[prob, at, col])
-    return out, accepted
 
 
 def _solve_on_support(

@@ -444,6 +444,39 @@ def test_cli_detect_online_rejects_baseline_of_wrong_shape(tmp_path, capsys, q, 
     assert f"baseline must be 3 x {3 * q}, got (3, {columns})" in capsys.readouterr().err
 
 
+def _online_files(tmp_path, sigma):
+    base, theta = dense_base_with_change(3, 0.8, 3, seed=9)
+    stream = simulate_episodes(base, [((60, 119), theta)], 120, seed=10)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("stream", "baseline", "sigma")}
+    save_panel(stream, paths["stream"])
+    np.savetxt(paths["baseline"], base.stacked, delimiter=",")
+    np.savetxt(paths["sigma"], sigma, delimiter=",")
+    args = [
+        "detect-online", "--data", str(paths["stream"]), "--baseline", str(paths["baseline"]),
+        "--sigma", str(paths["sigma"]), "--threshold", "5.0", "--lam", "4.0",
+    ]
+    return stream, base, args
+
+
+def test_cli_detect_online_whitens_by_sigma(tmp_path, capsys):
+    sigma = np.array([[1.5, 0.4, 0.1], [0.4, 1.0, -0.3], [0.1, -0.3, 0.8]])
+    stream, base, args = _online_files(tmp_path, sigma)
+    assert main(args) == 0
+    alarm = detect_online(stream.values, base.stacked, 1, 4.0, 5.0, sigma=sigma)
+    plain = detect_online(stream.values, base.stacked, 1, 4.0, 5.0)
+    assert alarm is not None and (alarm.time, alarm.window) != (plain.time, plain.window)
+    assert capsys.readouterr().out.strip() == (
+        f"alarm at t={alarm.time}, window [{alarm.window.start}, {alarm.window.end}], "
+        f"statistic {alarm.statistic:.6g}"
+    )
+
+
+def test_cli_detect_online_rejects_sigma_of_wrong_shape(tmp_path, capsys):
+    _, _, args = _online_files(tmp_path, np.eye(2))
+    assert main(args) == 2
+    assert "covariance must be 3 x 3, got (2, 2)" in capsys.readouterr().err
+
+
 def test_cli_detect_online_lambda_policy(tmp_path, capsys):
     base, theta = dense_base_with_change(3, 0.8, 3, seed=9)
     stream = simulate_episodes(base, [((60, 119), theta)], 120, seed=10)
