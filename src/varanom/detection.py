@@ -65,6 +65,7 @@ from .interval_stats import (
     IntervalStatistic,
     PanelScanner,
     StatConfig,
+    _gram_layout,
     check_batch_solver,
     cross_blocks,
     lasso_maximum,
@@ -298,8 +299,12 @@ class OnlineDetector:
     shared mutably across threads.
 
     The detector keeps running Gram and cross-product prefix sums of the lag
-    vectors and raw residuals, O(t (pq)^2) memory after t observations, and
-    reads every window's blocks from two prefix entries, whitened by ``sigma``.
+    vectors and raw residuals, and reads every window's blocks from two
+    prefix entries, whitened by ``sigma``. The Gram prefix is packed as
+    :class:`~varanom.interval_stats.PanelScanner` packs it, so a row holds
+    pq (pq + 1) / 2 + pq p doubles: 30 kB per observation at p = 50, q = 1,
+    where the full pq x pq Gram took 40 kB. The arrays double in length when
+    full.
     ``lambda_policy`` is one of ``LAMBDA_POLICIES``: "global" uses ``lam``
     for every window, "interval_sqrt" and "interval_linear" scale it by the
     square root of, or in proportion to, the window length, anchored at the
@@ -344,7 +349,8 @@ class OnlineDetector:
         self._window_lams = scaled_lambda(lam, _WINDOW_OFFSETS + 1, 2, lambda_policy)
         self._lags = np.zeros(m)  # x_{t-1}, ..., x_{t-q} stacked
         self._n = 0
-        self._gram_prefix = np.zeros((257, m, m))
+        self._tril = np.tril_indices(m)
+        self._gram_prefix = np.zeros((257, m * (m + 1) // 2))
         self._cross_prefix = np.zeros((257, m, p))
 
     @property
@@ -365,11 +371,11 @@ class OnlineDetector:
                 self._gram_prefix = np.concatenate([self._gram_prefix, np.zeros_like(self._gram_prefix)])
                 self._cross_prefix = np.concatenate([self._cross_prefix, np.zeros_like(self._cross_prefix)])
             z = self._lags
-            column = z[:, None]
             gram, cross = self._gram_prefix, self._cross_prefix
-            np.multiply(column, z, out=gram[i])
+            rows, cols = self._tril
+            np.multiply(z[rows], z[cols], out=gram[i])
             gram[i] += gram[i - 1]
-            np.multiply(column, x - self.baseline @ z, out=cross[i])
+            np.multiply(z[:, None], x - self.baseline @ z, out=cross[i])
             cross[i] += cross[i - 1]
         self._lags[p:] = self._lags[:-p]
         self._lags[:p] = x
@@ -406,8 +412,10 @@ class OnlineDetector:
         starts, ends, lams = self._pairs(first, last)
         lo, hi = starts - (self.q + 1), ends - self.q
         crosses = cross_blocks(self._cross_prefix, lo, hi, self._whitening)
-        diag = np.diagonal(self._gram_prefix, axis1=1, axis2=2)
-        gram_diag = (diag.take(hi, axis=0) - diag.take(lo, axis=0))[:, :, None]
+        m = self._lags.size
+        diag = _gram_layout(m)[1][:: m + 1]  # packed positions of the diagonal
+        gram = self._gram_prefix
+        gram_diag = (gram[hi[:, None], diag] - gram[lo[:, None], diag])[:, :, None]
         excess = np.maximum(2.0 * np.abs(crosses) - lams[:, None, None], 0.0)
         # a predictor that is zero over the window (zero Gram diagonal) bounds nothing
         bound = np.divide(excess**2, 4.0 * gram_diag, out=np.zeros_like(excess), where=gram_diag > 0.0)

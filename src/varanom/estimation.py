@@ -74,12 +74,16 @@ _RANK_RTOL = 1e-10
 # the same time at p = 10.
 _FINISH_EVERY = 10
 _FINISH_ROUNDS = 12
-# Bound on the finish's memory, in matrix entries. One batched support solve
-# builds m^2 k entries per problem, so it takes chunks of _FINISH_ENTRIES //
-# (m^2 k) problems (65 at p = 10, q = 1). The live set keeps four m x k arrays
+# Bound on the finish's memory, in matrix entries, down to one problem. One
+# batched support solve builds m^2 k entries per problem, so it takes chunks
+# of max(1, _FINISH_ENTRIES // (m^2 k)) problems (65 at p = 10, q = 1): a
+# chunk holds at most max(_FINISH_ENTRIES, m^2 k) entries, and from
+# m^2 k > _FINISH_ENTRIES (p = 41 at q = 1) it is one problem larger than
+# the budget (one p = 50 solve peaked at 2.18 MB of traced allocations,
+# against the budget's 0.5 MB). The live set keeps four m x k arrays
 # per problem across a round (signs, point, solve and gradient), beside the
 # Gram and cross blocks it gathers each round, so it holds at most
-# _FINISH_ENTRIES // (4 m k) problems (163 at p = 10, 6 at p = 50):
+# max(1, _FINISH_ENTRIES // (4 m k)) problems (163 at p = 10, 6 at p = 50):
 # the flip, drop and grow steps run once per round over the live set, not
 # once per chunk, and a problem that leaves makes room for a waiting one, so
 # rounds stay full until the last problems of an attempt. On 1078-problem
@@ -207,9 +211,10 @@ def lasso_cd_gram_batch(
     off its support, the lasso KKT conditions. A support whose system is
     singular or too ill-conditioned to certify, or a problem that no round
     certifies, stays on coordinate descent until the next attempt. An
-    attempt keeps at most ``_FINISH_ENTRIES`` // (4 m k) problems live,
-    refilled from the running ones as live problems leave, and solves them
-    in chunks of ``_FINISH_ENTRIES`` // (m^2 k); the support solves read
+    attempt keeps at most max(1, ``_FINISH_ENTRIES`` // (4 m k)) problems
+    live, refilled from the running ones as live problems leave, and solves
+    them in chunks of max(1, ``_FINISH_ENTRIES`` // (m^2 k)), so a chunk
+    holds max(``_FINISH_ENTRIES``, m^2 k) entries; the support solves read
     ``grams`` and ``crosses`` through the problems' original indices.
     Finished problems, and problems whose largest coefficient change in a
     sweep falls to ``tolerance``, are frozen and compacted out of the
@@ -287,10 +292,13 @@ def _finish_active_set(
     once it passes the test, or once its support is singular, or after
     ``_FINISH_ROUNDS`` rounds of its own.
 
-    At most ``_FINISH_ENTRIES // (4 m k)`` problems are live at a time, and
-    each one that leaves makes room for the next of ``todo``. Each round
-    solves the live problems in chunks of ``_FINISH_ENTRIES // (m^2 k)``
-    problems, then moves them all with one set of array operations. A
+    At most max(1, ``_FINISH_ENTRIES // (4 m k)``) problems are live at a
+    time, and each one that leaves makes room for the next of ``todo``. Each
+    round solves the live problems in chunks of
+    max(1, ``_FINISH_ENTRIES // (m^2 k)``) problems, whose systems hold
+    max(``_FINISH_ENTRIES``, m^2 k) entries: from p = 41 at q = 1 a chunk is
+    one problem above the budget. It then moves them all with one set of
+    array operations. A
     problem's rounds depend on that problem alone, so its result does not
     depend on which problems share its rounds or its chunks.
     """
@@ -358,7 +366,9 @@ def _solve_on_support(
     Gaussian elimination needs no pivoting; the columns off the support only
     ever multiply zeros. The systems are eliminated together along a trailing
     batch axis, which keeps each system's arithmetic independent of the
-    others. Returns (coefficients (n, m, k),
+    others, and their m^2 k n entries are the call's largest arrays, so its
+    memory grows with n m^2 k whatever ``_FINISH_ENTRIES`` says: the finish
+    passes n = 1 once m^2 k exceeds that budget. Returns (coefficients (n, m, k),
     solved (n,)); a problem is unsolved when some column meets a pivot at or
     below ``_FINISH_MIN_PIVOT``, which marks a singular or ill-conditioned
     support.

@@ -15,9 +15,15 @@ exactly zero whenever lam >= 2 ||X_J' Y_J||_inf.
 One kernel, :func:`prefix_statistics`, computes the statistics of the
 offline scan, of calibration and of the online monitor: each interval's
 Gram and cross-product blocks are the difference of two prefix-sum
-entries. An interval whose cross block already passes the KKT test at
-zero has a lasso statistic of exactly zero and is screened out before any
-Gram block is gathered. Both methods gather Gram blocks a bounded chunk of
+entries. A Gram prefix is stored packed: row r holds the m(m + 1) / 2
+lower-triangle entries of the symmetric running sum, in ``np.tril_indices``
+order (:func:`_pack_gram`), 1275 doubles a row at m = 50 where the full
+matrix takes 2500, and only the blocks the kernel gathers are expanded to
+full m x m matrices (:func:`_unpack_gram`). The products z_i z_j and z_j z_i
+are the same doubles, so an expanded block is bitwise the full layout's.
+An interval whose cross block already passes the KKT test at zero has a
+lasso statistic of exactly zero and is screened out before any Gram block
+is gathered. Both methods gather Gram blocks a bounded chunk of
 intervals at a time. The lasso statistics of the busy intervals come from
 :func:`_solve_busy`, the one lasso solve path of the library: one batched
 solve and one :func:`~varanom.estimation.lasso_bracket` call per chunk. The
@@ -53,6 +59,7 @@ scan may be parallelised freely and reduces deterministically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -327,9 +334,10 @@ def prefix_statistics(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Statistics of the intervals whose blocks are ``prefix[hi[i]] - prefix[lo[i]]``.
 
-    ``gram_prefix`` is (rows, m, m) and ``cross_prefix`` (rows, m, p), running
-    sums of z_t z_t' and z_t u_t' over lag vectors z_t and raw residuals u_t,
-    so ``hi[i] - lo[i]`` is interval i's length. Each interval's cross block is
+    ``gram_prefix`` is (rows, m(m + 1) / 2) and ``cross_prefix`` (rows, m, p),
+    running sums of z_t z_t', packed by :func:`_pack_gram`, and of z_t u_t'
+    over lag vectors z_t and raw residuals u_t, so ``hi[i] - lo[i]`` is
+    interval i's length. Each interval's cross block is
     right-multiplied by ``whitening`` (:func:`whitening_matrix`) after the
     prefix difference, never the whole prefix. Lasso statistics screen
     first, through :func:`busy_intervals`, the library's one screen (the
@@ -359,11 +367,12 @@ def prefix_statistics(
     OLS). An OLS fit is dense, so its count is the size m p of the
     coefficient block.
     """
+    _check_layout(gram_prefix, cross_prefix)
     n = len(lo)
     reliable = np.ones(n, dtype=bool)
     if method == "ols":
         values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, whitening)
-        return values, np.full(n, gram_prefix.shape[1] * cross_prefix.shape[2]), reliable
+        return values, np.full(n, cross_prefix.shape[1] * cross_prefix.shape[2]), reliable
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     values = np.zeros(n)
     nonzero = np.zeros(n, dtype=int)
@@ -375,6 +384,15 @@ def prefix_statistics(
     return values, nonzero, reliable
 
 
+def _check_layout(gram_prefix: np.ndarray, cross_prefix: np.ndarray) -> None:
+    """Reject a Gram prefix that is not packed to match the (rows, m, p) cross prefix."""
+    m = cross_prefix.shape[1]
+    if gram_prefix.shape != (len(cross_prefix), m * (m + 1) // 2):
+        raise ParameterError(
+            f"Gram prefix must be packed as {len(cross_prefix)} x {m * (m + 1) // 2}, got {gram_prefix.shape}"
+        )
+
+
 def _solve_busy(
     gram_prefix: np.ndarray, crosses: np.ndarray, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray,
     busy: np.ndarray, tolerance: float, sweeps: int, y_sq: Optional[np.ndarray] = None,
@@ -384,7 +402,8 @@ def _solve_busy(
     ``crosses`` holds the whitened cross blocks of the intervals whose prefix
     indices are ``lo`` and ``hi`` and whose penalties are ``lams``; ``busy``
     selects the ones to solve, and the results follow its order. Gram
-    blocks are gathered ``_CHUNK_ENTRIES`` entries at a time, and each chunk
+    blocks are gathered ``_CHUNK_ENTRIES`` entries at a time, as packed rows
+    differenced and then expanded by one :func:`_unpack_gram`, and each chunk
     takes one :func:`lasso_cd_gram_batch` call of at most ``sweeps`` sweeps
     and one :func:`lasso_bracket` call at its iterates. ``upper`` is None
     unless ``y_sq`` holds the column norms ||y_k||^2 of the ``busy``
@@ -395,12 +414,12 @@ def _solve_busy(
     upper = None if y_sq is None else np.empty(n)
     nonzero = np.empty(n, dtype=int)
     converged = np.empty(n, dtype=bool)
-    m = gram_prefix.shape[1]
+    m = crosses.shape[1]
     chunk = max(1, _CHUNK_ENTRIES // (m * m))
     for s in range(0, n, chunk):
         at = slice(s, s + chunk)
         part = busy[at]
-        grams = gram_prefix.take(hi[part], axis=0) - gram_prefix.take(lo[part], axis=0)
+        grams = _unpack_gram(gram_prefix.take(hi[part], axis=0) - gram_prefix.take(lo[part], axis=0))
         c, lam = crosses[part], lams[part]
         beta, converged[at] = lasso_cd_gram_batch(grams, c, lam, tolerance, sweeps)
         value[at], bound = lasso_bracket(grams, c, beta, lam, None if y_sq is None else y_sq[at])
@@ -438,6 +457,7 @@ def lasso_maximum(
     makes the result exact at any solver budget. The intervals left unsolved
     have statistics below M, so they cannot change the maximum.
     """
+    _check_layout(gram_prefix, cross_prefix)
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     busy = busy_intervals(crosses, lams)
     y_sq = sq_prefix.take(hi[busy], axis=0) - sq_prefix.take(lo[busy], axis=0)
@@ -474,20 +494,35 @@ def _ols_statistics(
 
     Intervals before the first too-short one are computed in storage order,
     so a rank-deficient one among them raises first, then the short one
-    raises without being solved.
+    raises without being solved. Every chunk reuses buffers allocated once
+    per call: fresh chunk-sized arrays would be handed back to the operating
+    system between chunks and faulted in again. Two of them, each sized for
+    a chunk of packed Gram rows or of cross blocks, take the prefix rows a
+    difference gathers, then the cross blocks and L^(-1) C; the others hold
+    the expanded Gram blocks and L^(-1).
     """
     n = len(lo)
-    m = gram_prefix.shape[1]
+    _, m, p = cross_prefix.shape
     values = np.empty(n)
+    if n and (min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= len(gram_prefix)):
+        raise IndexError("prefix index out of range")
     short = np.flatnonzero(hi - lo < m)
     stop = int(short[0]) if len(short) else n
-    chunk = max(1, _CHUNK_ENTRIES // (m * m))
+    chunk = max(1, min(_CHUNK_ENTRIES // (m * m), stop))
+    size = gram_prefix.shape[1]
+    pair = np.empty((2, chunk * max(size, m * p)))
+    grams = np.empty((chunk, m, m))
+    inv = np.zeros((chunk, m, m))  # _inverse_lower never writes above the diagonal
     for s in range(0, stop, chunk):
-        sl = slice(s, min(s + chunk, stop))
-        grams = gram_prefix[hi[sl]]
-        grams -= gram_prefix[lo[sl]]
-        crosses = cross_blocks(cross_prefix, lo[sl], hi[sl], whitening)
-        values[sl], certified = _cholesky_ols(grams, crosses)
+        k = min(chunk, stop - s)
+        sl = slice(s, s + k)
+        a, b = pair[:, : k * size].reshape(2, k, size)
+        _unpack_gram(_difference(gram_prefix, lo[sl], hi[sl], a, b), out=grams[:k])
+        crosses, other = pair[:, : k * m * p].reshape(2, k, m, p)
+        _difference(cross_prefix, lo[sl], hi[sl], crosses, other)
+        if whitening is not None:
+            crosses, other = np.matmul(crosses, whitening, out=other), crosses
+        values[sl], certified = _cholesky_ols(grams[:k], crosses, inv[:k], other)
         for j in np.flatnonzero(~certified):
             values[s + j], _ = gram_ols_value(grams[j], crosses[j])
     if stop < n:
@@ -495,63 +530,119 @@ def _ols_statistics(
     return values
 
 
-def _cholesky_ols(grams: np.ndarray, crosses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _difference(
+    prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """``prefix[hi] - prefix[lo]`` written to ``out``, with ``scratch`` of the
+    same shape overwritten; returns ``out``. The indices must be in range:
+    ``take`` in "clip" mode writes straight to its output, where "raise"
+    mode buffers it."""
+    prefix.take(hi, axis=0, out=out, mode="clip")
+    prefix.take(lo, axis=0, out=scratch, mode="clip")
+    return np.subtract(out, scratch, out=out)
+
+
+def _cholesky_ols(
+    grams: np.ndarray, crosses: np.ndarray, inv: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(values, certified) of stacked OLS problems from one Cholesky factorisation.
 
-    Values are only meaningful where ``certified`` holds; none is certified
-    when the stack cannot be factorised.
+    ``inv`` and ``x`` are buffers of the shapes of ``grams`` and ``crosses``
+    for L^(-1) and L^(-1) C; ``inv`` must be zero above the diagonal. Values
+    are only meaningful where ``certified`` holds; none is certified when the
+    stack cannot be factorised.
     """
     k = len(grams)
     try:
         chol = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
         return np.zeros(k), np.zeros(k, dtype=bool)
-    inv = _inverse_lower(chol)
-    x = inv @ crosses
+    _inverse_lower(chol, inv)
+    np.matmul(inv, crosses, out=x)
     values = np.einsum("nij,nij->n", x, x)
     inv_norm = np.einsum("nij,nij->n", inv, inv)
     certified = 1.0 / inv_norm > 2.0 * _RANK_RTOL * np.trace(grams, axis1=1, axis2=2)
     return values, certified
 
 
-def _inverse_lower(chol: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of lower-triangular matrices by forward substitution.
+def _inverse_lower(chol: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the inverses of a stack of lower-triangular matrices,
+    by forward substitution; ``out`` must be zero above the diagonal, and only
+    its lower triangle is written.
 
     Row i of L^(-1) is (e_i - L[i, :i] L^(-1)[:i]) / L[i, i], and only its
     first i + 1 entries are non-zero.
     """
     m = chol.shape[1]
-    inv = np.zeros_like(chol)
     diag = 1.0 / np.diagonal(chol, axis1=1, axis2=2)
-    inv[:, 0, 0] = diag[:, 0]
+    out[:, 0, 0] = diag[:, 0]
     for i in range(1, m):
-        row = inv[:, i, :i]
-        np.matmul(chol[:, i, None, :i], inv[:, :i, :i], out=row[:, None])
+        row = out[:, i, :i]
+        np.matmul(chol[:, i, None, :i], out[:, :i, :i], out=row[:, None])
         row *= -diag[:, i, None]
-        inv[:, i, i] = diag[:, i]
-    return inv
+        out[:, i, i] = diag[:, i]
+
+
+@functools.lru_cache(maxsize=16)
+def _gram_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, full) index maps of the packed layout of m x m symmetric
+    matrices, read-only: ``lower`` holds the flat positions i m + j of the
+    lower-triangle entries in ``np.tril_indices`` order, and ``full[i m + j]``
+    the packed position of entry (i, j) or (j, i)."""
+    rows, cols = np.tril_indices(m)
+    positions = np.empty((m, m), dtype=np.intp)
+    positions[rows, cols] = positions[cols, rows] = np.arange(rows.size)
+    lower, full = rows * m + cols, positions.ravel()
+    lower.flags.writeable = full.flags.writeable = False
+    return lower, full
+
+
+def _pack_gram(full: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The lower-triangle entries of symmetric (..., m, m) matrices,
+    (..., m(m + 1) / 2), written to ``out`` if given."""
+    m = full.shape[-1]
+    flat = full.reshape(full.shape[:-2] + (m * m,))
+    return flat.take(_gram_layout(m)[0], axis=-1, out=out, mode="clip")
+
+
+def _unpack_gram(packed: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The symmetric (..., m, m) matrices of packed (..., m(m + 1) / 2) rows,
+    written to ``out`` (C-contiguous) if given; the inverse of :func:`_pack_gram`."""
+    m = (math.isqrt(8 * packed.shape[-1] + 1) - 1) // 2
+    flat = None if out is None else out.reshape(packed.shape[:-1] + (m * m,))
+    full = packed.take(_gram_layout(m)[1], axis=-1, out=flat, mode="clip")
+    return full.reshape(packed.shape[:-1] + (m, m))
 
 
 def _prefix_sum(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
     """Write into ``out`` the running sums of the outer products left[t] right[t]',
-    after a zero entry; ``out`` is (len(left) + 1, left.shape[1], right.shape[1]).
+    after a zero entry; ``out`` is (len(left) + 1, left.shape[1], right.shape[1]),
+    or (len(left) + 1, m(m + 1) / 2) for a Gram prefix packed as
+    :func:`_pack_gram` packs it, whose symmetric products have ``right`` equal
+    to ``left`` (m columns).
 
     Built ``_PREFIX_BLOCK_ROWS`` rows at a time: a block's products are
-    written straight into the output and, while the block is in cache, each
-    row gets the running sum before it added. That adds every term in the
-    same order as one cumsum over all rows, so the result is bitwise the
-    same, without a temporary of the output's size. Whole-row additions are
-    contiguous; cumsum along the leading axis runs a strided loop per entry
-    and made the build three times slower at pq = 50. Every entry of ``out``
-    is overwritten, so an array of an earlier build can be filled again.
+    written straight into the output (a packed build writes them to a
+    block-sized scratch array and takes their lower triangles from it) and,
+    while the block is in cache, each row gets the running sum before it
+    added. That adds every term in the same order as one cumsum over all
+    rows, so the result is bitwise the same, without a temporary of the
+    output's size. Whole-row additions are contiguous; cumsum along the
+    leading axis runs a strided loop per entry and made the build three
+    times slower at pq = 50. Every entry of ``out`` is overwritten, so an
+    array of an earlier build can be filled again.
     """
+    scratch = np.empty((_PREFIX_BLOCK_ROWS, left.shape[1], right.shape[1])) if out.ndim == 2 else None
     rows = len(left)
     out[0] = 0.0
     total = out[0]
     for s in range(0, rows, _PREFIX_BLOCK_ROWS):
         block = out[s + 1 : s + 1 + _PREFIX_BLOCK_ROWS]
         e = s + len(block)
-        np.einsum("ti,tj->tij", left[s:e], right[s:e], out=block)
+        products = block if scratch is None else scratch[: len(block)]
+        np.einsum("ti,tj->tij", left[s:e], right[s:e], out=products)
+        if scratch is not None:
+            _pack_gram(products, out=block)
         for row in block:
             np.add(total, row, out=row)
             total = row
@@ -561,7 +652,10 @@ class PanelScanner:
     """Precomputed prefix sums for constant-time per-interval Gram matrices.
 
     Building the scanner costs O(T (pq)^2) time and holds the two prefix
-    arrays, (T - q + 1) (pq)(pq + p) floats; they are built in blocks of
+    arrays, (T - q + 1) (pq (pq + 1) / 2 + pq p) floats: the Gram prefix is
+    packed (:func:`_pack_gram`), so at p = 50, q = 1 a row takes 3775
+    doubles, not the 5000 of two full pq x pq and pq x p blocks, and a
+    T = 2000 scanner 60.4 MB, not 80 MB. They are built in blocks of
     ``_PREFIX_BLOCK_ROWS`` rows, so no (T, pq, pq) temporary is made. Each
     interval statistic then reads its Gram and cross-product blocks by
     subtracting two prefix entries, independently of the interval length.
@@ -587,7 +681,7 @@ class PanelScanner:
         self.n_rows = n
         self.n_series = p
         self._baseline = baseline
-        self._gram_prefix = np.empty((n - q + 1, p * q, p * q))
+        self._gram_prefix = np.empty((n - q + 1, p * q * (p * q + 1) // 2))
         self._cross_prefix = np.empty((n - q + 1, p * q, p))
         self._refill(panel)
 
@@ -619,7 +713,7 @@ class PanelScanner:
             )
         a = interval.start - self.q - 1
         b = interval.end - self.q
-        gram = self._gram_prefix[b] - self._gram_prefix[a]
+        gram = _unpack_gram(self._gram_prefix[b] - self._gram_prefix[a])
         cross = self._cross_prefix[b] - self._cross_prefix[a]
         return gram, cross
 

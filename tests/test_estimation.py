@@ -35,7 +35,7 @@ from varanom.estimation import (
     lasso_cd_gram_batch,
     soft_threshold,
 )
-from varanom.interval_stats import interval_lambdas, prefix_statistics
+from varanom.interval_stats import _pack_gram, _unpack_gram, interval_lambdas, prefix_statistics
 
 
 def test_lasso_identity_design_no_penalty():
@@ -457,7 +457,7 @@ def test_batch_solver_keeps_a_zero_gram_column_at_zero():
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
     zero = np.zeros((1, 5, 5))
     values, nonzero, reliable = prefix_statistics(
-        np.concatenate([zero, G[None]]), np.concatenate([zero[:, :, :3], C[None]]),
+        _pack_gram(np.concatenate([zero, G[None]])), np.concatenate([zero[:, :, :3], C[None]]),
         np.array([0]), np.array([1]), np.array([lam]), "lasso", SolverOptions(), None,
     )
     assert nonzero[0] == np.count_nonzero(beta[0]) == np.count_nonzero(beta[0] != 0.0)
@@ -610,7 +610,7 @@ def test_prefix_statistics_values_are_the_bracket_values():
     values, _, _ = prefix_statistics(
         scanner._gram_prefix, scanner._cross_prefix, lo, hi, lams, "lasso", SolverOptions(), None
     )
-    grams = scanner._gram_prefix[hi] - scanner._gram_prefix[lo]
+    grams = _unpack_gram(scanner._gram_prefix[hi] - scanner._gram_prefix[lo])
     crosses = scanner._cross_prefix[hi] - scanner._cross_prefix[lo]
     beta, _ = lasso_cd_gram_batch(grams, crosses, lams)
     assert lasso_bracket(grams, crosses, beta, lams)[0].tobytes() == values.tobytes()

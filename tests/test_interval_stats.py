@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from varanom.interval_stats import (
     _BRACKET_SWEEPS,
     _PREFIX_BLOCK_ROWS,
     LAMBDA_POLICIES,
+    _pack_gram,
+    _unpack_gram,
     gram_ols_value,
     interval_lambdas,
     inverse_sqrt_psd,
@@ -312,7 +315,9 @@ def test_scanner_order_two_matches_direct():
 def test_prefix_build_is_bitwise_one_cumsum(rows, refilled, q):
     # the blocked build adds every term in the order of one cumsum over all
     # rows, and in the order the online detector accumulates its rows; the
-    # residuals are the row-by-row products x - B z, bitwise on both sides
+    # residuals are the row-by-row products x - B z, bitwise on both sides.
+    # The Gram prefix holds the lower triangles of that cumsum, which unpack
+    # to a bitwise symmetric full prefix
     base = generate_dense_stationary(3, seed=5)
     law = VarParams((base.coeffs[0] / q,) * q, np.eye(3))
     panel = simulate(law, rows + q, burn_in=20, seed=6)
@@ -328,9 +333,16 @@ def test_prefix_build_is_bitwise_one_cumsum(rows, refilled, q):
         scanner._refill(panel)
     else:
         scanner = PanelScanner(panel, law.stacked, q)
-    assert scanner._gram_prefix.shape == (rows + 1, 3 * q, 3 * q)
+    m = 3 * q
+    assert scanner._gram_prefix.shape == (rows + 1, m * (m + 1) // 2)
     assert not scanner._gram_prefix[0].any() and not scanner._cross_prefix[0].any()
-    assert np.array_equal(scanner._gram_prefix[1:], np.cumsum(np.einsum("ti,tj->tij", lagged, lagged), axis=0))
+    full = np.cumsum(np.einsum("ti,tj->tij", lagged, lagged), axis=0)
+    lower = np.tril_indices(m)
+    assert np.array_equal(scanner._gram_prefix[1:], full[:, lower[0], lower[1]])
+    unpacked = _unpack_gram(scanner._gram_prefix)
+    assert np.array_equal(unpacked[1:], full)
+    assert np.array_equal(unpacked, unpacked.transpose(0, 2, 1))
+    assert np.array_equal(_pack_gram(unpacked), scanner._gram_prefix)
     assert np.array_equal(scanner._cross_prefix[1:], np.cumsum(np.einsum("ti,tj->tij", lagged, resid), axis=0))
     detector = OnlineDetector(law.stacked, q, 1.0, 1.0, t0=q + 1)
     for x in values:
@@ -339,13 +351,30 @@ def test_prefix_build_is_bitwise_one_cumsum(rows, refilled, q):
     assert np.array_equal(scanner._cross_prefix, detector._cross_prefix[: rows + 1])
 
 
+def test_scanner_build_peaks_below_the_full_prefix_layout():
+    # at p = 50, q = 1 and T = 1000 a full Gram prefix and the cross prefix
+    # take 1000 (2500 + 2500) doubles, 40 MB; the packed Gram prefix holds
+    # 1275 doubles a row, so the whole build, temporaries included, stays below
+    n, p = 1000, 50
+    base = generate_dense_stationary(p, seed=7)
+    panel = simulate(base, n, seed=8)
+    tracemalloc.start()
+    try:
+        PanelScanner(panel, base.stacked, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (p * p + p * p) * 8
+
+
 def _ols_reference(gram_prefix, cross_prefix, lo, hi, whitening=None):
     values, nonzero = [], []
+    grams = _unpack_gram(gram_prefix)
     for a, b in zip(lo, hi):
         cross = cross_prefix[b] - cross_prefix[a]
         if whitening is not None:
             cross = cross @ whitening
-        value, theta = gram_ols_value(gram_prefix[b] - gram_prefix[a], cross)
+        value, theta = gram_ols_value(grams[b] - grams[a], cross)
         values.append(value)
         nonzero.append(np.count_nonzero(theta))
     return np.array(values), np.array(nonzero)
@@ -390,11 +419,28 @@ def test_ols_kernel_certified_path_matches_gram_ols_value(monkeypatch, whitened)
 def _stacked_prefix(grams):
     """Prefix arrays whose interval (0, m + i) has Gram ``grams[i]`` and a random cross block."""
     m = grams[0].shape[0]
-    gram_prefix = np.zeros((m + len(grams), m, m))
-    gram_prefix[m:] = grams
+    gram_prefix = np.zeros((m + len(grams), m * (m + 1) // 2))
+    gram_prefix[m:] = _pack_gram(np.array(grams))
     cross_prefix = np.zeros((m + len(grams), m, 2))
     cross_prefix[m:] = np.random.default_rng(41).standard_normal((len(grams), m, 2))
     return gram_prefix, cross_prefix, np.zeros(len(grams), dtype=int), m + np.arange(len(grams))
+
+
+def test_kernel_rejects_an_unpacked_gram_prefix_and_indices_outside_it():
+    gram_prefix, cross_prefix, lo, hi = _stacked_prefix([np.eye(3)] * 2)
+    full = _unpack_gram(gram_prefix)
+    for method in ("ols", "lasso"):
+        with pytest.raises(ParameterError, match="packed"):
+            prefix_statistics(full, cross_prefix, lo, hi, np.zeros(2), method, SolverOptions(), None)
+    with pytest.raises(ParameterError, match="packed"):
+        interval_stats.lasso_maximum(
+            full, cross_prefix, np.zeros((len(full), 2)), lo, hi, np.zeros(2), SolverOptions(), None
+        )
+    # the OLS gathers write straight into reused buffers, so they check their
+    # indices rather than let a clipping take read the wrong rows
+    for bad_lo, bad_hi in ((lo, hi + len(gram_prefix)), (lo - 1, hi)):
+        with pytest.raises(IndexError):
+            prefix_statistics(gram_prefix, cross_prefix, bad_lo, bad_hi, np.zeros(2), "ols", SolverOptions(), None)
 
 
 def _spd(rng, eigenvalues):
@@ -463,7 +509,7 @@ def test_ols_kernel_short_interval_raises_before_any_solve(monkeypatch):
 
 def _lasso_without_screen(gram_prefix, cross_prefix, lo, hi, lams, solver, whitening):
     """The lasso kernel that gathers every Gram block and solves every interval."""
-    grams = gram_prefix[hi] - gram_prefix[lo]
+    grams = _unpack_gram(gram_prefix[hi] - gram_prefix[lo])
     crosses = cross_prefix[hi] - cross_prefix[lo]
     if whitening is not None:
         crosses = crosses @ whitening

@@ -1,0 +1,124 @@
+"""Memory of the p = 50 OLS runs of the benchmark's pipeline-ols-p50 workload.
+
+    python3 tools/memory.py [--against PARENT_CHECKOUT]
+
+Three runs at that workload's sizes (p = 50, q = 1), on fixed seeds:
+
+* ``scanner``: building a ``PanelScanner`` over a T = 2000 panel, the
+  length of the pipeline's test slice;
+* ``detect_single``: an OLS ``detect_single`` of that panel over
+  ``seeded_intervals(2000, 51, 1 / 1.1)``, threshold 1e9;
+* ``pipeline``: ``run_pipeline(stage="detect")`` with OLS and 10 calibration
+  runs on a T = 4000 CSV panel.
+
+Every run is made twice, each time in a fresh subprocess: once under
+``tracemalloc``, which prints the peak of the allocations the run itself
+makes (its inputs are built before tracing starts), and once untraced,
+which prints ``ru_maxrss``, the peak resident set of the whole process, and
+its growth over the run. With ``--against``, each run is also made with the
+library in ``src/`` of PARENT_CHECKOUT (for instance a ``git archive`` of
+the parent commit), alternating which tree goes first, and the table gains
+the parent's figures and the change over the parent. The panels come from
+the library's own ``simulate``, so both trees see the same inputs wherever
+that function is unchanged. It takes about 15 s on a 2-vCPU machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = ("scanner", "detect_single", "pipeline")
+P, TEST_ROWS, PANEL_ROWS = 50, 2000, 4000
+
+
+def _prepare(run: str, work: Path):
+    """The run's inputs and a function that makes the run."""
+    import numpy as np
+    import varanom as vm
+
+    law = vm.generate_dense_stationary(P, seed=15)
+    if run == "pipeline":
+        path = work / "panel.csv"
+        np.savetxt(path, vm.simulate(law, PANEL_ROWS, seed=16).values, delimiter=",", fmt="%.17g")
+        config = vm.RunConfig(method="ols", calibration_runs=10)
+        return lambda: vm.run_pipeline(config, path, work / "out", stage="detect")
+    panel = vm.simulate(law, TEST_ROWS, seed=17)
+    if run == "scanner":
+        return lambda: vm.PanelScanner(panel, law.stacked, 1)
+    intervals = vm.seeded_intervals(TEST_ROWS, P + 1, 1 / 1.1, q=1)
+    config = vm.StatConfig(method="ols")
+    return lambda: vm.detect_single(panel, law.stacked, intervals, config, 1e9, q=1)
+
+
+def child(run: str, src: Path, traced: bool) -> dict:
+    """One run in this process, with the library imported from ``src``."""
+    sys.path.insert(0, str(src))
+    with tempfile.TemporaryDirectory() as tmp:
+        go = _prepare(run, Path(tmp))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        start = time.perf_counter()
+        if traced:
+            tracemalloc.start()
+            go()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return {"traced_peak_mb": peak / 1e6}
+        go()
+        seconds = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kB on Linux
+        return {"maxrss_mb": after / 1024, "maxrss_growth_mb": (after - before) / 1024, "seconds": seconds}
+
+
+def measure(run: str, src: Path) -> dict:
+    """Both measurements of a run, each from a fresh subprocess."""
+    out = {}
+    for traced in (True, False):
+        cmd = [sys.executable, __file__, "--child", run, "--src", str(src), "--traced", str(int(traced))]
+        done = subprocess.run(cmd, check=True, capture_output=True, text=True)
+        out.update(json.loads(done.stdout.splitlines()[-1]))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--child", choices=RUNS, help=argparse.SUPPRESS)
+    parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--traced", type=int, default=0, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child, args.src, bool(args.traced))))
+        return 0
+    trees = {"change": ROOT / "src"}
+    if args.against is not None:
+        parent = args.against.resolve() / "src"
+        if not (parent / "varanom" / "__init__.py").is_file():
+            raise SystemExit(f"no src/varanom under {args.against}")
+        trees["parent"] = parent
+    results = {}
+    for i, run in enumerate(RUNS):
+        order = list(trees) if i % 2 else list(reversed(trees))
+        results[run] = {side: measure(run, trees[side]) for side in order}
+    fields = ("traced_peak_mb", "maxrss_mb", "maxrss_growth_mb", "seconds")
+    print("run            tree    " + "  ".join(f"{f:>16s}" for f in fields))
+    for run, sides in results.items():
+        for side in trees:
+            print(f"{run:14s} {side:7s} " + "  ".join(f"{sides[side][f]:16.2f}" for f in fields))
+        if "parent" in sides:
+            ratios = (sides["change"][f] / sides["parent"][f] for f in fields[:2])
+            print(f"{run:14s} {'ratio':7s} " + "  ".join(f"{r:16.3f}" for r in ratios))
+    print(json.dumps(results))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
