@@ -138,7 +138,9 @@ def _cmd_evaluate(args) -> int:
             if "detected" in cols and int(parts[cols["detected"]]) != 1:
                 continue
             detected.append((int(parts[cols["start"]]), int(parts[cols["end"]])))
-    outcome = ScenarioOutcome(truth, detected)
+    # detections are pairwise disjoint, so rows repeating an interval, as a
+    # set sampled with replacement gives, are one detection
+    outcome = ScenarioOutcome(truth, list(dict.fromkeys(detected)))
     summary = hausdorff_summary([outcome], empty_convention=args.horizon)
     report = {
         "n_detected": outcome.n_detected,

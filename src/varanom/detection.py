@@ -43,8 +43,15 @@ through ``lasso_maximum``, bitwise the maximum of a ``step`` loop. A
 block's cross blocks, about ``_REPLAY_BLOCK_ROWS`` log2(t) pq p doubles,
 bound the extra memory.
 
-Ties at the argmax break toward the earlier start, then the shorter
-interval, so results are invariant to candidate storage order.
+A scan, and an online step, return a
+:class:`~varanom.interval_stats.ScanResult`, the kernel's result columns;
+its items are :class:`~varanom.interval_stats.IntervalStatistic` objects
+built on demand. Selection, the maxima, the online alarm and
+``DetectionResult.to_csv`` read the columns. Selection ranks the eligible
+rows once with a stable sort by the tie key (-value, start, length), so
+ties at the argmax break toward the earlier start, then the shorter
+interval, then storage order (a duplicated interval is the same row
+twice), and results are invariant to candidate storage order.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from .interval_stats import (
     LAMBDA_POLICIES,
     IntervalStatistic,
     PanelScanner,
+    ScanResult,
     StatConfig,
     _gram_layout,
     check_batch_solver,
@@ -71,7 +79,6 @@ from .interval_stats import (
     lasso_maximum,
     prefix_statistics,
     scaled_lambda,
-    statistic_list,
     whitening_matrix,
 )
 from .var_model import TimeSeriesPanel, VarParams, simulate
@@ -118,7 +125,7 @@ class DetectionResult:
     """Ordered detections plus every statistic computed during the scan."""
 
     detected: list[IntervalStatistic]
-    statistics: list[IntervalStatistic]
+    statistics: ScanResult
     threshold: float
 
     @property
@@ -126,11 +133,10 @@ class DetectionResult:
         return [s.interval for s in self.detected]
 
     def to_csv(self, path) -> None:
-        flagged = {s.interval for s in self.detected}
-        rows = (
-            [s.interval.start, s.interval.end, repr(float(s.value)), int(s.interval in flagged)]
-            for s in self.statistics
-        )
+        stats = self.statistics
+        flagged = {(s.interval.start, s.interval.end) for s in self.detected}
+        columns = zip(stats.starts.tolist(), stats.ends.tolist(), stats.values.tolist())
+        rows = ([a, b, repr(v), int((a, b) in flagged)] for a, b, v in columns)
         write_table(path, ["start", "end", "statistic", "detected"], rows)
 
 
@@ -193,31 +199,38 @@ def calibrate_threshold(
     )
 
 
-def max_reliable_statistic(stats: Iterable[IntervalStatistic]) -> float:
+def max_reliable_statistic(stats: ScanResult) -> float:
     """Largest statistic the selection rules may compare with a threshold.
 
     Unreliable statistics are skipped; a scan with none reliable, or an
     empty one, gives 0.0, the value of a statistic at exactly zero.
     """
-    return max((s.value for s in stats if s.reliable), default=0.0)
+    return max(stats.values[stats.reliable].tolist(), default=0.0)
 
 
-def _tie_key(stat: IntervalStatistic) -> tuple[float, int, int]:
-    return (-stat.value, stat.interval.start, stat.interval.length)
-
-
-def select_single(stats: Iterable[IntervalStatistic], threshold: float) -> list[IntervalStatistic]:
+def select_single(stats: ScanResult, threshold: float) -> list[IntervalStatistic]:
     """The first detection of :func:`select_multiple`, or none."""
     return select_multiple(stats, threshold)[:1]
 
 
-def select_multiple(stats: Iterable[IntervalStatistic], threshold: float) -> list[IntervalStatistic]:
-    candidates = [s for s in stats if s.reliable and s.value > threshold]
-    picked: list[IntervalStatistic] = []
-    while candidates:
-        best = min(candidates, key=_tie_key)
-        picked.append(best)
-        candidates = [c for c in candidates if not c.interval.overlaps(best.interval)]
+def select_multiple(stats: ScanResult, threshold: float) -> list[IntervalStatistic]:
+    """Greedy disjoint detections among the reliable statistics above ``threshold``.
+
+    Only rows that are reliable and whose value exceeds ``threshold`` are
+    eligible. They are ranked once by the tie key (-value, start, length),
+    with a stable sort, so equal keys, such as a duplicated interval, keep
+    storage order. The first ranked row is picked and every row whose
+    interval overlaps it is dropped, until none is left: the picks are
+    pairwise disjoint and in decreasing order of value.
+    """
+    order = np.flatnonzero(stats.reliable & (stats.values > threshold))
+    # at equal starts, ordering by end is ordering by length
+    order = order[np.lexsort((stats.ends[order], stats.starts[order], -stats.values[order]))]
+    picked = []
+    while order.size:
+        best = order[0]
+        picked.append(stats[best])
+        order = order[(stats.starts[order] > stats.ends[best]) | (stats.ends[order] < stats.starts[best])]
     return picked
 
 
@@ -232,11 +245,9 @@ def _run_scan(
 ) -> DetectionResult:
     if threshold <= 0:
         raise ParameterError("threshold must be strictly positive")
-    scanner = PanelScanner(panel, np.asarray(baseline, dtype=float), q)
-    stats = scanner.scan(interval_set, config)
+    stats = PanelScanner(panel, np.asarray(baseline, dtype=float), q).scan(interval_set, config)
     select = select_multiple if multiple else select_single
-    detected = select(stats, threshold)
-    return DetectionResult(detected, stats, threshold)
+    return DetectionResult(select(stats, threshold), stats, threshold)
 
 
 def detect_single(
@@ -387,18 +398,15 @@ class OnlineDetector:
         ends, j = _window_pairs(times, self.q)
         return ends - _WINDOW_OFFSETS[j], ends, self._window_lams[j]
 
-    def _scan(self, first: int, last: int) -> tuple[np.ndarray, ...]:
-        """Statistics of every window inspected at times ``first`` to ``last``.
-
-        One :func:`prefix_statistics` call over :meth:`_pairs`; returns the
-        columns (starts, ends, values, lams, nonzero, reliable).
-        """
+    def _scan(self, first: int, last: int) -> ScanResult:
+        """Statistics of every window inspected at times ``first`` to ``last``,
+        from one :func:`prefix_statistics` call over :meth:`_pairs`."""
         starts, ends, lams = self._pairs(first, last)
         values, nonzero, reliable = prefix_statistics(
             self._gram_prefix, self._cross_prefix, starts - (self.q + 1), ends - self.q,
             lams, "lasso", self.solver, self._whitening,
         )
-        return starts, ends, values, lams, nonzero, reliable
+        return ScanResult(starts, ends, values, lams, nonzero, reliable, "lasso")
 
     def _bound_crossing(self, first: int, last: int) -> int:
         """Earliest time in ``first`` to ``last`` at which a window's statistic
@@ -422,43 +430,38 @@ class OnlineDetector:
         over = np.flatnonzero(bound.max(axis=(1, 2), initial=0.0) > self.threshold)
         return int(ends[over[0]]) if over.size else last
 
-    def step(self, x: np.ndarray) -> list[IntervalStatistic]:
-        """Ingest one observation and return every window statistic at this time.
+    def step(self, x: np.ndarray) -> ScanResult:
+        """Ingest one observation and return every window statistic at this
+        time, shortest window first; none up to ``t0``.
 
         No stopping rule is applied; used for calibration sweeps.
         """
         self._append(x)
-        if self._n <= self.t0:
-            return []
-        starts, ends, values, lams, nonzero, reliable = self._scan(self._n, self._n)
-        windows = map(Interval, starts.tolist(), ends.tolist())
-        return statistic_list(windows, values, "lasso", lams, nonzero, reliable)
+        return self._scan(self._n, self._n)
 
     def update(self, x: np.ndarray) -> Optional[OnlineAlarm]:
         """Ingest one observation; return an alarm if a window fires.
 
         Windows are checked shortest first and the monitor stops at the
         first reliable exceedance. That is the alarm the statistics of
-        :meth:`step` would give, read from the kernel's result columns
-        without building them.
+        :meth:`step` would give, read from its columns.
         """
         if self.stopped_at is not None:
             return self.stopped_at
         self._append(x)
-        if self._n > self.t0:
-            self.stopped_at = _first_alarm(self._scan(self._n, self._n), self.threshold)
+        self.stopped_at = _first_alarm(self._scan(self._n, self._n), self.threshold)
         return self.stopped_at
 
 
-def _first_alarm(columns: tuple[np.ndarray, ...], threshold: float) -> Optional[OnlineAlarm]:
-    """Alarm of the first reliable exceedance in :meth:`OnlineDetector._scan`
-    columns, which are ordered by time, then shortest window; None if none."""
-    starts, ends, values, _, _, reliable = columns
-    hit = np.flatnonzero(reliable & (values > threshold))
+def _first_alarm(windows: ScanResult, threshold: float) -> Optional[OnlineAlarm]:
+    """Alarm of the first reliable exceedance among the windows of
+    :meth:`OnlineDetector._scan`, which are ordered by time, then shortest
+    window; None if none."""
+    hit = np.flatnonzero(windows.reliable & (windows.values > threshold))
     if hit.size == 0:
         return None
-    i = hit[0]
-    return OnlineAlarm(int(ends[i]), Interval(int(starts[i]), int(ends[i])), float(values[i]))
+    s = windows[hit[0]]
+    return OnlineAlarm(s.interval.end, s.interval, s.value)
 
 
 def _replay(detector: OnlineDetector, stream: Iterable[np.ndarray]) -> Iterator[tuple[int, int]]:

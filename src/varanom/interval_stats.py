@@ -42,6 +42,11 @@ W = Sigma^(-1/2) is symmetric, sum_t z_t (W u_t)' = (sum_t z_t u_t') W.
 directly from a regression view; they are the independent reference the
 kernel is tested against.
 
+A scan returns a :class:`ScanResult`: the kernel's columns (start, end,
+value, penalty, non-zero count, reliability) and the method, which reads
+as a sequence of :class:`IntervalStatistic` built on demand. The offline
+scan and each online step return one, and selection reads its columns.
+
 Null calibration reads only a scan's largest reliable statistic, which
 :meth:`PanelScanner.max_statistic` (and, per block of online windows,
 :func:`~varanom.detection.online_max_statistic`) gives bitwise without
@@ -62,8 +67,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,23 +142,41 @@ class IntervalStatistic:
     reliable: bool = True
 
 
-def statistic_list(
-    intervals: Iterable[Interval],
-    values: np.ndarray,
-    method: str,
-    lams: np.ndarray,
-    nonzero: np.ndarray,
-    reliable: np.ndarray,
-) -> list[IntervalStatistic]:
-    """One :class:`IntervalStatistic` per interval, from the kernel's result columns.
+@dataclass(eq=False)
+class ScanResult(Sequence):
+    """The kernel's result columns over a set of intervals, one entry per
+    interval: start, end, statistic, penalty, count of non-zero
+    coefficients and reliability, with the ``method`` they share.
 
-    The columns are converted with ``tolist``, so every field holds a
-    Python float, int or bool rather than a numpy scalar.
+    A sequence of :class:`IntervalStatistic`, indexed by int (not by slice):
+    item i is built when it is read, or iterated, with every field a Python
+    int, float or bool. Selection, maxima, alarms and CSV files read the
+    columns and build no item but the ones they return.
     """
-    return list(map(
-        IntervalStatistic, intervals, values.tolist(), itertools.repeat(method),
-        lams.tolist(), nonzero.tolist(), reliable.tolist(),
-    ))
+
+    starts: np.ndarray
+    ends: np.ndarray
+    values: np.ndarray
+    lams: np.ndarray
+    nonzero: np.ndarray
+    reliable: np.ndarray
+    method: str
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> IntervalStatistic:
+        return IntervalStatistic(
+            Interval(int(self.starts[i]), int(self.ends[i])), float(self.values[i]), self.method,
+            float(self.lams[i]), int(self.nonzero[i]), bool(self.reliable[i]),
+        )
+
+    def __iter__(self) -> Iterator[IntervalStatistic]:
+        return map(
+            IntervalStatistic, map(Interval, self.starts.tolist(), self.ends.tolist()),
+            self.values.tolist(), itertools.repeat(self.method), self.lams.tolist(),
+            self.nonzero.tolist(), self.reliable.tolist(),
+        )
 
 
 class ScanMaximum(NamedTuple):
@@ -718,27 +742,25 @@ class PanelScanner:
         return gram, cross
 
     def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple[np.ndarray, ...]:
-        """(lo, hi, lams) of a non-empty set: its prefix indices and penalties."""
+        """(lo, hi, lams) of the set: its prefix indices and penalties."""
         starts, ends = interval_set.starts, interval_set.ends
-        if starts.min() < self.q + 1 or ends.max() > self.n_rows:
+        if len(starts) and (starts.min() < self.q + 1 or ends.max() > self.n_rows):
             raise DesignError("interval set escapes the usable domain of the panel")
         lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
         return starts - self.q - 1, ends - self.q, lams
 
-    def scan(self, interval_set: IntervalSet, config: StatConfig) -> list[IntervalStatistic]:
+    def scan(self, interval_set: IntervalSet, config: StatConfig) -> ScanResult:
         """Statistics for every interval in the set, in storage order.
 
         Computed by :func:`prefix_statistics`, whitened by ``config.sigma``;
         results match the direct per-view computation up to summation order.
         """
-        if not interval_set.intervals:
-            return []
         lo, hi, lams = self._kernel_args(interval_set, config)
         values, nonzero, reliable = prefix_statistics(
             self._gram_prefix, self._cross_prefix, lo, hi, lams, config.method, config.solver,
             whitening_matrix(config.sigma, self.n_series),
         )
-        return statistic_list(interval_set.intervals, values, config.method, lams, nonzero, reliable)
+        return ScanResult(interval_set.starts, interval_set.ends, values, lams, nonzero, reliable, config.method)
 
     def max_statistic(self, interval_set: IntervalSet, config: StatConfig) -> ScanMaximum:
         """The largest reliable statistic of the set, bitwise
@@ -768,6 +790,6 @@ def scan_intervals(
     interval_set: IntervalSet,
     config: StatConfig,
     q: int,
-) -> list[IntervalStatistic]:
+) -> ScanResult:
     """Scan a panel over an interval collection with the configured statistic."""
     return PanelScanner(panel, baseline, q).scan(interval_set, config)

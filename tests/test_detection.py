@@ -44,11 +44,37 @@ from varanom.detection import (
 from varanom import interval_stats
 from varanom.estimation import estimate_baseline
 from varanom.experiments import dense_base_with_change, run_two_anomaly_study
-from varanom.interval_stats import LAMBDA_POLICIES, prefix_statistics, whitening_matrix
+from varanom.interval_stats import LAMBDA_POLICIES, ScanResult, prefix_statistics, whitening_matrix
 
 
 def _stat(start, end, value, reliable=True):
     return IntervalStatistic(Interval(start, end), value, "lasso", 1.0, 1, reliable)
+
+
+def _scan_result(stats, method="lasso"):
+    """A list of statistics packed into the columns a scan returns."""
+    return ScanResult(
+        np.array([s.interval.start for s in stats], dtype=int),
+        np.array([s.interval.end for s in stats], dtype=int),
+        np.array([s.value for s in stats], dtype=float),
+        np.array([s.lam for s in stats], dtype=float),
+        np.array([s.nonzero for s in stats], dtype=int),
+        np.array([s.reliable for s in stats], dtype=bool),
+        method,
+    )
+
+
+def _reference_select(stats, threshold):
+    """The object-based greedy rule: repeatedly take the least tie key
+    (-value, start, length), first in storage order among equals, and drop
+    every candidate that overlaps it."""
+    candidates = [s for s in stats if s.reliable and s.value > threshold]
+    picked = []
+    while candidates:
+        best = min(candidates, key=lambda s: (-s.value, s.interval.start, s.interval.length))
+        picked.append(best)
+        candidates = [c for c in candidates if not c.interval.overlaps(best.interval)]
+    return picked
 
 
 def test_empirical_quantile_order_statistic():
@@ -81,9 +107,9 @@ def test_calibrate_threshold_protocol():
 
 def test_max_reliable_statistic_skips_unreliable():
     stats = [_stat(1, 10, 100.0, reliable=False), _stat(20, 30, 7.0), _stat(5, 9, 3.0)]
-    assert max_reliable_statistic(stats) == 7.0
-    assert max_reliable_statistic([_stat(1, 10, 100.0, reliable=False)]) == 0.0
-    assert max_reliable_statistic([]) == 0.0
+    assert max_reliable_statistic(_scan_result(stats)) == 7.0
+    assert max_reliable_statistic(_scan_result([_stat(1, 10, 100.0, reliable=False)])) == 0.0
+    assert max_reliable_statistic(_scan_result([])) == 0.0
 
 
 def test_calibrate_threshold_empty_scan():
@@ -92,6 +118,12 @@ def test_calibrate_threshold_empty_scan():
     cal = calibrate_threshold(base, empty, StatConfig(), runs=3, seed=4, burn_in=50)
     assert cal.max_statistics.tolist() == [0.0, 0.0, 0.0]
     assert cal.threshold == THRESHOLD_FLOOR
+    # an empty set scans to empty columns through the kernel, for both methods
+    panel = simulate(base, 80, seed=5)
+    for method in ("lasso", "ols"):
+        result = detect_multiple(panel, base.stacked, empty, StatConfig(method=method), 1.0)
+        assert len(result.statistics) == 0 and list(result.statistics) == []
+        assert result.detected == [] and max_reliable_statistic(result.statistics) == 0.0
 
 
 def test_calibrate_threshold_skips_unreliable_statistics():
@@ -158,20 +190,20 @@ def test_calibrate_threshold_equals_fresh_scanner_loop(method, q, whitened):
 
 
 def test_select_single_tie_break():
-    stats = [_stat(5, 14, 9.0), _stat(3, 12, 9.0), _stat(20, 30, 2.0)]
+    stats = _scan_result([_stat(5, 14, 9.0), _stat(3, 12, 9.0), _stat(20, 30, 2.0)])
     picked = select_single(stats, 1.0)
     assert [s.interval for s in picked] == [Interval(3, 12)]
     # shorter wins when starts tie as well
-    stats = [_stat(3, 14, 9.0), _stat(3, 12, 9.0)]
+    stats = _scan_result([_stat(3, 14, 9.0), _stat(3, 12, 9.0)])
     assert select_single(stats, 1.0)[0].interval == Interval(3, 12)
 
 
 def test_select_single_empty_below_threshold():
-    assert select_single([_stat(1, 5, 0.5)], 1.0) == []
+    assert select_single(_scan_result([_stat(1, 5, 0.5)]), 1.0) == []
 
 
 def test_select_multiple_hand_trace():
-    stats = [_stat(1, 10, 5.0), _stat(5, 15, 9.0), _stat(20, 30, 7.0)]
+    stats = _scan_result([_stat(1, 10, 5.0), _stat(5, 15, 9.0), _stat(20, 30, 7.0)])
     picked = select_multiple(stats, 4.0)
     assert [s.interval for s in picked] == [Interval(5, 15), Interval(20, 30)]
 
@@ -182,11 +214,11 @@ def test_select_multiple_order_invariance():
         _stat(1, 10, 5.0), _stat(5, 15, 9.0), _stat(20, 30, 7.0),
         _stat(28, 40, 6.5), _stat(45, 60, 9.0), _stat(46, 60, 9.0),
     ]
-    want = [s.interval for s in select_multiple(stats, 4.0)]
+    want = [s.interval for s in select_multiple(_scan_result(stats), 4.0)]
     for _ in range(10):
         shuffled = list(stats)
         rng.shuffle(shuffled)
-        got = [s.interval for s in select_multiple(shuffled, 4.0)]
+        got = [s.interval for s in select_multiple(_scan_result(shuffled), 4.0)]
         assert got == want
     for a in want:
         for b in want:
@@ -208,7 +240,7 @@ _stat_lists = st.lists(
 def test_selection_properties(rows, threshold):
     # few distinct values and short ranges make ties and overlaps common
     stats = [_stat(s, s + extra, v, ok) for s, extra, v, ok in rows]
-    picked = select_multiple(stats, threshold)
+    picked = select_multiple(_scan_result(stats), threshold)
     for i, a in enumerate(picked):
         assert a.reliable and a.value > threshold
         for b in picked[i + 1:]:
@@ -217,7 +249,36 @@ def test_selection_properties(rows, threshold):
     for s in stats:
         if s.reliable and s.value > threshold and s not in picked:
             assert any(s.interval.overlaps(b.interval) and b.value >= s.value for b in picked)
-    assert select_single(stats, threshold) == picked[:1]
+    assert select_single(_scan_result(stats), threshold) == picked[:1]
+
+
+_scan_rows = st.lists(
+    st.tuples(
+        st.integers(1, 30), st.integers(0, 12),
+        st.sampled_from([0.0, 1.0, 2.5, 4.0, 9.0]), st.booleans(),
+        st.sampled_from([0.5, 1.0, 3.0]), st.integers(0, 4),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_scan_rows, repeats=st.lists(st.integers(0, 29), max_size=8),
+       threshold=st.sampled_from([-1.0, 0.0, 1.0, 4.0]))
+def test_selection_matches_object_greedy(rows, repeats, threshold):
+    # duplicated intervals (with equal or different rows), equal values,
+    # unreliable rows and empty inputs; picks agree field for field
+    stats = [IntervalStatistic(Interval(s, s + extra), v, "lasso", lam, nz, ok)
+             for s, extra, v, ok, lam, nz in rows]
+    stats += [stats[i] for i in repeats if i < len(stats)]
+    scan = _scan_result(stats)
+    want = _reference_select(stats, threshold)
+    got = select_multiple(scan, threshold)
+    assert got == want
+    assert select_single(scan, threshold) == want[:1]
+    for a, b in zip(got, want):
+        for name in ("value", "lam", "nonzero", "reliable"):
+            assert type(getattr(a, name)) is type(getattr(b, name))
 
 
 def test_two_anomaly_study_matches_private_loop():
@@ -248,7 +309,7 @@ def test_two_anomaly_study_matches_private_loop():
 
 
 def test_unreliable_statistics_are_excluded():
-    stats = [_stat(1, 10, 100.0, reliable=False), _stat(20, 30, 7.0)]
+    stats = _scan_result([_stat(1, 10, 100.0, reliable=False), _stat(20, 30, 7.0)])
     picked = select_single(stats, 4.0)
     assert [s.interval for s in picked] == [Interval(20, 30)]
 
@@ -621,7 +682,7 @@ def test_bound_crossing_is_a_sure_exceedance():
             cut = detector._bound_crossing(first, first + 15)
             if cut < first + 15:
                 crossings += 1
-                values = detector._scan(cut, cut)[2]
+                values = detector._scan(cut, cut).values
                 assert values.max() > threshold
     assert crossings > 3
 

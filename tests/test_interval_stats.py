@@ -244,7 +244,7 @@ def test_scanner_matches_direct_statistics():
         StatConfig(method="ols", sigma=sigma),
     ):
         stats = scan_intervals(panel, base.stacked, ivs, cfg, q=1)
-        for s, iv in zip(stats[::7], list(ivs)[::7]):
+        for s, iv in zip(list(stats)[::7], list(ivs)[::7]):
             view = build_regression_view(panel, base.stacked, iv.start, iv.end, 1)
             if cfg.sigma is not None:
                 view = whiten(view, sigma)
@@ -294,7 +294,7 @@ def test_scanner_order_two_matches_direct():
     ivs = random_intervals(250, 9, 40, seed=24, q=2)
     cfg = StatConfig(method="lasso")
     stats = scan_intervals(panel, base.stacked, ivs, cfg, q=2)
-    for s, iv in zip(stats[::5], list(ivs)[::5]):
+    for s, iv in zip(list(stats)[::5], list(ivs)[::5]):
         view = build_regression_view(panel, base.stacked, iv.start, iv.end, 2)
         direct = lasso_statistic(view, s.lam)
         assert abs(s.value - direct.value) < 1e-8 * (1.0 + abs(direct.value))
@@ -600,7 +600,7 @@ def test_lasso_kernel_chunks_change_no_value(monkeypatch, whitened):
 
 
 def test_statistic_lists_hold_python_scalars():
-    # scan and step build their lists through one helper from tolist columns
+    # the items of scan and step results, iterated or indexed, hold Python scalars
     base = generate_dense_stationary(3, seed=74)
     panel = simulate(base, 120, seed=75)
     ivs = seeded_intervals(120, 12, 1 / 1.3, q=1)
@@ -611,9 +611,10 @@ def test_statistic_lists_hold_python_scalars():
     scanner = PanelScanner(panel, base.stacked, 1)
     for method in ("lasso", "ols"):
         scanned = scanner.scan(ivs, StatConfig(method=method))
-        # the scan shares the set's interval objects rather than copying them
-        assert all(s.interval is iv for s, iv in zip(scanned, ivs.intervals, strict=True))
-        for s in scanned + stepped:
+        assert [s.interval for s in scanned] == list(ivs.intervals)
+        indexed = [scanned[i] for i in range(len(scanned))] + [stepped[-1]]
+        assert indexed[:-1] == list(scanned) and indexed[-1] == list(stepped)[-1]
+        for s in list(scanned) + list(stepped) + indexed:
             assert type(s.interval.start) is int and type(s.interval.end) is int
             assert type(s.value) is float and type(s.lam) is float
             assert type(s.nonzero) is int and type(s.reliable) is bool
@@ -673,7 +674,7 @@ def test_scan_invariant_to_storage_order(seed, q):
         cfg = StatConfig(method=method, lambda_scale=0.05, lambda_policy="interval_linear")
         stats = scanner.scan(ivs, cfg)
         moved = scanner.scan(shuffled, cfg)
-        assert moved == [stats[i] for i in order]
+        assert list(moved) == [stats[i] for i in order]
         threshold = float(np.median([s.value for s in stats]))
         for select in (select_single, select_multiple):
             picked = [s.interval for s in select(stats, threshold)]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from varanom import (
+    DetectionResult,
+    Interval,
     PanelFormatError,
     ParameterError,
     RunConfig,
@@ -24,7 +26,9 @@ from varanom import (
 )
 from varanom import pipeline
 from varanom.cli import main
+from varanom.detection import select_multiple
 from varanom.experiments import dense_base_with_change
+from varanom.interval_stats import ScanResult
 from varanom.panels import undifference
 
 
@@ -390,6 +394,25 @@ def test_cli_bad_config_is_input_error(tmp_path):
 def test_cli_evaluate(tmp_path, capsys):
     det = tmp_path / "detections.csv"
     det.write_text("start,end,statistic,detected\n140,160,33.0,1\n10,20,1.0,0\n")
+    rc = main(["evaluate", "--detections", str(det), "--truth", "133:166", "--horizon", "500"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n_detected"] == 1
+    assert report["hausdorff"] == 7.0
+
+
+def test_cli_evaluate_counts_a_duplicated_detection_once(tmp_path, capsys):
+    # a random interval set can hold an interval twice; statistics.csv flags
+    # every row of a detected interval, and evaluate counts it once
+    stats = ScanResult(
+        np.array([140, 10, 140, 150]), np.array([160, 20, 160, 170]), np.array([33.0, 1.0, 33.0, 20.0]),
+        np.ones(4), np.ones(4, dtype=int), np.ones(4, dtype=bool), "lasso",
+    )
+    result = DetectionResult(select_multiple(stats, 5.0), stats, 5.0)
+    assert result.detected_intervals == [Interval(140, 160)]
+    det = tmp_path / "statistics.csv"
+    result.to_csv(det)
+    assert det.read_text().splitlines()[1:] == ["140,160,33.0,1", "10,20,1.0,0", "140,160,33.0,1", "150,170,20.0,0"]
     rc = main(["evaluate", "--detections", str(det), "--truth", "133:166", "--horizon", "500"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)

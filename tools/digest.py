@@ -33,6 +33,11 @@ Items:
 * ``online/max`` and ``online/alarms``: ``online_max_statistic`` of null
   streams and the ``detect_online`` alarms of streams with a change, under
   the three policies and a whitening sigma;
+* ``duplicates/<method>/<selection>``: the picks of ``detect_single`` and
+  ``detect_multiple`` and the bytes of their ``DetectionResult.to_csv``,
+  over a ``random_intervals`` set that holds duplicated intervals, for
+  lasso under interval_linear and for OLS at p = 5, at the median
+  statistic as threshold, so that many rows tie with a duplicate;
 * ``pipeline/<case>/<file>``: the bytes of a small ``run_pipeline`` detect
   run's CSV files and of its ``manifest.json`` without the ``data_path``
   field, for lasso under global and (with an estimated sigma)
@@ -61,8 +66,11 @@ from varanom import (  # noqa: E402
     StatConfig,
     VarParams,
     calibrate_threshold,
+    detect_multiple,
     detect_online,
+    detect_single,
     generate_dense_stationary,
+    random_intervals,
     run_pipeline,
     save_panel,
     seeded_intervals,
@@ -187,6 +195,33 @@ def online() -> dict[str, tuple[str, dict]]:
     }
 
 
+def duplicates() -> dict[str, tuple[str, dict]]:
+    law = _law(5, 1, seed=51)
+    theta = np.zeros((5, 5))
+    theta[0, 1] = theta[3, 2] = 0.6
+    panel = simulate_episodes(law, [((90, 130), theta)], 200, seed=52)
+    ivs = random_intervals(200, 8, 1000, seed=53, q=1)
+    assert len(set(ivs.intervals)) < len(ivs)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "statistics.csv"
+        for method, config in (
+            ("lasso", StatConfig(lambda_policy="interval_linear")), ("ols", StatConfig(method="ols"))
+        ):
+            stats = PanelScanner(panel, law.stacked, 1).scan(ivs, config)
+            threshold = float(np.median([s.value for s in stats]))
+            for name, detect in (("single", detect_single), ("multiple", detect_multiple)):
+                result = detect(panel, law.stacked, ivs, config, threshold)
+                result.to_csv(path)
+                out[f"duplicates/{method}/{name}"] = _item(
+                    start=np.array([s.interval.start for s in result.detected], dtype=np.int64),
+                    end=np.array([s.interval.end for s in result.detected], dtype=np.int64),
+                    value=np.array([s.value for s in result.detected], dtype=float),
+                    csv=np.frombuffer(path.read_bytes(), dtype=np.uint8),
+                )
+    return out
+
+
 def _file_fields(path: Path, body: bytes) -> dict:
     """A pipeline file's raw fields: its bytes, and for a CSV file each column
     as floats, named by its header (``col<i>`` without one); for the manifest,
@@ -255,8 +290,9 @@ def _difference(a: np.ndarray, b: np.ndarray) -> str:
 def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
     """Print, item by item, how ``items`` differ from ``saved``, then whether
     the thresholds, detections and alarms are identical: the calibration and
-    pipeline thresholds, which intervals the pipelines detect (the start and
-    end columns of ``detections.csv``), and the time and window of each
+    pipeline thresholds, which intervals the pipelines and the duplicates
+    items detect (the start and end columns of ``detections.csv`` and of
+    the picks), and the time and window of each
     online alarm. A changed statistic of a detection or an alarm, and so the
     bytes of its file, shows in its item's line."""
     same = {"thresholds": True, "detections": True, "alarms": True}
@@ -273,7 +309,9 @@ def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
             notes[field] = diff
             if field == "threshold":
                 same["thresholds"] = False
-            elif name.endswith("detections.csv") and field in ("start", "end"):
+            elif field in ("start", "end") and (
+                name.endswith("detections.csv") or name.startswith("duplicates/")
+            ):
                 same["detections"] = False
             elif name == "online/alarms" and field != "statistic":
                 same["alarms"] = False
@@ -289,7 +327,7 @@ def main() -> None:
     parser.add_argument("--save", metavar="FILE", help="write the raw result arrays to FILE (.npz)")
     parser.add_argument("--against", metavar="FILE", help="compare with arrays saved by --save")
     args = parser.parse_args()
-    items = {**scans(), **calibrations(), **online(), **pipelines()}
+    items = {**scans(), **calibrations(), **online(), **duplicates(), **pipelines()}
     total = hashlib.sha256()
     for name, (digest, _) in items.items():
         print(f"{digest}  {name}")
