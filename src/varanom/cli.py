@@ -3,11 +3,20 @@
 Subcommands: simulate, calibrate, detect, detect-online, evaluate,
 reproduce-tables. Exit codes: 0 on completion (detection or a clean
 null), 2 on input errors, 3 on numerical failures.
+
+The flags of ``detect`` and ``calibrate`` are built from ``PIPELINE_FLAGS``,
+a table of ``RunConfig`` fields: each field's flag is ``--<field with
+dashes>`` (``--difference`` sets ``apply_difference``), a bool field is a
+switch, and an enumerated field takes the values of
+``pipeline.OPTION_CHOICES``. A flag given overrides the config file's
+value; ``splits``, ``baseline_lambda``, ``delimiter`` and ``burn_in`` are
+set only in the config file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,7 +40,7 @@ from .experiments import (
 )
 from .interval_stats import LAMBDA_POLICIES, default_lambda
 from .panels import load_panel, save_panel
-from .pipeline import RunConfig, run_pipeline
+from .pipeline import OPTION_CHOICES, RunConfig, run_pipeline
 from .var_model import (
     AnomalyScenario,
     generate_dense_stationary,
@@ -43,6 +52,14 @@ from .var_model import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+# The RunConfig fields that detect and calibrate take as flags, with the type
+# of each value; a bool field is a switch that sets it to true.
+PIPELINE_FLAGS = {
+    "q": int, "method": str, "scheme": str, "count": int, "decay": float,
+    "min_length": int, "lambda_scale": float, "lambda_policy": str, "sigma_mode": str,
+    "quantile": float, "calibration_runs": int, "baseline_penalty": str, "seed": int,
+    "apply_difference": bool, "multiple": bool, "has_header": bool,
+}
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -74,23 +91,8 @@ def _cmd_simulate(args) -> int:
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in (
-        "q", "method", "scheme", "count", "decay", "min_length", "lambda_scale",
-        "lambda_policy", "sigma_mode", "quantile", "calibration_runs", "baseline_penalty", "seed",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "difference", False):
-        overrides["apply_difference"] = True
-    if getattr(args, "multiple", False):
-        overrides["multiple"] = True
-    if getattr(args, "has_header", False):
-        overrides["has_header"] = True
-    if overrides:
-        config = RunConfig.from_dict({**config.to_dict(), **overrides})
-    return config
+    given = {name: getattr(args, name) for name in PIPELINE_FLAGS}
+    return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_pipeline(args, stage: str) -> int:
@@ -155,7 +157,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_reproduce_tables(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    horizon = 500
     power_rows, hd_rows = [], []
     for scheme in ("random", "seeded"):
         study = run_single_anomaly_study(
@@ -168,7 +169,7 @@ def _cmd_reproduce_tables(args) -> int:
             for mode in ("known", "estimated"):
                 outcomes = study.outcomes[(mode, method)]
                 row.append(f"{100 * empirical_power(outcomes):.0f}")
-                hd = hausdorff_summary(outcomes, empty_convention=horizon)
+                hd = hausdorff_summary(outcomes, empty_convention=study.scenario.horizon)
                 hd_row.extend([
                     f"{hd['mean_all']:.2f}", f"{hd['sd_all']:.2f}",
                     f"{hd['mean_scaled']:.3f}",
@@ -222,30 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--window", default=None, help="anomaly window start:end")
     sim.set_defaults(func=_cmd_simulate)
 
-    for name, stage in (("detect", "detect"), ("calibrate", "calibrate")):
-        cmd = sub.add_parser(name, help=f"run the pipeline through the {stage} stage")
+    for stage in ("detect", "calibrate"):
+        cmd = sub.add_parser(stage, help=f"run the pipeline through the {stage} stage")
         cmd.add_argument("--data", required=True)
         cmd.add_argument("--out-dir", required=True)
         cmd.add_argument("--config", default=None, help="JSON config file")
-        cmd.add_argument("--q", type=int, default=None)
-        cmd.add_argument("--method", choices=["lasso", "ols"], default=None)
-        cmd.add_argument("--scheme", choices=["random", "seeded"], default=None)
-        cmd.add_argument("--count", type=int, default=None)
-        cmd.add_argument("--decay", type=float, default=None)
-        cmd.add_argument("--min-length", dest="min_length", type=int, default=None)
-        cmd.add_argument("--lambda-scale", dest="lambda_scale", type=float, default=None)
-        cmd.add_argument("--lambda-policy", dest="lambda_policy",
-                         choices=LAMBDA_POLICIES, default=None)
-        cmd.add_argument("--sigma-mode", dest="sigma_mode",
-                         choices=["identity", "estimated"], default=None)
-        cmd.add_argument("--quantile", type=float, default=None)
-        cmd.add_argument("--calibration-runs", dest="calibration_runs", type=int, default=None)
-        cmd.add_argument("--baseline-penalty", dest="baseline_penalty",
-                         choices=["ridge", "lasso", "none"], default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--difference", action="store_true")
-        cmd.add_argument("--multiple", action="store_true")
-        cmd.add_argument("--has-header", dest="has_header", action="store_true")
+        for name, kind in PIPELINE_FLAGS.items():
+            flag = "--" + ("difference" if name == "apply_difference" else name).replace("_", "-")
+            if kind is bool:  # a switch not given leaves the file's value
+                cmd.add_argument(flag, dest=name, action="store_const", const=True)
+            else:
+                cmd.add_argument(flag, dest=name, type=kind, choices=OPTION_CHOICES.get(name))
         cmd.set_defaults(func=lambda a, s=stage: _cmd_pipeline(a, s))
 
     online = sub.add_parser("detect-online", help="replay a CSV through the online monitor")

@@ -84,12 +84,15 @@ from .interval_stats import (
 from .var_model import TimeSeriesPanel, VarParams, simulate
 
 THRESHOLD_FLOOR = 1e-12
-# Rows per block of an online replay: one kernel call covers every window of
-# the block's steps, whose cross blocks hold about 64 log2(t) pq p doubles
-# (0.5 MB at p = 10, q = 1). On 30 of the online study's calibration
-# streams, 32-, 64- and 128-row blocks took 0.99, 0.77 and 0.55 s, the
-# row-by-row loop 4.9 s; larger blocks trade memory, which grows as (pq)p,
-# for fewer calls.
+# Rows per block of detect_online's replay and of online_max_statistic's
+# maxima: one kernel call covers every window of the block's times, whose
+# cross blocks hold about 64 log2(t) pq p doubles (0.5 MB at p = 10, q = 1),
+# memory that grows as (pq)p. Timed alternately in one process on the online
+# study's streams (2-vCPU host, 12 rounds of 30 streams), detect_online took
+# a median 25.9, 22.8 and 22.9 ms per evaluation stream at 32, 64 and 128
+# rows, and online_max_statistic 10.1, 6.8 and 6.5 ms per calibration
+# stream; 128 rows won 8 and 10 of the 12 rounds, within the host's spread,
+# for twice the memory.
 _REPLAY_BLOCK_ROWS = 64
 # t - start of the online windows: 2^(j-1) for j = 1..62, every window an
 # int64 time can have.
@@ -275,10 +278,13 @@ def detect_multiple(
 
 
 def online_windows(t: int) -> list[tuple[int, int]]:
-    """Geometric windows examined at time t, shortest first."""
-    if t < 2:
-        return []
-    return [(t - 2 ** (j - 1), t) for j in range(1, int(math.floor(math.log2(t))) + 1)]
+    """Geometric windows examined at time t, shortest first.
+
+    Window j exists while 2^j <= t, the rule :func:`_window_pairs` applies;
+    exact in integers, where a floored float log2 counts one window too
+    many at t = 2^k - 1 for k >= 49.
+    """
+    return [(t - offset, t) for offset in _WINDOW_OFFSETS.tolist() if 2 * offset <= t]
 
 
 def _window_pairs(times: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -516,6 +516,9 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, lam: float) -> FitResult:
     return FitResult(b, float(resid @ resid) + lam * float(b @ b), 1, True)
 
 
+BASELINE_PENALTIES = ("ridge", "lasso", "none")
+
+
 def default_baseline_lambda(p: int, n_train: int, c: float = 0.15) -> float:
     """Default penalty for baseline estimation: the rate with L set to T_train."""
     return c * math.sqrt(n_train * (2.0 * math.log(p) + math.log(n_train)))
@@ -532,11 +535,11 @@ def estimate_baseline(
     """Estimate the p x pq coefficient matrix from a stationary training slice.
 
     Each coordinate is regressed on the lagged design independently with the
-    chosen penalty ("lasso", "ridge" or "none"). The default lam follows the
+    chosen penalty, one of ``BASELINE_PENALTIES``. The default lam follows the
     tuning-parameter rate with the interval length replaced by the training
     length.
     """
-    if penalty not in ("lasso", "ridge", "none"):
+    if penalty not in BASELINE_PENALTIES:
         raise ParameterError(f"unknown penalty {penalty!r}")
     values = training.values
     n, p = values.shape

@@ -96,6 +96,7 @@ _BRACKET_SWEEPS = 4
 # Slack added to every upper bound, relative to 1 + sum_k ||y_k||^2, which
 # covers the rounding of the prefix differences and of the bound itself.
 _BRACKET_MARGIN = 1e-9
+METHODS = ("lasso", "ols")
 LAMBDA_POLICIES = ("global", "interval_sqrt", "interval_linear")
 
 
@@ -121,7 +122,7 @@ class StatConfig:
     lambda_policy: str = "global"
 
     def __post_init__(self) -> None:
-        if self.method not in ("lasso", "ols"):
+        if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
         if self.lambda_scale < 0:
             raise ParameterError("lambda constant must be non-negative")

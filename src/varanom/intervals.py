@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParameterError
 
 _CEIL_GUARD = 1e-9
+SCHEMES = ("random", "seeded")
 
 
 @dataclass(frozen=True, order=True)
@@ -168,9 +169,10 @@ def build_intervals(
     scheme: str, n_rows: int, min_length: int, q: int, count: int, decay: float, seed: int
 ) -> IntervalSet:
     """The ``random`` set (which uses ``count`` and ``seed``) or the ``seeded``
-    set (which uses ``decay``) over a panel of ``n_rows`` rows."""
+    set (which uses ``decay``) over a panel of ``n_rows`` rows; ``scheme`` is
+    one of ``SCHEMES``."""
+    if scheme not in SCHEMES:
+        raise ParameterError(f"unknown interval scheme {scheme!r}")
     if scheme == "random":
         return random_intervals(n_rows, min_length, count, seed, q=q)
-    if scheme == "seeded":
-        return seeded_intervals(n_rows, min_length, decay, q=q)
-    raise ParameterError(f"unknown interval scheme {scheme!r}")
+    return seeded_intervals(n_rows, min_length, decay, q=q)

@@ -7,6 +7,13 @@ quantile simulated from the estimated law at the calibration slice's
 length; detection runs on the test slice. Every resolved default lands in
 the run manifest so a run can be re-executed without the original config
 file. All file writes are atomic (write then rename).
+
+``RunConfig`` is the one definition of a run's options: a config file's
+keys are its fields, and so are the ``detect`` and ``calibrate`` flags of
+the CLI. ``OPTION_CHOICES`` maps each enumerated field to the tuple of its
+allowed values, which the module implementing the option defines
+(``METHODS``, ``SCHEMES``, ``LAMBDA_POLICIES``, ``BASELINE_PENALTIES``, and
+``SIGMA_MODES`` here); ``RunConfig`` and the CLI's ``choices`` read it.
 """
 
 from __future__ import annotations
@@ -23,18 +30,31 @@ import numpy as np
 
 from .detection import CalibrationResult, DetectionResult, calibrate_threshold, detect_multiple, detect_single
 from .errors import NumericalError, ParameterError
-from .estimation import estimate_baseline, estimate_noise_covariance
+from .estimation import BASELINE_PENALTIES, estimate_baseline, estimate_noise_covariance
 from .evaluation import write_table
-from .intervals import IntervalSet, build_intervals
-from .interval_stats import LAMBDA_POLICIES, StatConfig, interval_lambdas
+from .intervals import SCHEMES, IntervalSet, build_intervals
+from .interval_stats import LAMBDA_POLICIES, METHODS, StatConfig, interval_lambdas
 from .panels import difference as difference_panel
 from .panels import load_panel
 from .var_model import TimeSeriesPanel, VarParams
 
+SIGMA_MODES = ("identity", "estimated")
+# The allowed values of each enumerated RunConfig field, each tuple defined
+# beside the code that implements the option.
+OPTION_CHOICES = {
+    "method": METHODS, "scheme": SCHEMES, "lambda_policy": LAMBDA_POLICIES,
+    "sigma_mode": SIGMA_MODES, "baseline_penalty": BASELINE_PENALTIES,
+}
+
 
 @dataclass
 class RunConfig:
-    """Pipeline configuration; file values are overridden by CLI flags."""
+    """Pipeline configuration; file values are overridden by CLI flags.
+
+    The enumerated fields take the values ``OPTION_CHOICES`` lists, and
+    ``lambda_scale`` is checked as ``StatConfig`` checks it, so a bad value
+    fails here, before a panel is read.
+    """
 
     q: int = 1
     method: str = "lasso"
@@ -60,14 +80,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ParameterError("q must be >= 1")
-        if self.method not in ("lasso", "ols"):
-            raise ParameterError(f"unknown method {self.method!r}")
-        if self.scheme not in ("random", "seeded"):
-            raise ParameterError(f"unknown interval scheme {self.scheme!r}")
-        if self.sigma_mode not in ("identity", "estimated"):
-            raise ParameterError(f"unknown sigma mode {self.sigma_mode!r}")
-        if self.lambda_policy not in LAMBDA_POLICIES:
-            raise ParameterError(f"unknown lambda policy {self.lambda_policy!r}")
+        for name, allowed in OPTION_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ParameterError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
+        StatConfig(lambda_scale=self.lambda_scale)  # validates the scale
         if not 0 < self.quantile < 1:
             raise ParameterError("quantile must lie strictly between 0 and 1")
         splits = tuple(float(f) for f in self.splits)
@@ -81,8 +97,6 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        if "splits" in data:
-            data = {**data, "splits": tuple(data["splits"])}
         return cls(**data)
 
     @classmethod

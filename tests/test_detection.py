@@ -463,7 +463,9 @@ def test_online_windows_match_direct_statistics(policy, sigma_seed):
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_window_pairs_match_online_windows(q):
-    times = np.arange(1, 4101)
+    # a floored float log2 counts one window too many at 2^k - 1 for k >= 49
+    edges = [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]
+    times = np.array(list(range(1, 4101)) + [t for t in edges if t > 4100], dtype=np.int64)
     ends, j = _window_pairs(times, q)
     starts = ends - (1 << j)
     got = list(zip(starts.tolist(), ends.tolist()))

@@ -25,7 +25,7 @@ from varanom import (
     simulate_episodes,
 )
 from varanom import pipeline
-from varanom.cli import main
+from varanom.cli import PIPELINE_FLAGS, _load_config, build_parser, main
 from varanom.detection import select_multiple
 from varanom.experiments import dense_base_with_change
 from varanom.interval_stats import ScanResult
@@ -169,8 +169,53 @@ def test_run_config_validation():
         RunConfig(quantile=1.5)
     with pytest.raises(ParameterError):
         RunConfig.from_dict({"no_such_key": 1})
+    # rejected before run_pipeline reads a panel
+    with pytest.raises(ParameterError, match="unknown baseline penalty 'foo'"):
+        RunConfig(baseline_penalty="foo")
+    with pytest.raises(ParameterError, match="unknown baseline penalty 'bogus'"):
+        RunConfig.from_dict({"baseline_penalty": "bogus"})
+    with pytest.raises(ParameterError, match="lambda constant must be non-negative"):
+        RunConfig(lambda_scale=-0.1)
     cfg = RunConfig.from_dict({"splits": [0.3, 0.3, 0.4], "seed": 3})
     assert cfg.splits == (0.3, 0.3, 0.4)
+
+
+def _cli_config(command, *flags):
+    return _load_config(build_parser().parse_args([command, "--data", "d", "--out-dir", "o", *flags]))
+
+
+def test_pipeline_flags_cover_every_cli_settable_field():
+    file_only = {"splits", "baseline_lambda", "delimiter", "burn_in"}
+    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    assert set(PIPELINE_FLAGS) == set(fields) - file_only
+    for name, kind in PIPELINE_FLAGS.items():
+        assert kind.__name__ in fields[name]
+    assert set(pipeline.OPTION_CHOICES) <= set(PIPELINE_FLAGS)
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+@pytest.mark.parametrize("name", list(PIPELINE_FLAGS))
+def test_cli_flag_sets_only_its_field(command, name):
+    flag = "--difference" if name == "apply_difference" else "--" + name.replace("_", "-")
+    kind = PIPELINE_FLAGS[name]
+    default = RunConfig().to_dict()
+    if name in pipeline.OPTION_CHOICES:
+        choices = pipeline.OPTION_CHOICES[name]
+        for value in choices:
+            got = _cli_config(command, flag, value).to_dict()
+            assert got == {**default, name: value}
+        # the parser rejects what the library rejects, with exit code 2
+        with pytest.raises(ParameterError):
+            RunConfig(**{name: "bogus"})
+        with pytest.raises(SystemExit) as exc:
+            _cli_config(command, flag, "bogus")
+        assert exc.value.code == 2
+        return
+    given = {bool: [], int: ["3"], float: ["0.75"]}[kind]
+    got = _cli_config(command, flag, *given).to_dict()
+    value = True if kind is bool else kind(given[0])
+    assert got[name] == value != default[name]
+    assert got == {**default, name: value}
 
 
 def _write_null_panel(tmp_path, n_rows=420, p=4, seed=1):

@@ -41,7 +41,12 @@ Items:
 * ``pipeline/<case>/<file>``: the bytes of a small ``run_pipeline`` detect
   run's CSV files and of its ``manifest.json`` without the ``data_path``
   field, for lasso under global and (with an estimated sigma)
-  interval_linear, and for OLS.
+  interval_linear, and for OLS;
+* ``cli/<command>``: for ``detect`` and ``calibrate``, the ``--help`` text
+  (every flag string and its choices) and, as JSON, the
+  ``RunConfig.to_dict()`` that the CLI builds from fixed argument lists:
+  no flags, every option and switch, each switch alone, and a config file
+  with flags that override some of its values.
 
 It takes about 10 s on a 2-vCPU machine.
 """
@@ -49,9 +54,12 @@ It takes about 10 s on a 2-vCPU machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -77,6 +85,7 @@ from varanom import (  # noqa: E402
     simulate,
     simulate_episodes,
 )
+from varanom.cli import _load_config, build_parser  # noqa: E402
 from varanom.detection import online_max_statistic  # noqa: E402
 from varanom.interval_stats import LAMBDA_POLICIES, PanelScanner, default_lambda  # noqa: E402
 
@@ -273,6 +282,51 @@ def pipelines() -> dict[str, tuple[str, dict]]:
     return out
 
 
+def _help_text(command: str) -> bytes:
+    out = io.StringIO()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "100"  # argparse wraps help to the terminal's width
+    try:
+        with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+            build_parser().parse_args([command, "--help"])
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return out.getvalue().encode()
+
+
+def cli() -> dict[str, tuple[str, dict]]:
+    every = [
+        "--q", "2", "--method", "ols", "--scheme", "random", "--count", "50", "--decay", "0.8",
+        "--min-length", "30", "--lambda-scale", "0.5", "--lambda-policy", "interval_sqrt",
+        "--sigma-mode", "estimated", "--quantile", "0.95", "--calibration-runs", "20",
+        "--baseline-penalty", "lasso", "--seed", "7", "--difference", "--multiple", "--has-header",
+    ]
+    file_values = {
+        "method": "ols", "min_length": 30, "multiple": True, "q": 3, "splits": [0.3, 0.3, 0.4],
+        "baseline_lambda": 2.5, "burn_in": 50, "delimiter": ";", "lambda_policy": "interval_linear",
+    }
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(file_values))
+        cases = {
+            "none": [], "every": every, "difference": ["--difference"],
+            "multiple": ["--multiple"], "has-header": ["--has-header"],
+            "file": ["--config", str(config), "--q", "2", "--seed", "4", "--has-header"],
+        }
+        for command in ("detect", "calibrate"):
+            fields = {"help": np.frombuffer(_help_text(command), dtype=np.uint8)}
+            for case, flags in cases.items():
+                args = build_parser().parse_args([command, "--data", "d", "--out-dir", "o", *flags])
+                body = json.dumps(_load_config(args).to_dict(), sort_keys=True).encode()
+                fields[f"config/{case}"] = np.frombuffer(body, dtype=np.uint8)
+            out[f"cli/{command}"] = _item(**fields)
+    return out
+
+
 def _difference(a: np.ndarray, b: np.ndarray) -> str:
     """'' when ``a`` and ``b`` are bitwise equal, else how they differ."""
     if a.dtype != b.dtype or a.shape != b.shape:
@@ -327,7 +381,7 @@ def main() -> None:
     parser.add_argument("--save", metavar="FILE", help="write the raw result arrays to FILE (.npz)")
     parser.add_argument("--against", metavar="FILE", help="compare with arrays saved by --save")
     args = parser.parse_args()
-    items = {**scans(), **calibrations(), **online(), **duplicates(), **pipelines()}
+    items = {**scans(), **calibrations(), **online(), **duplicates(), **pipelines(), **cli()}
     total = hashlib.sha256()
     for name, (digest, _) in items.items():
         print(f"{digest}  {name}")
