@@ -52,6 +52,16 @@ rows once with a stable sort by the tie key (-value, start, length), so
 ties at the argmax break toward the earlier start, then the shorter
 interval, then storage order (a duplicated interval is the same row
 twice), and results are invariant to candidate storage order.
+
+Three input rules are defined here, each by one function that every entry
+point taking the input calls: :func:`check_threshold` (a threshold > 0),
+:func:`check_quantile` (a quantile in (0, 1), which calibration and the
+studies check before their first run) and :func:`_check_rows` (observation
+rows of p finite entries, checked on every online step). The online monitor
+checks its penalty through :func:`~varanom.estimation.check_non_negative`,
+its baseline through :func:`~varanom.var_model.check_stacked`, and its
+lambda policy and solver options by building a ``StatConfig``, so each
+fails as the offline scan's does.
 """
 
 from __future__ import annotations
@@ -64,24 +74,22 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .estimation import SolverOptions
+from .estimation import SolverOptions, check_non_negative
 from .evaluation import write_table
-from .intervals import Interval, IntervalSet
+from .intervals import Interval, IntervalSet, check_count
 from .interval_stats import (
-    LAMBDA_POLICIES,
     IntervalStatistic,
     PanelScanner,
     ScanResult,
     StatConfig,
     _gram_layout,
-    check_batch_solver,
     cross_blocks,
     lasso_maximum,
     prefix_statistics,
     scaled_lambda,
     whitening_matrix,
 )
-from .var_model import TimeSeriesPanel, VarParams, simulate
+from .var_model import TimeSeriesPanel, VarParams, check_stacked, simulate
 
 THRESHOLD_FLOOR = 1e-12
 # Rows per block of detect_online's replay and of online_max_statistic's
@@ -143,10 +151,32 @@ class DetectionResult:
         write_table(path, ["start", "end", "statistic", "detected"], rows)
 
 
+def check_quantile(quantile: float) -> None:
+    """Reject a quantile outside (0, 1); NaN fails."""
+    if not 0.0 < quantile < 1.0:
+        raise ParameterError(f"quantile must lie strictly between 0 and 1, got {quantile}")
+
+
+def check_threshold(threshold: float) -> float:
+    """``threshold``, checked to be strictly positive; NaN fails."""
+    if not threshold > 0:
+        raise ParameterError(f"threshold must be strictly positive, got {threshold}")
+    return threshold
+
+
+def _check_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """``rows``, float observations along the last axis, checked to have p
+    entries each, all finite. Cheap enough for every online step."""
+    if rows.shape[-1] != p:
+        raise ParameterError(f"observation has {rows.shape[-1]} entries, expected {p}")
+    if not np.isfinite(rows).all():
+        raise ParameterError("observation contains non-finite entries")
+    return rows
+
+
 def empirical_quantile(samples: Sequence[float], quantile: float) -> float:
     """Lower order statistic: the ceil(n * quantile)-th smallest value."""
-    if not 0.0 < quantile < 1.0:
-        raise ParameterError("quantile must lie strictly between 0 and 1")
+    check_quantile(quantile)
     if len(samples) == 0:
         raise ParameterError("a quantile needs at least one sample")
     ordered = np.sort(np.asarray(samples, dtype=float))
@@ -179,9 +209,10 @@ def calibrate_threshold(
     full scan. Every run's panel has the same shape, so one
     :class:`PanelScanner` serves them all: each run after the first refills
     its prefix arrays in place, with bitwise the sums a fresh scanner builds.
+    ``runs`` and ``quantile`` are checked before the first run.
     """
-    if runs < 1:
-        raise ParameterError("runs must be >= 1")
+    check_count(runs, "runs")
+    check_quantile(quantile)
     if baseline is None:
         baseline = law.stacked
     horizon = interval_set.horizon
@@ -246,9 +277,8 @@ def _run_scan(
     q: int,
     multiple: bool,
 ) -> DetectionResult:
-    if threshold <= 0:
-        raise ParameterError("threshold must be strictly positive")
-    stats = PanelScanner(panel, np.asarray(baseline, dtype=float), q).scan(interval_set, config)
+    check_threshold(threshold)
+    stats = PanelScanner(panel, baseline, q).scan(interval_set, config)
     select = select_multiple if multiple else select_single
     return DetectionResult(select(stats, threshold), stats, threshold)
 
@@ -339,23 +369,17 @@ class OnlineDetector:
         sigma: Optional[np.ndarray] = None,
         lambda_policy: str = "global",
     ):
-        if threshold <= 0:
-            raise ParameterError("threshold must be strictly positive")
         if t0 < q + 1:
             raise ParameterError(
                 f"monitoring start t0={t0} leaves fewer than q + 1 = {q + 1} observations for lags"
             )
-        if lambda_policy not in LAMBDA_POLICIES:
-            raise ParameterError(f"unknown online lambda policy {lambda_policy!r}")
-        self.solver = solver or SolverOptions()
-        check_batch_solver(self.solver)
-        self.baseline = np.asarray(baseline, dtype=float)
-        p = self.baseline.shape[0] if self.baseline.ndim else 1
-        if self.baseline.shape != (p, p * q):
-            raise ParameterError(f"baseline must be {p} x {p * q}, got {self.baseline.shape}")
+        # StatConfig checks the lambda policy and the solver options
+        self.solver = StatConfig(solver=solver or SolverOptions(), lambda_policy=lambda_policy).solver
+        self.baseline = check_stacked(baseline, q)
+        p = self.baseline.shape[0]
         self.q = q
-        self.lam = lam
-        self.threshold = threshold
+        self.lam = check_non_negative(lam, "lasso penalty")
+        self.threshold = check_threshold(threshold)
         self.t0 = t0
         self.sigma = sigma
         self.lambda_policy = lambda_policy
@@ -375,12 +399,8 @@ class OnlineDetector:
         return self._n
 
     def _append(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float).ravel()
         p = self.baseline.shape[0]
-        if x.shape[0] != p:
-            raise ParameterError(f"observation has {x.shape[0]} entries, expected {p}")
-        if not np.isfinite(x).all():
-            raise ParameterError("observation contains non-finite entries")
+        x = _check_rows(np.asarray(x, dtype=float).ravel(), p)
         self._n += 1
         i = self._n - self.q
         if i >= 1:
@@ -553,11 +573,7 @@ def online_max_statistic(
     detector = OnlineDetector(baseline, q, lam, np.inf, t0, solver, sigma, lambda_policy)
     p = detector.baseline.shape[0]
     rows = np.asarray(values, dtype=float)
-    rows = rows.reshape(len(rows), rows[0].size if len(rows) else p)
-    if rows.shape[1] != p:
-        raise ParameterError(f"observation has {rows.shape[1]} entries, expected {p}")
-    if not np.isfinite(rows).all():
-        raise ParameterError("observation contains non-finite entries")
+    rows = _check_rows(rows.reshape(len(rows), rows[0].size if len(rows) else p), p)
     if len(rows) <= t0:
         return 0.0
     scanner = PanelScanner(TimeSeriesPanel(rows), detector.baseline, q)

@@ -43,6 +43,11 @@ skip the intervals that cannot reach it. In the library, one helper of
 :func:`lasso_cd_gram` records its objective path. Every solver starts from
 zero.
 
+:func:`check_non_negative` is the library's one rule for a penalty, a
+penalty scale or a tolerance: the value must be >= 0, and NaN fails. The
+lasso solver, the interval statistics, ``StatConfig``, ``default_lambda``
+and the online monitor check through it.
+
 Solvers are pure and reentrant; fits of independent responses may run in
 parallel and give identical results regardless of schedule.
 """
@@ -97,6 +102,14 @@ _FINISH_ENTRIES = 1 << 16
 _FINISH_MIN_PIVOT = 1e-8
 
 
+def check_non_negative(value: float, name: str) -> float:
+    """``value``, checked to be >= 0 (a penalty, a penalty scale or a
+    tolerance, named ``name`` in the error); NaN fails."""
+    if not value >= 0:
+        raise ParameterError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 @dataclass
 class SolverOptions:
     """Convergence controls for the coordinate-descent lasso: the coefficient
@@ -108,9 +121,8 @@ class SolverOptions:
     track_objective: bool = False
 
     def __post_init__(self) -> None:
-        if self.tolerance < 0:
-            raise ParameterError("tolerance must be non-negative")
-        if self.max_iterations < 1:
+        check_non_negative(self.tolerance, "tolerance")
+        if not self.max_iterations >= 1:
             raise ParameterError("max_iterations must be >= 1")
 
 
@@ -476,8 +488,7 @@ def lasso_solve(X: np.ndarray, y: np.ndarray, lam: float, opts: SolverOptions | 
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    if lam < 0:
-        raise ParameterError("lasso penalty must be non-negative")
+    check_non_negative(lam, "lasso penalty")
     if X.shape[0] != y.shape[0]:
         raise DesignError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     gram = X.T @ X

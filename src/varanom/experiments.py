@@ -16,6 +16,7 @@ import numpy as np
 
 from .detection import (
     calibrate_threshold,
+    check_quantile,
     detect_multiple,
     detect_online,
     null_threshold,
@@ -104,6 +105,7 @@ def run_single_anomaly_study(
     baseline from a fresh training panel of the same length, so thresholds
     absorb the estimation error.
     """
+    check_quantile(quantile)
     q = 1
     base, theta = dense_base_with_change(p, delta, n_change, seed, radius=radius)
     if window is None:
@@ -202,7 +204,10 @@ def run_two_anomaly_study(
     method: str = "lasso",
     seed: int = 0,
 ) -> TwoAnomalyStudy:
-    """Counting study: two disjoint excursions detected by the multi-pass scan."""
+    """Counting study: two disjoint excursions detected by the multi-pass scan.
+
+    ``calibrate_threshold`` checks ``quantile`` before anything is simulated.
+    """
     q = 1
     base, theta = dense_base_with_change(p, delta, n_change, seed)
     episodes = [(w, theta) for w in windows]
@@ -286,6 +291,7 @@ def run_online_study(
     constant large enough that null windows mostly sit at exactly zero, the
     regime where the theory places the scan.
     """
+    check_quantile(quantile)
     q = 1
     base, theta = dense_base_with_change(p, delta, n_change, seed)
     lam = default_lambda(2, p, horizon, lambda_scale)

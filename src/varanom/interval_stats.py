@@ -58,6 +58,14 @@ is pruned, and the rest are solved in full through the same helper. A
 pruned statistic cannot be the maximum, so it is never counted as
 unreliable.
 
+``StatConfig`` owns the rules on the statistic's options, for offline
+scans and the online monitor alike: the method, the lambda policy, a
+non-negative lambda scale (through
+:func:`~varanom.estimation.check_non_negative`) and solver options the
+batched kernel can honour. A scanner checks its baseline through
+:func:`~varanom.var_model.check_stacked` and its intervals through
+:func:`~varanom.var_model.check_domain`.
+
 Statistics over distinct intervals are independent pure computations; the
 scan may be parallelised freely and reduces deterministically.
 """
@@ -75,8 +83,9 @@ import numpy as np
 
 from .errors import DesignError, ParameterError
 from .estimation import _RANK_RTOL, SolverOptions, lasso_bracket, lasso_cd_gram, lasso_cd_gram_batch
-from .intervals import Interval, IntervalSet
-from .var_model import RegressionView, TimeSeriesPanel, lag_design
+from .estimation import check_non_negative
+from .intervals import Interval, IntervalSet, check_min_length
+from .var_model import RegressionView, TimeSeriesPanel, check_domain, check_stacked, lag_design
 
 # Rows per block of the prefix build: a block of pq x pq products (640 kB at
 # pq = 50) stays in cache while it is summed.
@@ -124,13 +133,15 @@ class StatConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
-        if self.lambda_scale < 0:
-            raise ParameterError("lambda constant must be non-negative")
+        check_non_negative(self.lambda_scale, "lambda constant")
         if self.sigma is not None:
             whitening_matrix(self.sigma, len(np.atleast_2d(self.sigma)))  # validates
         if self.lambda_policy not in LAMBDA_POLICIES:
             raise ParameterError(f"unknown lambda policy {self.lambda_policy!r}")
-        check_batch_solver(self.solver)
+        # prefix_statistics records no objective path, so a track_objective
+        # would be ignored without notice; lasso_cd_gram still honours it
+        if self.solver.track_objective:
+            raise ParameterError("the batched lasso kernel does not track the objective")
 
 
 @dataclass(frozen=True)
@@ -192,23 +203,12 @@ class ScanMaximum(NamedTuple):
     pruned: int
 
 
-def check_batch_solver(solver: SolverOptions) -> None:
-    """Reject the solver options the batched kernel cannot honour.
-
-    :func:`prefix_statistics` records no objective path, so a
-    ``track_objective`` would be ignored without notice;
-    :func:`lasso_cd_gram` and :func:`lasso_statistic` still accept it.
-    """
-    if solver.track_objective:
-        raise ParameterError("the batched lasso kernel does not track the objective")
-
-
 def default_lambda(min_length: int, p: int, n_rows: int, scale: float = 0.15) -> float:
     """The tuning-parameter rate scale * sqrt(L (2 log p + log T)), natural logs."""
-    if min_length < 1 or p < 1 or n_rows < 1:
-        raise ParameterError("min_length, p and n_rows must all be >= 1")
-    if scale < 0:
-        raise ParameterError("scale must be non-negative")
+    check_min_length(min_length)
+    if p < 1 or n_rows < 1:
+        raise ParameterError("p and n_rows must both be >= 1")
+    check_non_negative(scale, "lambda constant")
     return scale * math.sqrt(min_length * (2.0 * math.log(p) + math.log(n_rows)))
 
 
@@ -283,8 +283,7 @@ def lasso_statistic(
     Computed through p decoupled single-response lassos. A solve that does
     not converge marks the statistic unreliable instead of hiding it.
     """
-    if lam < 0:
-        raise ParameterError("lasso penalty must be non-negative")
+    check_non_negative(lam, "lasso penalty")
     view = whiten(view, sigma)
     gram = view.lagged.T @ view.lagged
     cross = view.lagged.T @ view.residuals
@@ -699,13 +698,10 @@ class PanelScanner:
         n, p = panel.values.shape
         if n <= q:
             raise DesignError(f"panel of {n} rows cannot support order q={q}")
-        baseline = np.asarray(baseline, dtype=float)
-        if baseline.shape != (p, p * q):
-            raise ParameterError(f"baseline must be {p} x {p * q}, got {baseline.shape}")
         self.q = q
         self.n_rows = n
         self.n_series = p
-        self._baseline = baseline
+        self._baseline = check_stacked(baseline, q, p)
         self._gram_prefix = np.empty((n - q + 1, p * q * (p * q + 1) // 2))
         self._cross_prefix = np.empty((n - q + 1, p * q, p))
         self._refill(panel)
@@ -731,11 +727,7 @@ class PanelScanner:
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
         """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""
-        if interval.start < self.q + 1 or interval.end > self.n_rows:
-            raise DesignError(
-                f"interval [{interval.start}, {interval.end}] outside usable domain "
-                f"[{self.q + 1}, {self.n_rows}]"
-            )
+        check_domain(interval.start, interval.end, self.n_rows, self.q)
         a = interval.start - self.q - 1
         b = interval.end - self.q
         gram = _unpack_gram(self._gram_prefix[b] - self._gram_prefix[a])
@@ -745,8 +737,7 @@ class PanelScanner:
     def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple[np.ndarray, ...]:
         """(lo, hi, lams) of the set: its prefix indices and penalties."""
         starts, ends = interval_set.starts, interval_set.ends
-        if len(starts) and (starts.min() < self.q + 1 or ends.max() > self.n_rows):
-            raise DesignError("interval set escapes the usable domain of the panel")
+        check_domain(starts, ends, self.n_rows, self.q)
         lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
         return starts - self.q - 1, ends - self.q, lams
 

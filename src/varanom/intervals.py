@@ -4,6 +4,11 @@ Two constructions are provided: random sampling of (start, end) pairs in
 the spirit of wild binary segmentation, and the deterministic multi-scale
 seeded layout with a decay parameter. Both produce immutable sets whose
 members lie within the usable domain [q + 1, T] and have length at least L.
+
+The rules on their inputs are defined once, each by one function that the
+constructions and the pipeline's ``RunConfig`` call: :func:`check_min_length`
+(1 <= L <= T - q), :func:`check_decay` (decay in [1/2, 1)) and
+:func:`check_count` (a count of intervals, or of calibration runs, >= 1).
 """
 
 from __future__ import annotations
@@ -89,6 +94,27 @@ class IntervalSet:
                 writer.writerow([iv.start, iv.end])
 
 
+def check_count(count: int, name: str) -> None:
+    """Reject a count (of random intervals, or of calibration runs) below 1."""
+    if not count >= 1:
+        raise ParameterError(f"{name} must be >= 1")
+
+
+def check_min_length(min_length: int, n_rows: float = math.inf, q: int = 0) -> None:
+    """Reject a minimum interval length L outside 1 <= L <= T - q; without
+    ``n_rows`` (T), only L >= 1 is checked."""
+    if not min_length >= 1:
+        raise ParameterError("min_length must be >= 1")
+    if min_length > n_rows - q:
+        raise ParameterError(f"infeasible length: L={min_length} exceeds usable domain of {n_rows - q} rows")
+
+
+def check_decay(decay: float) -> None:
+    """Reject a seeded-layout decay outside [1/2, 1); NaN fails."""
+    if not 0.5 <= decay < 1.0:
+        raise ParameterError(f"decay must lie in [1/2, 1), got {decay}")
+
+
 def _frozen(values) -> np.ndarray:
     out = np.array(values, dtype=int)
     out.flags.writeable = False
@@ -99,14 +125,8 @@ def random_intervals(n_rows: int, min_length: int, count: int, seed: int, q: int
     """Sample ``count`` intervals with start uniform on [q + 1, T - L + 1]
     and end uniform on [start + L - 1, T]. Sampling is with replacement and
     deterministic given the seed."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    if min_length < 1:
-        raise ParameterError("min_length must be >= 1")
-    if min_length > n_rows - q:
-        raise ParameterError(
-            f"infeasible length: L={min_length} exceeds usable domain of {n_rows - q} rows"
-        )
+    check_count(count, "count")
+    check_min_length(min_length, n_rows, q)
     rng = np.random.default_rng(seed)
     picked = []
     for _ in range(count):
@@ -129,15 +149,9 @@ def seeded_intervals(n_rows: int, min_length: int, decay: float, q: int = 0) -> 
     L and exact duplicates are removed. Smaller decay gives fewer, sparser
     layers.
     """
-    if not (0.5 <= decay < 1.0):
-        raise ParameterError(f"decay must lie in [1/2, 1), got {decay}")
-    if min_length < 1:
-        raise ParameterError("min_length must be >= 1")
+    check_decay(decay)
+    check_min_length(min_length, n_rows, q)
     domain_rows = n_rows - q
-    if min_length > domain_rows:
-        raise ParameterError(
-            f"infeasible length: L={min_length} exceeds usable domain of {domain_rows} rows"
-        )
     lo = q + 1
     picked: list[Interval] = []
     seen: set[tuple[int, int]] = set()

@@ -28,15 +28,16 @@ from typing import Optional
 
 import numpy as np
 
-from .detection import CalibrationResult, DetectionResult, calibrate_threshold, detect_multiple, detect_single
+from .detection import CalibrationResult, DetectionResult, calibrate_threshold, check_quantile
+from .detection import detect_multiple, detect_single
 from .errors import NumericalError, ParameterError
 from .estimation import BASELINE_PENALTIES, estimate_baseline, estimate_noise_covariance
 from .evaluation import write_table
-from .intervals import SCHEMES, IntervalSet, build_intervals
+from .intervals import SCHEMES, IntervalSet, build_intervals, check_count, check_decay, check_min_length
 from .interval_stats import LAMBDA_POLICIES, METHODS, StatConfig, interval_lambdas
 from .panels import difference as difference_panel
 from .panels import load_panel
-from .var_model import TimeSeriesPanel, VarParams
+from .var_model import TimeSeriesPanel, VarParams, check_burn_in
 
 SIGMA_MODES = ("identity", "estimated")
 # The allowed values of each enumerated RunConfig field, each tuple defined
@@ -52,8 +53,13 @@ class RunConfig:
     """Pipeline configuration; file values are overridden by CLI flags.
 
     The enumerated fields take the values ``OPTION_CHOICES`` lists, and
-    ``lambda_scale`` is checked as ``StatConfig`` checks it, so a bad value
-    fails here, before a panel is read.
+    every other checked field goes through the function that defines its
+    rule for the library: ``lambda_scale`` through ``StatConfig``,
+    ``quantile`` through ``check_quantile``, ``count`` and
+    ``calibration_runs`` through ``check_count``, ``min_length`` and
+    ``decay`` through ``check_min_length`` and ``check_decay``, and
+    ``burn_in`` through ``check_burn_in``. A bad value fails here, with the
+    library's message, before a panel is read or an output directory made.
     """
 
     q: int = 1
@@ -84,8 +90,13 @@ class RunConfig:
             if getattr(self, name) not in allowed:
                 raise ParameterError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
         StatConfig(lambda_scale=self.lambda_scale)  # validates the scale
-        if not 0 < self.quantile < 1:
-            raise ParameterError("quantile must lie strictly between 0 and 1")
+        check_quantile(self.quantile)
+        check_count(self.count, "count")
+        check_count(self.calibration_runs, "runs")
+        if self.min_length is not None:
+            check_min_length(self.min_length)
+        check_decay(self.decay)
+        check_burn_in(self.burn_in)
         splits = tuple(float(f) for f in self.splits)
         if len(splits) != 3 or any(f <= 0 for f in splits) or sum(splits) > 1 + 1e-9:
             raise ParameterError("split fractions must be three positives summing to at most 1")
@@ -141,12 +152,14 @@ def run_pipeline(
 ) -> PipelineRun:
     """Execute the configured pipeline on a CSV panel; see the module docstring.
 
-    ``stage`` may be "calibrate" to stop after threshold calibration.
+    ``stage`` may be "calibrate" to stop after threshold calibration; it is
+    checked first.
     Artifacts written: manifest.json, baseline.csv, calibration.csv and,
-    for the detect stage, statistics.csv plus detections.csv.
+    for the detect stage, statistics.csv plus detections.csv. The output
+    directory is made only once every stage has succeeded.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if stage not in ("detect", "calibrate"):
+        raise ParameterError(f"unknown stage {stage!r}")
     panel = load_panel(data_path, has_header=config.has_header, delimiter=config.delimiter)
     if config.apply_difference:
         panel = difference_panel(panel)
@@ -220,8 +233,6 @@ def run_pipeline(
             calibration.threshold,
             q=q,
         )
-    elif stage != "calibrate":
-        raise ParameterError(f"unknown stage {stage!r}")
 
     manifest = {
         "config": config.to_dict(),
@@ -250,6 +261,8 @@ def run_pipeline(
             for s in detection.detected
         ]
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "baseline.csv", lambda tmp: np.savetxt(tmp, theta_hat, delimiter=","))
     if sigma_hat is not None:
         _atomic_write(out / "noise_cov.csv", lambda tmp: np.savetxt(tmp, sigma_hat, delimiter=","))

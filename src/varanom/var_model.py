@@ -7,6 +7,12 @@ responses because they lack a full set of lags.
 
 All functions here are pure given their inputs and seed; the returned
 objects are treated as immutable and are safe to share across threads.
+
+Three input rules are defined here, each by one function that every entry
+point taking the input calls: :func:`check_stacked` (a p x pq coefficient
+matrix, such as a scan's or monitor's baseline), :func:`check_burn_in`
+(burn_in >= 0), :func:`check_window` (an anomaly window inside (0, T)) and
+:func:`check_domain` (intervals inside the usable domain [q + 1, T]).
 """
 
 from __future__ import annotations
@@ -28,6 +34,40 @@ def companion_matrix(coeffs: Sequence[np.ndarray]) -> np.ndarray:
         return top
     lower = np.hstack([np.eye(p * (q - 1)), np.zeros((p * (q - 1), p))])
     return np.vstack([top, lower])
+
+
+def check_stacked(
+    coeffs: np.ndarray, q: int, p: Optional[int] = None, name: str = "baseline"
+) -> np.ndarray:
+    """``coeffs`` as a float array, checked to be p x pq; p defaults to its
+    row count (1 for a scalar)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    p = p if p is not None else (coeffs.shape[0] if coeffs.ndim else 1)
+    if coeffs.shape != (p, p * q):
+        raise ParameterError(f"{name} must be {p} x {p * q}, got {coeffs.shape}")
+    return coeffs
+
+
+def check_burn_in(burn_in: int) -> None:
+    """Reject a negative (or NaN) count of discarded burn-in draws."""
+    if not burn_in >= 0:
+        raise ParameterError(f"burn_in must be non-negative, got {burn_in}")
+
+
+def check_window(window: tuple[int, int], n_rows: int) -> None:
+    """Reject an anomaly window (eta1, eta2) outside 0 < eta1 < eta2 < T."""
+    if not 0 < window[0] < window[1] < n_rows:
+        raise ParameterError(f"anomaly window must satisfy 0 < eta1 < eta2 < T, got {window} with T={n_rows}")
+
+
+def check_domain(starts, ends, n_rows: int, q: int) -> None:
+    """Reject intervals [starts[i], ends[i]] (arrays or scalars) that escape
+    the usable domain [q + 1, T] of a T-row panel, where every row has q lags."""
+    starts, ends = np.atleast_1d(starts), np.atleast_1d(ends)
+    out = np.flatnonzero((starts < q + 1) | (ends > n_rows))
+    if out.size:
+        first = f"[{starts[out[0]]}, {ends[out[0]]}]"
+        raise DesignError(f"interval {first} escapes the usable domain [{q + 1}, {n_rows}] of the panel")
 
 
 def spectral_radius(coeffs: Sequence[np.ndarray]) -> float:
@@ -82,10 +122,8 @@ class VarParams:
 
     @classmethod
     def from_stacked(cls, theta: np.ndarray, noise_cov: np.ndarray, q: int) -> "VarParams":
-        theta = np.asarray(theta, dtype=float)
+        theta = check_stacked(theta, q, name="stacked coefficients")
         p = theta.shape[0]
-        if theta.shape != (p, p * q):
-            raise ParameterError(f"stacked coefficients must be p x pq, got {theta.shape}")
         coeffs = tuple(theta[:, k * p : (k + 1) * p] for k in range(q))
         return cls(coeffs, noise_cov)
 
@@ -139,18 +177,11 @@ class AnomalyScenario:
     burn_in: int = 200
 
     def __post_init__(self) -> None:
-        delta = np.array(self.delta, dtype=float)
-        p, q = self.base.p, self.base.q
-        if delta.shape != (p, p * q):
-            raise ParameterError(f"delta must be p x pq = {p} x {p * q}, got {delta.shape}")
+        q = self.base.q
+        delta = check_stacked(np.array(self.delta, dtype=float), q, self.base.p, name="delta")
         object.__setattr__(self, "delta", delta)
-        eta1, eta2 = self.window
-        if not (0 < eta1 < eta2 < self.horizon):
-            raise ParameterError(
-                f"anomaly window must satisfy 0 < eta1 < eta2 < T, got ({eta1}, {eta2}) with T={self.horizon}"
-            )
-        if self.burn_in < 0:
-            raise ParameterError("burn_in must be non-negative")
+        check_window(self.window, self.horizon)
+        check_burn_in(self.burn_in)
         # validates stationarity of the anomalous regime as a side effect
         object.__setattr__(self, "_anomalous", VarParams.from_stacked(
             self.base.stacked + delta, self.base.noise_cov, q))
@@ -198,8 +229,7 @@ def simulate(params: VarParams, n_rows: int, burn_in: int = 200, seed: int = 0) 
     """
     if n_rows < 1:
         raise ParameterError("n_rows must be >= 1")
-    if burn_in < 0:
-        raise ParameterError("burn_in must be non-negative")
+    check_burn_in(burn_in)
     return _simulate(params, [], n_rows, burn_in, seed)
 
 
@@ -227,10 +257,10 @@ def simulate_episodes(
     be disjoint and strictly inside [1, n_rows - 1]. Every excursion must be
     stationary on its own.
     """
+    check_burn_in(burn_in)
     occupied = np.zeros(n_rows + 2, dtype=bool)
     for (eta1, eta2), delta in episodes:
-        if not (0 < eta1 < eta2 < n_rows):
-            raise ParameterError(f"episode window ({eta1}, {eta2}) out of range for T={n_rows}")
+        check_window((eta1, eta2), n_rows)
         if occupied[eta1 : eta2 + 1].any():
             raise ParameterError("episode windows must be disjoint")
         occupied[eta1 : eta2 + 1] = True
@@ -298,15 +328,10 @@ def build_regression_view(
     """
     values = panel.values
     n, p = values.shape
-    baseline = np.asarray(baseline, dtype=float)
-    if baseline.shape != (p, p * q):
-        raise ParameterError(f"baseline must be p x pq = {p} x {p * q}, got {baseline.shape}")
+    baseline = check_stacked(baseline, q, p)
     if start > end:
         raise ParameterError(f"empty interval [{start}, {end}]")
-    if start < q + 1:
-        raise DesignError(f"interval starts at {start} but rows before {q + 1} lack q={q} lags")
-    if end > n:
-        raise DesignError(f"interval ends at {end} beyond the panel length {n}")
+    check_domain(start, end, n, q)
     lagged = np.hstack([values[start - 1 - k : end - k] for k in range(1, q + 1)])
     residuals = values[start - 1 : end] - lagged @ baseline.T
     return RegressionView(start, end, residuals, lagged)

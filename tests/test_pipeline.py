@@ -160,7 +160,7 @@ def test_difference_round_trip():
     assert np.abs(restored.values - panel.values).max() < 1e-12
 
 
-def test_run_config_validation():
+def test_run_config_validation(tmp_path):
     with pytest.raises(ParameterError):
         RunConfig(splits=(0.5, 0.6, 0.2))
     with pytest.raises(ParameterError):
@@ -178,6 +178,27 @@ def test_run_config_validation():
         RunConfig(lambda_scale=-0.1)
     cfg = RunConfig.from_dict({"splits": [0.3, 0.3, 0.4], "seed": 3})
     assert cfg.splits == (0.3, 0.3, 0.4)
+    # every other checked option, NaN included, fails when the config is built,
+    # with the message of the library function that owns its rule; a run that
+    # fails makes no output directory
+    data = tmp_path / "panel.csv"
+    save_panel(simulate(generate_dense_stationary(3, seed=1), 400, seed=2), data)
+    out = tmp_path / "out"
+    nan = float("nan")
+    for bad, message in [
+        ({"decay": 2.0}, "decay must lie in"), ({"decay": nan}, "decay must lie in"),
+        ({"count": 0, "scheme": "random"}, "count must be >= 1"), ({"count": 0}, "count must be >= 1"),
+        ({"calibration_runs": 0}, "runs must be >= 1"), ({"min_length": 0}, "min_length must be >= 1"),
+        ({"burn_in": -5}, "burn_in must be non-negative"), ({"burn_in": nan}, "burn_in must be non-negative"),
+        ({"quantile": nan}, "quantile must lie"), ({"lambda_scale": nan}, "lambda constant must be non-negative"),
+    ]:
+        with pytest.raises(ParameterError, match=message):
+            run_pipeline(RunConfig(**bad), data, out)
+        assert not out.exists()
+    for config, stage in ((RunConfig(), "bogus"), (RunConfig(min_length=150), "detect")):
+        with pytest.raises(ParameterError):
+            run_pipeline(config, data, out, stage=stage)
+        assert not out.exists()
 
 
 def _cli_config(command, *flags):
@@ -412,6 +433,46 @@ def test_cli_simulate_and_detect(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "threshold" in captured.out
     assert (tmp_path / "res" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda-scale", "nan", "--baseline-penalty", "none"],
+    ["--lambda-scale", "nan"],
+    ["--lambda-scale", "-1"],
+    ["--quantile", "nan"],
+    ["--decay", "nan"],
+    ["--count", "0"],
+    ["--calibration-runs", "0"],
+], ids=" ".join)
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+def test_cli_nan_or_negative_option_is_input_error(tmp_path, capsys, command, flags):
+    # a NaN scale used to run to a 1e-12 threshold and "no anomaly detected"
+    # (exit 0) with an OLS baseline, and to a numerical failure (exit 3) with
+    # the default ridge one
+    data = tmp_path / "panel.csv"
+    save_panel(simulate(generate_dense_stationary(3, seed=1), 400, seed=2), data)
+    rc = main([command, "--data", str(data), "--out-dir", str(tmp_path / "o"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lam", "-1"], "lasso penalty must be non-negative, got -1.0"),
+    (["--lam", "nan"], "lasso penalty must be non-negative, got nan"),
+    (["--lambda-scale", "nan"], "lambda constant must be non-negative, got nan"),
+    (["--threshold", "nan"], "threshold must be strictly positive, got nan"),
+    (["--threshold", "-2"], "threshold must be strictly positive, got -2.0"),
+])
+def test_cli_detect_online_nan_or_negative_option_is_input_error(tmp_path, capsys, flags, message):
+    base = generate_dense_stationary(3, seed=9)
+    data = tmp_path / "stream.csv"
+    save_panel(simulate(base, 120, seed=10), data)
+    bl = tmp_path / "baseline.csv"
+    np.savetxt(bl, base.stacked, delimiter=",")
+    rc = main(["detect-online", "--data", str(data), "--baseline", str(bl), "--threshold", "5.0", *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_input_error(tmp_path):

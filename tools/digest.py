@@ -12,7 +12,8 @@ A digest shows only that something changed. ``--save FILE`` also writes
 every item's raw result arrays to FILE (``.npz``), and ``--against FILE``
 compares this run's arrays with the saved ones: for each item it prints
 "bitwise", or, for each field that differs, the largest relative
-difference and the count of entries that differ, and then whether the
+difference and the count of entries that differ (for an ``errors/*``
+item, the saved outcome and this run's), and then whether the
 thresholds, the detections and the online alarms are identical. So, with
 this script copied into the parent's checkout::
 
@@ -46,9 +47,18 @@ Items:
   (every flag string and its choices) and, as JSON, the
   ``RunConfig.to_dict()`` that the CLI builds from fixed argument lists:
   no flags, every option and switch, each switch alone, and a config file
-  with flags that override some of its values.
+  with flags that override some of its values;
+* ``errors/<rule>``: for each input rule (a p x pq baseline, a non-negative
+  penalty, an observation row, a positive threshold, the online options, a
+  quantile, an interval length, burn_in, an anomaly window, a count, a
+  decay, the usable domain, and NaN or negative CLI options), the outcome of
+  a fixed list of bad calls, one field per call: the exception's type and
+  message, "returned" if the call did not raise, and for a CLI call its
+  exit code and standard error. A changed message shows as a changed field.
+  No call takes a NaN interval length: before that rule rejected NaN,
+  ``seeded_intervals`` looped on it without end.
 
-It takes about 10 s on a 2-vCPU machine.
+It takes about 6 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -69,15 +79,22 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from varanom import (  # noqa: E402
+    AnomalyScenario,
+    Interval,
+    IntervalSet,
+    OnlineDetector,
     RunConfig,
     SolverOptions,
     StatConfig,
     VarParams,
+    build_regression_view,
     calibrate_threshold,
     detect_multiple,
     detect_online,
     detect_single,
     generate_dense_stationary,
+    lasso_solve,
+    lasso_statistic,
     random_intervals,
     run_pipeline,
     save_panel,
@@ -85,9 +102,11 @@ from varanom import (  # noqa: E402
     simulate,
     simulate_episodes,
 )
-from varanom.cli import _load_config, build_parser  # noqa: E402
-from varanom.detection import online_max_statistic  # noqa: E402
+from varanom import experiments  # noqa: E402
+from varanom.cli import _load_config, build_parser, main as cli_main  # noqa: E402
+from varanom.detection import empirical_quantile, online_max_statistic  # noqa: E402
 from varanom.interval_stats import LAMBDA_POLICIES, PanelScanner, default_lambda  # noqa: E402
+from varanom.intervals import build_intervals  # noqa: E402
 
 
 def _sha(*arrays) -> str:
@@ -327,6 +346,169 @@ def cli() -> dict[str, tuple[str, dict]]:
     return out
 
 
+def _outcome(call) -> bytes:
+    """What ``call()`` does with a bad input: its exception's type and message,
+    or "returned"."""
+    try:
+        call()
+    except Exception as exc:  # recorded, whatever it is
+        return f"{type(exc).__name__}: {exc}".encode()
+    return b"returned"
+
+
+def _cli_outcome(argv: list[str]) -> bytes:
+    """Exit code and standard error of the CLI on ``argv``; standard output,
+    which names temporary paths, is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return f"exit {code}: {err.getvalue()}".encode()
+
+
+def errors() -> dict[str, tuple[str, dict]]:
+    nan = float("nan")
+    law = generate_dense_stationary(3, seed=61)
+    panel = simulate(law, 60, seed=62)
+    base, values, config = law.stacked, panel.values, StatConfig()
+    ivs = seeded_intervals(60, 5, 1 / 1.2, q=1)
+    view = build_regression_view(panel, base, 10, 30, 1)
+    zeros = np.zeros((3, 3))
+    outside = IntervalSet((Interval(20, 30), Interval(50, 61)), 5, (0, 100))
+    rows = values[:20].copy()
+    rows[3, 1] = nan
+    cases = {
+        "baseline": {
+            "PanelScanner": lambda b: PanelScanner(panel, b, 1),
+            "build_regression_view": lambda b: build_regression_view(panel, b, 5, 20, 1),
+            "detect_single": lambda b: detect_single(panel, b, ivs, config, 5.0),
+            "calibrate_threshold": lambda b: calibrate_threshold(law, ivs, config, runs=1, baseline=b),
+            "AnomalyScenario": lambda b: AnomalyScenario(law, b, (20, 30), 60),
+            "VarParams.from_stacked": lambda b: VarParams.from_stacked(b, np.eye(3), 1),
+            "OnlineDetector": lambda b: OnlineDetector(b, 1, 1.0, 5.0),
+            "detect_online": lambda b: detect_online(values, b, 1, 1.0, 5.0),
+            "online_max_statistic": lambda b: online_max_statistic(values, b, 1, 1.0),
+        },
+        "penalty": {
+            "StatConfig": lambda v: StatConfig(lambda_scale=v),
+            "RunConfig": lambda v: RunConfig(lambda_scale=v),
+            "default_lambda": lambda v: default_lambda(2, 3, 60, v),
+            "lasso_statistic": lambda v: lasso_statistic(view, v),
+            "lasso_solve": lambda v: lasso_solve(view.lagged, view.residuals[:, 0], v),
+            "SolverOptions": lambda v: SolverOptions(tolerance=v),
+            "OnlineDetector": lambda v: OnlineDetector(base, 1, v, 5.0),
+            "detect_online": lambda v: detect_online(values, base, 1, v, 50.0),
+            "online_max_statistic": lambda v: online_max_statistic(values, base, 1, v),
+        },
+        "rows": {
+            "OnlineDetector.step": lambda r: OnlineDetector(base, 1, 1.0, 5.0).step(r[3]),
+            "OnlineDetector.update": lambda r: OnlineDetector(base, 1, 1.0, 5.0).update(r[3]),
+            "detect_online": lambda r: detect_online(r, base, 1, 1.0, 1e12),
+            "online_max_statistic": lambda r: online_max_statistic(r, base, 1, 1.0),
+        },
+        "threshold": {
+            "detect_single": lambda v: detect_single(panel, base, ivs, config, v),
+            "detect_multiple": lambda v: detect_multiple(panel, base, ivs, config, v),
+            "OnlineDetector": lambda v: OnlineDetector(base, 1, 1.0, v),
+            "detect_online": lambda v: detect_online(values, base, 1, 1.0, v),
+        },
+        "online-options": {
+            "StatConfig": lambda kw: StatConfig(**kw),
+            "OnlineDetector": lambda kw: OnlineDetector(base, 1, 1.0, 5.0, **kw),
+            "detect_online": lambda kw: detect_online(values, base, 1, 1.0, 5.0, **kw),
+            "online_max_statistic": lambda kw: online_max_statistic(values, base, 1, 1.0, **kw),
+        },
+        "quantile": {
+            "empirical_quantile": lambda v: empirical_quantile([1.0, 2.0], v),
+            "calibrate_threshold": lambda v: calibrate_threshold(law, ivs, config, runs=3, quantile=v),
+            "RunConfig": lambda v: RunConfig(quantile=v),
+            "run_single_anomaly_study": lambda v: experiments.run_single_anomaly_study(
+                p=3, horizon=60, n_change=2, runs=1, calibration_runs=1, min_length=5, count=10,
+                quantile=v,
+            ),
+            "run_two_anomaly_study": lambda v: experiments.run_two_anomaly_study(
+                p=3, horizon=60, n_change=2, windows=((10, 20), (35, 45)), runs=1,
+                calibration_runs=1, min_length=5, quantile=v,
+            ),
+            "run_online_study": lambda v: experiments.run_online_study(
+                p=3, onset=30, horizon=60, n_change=2, runs=1, calibration_runs=1, quantile=v
+            ),
+        },
+        "length": {
+            "random_intervals": lambda n: random_intervals(60, n, 10, 0, q=1),
+            "seeded_intervals": lambda n: seeded_intervals(60, n, 0.8, q=1),
+            "build_intervals": lambda n: build_intervals("seeded", 60, n, 1, 10, 0.8, 0),
+            "default_lambda": lambda n: default_lambda(n, 3, 60),
+            "RunConfig": lambda n: RunConfig(min_length=n),
+        },
+        "burn-in": {
+            "simulate": lambda v: simulate(law, 10, burn_in=v),
+            "AnomalyScenario": lambda v: AnomalyScenario(law, zeros, (20, 30), 60, burn_in=v),
+            "calibrate_threshold": lambda v: calibrate_threshold(law, ivs, config, runs=1, burn_in=v),
+            "RunConfig": lambda v: RunConfig(burn_in=v),
+        },
+        "window": {
+            "AnomalyScenario": lambda w: AnomalyScenario(law, zeros, w, 60),
+            "simulate_episodes": lambda w: simulate_episodes(law, [(w, zeros)], 60),
+        },
+        "count": {
+            "random_intervals": lambda n: random_intervals(60, 5, n, 0),
+            "calibrate_threshold": lambda n: calibrate_threshold(law, ivs, config, runs=n),
+            "RunConfig.count": lambda n: RunConfig(count=n),
+            "RunConfig.calibration_runs": lambda n: RunConfig(calibration_runs=n),
+        },
+        "decay": {
+            "seeded_intervals": lambda d: seeded_intervals(60, 5, d),
+            "build_intervals": lambda d: build_intervals("seeded", 60, 5, 1, 10, d, 0),
+            "RunConfig": lambda d: RunConfig(decay=d),
+        },
+        "domain": {
+            "PanelScanner.gram": lambda s: PanelScanner(panel, base, 1).gram(Interval(*s)),
+            "PanelScanner.scan": lambda s: PanelScanner(panel, base, 1).scan(outside, config),
+            "PanelScanner.max_statistic": lambda s: PanelScanner(panel, base, 1).max_statistic(outside, config),
+            "build_regression_view": lambda s: build_regression_view(panel, base, *s, 1),
+        },
+    }
+    bad = {
+        "baseline": [np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(())],
+        "penalty": [-1.0, nan], "rows": [values[:20, :2], rows],
+        "threshold": [0.0, -1.0, nan],
+        "online-options": [{"lambda_policy": "bogus"}, {"solver": SolverOptions(track_objective=True)}],
+        "quantile": [1.5, nan], "length": [0, 60], "burn-in": [-1, nan],
+        "window": [(30, 20), (10, 60), (nan, 10)], "count": [0], "decay": [1.0, nan],
+        "domain": [(1, 10), (50, 61)],
+    }
+    out = {}
+    for rule, calls in cases.items():
+        out[f"errors/{rule}"] = _item(**{
+            f"{name}/{i}": np.frombuffer(_outcome(lambda: call(value)), dtype=np.uint8)
+            for name, call in calls.items() for i, value in enumerate(bad[rule])
+        })
+    with tempfile.TemporaryDirectory() as tmp:
+        data, baseline = Path(tmp) / "panel.csv", Path(tmp) / "baseline.csv"
+        save_panel(simulate(law, 400, seed=2), data)
+        np.savetxt(baseline, base, delimiter=",")
+        pipeline_flags = {
+            "scale-nan-ols-baseline": ["--lambda-scale", "nan", "--baseline-penalty", "none"],
+            "scale-nan": ["--lambda-scale", "nan"], "scale-negative": ["--lambda-scale", "-1"],
+            "quantile-nan": ["--quantile", "nan"], "decay-nan": ["--decay", "nan"],
+            "count-zero": ["--count", "0"], "runs-zero": ["--calibration-runs", "0"],
+        }
+        fields = {
+            name: _cli_outcome(["detect", "--data", str(data), "--out-dir", str(Path(tmp) / name), *flags])
+            for name, flags in pipeline_flags.items()
+        }
+        online_flags = {
+            "online-lam-negative": ["--lam", "-1"], "online-lam-nan": ["--lam", "nan"],
+            "online-scale-nan": ["--lambda-scale", "nan"], "online-threshold-nan": ["--threshold", "nan"],
+        }
+        for name, flags in online_flags.items():
+            fields[name] = _cli_outcome([
+                "detect-online", "--data", str(data), "--baseline", str(baseline), "--threshold", "50", *flags,
+            ])
+        out["errors/cli"] = _item(**{k: np.frombuffer(v, dtype=np.uint8) for k, v in fields.items()})
+    return out
+
+
 def _difference(a: np.ndarray, b: np.ndarray) -> str:
     """'' when ``a`` and ``b`` are bitwise equal, else how they differ."""
     if a.dtype != b.dtype or a.shape != b.shape:
@@ -360,6 +542,8 @@ def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
             diff = "missing" if a is None or b is None else _difference(a, b)
             if not diff:
                 continue
+            if name.startswith("errors/") and "missing" != diff:  # an outcome is text
+                diff = f"{b.tobytes().decode()!r} -> {a.tobytes().decode()!r}"
             notes[field] = diff
             if field == "threshold":
                 same["thresholds"] = False
@@ -381,7 +565,7 @@ def main() -> None:
     parser.add_argument("--save", metavar="FILE", help="write the raw result arrays to FILE (.npz)")
     parser.add_argument("--against", metavar="FILE", help="compare with arrays saved by --save")
     args = parser.parse_args()
-    items = {**scans(), **calibrations(), **online(), **duplicates(), **pipelines(), **cli()}
+    items = {**scans(), **calibrations(), **online(), **duplicates(), **pipelines(), **cli(), **errors()}
     total = hashlib.sha256()
     for name, (digest, _) in items.items():
         print(f"{digest}  {name}")
