@@ -16,6 +16,7 @@ set only in the config file.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -127,19 +128,26 @@ def _cmd_detect_online(args) -> int:
     return EXIT_OK
 
 
+def _integer_cell(record: dict, column: str, where: str) -> int:
+    """The integer in ``column`` of a CSV record; ``where`` names its file and line."""
+    if column not in record:
+        raise ParameterError(f"{where}: no column {column!r}")
+    try:
+        return int(record[column])
+    except (TypeError, ValueError):
+        raise ParameterError(f"{where}: column {column!r} must hold an integer, got {record[column]!r}") from None
+
+
 def _cmd_evaluate(args) -> int:
     truth = [_parse_window(w) for w in args.truth]
     detected = []
-    with open(args.detections) as fh:
-        header = fh.readline().strip().split(",")
-        cols = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
+    with open(args.detections, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for record in reader:
+            where = f"{args.detections}, line {reader.line_num}"
+            if "detected" in record and _integer_cell(record, "detected", where) != 1:
                 continue
-            if "detected" in cols and int(parts[cols["detected"]]) != 1:
-                continue
-            detected.append((int(parts[cols["start"]]), int(parts[cols["end"]])))
+            detected.append((_integer_cell(record, "start", where), _integer_cell(record, "end", where)))
     # detections are pairwise disjoint, so rows repeating an interval, as a
     # set sampled with replacement gives, are one detection
     outcome = ScenarioOutcome(truth, list(dict.fromkeys(detected)))

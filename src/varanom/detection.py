@@ -257,7 +257,7 @@ def select_multiple(stats: ScanResult, threshold: float) -> list[IntervalStatist
     interval overlaps it is dropped, until none is left: the picks are
     pairwise disjoint and in decreasing order of value.
     """
-    order = np.flatnonzero(stats.reliable & (stats.values > threshold))
+    order = np.flatnonzero(stats.reliable & (stats.values > check_threshold(threshold)))
     # at equal starts, ordering by end is ordering by length
     order = order[np.lexsort((stats.ends[order], stats.starts[order], -stats.values[order]))]
     picked = []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumerated-option rule."""
 
 
 class ParameterError(ValueError):
@@ -26,3 +26,9 @@ class PanelFormatError(ValueError):
 class NumericalError(RuntimeError):
     """A pipeline stage failed numerically (for example, an estimated law
     too unstable to simulate from)."""
+
+
+def check_choice(value, name: str, choices: tuple) -> None:
+    """Reject a value of the enumerated option ``name`` outside ``choices``."""
+    if value not in choices:
+        raise ParameterError(f"unknown {name} {value!r}")

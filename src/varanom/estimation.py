@@ -44,9 +44,8 @@ skip the intervals that cannot reach it. In the library, one helper of
 zero.
 
 :func:`check_non_negative` is the library's one rule for a penalty, a
-penalty scale or a tolerance: the value must be >= 0, and NaN fails. The
-lasso solver, the interval statistics, ``StatConfig``, ``default_lambda``
-and the online monitor check through it.
+penalty scale or a tolerance: the value must be >= 0, and NaN fails.
+:func:`default_lambda` is the one penalty rate, for scans and baselines.
 
 Solvers are pure and reentrant; fits of independent responses may run in
 parallel and give identical results regardless of schedule.
@@ -60,7 +59,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DesignError, ParameterError
+from .errors import DesignError, ParameterError, check_choice
+from .intervals import check_min_length
 from .var_model import TimeSeriesPanel, lag_design
 
 _RANK_RTOL = 1e-10
@@ -517,7 +517,7 @@ def ols_solve(X: np.ndarray, y: np.ndarray) -> FitResult:
 
 def ridge_solve(X: np.ndarray, y: np.ndarray, lam: float) -> FitResult:
     """Minimise ||y - X b||^2 + lam ||b||^2; unique for lam > 0."""
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError("ridge penalty must be positive")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -530,9 +530,13 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, lam: float) -> FitResult:
 BASELINE_PENALTIES = ("ridge", "lasso", "none")
 
 
-def default_baseline_lambda(p: int, n_train: int, c: float = 0.15) -> float:
-    """Default penalty for baseline estimation: the rate with L set to T_train."""
-    return c * math.sqrt(n_train * (2.0 * math.log(p) + math.log(n_train)))
+def default_lambda(min_length: int, p: int, n_rows: int, scale: float = 0.15) -> float:
+    """The tuning-parameter rate scale * sqrt(L (2 log p + log T)), natural logs."""
+    check_min_length(min_length)
+    if p < 1 or n_rows < 1:
+        raise ParameterError("p and n_rows must both be >= 1")
+    check_non_negative(scale, "lambda constant")
+    return scale * math.sqrt(min_length * (2.0 * math.log(p) + math.log(n_rows)))
 
 
 def estimate_baseline(
@@ -546,24 +550,18 @@ def estimate_baseline(
     """Estimate the p x pq coefficient matrix from a stationary training slice.
 
     Each coordinate is regressed on the lagged design independently with the
-    chosen penalty, one of ``BASELINE_PENALTIES``. The default lam follows the
-    tuning-parameter rate with the interval length replaced by the training
-    length.
+    chosen penalty, one of ``BASELINE_PENALTIES``. The default lam is
+    :func:`default_lambda` with L = T = n_train; a given lam must be >= 0.
     """
-    if penalty not in BASELINE_PENALTIES:
-        raise ParameterError(f"unknown penalty {penalty!r}")
+    check_choice(penalty, "baseline penalty", BASELINE_PENALTIES)
     values = training.values
     n, p = values.shape
     if n < q + 2:
         raise DesignError(f"training needs at least q + 2 = {q + 2} rows, got {n}")
+    lam = default_lambda(n, p, n, c) if lam is None else check_non_negative(lam, "baseline lambda")
     Z, Y = lag_design(values, q)
     if penalty == "none":
-        if Z.shape[0] < Z.shape[1]:
-            raise DesignError("unpenalised baseline needs at least pq usable rows")
-        fits = [ols_solve(Z, Y[:, i]).coefficients for i in range(p)]
-        return np.vstack(fits)
-    if lam is None:
-        lam = default_baseline_lambda(p, n, c)
+        return np.vstack([ols_solve(Z, Y[:, i]).coefficients for i in range(p)])
     gram = Z.T @ Z
     cross = Z.T @ Y
     if penalty == "ridge":

@@ -23,8 +23,8 @@ from .detection import (
     online_max_statistic,
     select_single,
 )
-from .errors import ParameterError
-from .estimation import SolverOptions, estimate_baseline
+from .errors import ParameterError, check_choice
+from .estimation import BASELINE_PENALTIES, SolverOptions, estimate_baseline
 from .evaluation import ScenarioOutcome, intervals_as_tuples
 from .intervals import IntervalSet, build_intervals, seeded_intervals
 from .interval_stats import PanelScanner, StatConfig, default_lambda
@@ -103,9 +103,10 @@ def run_single_anomaly_study(
     For the known mode the true coefficients drive the scan; for the
     estimated mode every calibration and evaluation run re-estimates the
     baseline from a fresh training panel of the same length, so thresholds
-    absorb the estimation error.
+    absorb the estimation error. ``baseline_penalty`` is checked at entry.
     """
     check_quantile(quantile)
+    check_choice(baseline_penalty, "baseline penalty", BASELINE_PENALTIES)
     q = 1
     base, theta = dense_base_with_change(p, delta, n_change, seed, radius=radius)
     if window is None:

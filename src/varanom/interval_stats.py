@@ -58,13 +58,12 @@ is pruned, and the rest are solved in full through the same helper. A
 pruned statistic cannot be the maximum, so it is never counted as
 unreliable.
 
-``StatConfig`` owns the rules on the statistic's options, for offline
-scans and the online monitor alike: the method, the lambda policy, a
-non-negative lambda scale (through
-:func:`~varanom.estimation.check_non_negative`) and solver options the
-batched kernel can honour. A scanner checks its baseline through
-:func:`~varanom.var_model.check_stacked` and its intervals through
-:func:`~varanom.var_model.check_domain`.
+``StatConfig`` checks the statistic's options, offline and online: the
+method and lambda policy (``check_choice``), the lambda scale
+(``check_non_negative``), sigma (``check_covariance``) and solver options
+the batched kernel can honour. :func:`check_ols_rows` owns an OLS
+interval's row count. A scanner checks its baseline and intervals through
+``check_stacked`` and ``check_domain``.
 
 Statistics over distinct intervals are independent pure computations; the
 scan may be parallelised freely and reduces deterministically.
@@ -81,11 +80,11 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DesignError, ParameterError
+from .errors import DesignError, ParameterError, check_choice
 from .estimation import _RANK_RTOL, SolverOptions, lasso_bracket, lasso_cd_gram, lasso_cd_gram_batch
-from .estimation import check_non_negative
-from .intervals import Interval, IntervalSet, check_min_length
-from .var_model import RegressionView, TimeSeriesPanel, check_domain, check_stacked, lag_design
+from .estimation import check_non_negative, default_lambda
+from .intervals import Interval, IntervalSet
+from .var_model import RegressionView, TimeSeriesPanel, check_covariance, check_domain, check_stacked, lag_design
 
 # Rows per block of the prefix build: a block of pq x pq products (640 kB at
 # pq = 50) stays in cache while it is summed.
@@ -131,13 +130,11 @@ class StatConfig:
     lambda_policy: str = "global"
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ParameterError(f"unknown method {self.method!r}")
+        check_choice(self.method, "method", METHODS)
         check_non_negative(self.lambda_scale, "lambda constant")
         if self.sigma is not None:
-            whitening_matrix(self.sigma, len(np.atleast_2d(self.sigma)))  # validates
-        if self.lambda_policy not in LAMBDA_POLICIES:
-            raise ParameterError(f"unknown lambda policy {self.lambda_policy!r}")
+            check_covariance(self.sigma, len(np.atleast_2d(self.sigma)))
+        check_choice(self.lambda_policy, "lambda policy", LAMBDA_POLICIES)
         # prefix_statistics records no objective path, so a track_objective
         # would be ignored without notice; lasso_cd_gram still honours it
         if self.solver.track_objective:
@@ -203,37 +200,25 @@ class ScanMaximum(NamedTuple):
     pruned: int
 
 
-def default_lambda(min_length: int, p: int, n_rows: int, scale: float = 0.15) -> float:
-    """The tuning-parameter rate scale * sqrt(L (2 log p + log T)), natural logs."""
-    check_min_length(min_length)
-    if p < 1 or n_rows < 1:
-        raise ParameterError("p and n_rows must both be >= 1")
-    check_non_negative(scale, "lambda constant")
-    return scale * math.sqrt(min_length * (2.0 * math.log(p) + math.log(n_rows)))
-
-
 def inverse_sqrt_psd(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix."""
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.allclose(sigma, sigma.T, atol=1e-10):
-        raise ParameterError("covariance must be symmetric")
+    """Symmetric inverse square root of a matrix that passes ``check_covariance``."""
     w, v = np.linalg.eigh(sigma)
-    if np.min(w) <= 0.0:
-        raise ParameterError("covariance must be positive definite")
     return (v / np.sqrt(w)) @ v.T
 
 
 def whitening_matrix(sigma: Optional[np.ndarray], p: int) -> Optional[np.ndarray]:
-    """sigma^(-1/2) for a p x p symmetric positive definite ``sigma``; None
-    (no whitening) for ``sigma`` None or the identity."""
+    """sigma^(-1/2) for a ``sigma`` checked by ``check_covariance``; None (no
+    whitening) for ``sigma`` None or the identity."""
     if sigma is None:
         return None
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (p, p):
-        raise ParameterError(f"covariance must be {p} x {p}, got {sigma.shape}")
-    if np.array_equal(sigma, np.eye(p)):
-        return None
-    return inverse_sqrt_psd(sigma)
+    sigma = check_covariance(sigma, p)
+    return None if np.array_equal(sigma, np.eye(p)) else inverse_sqrt_psd(sigma)
+
+
+def check_ols_rows(n: int, m: int) -> None:
+    """Reject an OLS interval of n rows, fewer than its m predictors."""
+    if n < m:
+        raise DesignError(f"interval of {n} rows cannot fit {m} predictors")
 
 
 def whiten(view: RegressionView, sigma: Optional[np.ndarray]) -> RegressionView:
@@ -261,9 +246,7 @@ def gram_ols_value(gram: np.ndarray, cross: np.ndarray) -> tuple[float, np.ndarr
 def ols_statistic(view: RegressionView, sigma: Optional[np.ndarray] = None) -> IntervalStatistic:
     """Squared norm of the projection of the response onto the design space."""
     view = whiten(view, sigma)
-    n, m = view.lagged.shape
-    if n < m:
-        raise DesignError(f"ill-posed design: interval of {n} rows cannot fit {m} predictors")
+    check_ols_rows(*view.lagged.shape)
     gram = view.lagged.T @ view.lagged
     cross = view.lagged.T @ view.residuals
     value, theta = gram_ols_value(gram, cross)
@@ -550,7 +533,7 @@ def _ols_statistics(
         for j in np.flatnonzero(~certified):
             values[s + j], _ = gram_ols_value(grams[j], crosses[j])
     if stop < n:
-        raise DesignError(f"interval of {hi[stop] - lo[stop]} rows cannot fit {m} predictors")
+        check_ols_rows(hi[stop] - lo[stop], m)
     return values
 
 

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_choice
 
 _CEIL_GUARD = 1e-9
 SCHEMES = ("random", "seeded")
@@ -185,8 +185,7 @@ def build_intervals(
     """The ``random`` set (which uses ``count`` and ``seed``) or the ``seeded``
     set (which uses ``decay``) over a panel of ``n_rows`` rows; ``scheme`` is
     one of ``SCHEMES``."""
-    if scheme not in SCHEMES:
-        raise ParameterError(f"unknown interval scheme {scheme!r}")
+    check_choice(scheme, "scheme", SCHEMES)
     if scheme == "random":
         return random_intervals(n_rows, min_length, count, seed, q=q)
     return seeded_intervals(n_rows, min_length, decay, q=q)

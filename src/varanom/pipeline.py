@@ -11,7 +11,7 @@ file. All file writes are atomic (write then rename).
 ``RunConfig`` is the one definition of a run's options: a config file's
 keys are its fields, and so are the ``detect`` and ``calibrate`` flags of
 the CLI. ``OPTION_CHOICES`` maps each enumerated field to the tuple of its
-allowed values, which the module implementing the option defines
+allowed values, defined beside the code implementing the option
 (``METHODS``, ``SCHEMES``, ``LAMBDA_POLICIES``, ``BASELINE_PENALTIES``, and
 ``SIGMA_MODES`` here); ``RunConfig`` and the CLI's ``choices`` read it.
 """
@@ -30,8 +30,8 @@ import numpy as np
 
 from .detection import CalibrationResult, DetectionResult, calibrate_threshold, check_quantile
 from .detection import detect_multiple, detect_single
-from .errors import NumericalError, ParameterError
-from .estimation import BASELINE_PENALTIES, estimate_baseline, estimate_noise_covariance
+from .errors import NumericalError, ParameterError, check_choice
+from .estimation import BASELINE_PENALTIES, check_non_negative, estimate_baseline, estimate_noise_covariance
 from .evaluation import write_table
 from .intervals import SCHEMES, IntervalSet, build_intervals, check_count, check_decay, check_min_length
 from .interval_stats import LAMBDA_POLICIES, METHODS, StatConfig, interval_lambdas
@@ -40,8 +40,6 @@ from .panels import load_panel
 from .var_model import TimeSeriesPanel, VarParams, check_burn_in
 
 SIGMA_MODES = ("identity", "estimated")
-# The allowed values of each enumerated RunConfig field, each tuple defined
-# beside the code that implements the option.
 OPTION_CHOICES = {
     "method": METHODS, "scheme": SCHEMES, "lambda_policy": LAMBDA_POLICIES,
     "sigma_mode": SIGMA_MODES, "baseline_penalty": BASELINE_PENALTIES,
@@ -52,14 +50,11 @@ OPTION_CHOICES = {
 class RunConfig:
     """Pipeline configuration; file values are overridden by CLI flags.
 
-    The enumerated fields take the values ``OPTION_CHOICES`` lists, and
-    every other checked field goes through the function that defines its
-    rule for the library: ``lambda_scale`` through ``StatConfig``,
-    ``quantile`` through ``check_quantile``, ``count`` and
-    ``calibration_runs`` through ``check_count``, ``min_length`` and
-    ``decay`` through ``check_min_length`` and ``check_decay``, and
-    ``burn_in`` through ``check_burn_in``. A bad value fails here, with the
-    library's message, before a panel is read or an output directory made.
+    Each checked field goes through the function that owns its rule: the
+    enumerated ones through ``check_choice`` with their ``OPTION_CHOICES``,
+    the others through ``StatConfig`` or a ``check_*`` function of the
+    module defining them. A bad value fails here, with the library's
+    message, before a panel is read or an output directory made.
     """
 
     q: int = 1
@@ -87,9 +82,10 @@ class RunConfig:
         if self.q < 1:
             raise ParameterError("q must be >= 1")
         for name, allowed in OPTION_CHOICES.items():
-            if getattr(self, name) not in allowed:
-                raise ParameterError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
+            check_choice(getattr(self, name), name.replace("_", " "), allowed)
         StatConfig(lambda_scale=self.lambda_scale)  # validates the scale
+        if self.baseline_lambda is not None:
+            check_non_negative(self.baseline_lambda, "baseline lambda")
         check_quantile(self.quantile)
         check_count(self.count, "count")
         check_count(self.calibration_runs, "runs")
@@ -158,8 +154,7 @@ def run_pipeline(
     for the detect stage, statistics.csv plus detections.csv. The output
     directory is made only once every stage has succeeded.
     """
-    if stage not in ("detect", "calibrate"):
-        raise ParameterError(f"unknown stage {stage!r}")
+    check_choice(stage, "stage", ("detect", "calibrate"))
     panel = load_panel(data_path, has_header=config.has_header, delimiter=config.delimiter)
     if config.apply_difference:
         panel = difference_panel(panel)

@@ -8,9 +8,10 @@ responses because they lack a full set of lags.
 All functions here are pure given their inputs and seed; the returned
 objects are treated as immutable and are safe to share across threads.
 
-Three input rules are defined here, each by one function that every entry
+Five input rules are defined here, each by one function that every entry
 point taking the input calls: :func:`check_stacked` (a p x pq coefficient
-matrix, such as a scan's or monitor's baseline), :func:`check_burn_in`
+matrix, such as a scan's or monitor's baseline), :func:`check_covariance`
+(a p x p noise covariance or whitening sigma), :func:`check_burn_in`
 (burn_in >= 0), :func:`check_window` (an anomaly window inside (0, T)) and
 :func:`check_domain` (intervals inside the usable domain [q + 1, T]).
 """
@@ -46,6 +47,17 @@ def check_stacked(
     if coeffs.shape != (p, p * q):
         raise ParameterError(f"{name} must be {p} x {p * q}, got {coeffs.shape}")
     return coeffs
+
+
+def check_covariance(cov: np.ndarray, p: int) -> np.ndarray:
+    """``cov`` as a float array, checked to be p x p, finite, symmetric
+    (to 1e-10) and positive definite."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (p, p):
+        raise ParameterError(f"covariance must be {p} x {p}, got {cov.shape}")
+    if not (np.isfinite(cov).all() and np.allclose(cov, cov.T, atol=1e-10) and np.linalg.eigvalsh(cov)[0] > 0.0):
+        raise ParameterError("covariance must be symmetric positive definite")
+    return cov
 
 
 def check_burn_in(burn_in: int) -> None:
@@ -94,13 +106,7 @@ class VarParams:
         for a in coeffs:
             if a.ndim != 2 or a.shape != (p, p):
                 raise ParameterError("all lag matrices must be square with a common dimension")
-        cov = np.array(self.noise_cov, dtype=float)
-        if cov.shape != (p, p):
-            raise ParameterError(f"noise covariance must be {p} x {p}")
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise ParameterError("noise covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) <= 0.0:
-            raise ParameterError("noise covariance must be positive definite")
+        cov = check_covariance(np.array(self.noise_cov, dtype=float), p)
         rho = spectral_radius(coeffs)
         if rho >= 1.0:
             raise ParameterError(f"rejected parameters: companion spectral radius {rho:.4f} >= 1")

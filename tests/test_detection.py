@@ -236,9 +236,11 @@ _stat_lists = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=_stat_lists, threshold=st.sampled_from([0.0, 1.0, 4.0]))
+@given(rows=_stat_lists, threshold=st.sampled_from([THRESHOLD_FLOOR, 1.0, 4.0]))
 def test_selection_properties(rows, threshold):
-    # few distinct values and short ranges make ties and overlaps common
+    # few distinct values and short ranges make ties and overlaps common; the
+    # smallest threshold is the floor of a calibrated one, as selection
+    # rejects a threshold of zero or below
     stats = [_stat(s, s + extra, v, ok) for s, extra, v, ok in rows]
     picked = select_multiple(_scan_result(stats), threshold)
     for i, a in enumerate(picked):
@@ -264,7 +266,7 @@ _scan_rows = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(rows=_scan_rows, repeats=st.lists(st.integers(0, 29), max_size=8),
-       threshold=st.sampled_from([-1.0, 0.0, 1.0, 4.0]))
+       threshold=st.sampled_from([THRESHOLD_FLOOR, 1.0, 4.0]))
 def test_selection_matches_object_greedy(rows, repeats, threshold):
     # duplicated intervals (with equal or different rows), equal values,
     # unreliable rows and empty inputs; picks agree field for field

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -28,7 +29,7 @@ from varanom import (
 )
 from varanom import estimation
 from varanom.estimation import (
-    default_baseline_lambda,
+    default_lambda,
     kkt_violation,
     lasso_bracket,
     lasso_cd_gram,
@@ -166,8 +167,10 @@ def test_ridge_examples():
     assert np.linalg.norm(big.coefficients) < 1e-6
     zero = ridge_solve(np.zeros((4, 2)), np.ones(4), 1.0)
     assert np.allclose(zero.coefficients, 0.0)
-    with pytest.raises(ParameterError):
-        ridge_solve(np.eye(2), np.ones(2), 0.0)
+    # NaN passed the old lam <= 0 test and gave NaN coefficients
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="ridge penalty must be positive"):
+            ridge_solve(np.eye(2), np.ones(2), bad)
 
 
 def test_fit_result_objective_consistency():
@@ -249,8 +252,16 @@ def test_noise_covariance_edge_cases():
     assert abs(alt[0, 0] - 1.0) < 1e-12
 
 
-def test_default_baseline_lambda_positive():
-    assert default_baseline_lambda(10, 500) > 0
+def test_baseline_default_lambda_is_the_rate_at_the_training_length():
+    # the removed default_baseline_lambda(p, n, c) was this formula; the
+    # baseline now takes default_lambda with L = T = n
+    n, p, c = 500, 10, 0.15
+    lam = default_lambda(n, p, n, c)
+    assert lam == c * math.sqrt(n * (2.0 * math.log(p) + math.log(n))) > 0
+    panel = simulate(generate_dense_stationary(p, seed=4), n, seed=5)
+    for penalty in ("ridge", "lasso"):
+        default = estimate_baseline(panel, 1, penalty=penalty)
+        assert np.array_equal(default, estimate_baseline(panel, 1, penalty=penalty, lam=lam))
 
 
 def _hard_batch(seed: int = 0):

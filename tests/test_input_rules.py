@@ -22,6 +22,7 @@ from varanom import (
     RunConfig,
     SolverOptions,
     StatConfig,
+    TimeSeriesPanel,
     VarParams,
     build_regression_view,
     calibrate_threshold,
@@ -29,16 +30,20 @@ from varanom import (
     detect_multiple,
     detect_online,
     detect_single,
+    estimate_baseline,
     generate_dense_stationary,
     lasso_solve,
     lasso_statistic,
+    ols_solve,
+    ols_statistic,
     random_intervals,
     scan_intervals,
     seeded_intervals,
     simulate,
     simulate_episodes,
+    whiten,
 )
-from varanom import detection, experiments
+from varanom import detection, estimation, experiments, interval_stats
 from varanom.detection import (
     _check_rows,
     check_quantile,
@@ -46,11 +51,15 @@ from varanom.detection import (
     empirical_quantile,
     null_threshold,
     online_max_statistic,
+    select_multiple,
+    select_single,
 )
-from varanom.errors import DesignError
-from varanom.estimation import check_non_negative
-from varanom.intervals import build_intervals, check_count, check_decay, check_min_length
-from varanom.var_model import check_burn_in, check_domain, check_stacked, check_window
+from varanom.errors import DesignError, check_choice
+from varanom.estimation import BASELINE_PENALTIES, check_non_negative
+from varanom.interval_stats import LAMBDA_POLICIES, METHODS, check_ols_rows
+from varanom.intervals import SCHEMES, build_intervals, check_count, check_decay, check_min_length
+from varanom.pipeline import SIGMA_MODES
+from varanom.var_model import check_burn_in, check_covariance, check_domain, check_stacked, check_window
 
 NAN = math.nan
 LAW = generate_dense_stationary(3, seed=61)
@@ -59,6 +68,7 @@ BASE = LAW.stacked
 IVS = seeded_intervals(60, 5, 1 / 1.2, q=1)
 CONFIG = StatConfig()
 VIEW = build_regression_view(PANEL, BASE, 10, 30, 1)
+SCAN = scan_intervals(PANEL, BASE, IVS, CONFIG, 1)
 
 
 def assert_reaches(owner, entry, error=ParameterError):
@@ -164,6 +174,8 @@ def test_rule3_observation_rows(entry, row):
 RULE4 = {
     "detect_single": lambda v: detect_single(PANEL, BASE, IVS, CONFIG, v),
     "detect_multiple": lambda v: detect_multiple(PANEL, BASE, IVS, CONFIG, v),
+    "select_single": lambda v: select_single(SCAN, v),
+    "select_multiple": lambda v: select_multiple(SCAN, v),
     "OnlineDetector": lambda v: OnlineDetector(BASE, 1, 1.0, v),
     "detect_online": lambda v: detect_online(PANEL.values, BASE, 1, 1.0, v),
 }
@@ -322,3 +334,134 @@ def _set(start, end):
 @pytest.mark.parametrize("entry", list(DOMAIN))
 def test_domain_rule(entry, interval):
     assert_reaches(lambda: check_domain(*interval, 60, 1), lambda: DOMAIN[entry](*interval), DesignError)
+
+
+# the study arguments that keep the studies small; each rule's check must come
+# before the first simulation (the no_simulation fixture)
+STUDY = dict(p=3, horizon=60, n_change=2, runs=1, calibration_runs=1, min_length=5)
+OPTIONS = {
+    "method": (METHODS, {
+        "StatConfig": lambda v: StatConfig(method=v),
+        "RunConfig": lambda v: RunConfig(method=v),
+        "run_single_anomaly_study": lambda v: experiments.run_single_anomaly_study(
+            count=10, methods=(v,), **STUDY),
+        "run_two_anomaly_study": lambda v: experiments.run_two_anomaly_study(
+            windows=((10, 20), (35, 45)), method=v, **STUDY),
+    }),
+    "lambda policy": (LAMBDA_POLICIES, {
+        "StatConfig": lambda v: StatConfig(lambda_policy=v),
+        "RunConfig": lambda v: RunConfig(lambda_policy=v),
+        "OnlineDetector": lambda v: OnlineDetector(BASE, 1, 1.0, 5.0, lambda_policy=v),
+        "detect_online": lambda v: detect_online(PANEL.values, BASE, 1, 1.0, 5.0, lambda_policy=v),
+        "online_max_statistic": lambda v: online_max_statistic(PANEL.values, BASE, 1, 1.0, lambda_policy=v),
+        "run_single_anomaly_study": lambda v: experiments.run_single_anomaly_study(
+            count=10, lambda_policy=v, **STUDY),
+    }),
+    "scheme": (SCHEMES, {
+        "build_intervals": lambda v: build_intervals(v, 60, 5, 1, 10, 0.8, 0),
+        "RunConfig": lambda v: RunConfig(scheme=v),
+        "run_single_anomaly_study": lambda v: experiments.run_single_anomaly_study(
+            count=10, scheme=v, **STUDY),
+    }),
+    "baseline penalty": (BASELINE_PENALTIES, {
+        "estimate_baseline": lambda v: estimate_baseline(PANEL, 1, penalty=v),
+        "RunConfig": lambda v: RunConfig(baseline_penalty=v),
+        "run_single_anomaly_study": lambda v: experiments.run_single_anomaly_study(
+            count=10, baseline_penalty=v, **STUDY),
+    }),
+    "sigma mode": (SIGMA_MODES, {"RunConfig": lambda v: RunConfig(sigma_mode=v)}),
+}
+
+
+@pytest.mark.parametrize("value", ["bogus", NAN], ids=str)
+@pytest.mark.parametrize("option, entry", [(o, e) for o, (_, entries) in OPTIONS.items() for e in entries])
+def test_enumerated_option_rule(no_simulation, option, entry, value):
+    # run_single_anomaly_study checked its baseline penalty only after it had
+    # simulated and scanned a null panel
+    choices, entries = OPTIONS[option]
+    assert_reaches(lambda: check_choice(value, option, choices), lambda: entries[entry](value))
+
+
+SIGMA_ENTRIES = {
+    "VarParams": lambda c: VarParams((np.zeros((3, 3)),), c),
+    "VarParams.from_stacked": lambda c: VarParams.from_stacked(BASE, c, 1),
+    "StatConfig": lambda c: StatConfig(sigma=c),
+    "OnlineDetector": lambda c: OnlineDetector(BASE, 1, 1.0, 5.0, sigma=c),
+    "detect_online": lambda c: detect_online(PANEL.values, BASE, 1, 1.0, 5.0, sigma=c),
+    "online_max_statistic": lambda c: online_max_statistic(PANEL.values, BASE, 1, 1.0, sigma=c),
+    "whiten": lambda c: whiten(VIEW, c),
+    "ols_statistic": lambda c: ols_statistic(VIEW, c),
+    "lasso_statistic": lambda c: lasso_statistic(VIEW, 1.0, sigma=c),
+}
+BAD_COVARIANCES = {
+    "shape": np.ones((3, 2)),
+    "asymmetric": np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "indefinite": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "singular": np.zeros((3, 3)),
+    "nan": np.full((3, 3), NAN),
+    "inf": np.diag([np.inf, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COVARIANCES))
+@pytest.mark.parametrize("entry", list(SIGMA_ENTRIES))
+def test_covariance_rule(entry, case):
+    cov = BAD_COVARIANCES[case]
+    assert_reaches(lambda: check_covariance(cov, 3), lambda: SIGMA_ENTRIES[entry](cov))
+
+
+def test_penalty_rate_has_one_definition():
+    # interval scans, the online study and the CLI read it from
+    # interval_stats, the baseline from estimation: one function
+    assert interval_stats.default_lambda is estimation.default_lambda is default_lambda
+
+
+@pytest.mark.parametrize("value", [-1.0, NAN], ids=str)
+@pytest.mark.parametrize("penalty", BASELINE_PENALTIES)
+def test_penalty_rate_scale_of_the_baseline(penalty, value):
+    # a negative scale gave a negative default penalty without complaint
+    assert_reaches(lambda: default_lambda(60, 3, 60, value), lambda: estimate_baseline(PANEL, 1, penalty, c=value))
+
+
+BASELINE_LAMBDA = {
+    "estimate_baseline/ridge": lambda v: estimate_baseline(PANEL, 1, "ridge", lam=v),
+    "estimate_baseline/lasso": lambda v: estimate_baseline(PANEL, 1, "lasso", lam=v),
+    "estimate_baseline/none": lambda v: estimate_baseline(PANEL, 1, "none", lam=v),
+    "RunConfig": lambda v: RunConfig(baseline_lambda=v),
+}
+
+
+@pytest.mark.parametrize("value, entry", cases([-30.0, NAN], BASELINE_LAMBDA))
+def test_baseline_lambda_rule(entry, value):
+    # -30 returned an anti-shrunk baseline and NaN a NaN one
+    assert_reaches(lambda: check_non_negative(value, "baseline lambda"), lambda: BASELINE_LAMBDA[entry](value))
+
+
+OLS = StatConfig(method="ols")
+OLS_ENTRIES = {
+    "ols_statistic": lambda n: ols_statistic(build_regression_view(PANEL, BASE, 10, 9 + n, 1)),
+    "PanelScanner.scan": lambda n: PanelScanner(PANEL, BASE, 1).scan(_short(n), OLS),
+    "PanelScanner.max_statistic": lambda n: PanelScanner(PANEL, BASE, 1).max_statistic(_short(n), OLS),
+    "scan_intervals": lambda n: scan_intervals(PANEL, BASE, _short(n), OLS, 1),
+    "detect_single": lambda n: detect_single(PANEL, BASE, _short(n), OLS, 5.0),
+    "calibrate_threshold": lambda n: calibrate_threshold(LAW, _short(n), OLS, runs=1),
+}
+
+
+def _short(n):
+    """A valid OLS interval followed by one of n rows."""
+    return IntervalSet((Interval(20, 30), Interval(40, 39 + n)), 1, (2, 60))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("entry", list(OLS_ENTRIES))
+def test_ols_row_count_rule(entry, rows):
+    assert_reaches(lambda: check_ols_rows(rows, 3), lambda: OLS_ENTRIES[entry](rows), DesignError)
+
+
+def test_unpenalised_baseline_row_count_is_ols_solve_rule():
+    # 5 rows at q = 2 leave 3 usable rows for 6 predictors
+    short = TimeSeriesPanel(PANEL.values[:5])
+    assert_reaches(
+        lambda: ols_solve(np.zeros((3, 6)), np.zeros(3)), lambda: estimate_baseline(short, 2, "none"), DesignError
+    )

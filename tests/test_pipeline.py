@@ -497,6 +497,38 @@ def test_cli_bad_config_is_input_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", [-30.0, float("nan")], ids=str)
+def test_baseline_lambda_is_checked_before_any_output(tmp_path, capsys, value):
+    # -30 fitted an anti-shrunk baseline and calibrated a threshold (exit 0);
+    # NaN ended in a numerical failure (exit 3)
+    message = f"baseline lambda must be non-negative, got {value}"
+    with pytest.raises(ParameterError, match=message):
+        RunConfig(baseline_lambda=value)
+    data, cfg, out = tmp_path / "panel.csv", tmp_path / "cfg.json", tmp_path / "out"
+    save_panel(simulate(generate_dense_stationary(3, seed=1), 400, seed=2), data)
+    cfg.write_text(json.dumps({"baseline_lambda": value, "calibration_runs": 5}))
+    assert main(["detect", "--data", str(data), "--out-dir", str(out), "--config", str(cfg)]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("begin,end,statistic\n140,160,33.0\n", "line 2: no column 'start'"),
+    ("start,end,statistic,detected\n140,160,33.0,1\n10,x,1.0,1\n",
+     "line 3: column 'end' must hold an integer, got 'x'"),
+    ("start,end,statistic,detected\n140,160,33.0,yes\n", "line 2: column 'detected' must hold an integer, got 'yes'"),
+    ("start,end\n140\n", "line 2: column 'end' must hold an integer, got None"),
+], ids=["no-start-column", "non-integer-end", "non-integer-flag", "short-row"])
+def test_cli_evaluate_malformed_detections_is_input_error(tmp_path, capsys, body, message):
+    # a missing column raised KeyError and a bad cell ValueError, each a
+    # traceback and exit 1
+    det = tmp_path / "detections.csv"
+    det.write_text(body)
+    rc = main(["evaluate", "--detections", str(det), "--truth", "133:166"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"input error: {det}, {message}\n"
+
+
 def test_cli_evaluate(tmp_path, capsys):
     det = tmp_path / "detections.csv"
     det.write_text("start,end,statistic,detected\n140,160,33.0,1\n10,20,1.0,0\n")

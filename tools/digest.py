@@ -51,10 +51,14 @@ Items:
 * ``errors/<rule>``: for each input rule (a p x pq baseline, a non-negative
   penalty, an observation row, a positive threshold, the online options, a
   quantile, an interval length, burn_in, an anomaly window, a count, a
-  decay, the usable domain, and NaN or negative CLI options), the outcome of
+  decay, the usable domain, an enumerated option, a covariance, the
+  penalty rate's scale, the baseline's own penalty, an OLS interval's row
+  count, a selection threshold, NaN or negative CLI options, and the CLI's
+  baseline penalty, ``--sigma`` and ``evaluate`` inputs), the outcome of
   a fixed list of bad calls, one field per call: the exception's type and
   message, "returned" if the call did not raise, and for a CLI call its
-  exit code and standard error. A changed message shows as a changed field.
+  exit code and standard error (or the exception it let escape). A changed
+  message shows as a changed field.
   No call takes a NaN interval length: before that rule rejected NaN,
   ``seeded_intervals`` looped on it without end.
 
@@ -86,25 +90,30 @@ from varanom import (  # noqa: E402
     RunConfig,
     SolverOptions,
     StatConfig,
+    TimeSeriesPanel,
     VarParams,
     build_regression_view,
     calibrate_threshold,
     detect_multiple,
     detect_online,
     detect_single,
+    estimate_baseline,
     generate_dense_stationary,
     lasso_solve,
     lasso_statistic,
+    ols_statistic,
     random_intervals,
+    ridge_solve,
     run_pipeline,
     save_panel,
     seeded_intervals,
     simulate,
     simulate_episodes,
+    whiten,
 )
 from varanom import experiments  # noqa: E402
 from varanom.cli import _load_config, build_parser, main as cli_main  # noqa: E402
-from varanom.detection import empirical_quantile, online_max_statistic  # noqa: E402
+from varanom.detection import empirical_quantile, online_max_statistic, select_multiple, select_single  # noqa: E402
 from varanom.interval_stats import LAMBDA_POLICIES, PanelScanner, default_lambda  # noqa: E402
 from varanom.intervals import build_intervals  # noqa: E402
 
@@ -356,13 +365,19 @@ def _outcome(call) -> bytes:
     return b"returned"
 
 
-def _cli_outcome(argv: list[str]) -> bytes:
-    """Exit code and standard error of the CLI on ``argv``; standard output,
-    which names temporary paths, is dropped."""
+def _cli_outcome(argv: list[str], tmp: str = "") -> bytes:
+    """Exit code and standard error of the CLI on ``argv``, with ``tmp``, a
+    temporary directory, shown as "TMP"; standard output, which names
+    temporary paths, is dropped. An exception the CLI lets escape, which a
+    console shows as a traceback, is recorded by its type and message."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
-    return f"exit {code}: {err.getvalue()}".encode()
+        try:
+            code = cli_main(argv)
+        except Exception as exc:  # recorded, whatever it is
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    text = f"exit {code}: {err.getvalue()}"
+    return (text.replace(tmp, "TMP") if tmp else text).encode()
 
 
 def errors() -> dict[str, tuple[str, dict]]:
@@ -376,6 +391,13 @@ def errors() -> dict[str, tuple[str, dict]]:
     outside = IntervalSet((Interval(20, 30), Interval(50, 61)), 5, (0, 100))
     rows = values[:20].copy()
     rows[3, 1] = nan
+    scan = PanelScanner(panel, base, 1).scan(ivs, config)
+    ols = StatConfig(method="ols")
+    study = dict(p=3, horizon=60, n_change=2, runs=1, calibration_runs=1, min_length=5, count=10)
+
+    def short(n):  # a valid OLS interval, then one of n rows
+        return IntervalSet((Interval(20, 30), Interval(40, 39 + n)), 1, (2, 60))
+
     cases = {
         "baseline": {
             "PanelScanner": lambda b: PanelScanner(panel, b, 1),
@@ -467,6 +489,59 @@ def errors() -> dict[str, tuple[str, dict]]:
             "PanelScanner.max_statistic": lambda s: PanelScanner(panel, base, 1).max_statistic(outside, config),
             "build_regression_view": lambda s: build_regression_view(panel, base, *s, 1),
         },
+        "options": {
+            "method/StatConfig": lambda v: StatConfig(method=v),
+            "method/RunConfig": lambda v: RunConfig(method=v),
+            "lambda-policy/StatConfig": lambda v: StatConfig(lambda_policy=v),
+            "lambda-policy/RunConfig": lambda v: RunConfig(lambda_policy=v),
+            "lambda-policy/OnlineDetector": lambda v: OnlineDetector(base, 1, 1.0, 5.0, lambda_policy=v),
+            "scheme/build_intervals": lambda v: build_intervals(v, 60, 5, 1, 10, 0.8, 0),
+            "scheme/RunConfig": lambda v: RunConfig(scheme=v),
+            "baseline-penalty/estimate_baseline": lambda v: estimate_baseline(panel, 1, penalty=v),
+            "baseline-penalty/RunConfig": lambda v: RunConfig(baseline_penalty=v),
+            "baseline-penalty/run_single_anomaly_study": lambda v: experiments.run_single_anomaly_study(
+                baseline_penalty=v, **study
+            ),
+            "sigma-mode/RunConfig": lambda v: RunConfig(sigma_mode=v),
+        },
+        "covariance": {
+            "VarParams": lambda c: VarParams((zeros,), c),
+            "VarParams.from_stacked": lambda c: VarParams.from_stacked(base, c, 1),
+            "StatConfig": lambda c: StatConfig(sigma=c),
+            "OnlineDetector": lambda c: OnlineDetector(base, 1, 1.0, 5.0, sigma=c),
+            "detect_online": lambda c: detect_online(values, base, 1, 1.0, 5.0, sigma=c),
+            "online_max_statistic": lambda c: online_max_statistic(values, base, 1, 1.0, sigma=c),
+            "whiten": lambda c: whiten(view, c),
+            "ols_statistic": lambda c: ols_statistic(view, c),
+            "lasso_statistic": lambda c: lasso_statistic(view, 1.0, sigma=c),
+        },
+        "rate": {
+            "estimate_baseline/ridge": lambda v: estimate_baseline(panel, 1, "ridge", c=v),
+            "estimate_baseline/lasso": lambda v: estimate_baseline(panel, 1, "lasso", c=v),
+            "estimate_baseline/none": lambda v: estimate_baseline(panel, 1, "none", c=v),
+            "default_lambda": lambda v: default_lambda(60, 3, 60, v),
+            "run_online_study": lambda v: experiments.run_online_study(
+                p=3, onset=30, horizon=60, n_change=2, runs=1, calibration_runs=1, lambda_scale=v
+            ),
+        },
+        "baseline-lambda": {
+            "estimate_baseline/ridge": lambda v: estimate_baseline(panel, 1, "ridge", lam=v),
+            "estimate_baseline/lasso": lambda v: estimate_baseline(panel, 1, "lasso", lam=v),
+            "estimate_baseline/none": lambda v: estimate_baseline(panel, 1, "none", lam=v),
+            "RunConfig": lambda v: RunConfig(baseline_lambda=v),
+            "ridge_solve": lambda v: ridge_solve(view.lagged, view.residuals[:, 0], v),
+        },
+        "ols-rows": {
+            "ols_statistic": lambda n: ols_statistic(build_regression_view(panel, base, 10, 9 + n, 1)),
+            "PanelScanner.scan": lambda n: PanelScanner(panel, base, 1).scan(short(n), ols),
+            "PanelScanner.max_statistic": lambda n: PanelScanner(panel, base, 1).max_statistic(short(n), ols),
+            "calibrate_threshold": lambda n: calibrate_threshold(law, short(n), ols, runs=1),
+            "estimate_baseline/none": lambda n: estimate_baseline(TimeSeriesPanel(values[: 4 + n]), 2, "none"),
+        },
+        "selection": {
+            "select_single": lambda v: select_single(scan, v),
+            "select_multiple": lambda v: select_multiple(scan, v),
+        },
     }
     bad = {
         "baseline": [np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(())],
@@ -476,6 +551,13 @@ def errors() -> dict[str, tuple[str, dict]]:
         "quantile": [1.5, nan], "length": [0, 60], "burn-in": [-1, nan],
         "window": [(30, 20), (10, 60), (nan, 10)], "count": [0], "decay": [1.0, nan],
         "domain": [(1, 10), (50, 61)],
+        "options": ["bogus", nan],
+        "covariance": [
+            np.ones((3, 2)), np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.full((3, 3), nan),
+        ],
+        "rate": [-1.0, nan], "baseline-lambda": [-30.0, nan], "ols-rows": [1, 2],
+        "selection": [0.0, -1.0, nan],
     }
     out = {}
     for rule, calls in cases.items():
@@ -506,6 +588,26 @@ def errors() -> dict[str, tuple[str, dict]]:
                 "detect-online", "--data", str(data), "--baseline", str(baseline), "--threshold", "50", *flags,
             ])
         out["errors/cli"] = _item(**{k: np.frombuffer(v, dtype=np.uint8) for k, v in fields.items()})
+        fields = {}
+        for name, value in (("baseline-lambda-negative", -30.0), ("baseline-lambda-nan", nan)):
+            config = Path(tmp) / f"{name}.json"
+            config.write_text(json.dumps({"baseline_lambda": value, "calibration_runs": 2}))
+            argv = ["detect", "--data", str(data), "--out-dir", str(Path(tmp) / name), "--config", str(config)]
+            fields[name] = _cli_outcome(argv, tmp) + f" out: {(Path(tmp) / name).exists()}".encode()
+        for name, cov in (("sigma-shape", np.eye(2)), ("sigma-asymmetric", np.triu(np.ones((3, 3))))):
+            sigma = Path(tmp) / f"{name}.csv"
+            np.savetxt(sigma, cov, delimiter=",")
+            fields[name] = _cli_outcome([
+                "detect-online", "--data", str(data), "--baseline", str(baseline), "--threshold", "50",
+                "--sigma", str(sigma),
+            ], tmp)
+        for name, body in (
+            ("evaluate-no-start", "begin,end\n140,160\n"), ("evaluate-bad-cell", "start,end\n140,16x\n"),
+        ):
+            detections = Path(tmp) / f"{name}.csv"
+            detections.write_text(body)
+            fields[name] = _cli_outcome(["evaluate", "--detections", str(detections), "--truth", "133:166"], tmp)
+        out["errors/cli-inputs"] = _item(**{k: np.frombuffer(v, dtype=np.uint8) for k, v in fields.items()})
     return out
 
 
