@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import detect_online
-from .errors import NumericalError, PanelFormatError, ParameterError
+from .errors import DesignError, NumericalError, PanelFormatError, ParameterError
 from .evaluation import (
     count_distribution,
     empirical_power,
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PanelFormatError, ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (PanelFormatError, ParameterError, DesignError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:

@@ -16,6 +16,10 @@
   the lasso intervals a duality-gap bracket cannot rule out: offline from
   :meth:`~varanom.interval_stats.PanelScanner.max_statistic`, online from
   :func:`online_max_statistic`, one block of window pairs at a time.
+  Offline, one scanner serves every run and holds only the prefix rows
+  the interval set reads, held rows x (pq (pq + 1) / 2 + pq p) doubles,
+  refilled in place from each run's panel; online, the scanner holds
+  every row of the stream.
 
 Offline scans and online windows share one statistic kernel,
 :func:`varanom.interval_stats.prefix_statistics`, which also whitens:
@@ -89,7 +93,7 @@ from .interval_stats import (
     scaled_lambda,
     whitening_matrix,
 )
-from .var_model import TimeSeriesPanel, VarParams, check_stacked, simulate
+from .var_model import TimeSeriesPanel, VarParams, check_covariance, check_stacked, simulate
 
 THRESHOLD_FLOOR = 1e-12
 # Rows per block of detect_online's replay and of online_max_statistic's
@@ -208,11 +212,14 @@ def calibrate_threshold(
     comes from :meth:`PanelScanner.max_statistic`, bitwise the maximum of a
     full scan. Every run's panel has the same shape, so one
     :class:`PanelScanner` serves them all: each run after the first refills
-    its prefix arrays in place, with bitwise the sums a fresh scanner builds.
-    ``runs`` and ``quantile`` are checked before the first run.
+    the prefix rows the set reads in place, with bitwise the sums a fresh
+    scanner builds. ``runs``, ``quantile`` and ``config.sigma`` (against
+    ``law.p``, by ``check_covariance``) are checked before the first run.
     """
     check_count(runs, "runs")
     check_quantile(quantile)
+    if config.sigma is not None:
+        check_covariance(config.sigma, law.p)
     if baseline is None:
         baseline = law.stacked
     horizon = interval_set.horizon
@@ -428,9 +435,10 @@ class OnlineDetector:
         """Statistics of every window inspected at times ``first`` to ``last``,
         from one :func:`prefix_statistics` call over :meth:`_pairs`."""
         starts, ends, lams = self._pairs(first, last)
+        lo, hi = starts - (self.q + 1), ends - self.q  # the detector holds every prefix row
         values, nonzero, reliable = prefix_statistics(
-            self._gram_prefix, self._cross_prefix, starts - (self.q + 1), ends - self.q,
-            lams, "lasso", self.solver, self._whitening,
+            self._gram_prefix, self._cross_prefix, lo, hi, hi - lo, lams, "lasso", self.solver,
+            self._whitening,
         )
         return ScanResult(starts, ends, values, lams, nonzero, reliable, "lasso")
 
@@ -564,8 +572,9 @@ def online_max_statistic(
     its statistic is unreliable, which the alarm rule of
     :meth:`OnlineDetector.update` skips as well. The rows are checked as
     :meth:`OnlineDetector.step` checks them, with the same errors, then one
-    :class:`PanelScanner` takes the whole panel: its prefix sums are bitwise
-    the detector's, so each block of ``_REPLAY_BLOCK_ROWS`` times gives,
+    :class:`PanelScanner` takes the whole panel and holds every prefix row
+    (the windows of all blocks together read nearly all): its prefix sums
+    are bitwise the detector's, so each block of ``_REPLAY_BLOCK_ROWS`` times gives,
     through :func:`~varanom.interval_stats.lasso_maximum`, bitwise the
     maximum of a :meth:`OnlineDetector.step` loop over those times while
     solving in full only the windows a duality-gap bracket cannot rule out.
@@ -577,12 +586,15 @@ def online_max_statistic(
     if len(rows) <= t0:
         return 0.0
     scanner = PanelScanner(TimeSeriesPanel(rows), detector.baseline, q)
+    every = np.arange(len(rows) - q + 1)
+    scanner._positions(every, every)  # built once; each block then finds its rows held
     sq_prefix = scanner._sq_prefix(detector._whitening)
     best = 0.0
     for first in range(t0 + 1, len(rows) + 1, _REPLAY_BLOCK_ROWS):
         starts, ends, lams = detector._pairs(first, min(first + _REPLAY_BLOCK_ROWS - 1, len(rows)))
+        lo, hi = scanner._positions(starts - (q + 1), ends - q)
         best = max(best, lasso_maximum(
-            scanner._gram_prefix, scanner._cross_prefix, sq_prefix, starts - (q + 1), ends - q,
+            scanner._gram_prefix, scanner._cross_prefix, sq_prefix, lo, hi,
             lams, detector.solver, detector._whitening,
         ).value)
     return best

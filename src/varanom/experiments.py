@@ -27,7 +27,7 @@ from .errors import ParameterError, check_choice
 from .estimation import BASELINE_PENALTIES, SolverOptions, estimate_baseline
 from .evaluation import ScenarioOutcome, intervals_as_tuples
 from .intervals import IntervalSet, build_intervals, seeded_intervals
-from .interval_stats import PanelScanner, StatConfig, default_lambda
+from .interval_stats import LAMBDA_POLICIES, PanelScanner, StatConfig, default_lambda
 from .var_model import (
     AnomalyScenario,
     VarParams,
@@ -290,9 +290,11 @@ def run_online_study(
     monitor inspects over null streams covering the pre-change period. The
     default penalty grows with the square root of the window length at a
     constant large enough that null windows mostly sit at exactly zero, the
-    regime where the theory places the scan.
+    regime where the theory places the scan. ``quantile`` and
+    ``lambda_policy`` are checked at entry, before the first null stream.
     """
     check_quantile(quantile)
+    check_choice(lambda_policy, "lambda policy", LAMBDA_POLICIES)
     q = 1
     base, theta = dense_base_with_change(p, delta, n_change, seed)
     lam = default_lambda(2, p, horizon, lambda_scale)

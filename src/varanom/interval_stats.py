@@ -15,9 +15,14 @@ exactly zero whenever lam >= 2 ||X_J' Y_J||_inf.
 One kernel, :func:`prefix_statistics`, computes the statistics of the
 offline scan, of calibration and of the online monitor: each interval's
 Gram and cross-product blocks are the difference of two prefix-sum
-entries. A Gram prefix is stored packed: row r holds the m(m + 1) / 2
-lower-triangle entries of the symmetric running sum, in ``np.tril_indices``
-order (:func:`_pack_gram`), 1275 doubles a row at m = 50 where the full
+entries, which the kernel reads by their positions in the rows it is
+given, with each interval's row count beside them. A :class:`PanelScanner`
+builds its prefixes at its first request and holds only the prefix rows
+that request's intervals read, held rows x (m(m + 1) / 2 + m p) doubles;
+every held row is bitwise the row of a build over every row
+(:func:`_prefix_sum`). A Gram prefix is stored packed: row r holds the
+m(m + 1) / 2 lower-triangle entries of the symmetric running sum, in
+``np.tril_indices`` order (:func:`_pack_gram`), 1275 doubles a row at m = 50 where the full
 matrix takes 2500, and only the blocks the kernel gathers are expanded to
 full m x m matrices (:func:`_unpack_gram`). The products z_i z_j and z_j z_i
 are the same doubles, so an expanded block is bitwise the full layout's.
@@ -334,6 +339,7 @@ def prefix_statistics(
     cross_prefix: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    lengths: np.ndarray,
     lams: np.ndarray,
     method: str,
     solver: SolverOptions,
@@ -343,10 +349,12 @@ def prefix_statistics(
 
     ``gram_prefix`` is (rows, m(m + 1) / 2) and ``cross_prefix`` (rows, m, p),
     running sums of z_t z_t', packed by :func:`_pack_gram`, and of z_t u_t'
-    over lag vectors z_t and raw residuals u_t, so ``hi[i] - lo[i]`` is
-    interval i's length. Each interval's cross block is
-    right-multiplied by ``whitening`` (:func:`whitening_matrix`) after the
-    prefix difference, never the whole prefix. Lasso statistics screen
+    over lag vectors z_t and raw residuals u_t, at some of their prefix rows
+    (a :class:`PanelScanner` holds only the rows its intervals read), and
+    ``lo`` and ``hi`` are positions in those arrays; ``lengths[i]`` is
+    interval i's row count, which the OLS rule reads. Each interval's cross
+    block is right-multiplied by ``whitening`` (:func:`whitening_matrix`)
+    after the prefix difference, never the whole prefix. Lasso statistics screen
     first, through :func:`busy_intervals`, the library's one screen (the
     solver has none): the cross blocks are
     gathered and whitened by :func:`cross_blocks`, and an interval with
@@ -378,7 +386,7 @@ def prefix_statistics(
     n = len(lo)
     reliable = np.ones(n, dtype=bool)
     if method == "ols":
-        values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, whitening)
+        values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, lengths, whitening)
         return values, np.full(n, cross_prefix.shape[1] * cross_prefix.shape[2]), reliable
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     values = np.zeros(n)
@@ -450,8 +458,8 @@ def lasso_maximum(
     bitwise that of its values, with only a few intervals solved in full.
 
     ``sq_prefix`` is (rows, p), the running sums of the squared whitened
-    residuals, so interval i's column norms ||y_k||^2 are
-    ``sq_prefix[hi[i]] - sq_prefix[lo[i]]``. The cross blocks are gathered
+    residuals at the same prefix rows, so interval i's column norms
+    ||y_k||^2 are ``sq_prefix[hi[i]] - sq_prefix[lo[i]]``. The cross blocks are gathered
     and screened once, as the kernel does. The busy intervals first take
     ``_BRACKET_SWEEPS`` sweeps of :func:`_solve_busy`, whose brackets
     [value, upper] of their statistics get a slack of ``_BRACKET_MARGIN``
@@ -495,11 +503,13 @@ def _ols_statistics(
     cross_prefix: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    lengths: np.ndarray,
     whitening: Optional[np.ndarray],
 ) -> np.ndarray:
     """OLS values of :func:`prefix_statistics`, chunk by chunk.
 
-    Intervals before the first too-short one are computed in storage order,
+    Intervals before the first one of fewer than m ``lengths`` rows are
+    computed in storage order,
     so a rank-deficient one among them raises first, then the short one
     raises without being solved. Every chunk reuses buffers allocated once
     per call: fresh chunk-sized arrays would be handed back to the operating
@@ -513,7 +523,7 @@ def _ols_statistics(
     values = np.empty(n)
     if n and (min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= len(gram_prefix)):
         raise IndexError("prefix index out of range")
-    short = np.flatnonzero(hi - lo < m)
+    short = np.flatnonzero(lengths < m)
     stop = int(short[0]) if len(short) else n
     chunk = max(1, min(_CHUNK_ENTRIES // (m * m), stop))
     size = gram_prefix.shape[1]
@@ -533,7 +543,7 @@ def _ols_statistics(
         for j in np.flatnonzero(~certified):
             values[s + j], _ = gram_ols_value(grams[j], crosses[j])
     if stop < n:
-        check_ols_rows(hi[stop] - lo[stop], m)
+        check_ols_rows(int(lengths[stop]), m)
     return values
 
 
@@ -621,58 +631,77 @@ def _unpack_gram(packed: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     return full.reshape(packed.shape[:-1] + (m, m))
 
 
-def _prefix_sum(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the running sums of the outer products left[t] right[t]',
-    after a zero entry; ``out`` is (len(left) + 1, left.shape[1], right.shape[1]),
-    or (len(left) + 1, m(m + 1) / 2) for a Gram prefix packed as
-    :func:`_pack_gram` packs it, whose symmetric products have ``right`` equal
-    to ``left`` (m columns).
+def _prefix_sum(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out[k]`` the sum of the outer products left[t] right[t]'
+    over t < ``rows[k]``, for increasing distinct prefix rows ``rows`` in
+    [0, len(left)] (row 0 is the zero entry); ``out`` is
+    (len(rows), left.shape[1], right.shape[1]), or (len(rows), m(m + 1) / 2)
+    for a Gram prefix packed as :func:`_pack_gram` packs it, whose symmetric
+    products have ``right`` equal to ``left`` (m columns).
 
-    Built ``_PREFIX_BLOCK_ROWS`` rows at a time: a block's products are
-    written straight into the output (a packed build writes them to a
-    block-sized scratch array and takes their lower triangles from it) and,
-    while the block is in cache, each row gets the running sum before it
-    added. That adds every term in the same order as one cumsum over all
-    rows, so the result is bitwise the same, without a temporary of the
-    output's size. Whole-row additions are contiguous; cumsum along the
-    leading axis runs a strided loop per entry and made the build three
-    times slower at pq = 50. Every entry of ``out`` is overwritten, so an
-    array of an earlier build can be filled again.
+    The products are made ``_PREFIX_BLOCK_ROWS`` rows at a time in a
+    block-sized scratch array (a packed build takes their lower triangles
+    there) and, while the block is in cache, each row's running sum is
+    written in place: over its own products, or, at a row of ``rows``,
+    straight into ``out``. That adds every term in the same order as one
+    cumsum over all rows, so every written row is bitwise that cumsum's
+    entry, with no temporary of the full prefix's size and no copy of a
+    kept row. Two scratch blocks take turns, so the running sum a block ends
+    on survives the next block's products; rows after ``rows[-1]`` are not
+    read. Whole-row additions are contiguous; cumsum along the leading axis
+    runs a strided loop per entry and made the build three times slower at
+    pq = 50. Every entry of ``out`` is overwritten, so an array of an
+    earlier build can be filled again.
     """
-    scratch = np.empty((_PREFIX_BLOCK_ROWS, left.shape[1], right.shape[1])) if out.ndim == 2 else None
-    rows = len(left)
-    out[0] = 0.0
-    total = out[0]
-    for s in range(0, rows, _PREFIX_BLOCK_ROWS):
-        block = out[s + 1 : s + 1 + _PREFIX_BLOCK_ROWS]
-        e = s + len(block)
-        products = block if scratch is None else scratch[: len(block)]
-        np.einsum("ti,tj->tij", left[s:e], right[s:e], out=products)
-        if scratch is not None:
-            _pack_gram(products, out=block)
-        for row in block:
-            np.add(total, row, out=row)
-            total = row
+    products = np.empty((_PREFIX_BLOCK_ROWS, left.shape[1], right.shape[1])) if out.ndim == 2 else None
+    sums = np.empty((2, _PREFIX_BLOCK_ROWS) + out.shape[1:])
+    last = int(rows[-1])
+    kept = np.zeros(last + 1, dtype=bool)
+    kept[rows] = True
+    held = iter(out)
+    total = np.zeros(out.shape[1:])
+    if kept[0]:
+        total = next(held)
+        total[...] = 0.0
+    for b, s in enumerate(range(0, last, _PREFIX_BLOCK_ROWS)):
+        e = min(s + _PREFIX_BLOCK_ROWS, last)
+        block = sums[b % 2, : e - s]
+        if products is None:
+            np.einsum("ti,tj->tij", left[s:e], right[s:e], out=block)
+        else:
+            np.einsum("ti,tj->tij", left[s:e], right[s:e], out=products[: e - s])
+            _pack_gram(products[: e - s], out=block)
+        # out passed by position: at p = 50 the keyword and an indexed
+        # out[k] cost this per-row loop about 10% of the build
+        for keep, row in zip(kept[s + 1 : e + 1].tolist(), block):
+            total = np.add(total, row, next(held) if keep else row)
 
 
 class PanelScanner:
-    """Precomputed prefix sums for constant-time per-interval Gram matrices.
+    """Prefix sums for constant-time per-interval Gram matrices.
 
-    Building the scanner costs O(T (pq)^2) time and holds the two prefix
-    arrays, (T - q + 1) (pq (pq + 1) / 2 + pq p) floats: the Gram prefix is
-    packed (:func:`_pack_gram`), so at p = 50, q = 1 a row takes 3775
-    doubles, not the 5000 of two full pq x pq and pq x p blocks, and a
-    T = 2000 scanner 60.4 MB, not 80 MB. They are built in blocks of
-    ``_PREFIX_BLOCK_ROWS`` rows, so no (T, pq, pq) temporary is made. Each
-    interval statistic then reads its Gram and cross-product blocks by
-    subtracting two prefix entries, independently of the interval length.
-    Results agree with the direct per-view computation up to floating-point
-    summation order. The residuals are row-exact: one stacked product of the
-    baseline with every lag row is bitwise the row-by-row product
-    x_t - B z_t of :class:`~varanom.detection.OnlineDetector`, so over the
-    same rows the two build bitwise the same prefix sums, and offline and
-    online statistics of a window agree bitwise. ``_refill`` rebuilds the
-    prefix arrays in place from another panel of the same shape;
+    The Gram and cross prefixes are built on first use, at the first
+    :meth:`scan`, :meth:`max_statistic` or :meth:`gram`, in O(T (pq)^2)
+    time, and hold only the prefix rows the request reads: the distinct
+    rows lo and hi at which its intervals' blocks are differenced. A later
+    request whose rows are all held reads them; any other rebuilds the
+    prefixes at its own rows. :meth:`gram` holds every row, so a loop of
+    ``gram`` calls builds once. A held row takes pq (pq + 1) / 2 + pq p
+    doubles, the Gram prefix being packed (:func:`_pack_gram`): 3775 at
+    p = 50, q = 1, so a T = 2000 scanner over ``seeded_intervals(2000, 51,
+    1 / 1.1)``, which reads 1061 of its 2001 rows, holds 32 MB where every
+    row would take 60.4 MB. Every held row is bitwise the row of a full
+    build (:func:`_prefix_sum`), so which rows are held changes no
+    statistic, and no (T, pq, pq) temporary is made. Each interval
+    statistic then reads its Gram and cross-product blocks by subtracting
+    two held rows, independently of the interval length. Results agree
+    with the direct per-view computation up to floating-point summation
+    order. The residuals are row-exact: one stacked product of the baseline
+    with every lag row is bitwise the row-by-row product x_t - B z_t of
+    :class:`~varanom.detection.OnlineDetector`, so over the same rows the
+    two build bitwise the same prefix sums, and offline and online
+    statistics of a window agree bitwise. ``_refill`` takes another panel of
+    the same shape and rebuilds the held rows in place;
     ``calibrate_threshold`` refills one scanner for every run after its
     first, so those runs allocate no prefix arrays.
     """
@@ -685,44 +714,77 @@ class PanelScanner:
         self.n_rows = n
         self.n_series = p
         self._baseline = check_stacked(baseline, q, p)
-        self._gram_prefix = np.empty((n - q + 1, p * q * (p * q + 1) // 2))
-        self._cross_prefix = np.empty((n - q + 1, p * q, p))
+        m = p * q
+        self._rows = np.empty(0, dtype=np.intp)
+        self._gram_prefix = np.empty((0, m * (m + 1) // 2))
+        self._cross_prefix = np.empty((0, m, p))
         self._refill(panel)
 
     def _refill(self, panel: TimeSeriesPanel) -> None:
-        """Rebuild both prefix arrays in place from ``panel``, whose shape must
-        be the one the scanner was built for; the baseline stays. The
-        (T - q) x p residual rows are kept for :meth:`_sq_prefix`."""
-        lagged, response = lag_design(panel.values, self.q)
+        """Take the rows of ``panel``, whose shape must be the one the scanner
+        was built for, and rebuild the held prefix rows in place from them;
+        the baseline stays. The (T - q) x pq lag rows and (T - q) x p
+        residual rows are kept for later builds and :meth:`_sq_prefix`."""
+        self._lagged, response = lag_design(panel.values, self.q)
         # one stacked product of the baseline with each lag row, bitwise the
         # online detector's row-by-row baseline @ z (a block lagged @ baseline.T is not)
-        self._resid = response - (self._baseline @ lagged[:, :, None])[:, :, 0]
-        _prefix_sum(lagged, lagged, self._gram_prefix)
-        _prefix_sum(lagged, self._resid, self._cross_prefix)
+        self._resid = response - (self._baseline @ self._lagged[:, :, None])[:, :, 0]
+        self._build(self._rows)
+
+    def _build(self, rows: np.ndarray) -> None:
+        """Build both prefixes at the increasing distinct prefix rows ``rows``,
+        in place when as many rows are held."""
+        if len(rows) != len(self._rows):
+            self._gram_prefix = self._cross_prefix = None  # freed before the new arrays are made
+            m, p = self._lagged.shape[1], self.n_series
+            self._gram_prefix = np.empty((len(rows), m * (m + 1) // 2))
+            self._cross_prefix = np.empty((len(rows), m, p))
+        self._rows = rows
+        if len(rows):
+            _prefix_sum(self._lagged, self._lagged, rows, self._gram_prefix)
+            _prefix_sum(self._lagged, self._resid, rows, self._cross_prefix)
+
+    def _positions(
+        self, lo: np.ndarray, hi: np.ndarray, hold: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the prefix rows ``lo`` and ``hi`` among the held rows.
+        Unless all of them are held, the prefixes are first rebuilt at
+        ``hold``, by default the distinct rows of ``lo`` and ``hi``."""
+        # a mask, not np.union1d: np.unique imports numpy.ma on first use, 1.1 MB
+        read = np.zeros(self.n_rows - self.q + 1, dtype=bool)
+        read[lo] = read[hi] = True
+        if np.count_nonzero(read[self._rows]) < np.count_nonzero(read):
+            self._build(np.flatnonzero(read) if hold is None else hold)
+        return np.searchsorted(self._rows, lo), np.searchsorted(self._rows, hi)
 
     def _sq_prefix(self, whitening: Optional[np.ndarray]) -> np.ndarray:
         """Running sums of the squared residuals, whitened by ``whitening``
-        unless it is None, after a zero row; (T - q + 1) x p."""
+        unless it is None, at the held prefix rows; (held rows) x p."""
         resid = self._resid if whitening is None else self._resid @ whitening
         sq_prefix = np.zeros((len(resid) + 1, self.n_series))
         np.cumsum(resid * resid, axis=0, out=sq_prefix[1:])
-        return sq_prefix
+        return sq_prefix.take(self._rows, axis=0)
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
         """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""
         check_domain(interval.start, interval.end, self.n_rows, self.q)
-        a = interval.start - self.q - 1
-        b = interval.end - self.q
+        rows = np.array([interval.start - self.q - 1, interval.end - self.q])
+        (a, b), _ = self._positions(rows, rows, np.arange(self.n_rows - self.q + 1))
         gram = _unpack_gram(self._gram_prefix[b] - self._gram_prefix[a])
         cross = self._cross_prefix[b] - self._cross_prefix[a]
         return gram, cross
 
-    def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple[np.ndarray, ...]:
-        """(lo, hi, lams) of the set: its prefix indices and penalties."""
+    def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple:
+        """(lo, hi, lengths, lams, whitening) of the set: the positions of its
+        intervals' prefix rows among the held ones, which are built here
+        unless held, their row counts and penalties, and the whitening
+        matrix of ``config.sigma``."""
         starts, ends = interval_set.starts, interval_set.ends
         check_domain(starts, ends, self.n_rows, self.q)
         lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
-        return starts - self.q - 1, ends - self.q, lams
+        whitening = whitening_matrix(config.sigma, self.n_series)
+        lo, hi = self._positions(starts - self.q - 1, ends - self.q)
+        return lo, hi, ends - starts + 1, lams, whitening
 
     def scan(self, interval_set: IntervalSet, config: StatConfig) -> ScanResult:
         """Statistics for every interval in the set, in storage order.
@@ -730,10 +792,10 @@ class PanelScanner:
         Computed by :func:`prefix_statistics`, whitened by ``config.sigma``;
         results match the direct per-view computation up to summation order.
         """
-        lo, hi, lams = self._kernel_args(interval_set, config)
+        lo, hi, lengths, lams, whitening = self._kernel_args(interval_set, config)
         values, nonzero, reliable = prefix_statistics(
-            self._gram_prefix, self._cross_prefix, lo, hi, lams, config.method, config.solver,
-            whitening_matrix(config.sigma, self.n_series),
+            self._gram_prefix, self._cross_prefix, lo, hi, lengths, lams, config.method,
+            config.solver, whitening,
         )
         return ScanResult(interval_set.starts, interval_set.ends, values, lams, nonzero, reliable, config.method)
 
@@ -742,16 +804,15 @@ class PanelScanner:
         ``max_reliable_statistic(self.scan(interval_set, config))``, with counts.
 
         OLS takes the maximum of the kernel's values; lasso goes through
-        :func:`lasso_maximum`, fed a prefix of the squared whitened
-        residuals, (T - q + 1) x p, formed here. No
+        :func:`lasso_maximum`, fed the prefix of the squared whitened
+        residuals at the held rows, formed here. No
         :class:`IntervalStatistic` is built. An empty set gives 0.0.
         """
         if not interval_set.intervals:
             return ScanMaximum(0.0, 0, 0)
-        lo, hi, lams = self._kernel_args(interval_set, config)
-        whitening = whitening_matrix(config.sigma, self.n_series)
+        lo, hi, lengths, lams, whitening = self._kernel_args(interval_set, config)
         if config.method == "ols":
-            values = _ols_statistics(self._gram_prefix, self._cross_prefix, lo, hi, whitening)
+            values = _ols_statistics(self._gram_prefix, self._cross_prefix, lo, hi, lengths, whitening)
             return ScanMaximum(float(values.max()), 0, 0)
         return lasso_maximum(
             self._gram_prefix, self._cross_prefix, self._sq_prefix(whitening), lo, hi, lams,

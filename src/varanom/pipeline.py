@@ -34,7 +34,7 @@ from .errors import NumericalError, ParameterError, check_choice
 from .estimation import BASELINE_PENALTIES, check_non_negative, estimate_baseline, estimate_noise_covariance
 from .evaluation import write_table
 from .intervals import SCHEMES, IntervalSet, build_intervals, check_count, check_decay, check_min_length
-from .interval_stats import LAMBDA_POLICIES, METHODS, StatConfig, interval_lambdas
+from .interval_stats import LAMBDA_POLICIES, METHODS, StatConfig, check_ols_rows, interval_lambdas
 from .panels import difference as difference_panel
 from .panels import load_panel
 from .var_model import TimeSeriesPanel, VarParams, check_burn_in
@@ -161,10 +161,8 @@ def run_pipeline(
     n, p = panel.values.shape
     q = config.q
     min_length = config.min_length if config.min_length is not None else p * q + 1
-    if config.method == "ols" and min_length <= p * q:
-        raise ParameterError(
-            f"OLS needs interval length above pq = {p * q}; configure min_length accordingly"
-        )
+    if config.method == "ols":
+        check_ols_rows(min_length, p * q)
     f_train, f_cal, _ = config.splits
     n_train = int(n * f_train)
     n_cal = int(n * f_cal)

@@ -216,15 +216,19 @@ def _simulate(
     # product (a block shocks @ chol.T is not); cholesky(I) is exactly I
     shocks = np.random.default_rng(seed).standard_normal((burn_in + n_rows, p, 1))
     shocks = (np.linalg.cholesky(base.noise_cov) @ shocks)[:, :, 0]
-    state = np.zeros(p * q)  # (x_{t-1}, ..., x_{t-q}) flattened
-    out = np.empty((n_rows, p))
-    for t in range(-burn_in, n_rows):
-        theta = stacks[starts[t + 1]] if t >= 0 else stacks[0]
-        x = theta @ state + shocks[burn_in + t]
-        state = x if q == 1 else np.concatenate([x, state[:-p]])
-        if t >= 0:
-            out[t] = x
-    return TimeSeriesPanel(out)
+    # every draw, burn-in included, is written in place into one buffer in
+    # reverse time order, above q zero rows (the starting state), so the q
+    # rows after a draw's are its lag vector (x_{t-1}, ..., x_{t-q}), read as
+    # a view of the flat buffer; np.dot with out is the product theta @ state
+    # with less call overhead
+    rows = np.zeros((burn_in + n_rows + q, p))
+    flat = rows.reshape(-1)
+    thetas = [stacks[0]] * burn_in + [stacks[k] for k in starts[1:].tolist()]
+    for i, theta, shock in zip(range(burn_in + n_rows - 1, -1, -1), thetas, shocks):
+        x = rows[i]
+        np.dot(theta, flat[(i + 1) * p : (i + 1 + q) * p], out=x)
+        np.add(x, shock, out=x)
+    return TimeSeriesPanel(rows[n_rows - 1 :: -1])
 
 
 def simulate(params: VarParams, n_rows: int, burn_in: int = 200, seed: int = 0) -> TimeSeriesPanel:

@@ -469,7 +469,7 @@ def test_batch_solver_keeps_a_zero_gram_column_at_zero():
     zero = np.zeros((1, 5, 5))
     values, nonzero, reliable = prefix_statistics(
         _pack_gram(np.concatenate([zero, G[None]])), np.concatenate([zero[:, :, :3], C[None]]),
-        np.array([0]), np.array([1]), np.array([lam]), "lasso", SolverOptions(), None,
+        np.array([0]), np.array([1]), np.array([30]), np.array([lam]), "lasso", SolverOptions(), None,
     )
     assert nonzero[0] == np.count_nonzero(beta[0]) == np.count_nonzero(beta[0] != 0.0)
     assert nonzero[0] <= 12 and reliable[0] and values[0] == max(got, 0.0)
@@ -615,11 +615,12 @@ def test_prefix_statistics_values_are_the_bracket_values():
     panel = simulate(base, 200, seed=8)
     intervals = seeded_intervals(200, 8, 1 / 1.1, q=1)
     scanner = PanelScanner(panel, base.stacked, 1)
-    lo = np.array([iv.start for iv in intervals.intervals]) - 2
-    hi = np.array([iv.end for iv in intervals.intervals]) - 1
+    # positions of each interval's prefix rows among the rows the scanner holds
+    lo, hi = scanner._positions(intervals.starts - 2, intervals.ends - 1)
     lams = interval_lambdas(StatConfig(), intervals, 4, 200)
+    lengths = intervals.ends - intervals.starts + 1
     values, _, _ = prefix_statistics(
-        scanner._gram_prefix, scanner._cross_prefix, lo, hi, lams, "lasso", SolverOptions(), None
+        scanner._gram_prefix, scanner._cross_prefix, lo, hi, lengths, lams, "lasso", SolverOptions(), None
     )
     grams = _unpack_gram(scanner._gram_prefix[hi] - scanner._gram_prefix[lo])
     crosses = scanner._cross_prefix[hi] - scanner._cross_prefix[lo]

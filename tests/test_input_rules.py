@@ -356,6 +356,8 @@ OPTIONS = {
         "online_max_statistic": lambda v: online_max_statistic(PANEL.values, BASE, 1, 1.0, lambda_policy=v),
         "run_single_anomaly_study": lambda v: experiments.run_single_anomaly_study(
             count=10, lambda_policy=v, **STUDY),
+        "run_online_study": lambda v: experiments.run_online_study(
+            p=3, onset=30, horizon=60, n_change=2, runs=1, calibration_runs=1, lambda_policy=v),
     }),
     "scheme": (SCHEMES, {
         "build_intervals": lambda v: build_intervals(v, 60, 5, 1, 10, 0.8, 0),
@@ -376,8 +378,8 @@ OPTIONS = {
 @pytest.mark.parametrize("value", ["bogus", NAN], ids=str)
 @pytest.mark.parametrize("option, entry", [(o, e) for o, (_, entries) in OPTIONS.items() for e in entries])
 def test_enumerated_option_rule(no_simulation, option, entry, value):
-    # run_single_anomaly_study checked its baseline penalty only after it had
-    # simulated and scanned a null panel
+    # run_single_anomaly_study checked its baseline penalty, and
+    # run_online_study its lambda policy, only after simulating a null panel
     choices, entries = OPTIONS[option]
     assert_reaches(lambda: check_choice(value, option, choices), lambda: entries[entry](value))
 
@@ -408,6 +410,14 @@ BAD_COVARIANCES = {
 def test_covariance_rule(entry, case):
     cov = BAD_COVARIANCES[case]
     assert_reaches(lambda: check_covariance(cov, 3), lambda: SIGMA_ENTRIES[entry](cov))
+
+
+def test_calibration_checks_sigma_against_the_law_before_any_run(no_simulation):
+    # a 2 x 2 sigma passes StatConfig, which knows no p; calibrate_threshold
+    # met the law's p = 3 only in its first run's scan, after simulating it
+    sigma = np.eye(2)
+    config = StatConfig(sigma=sigma)
+    assert_reaches(lambda: check_covariance(sigma, 3), lambda: calibrate_threshold(LAW, IVS, config, runs=3))
 
 
 def test_penalty_rate_has_one_definition():

@@ -40,14 +40,28 @@ from varanom.interval_stats import (
     _BRACKET_SWEEPS,
     _PREFIX_BLOCK_ROWS,
     LAMBDA_POLICIES,
+    ScanMaximum,
     _pack_gram,
+    _prefix_sum,
     _unpack_gram,
     gram_ols_value,
     interval_lambdas,
     inverse_sqrt_psd,
+    lasso_maximum,
     prefix_statistics,
     scaled_lambda,
+    whitening_matrix,
 )
+from varanom.var_model import lag_design
+
+
+def _held_prefixes(scanner):
+    """The scanner's (Gram, cross) prefixes holding every prefix row, so that
+    a prefix row's index is its position; a scanner builds none before its
+    first request."""
+    every = np.arange(scanner.n_rows - scanner.q + 1)
+    scanner._positions(every, every)
+    return scanner._gram_prefix, scanner._cross_prefix
 
 
 def _view_from(rng, n, p, q=1):
@@ -328,11 +342,14 @@ def test_prefix_build_is_bitwise_one_cumsum(rows, refilled, q):
     if refilled:
         # built from another panel of the same shape, poisoned, then refilled in place
         scanner = PanelScanner(simulate(law, rows + q, burn_in=20, seed=60), law.stacked, q)
-        scanner._gram_prefix.fill(np.nan)
-        scanner._cross_prefix.fill(np.nan)
+        held = _held_prefixes(scanner)
+        for prefix in held:
+            prefix.fill(np.nan)
         scanner._refill(panel)
+        assert all(a is b for a, b in zip(held, (scanner._gram_prefix, scanner._cross_prefix)))
     else:
         scanner = PanelScanner(panel, law.stacked, q)
+        _held_prefixes(scanner)
     m = 3 * q
     assert scanner._gram_prefix.shape == (rows + 1, m * (m + 1) // 2)
     assert not scanner._gram_prefix[0].any() and not scanner._cross_prefix[0].any()
@@ -354,17 +371,113 @@ def test_prefix_build_is_bitwise_one_cumsum(rows, refilled, q):
 def test_scanner_build_peaks_below_the_full_prefix_layout():
     # at p = 50, q = 1 and T = 1000 a full Gram prefix and the cross prefix
     # take 1000 (2500 + 2500) doubles, 40 MB; the packed Gram prefix holds
-    # 1275 doubles a row, so the whole build, temporaries included, stays below
+    # 1275 doubles a row, so a build of every row, temporaries included, stays below
     n, p = 1000, 50
     base = generate_dense_stationary(p, seed=7)
     panel = simulate(base, n, seed=8)
     tracemalloc.start()
     try:
-        PanelScanner(panel, base.stacked, 1)
+        _held_prefixes(PanelScanner(panel, base.stacked, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < n * (p * p + p * p) * 8
+
+
+def _full_prefix_kernel(panel, baseline, q, ivs, config):
+    """The kernel's (values, nonzero, reliable) and maximum of ``ivs`` over
+    prefixes of every row, built by ``_prefix_sum``, where a prefix row's
+    index is its position."""
+    lagged, response = lag_design(panel.values, q)
+    resid = response - (baseline @ lagged[:, :, None])[:, :, 0]
+    every = np.arange(len(lagged) + 1)
+    m, p = lagged.shape[1], resid.shape[1]
+    gram_prefix = np.empty((len(every), m * (m + 1) // 2))
+    cross_prefix = np.empty((len(every), m, p))
+    _prefix_sum(lagged, lagged, every, gram_prefix)
+    _prefix_sum(lagged, resid, every, cross_prefix)
+    lo, hi = ivs.starts - q - 1, ivs.ends - q
+    lams = interval_lambdas(config, ivs, p, panel.n_rows)
+    whitening = whitening_matrix(config.sigma, p)
+    stats = prefix_statistics(
+        gram_prefix, cross_prefix, lo, hi, hi - lo, lams, config.method, config.solver, whitening
+    )
+    if config.method == "ols":
+        return stats, ScanMaximum(float(stats[0].max()), 0, 0)
+    white = resid if whitening is None else resid @ whitening
+    sq_prefix = np.zeros((len(every), p))
+    np.cumsum(white * white, axis=0, out=sq_prefix[1:])
+    return stats, lasso_maximum(gram_prefix, cross_prefix, sq_prefix, lo, hi, lams, config.solver, whitening)
+
+
+def _sharing_set(rng, n, q, m):
+    """Intervals between random cut points, so that one's end row is often
+    another's start row, and a duplicate of the first."""
+    cuts = np.sort(rng.choice(np.arange(q, n + 1), size=int(rng.integers(3, 9)), replace=False))
+    pairs = [(int(a) + 1, int(b)) for i, a in enumerate(cuts) for b in cuts[i + 1 :] if b - a > m]
+    chosen = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(1, 12))]] or [(q + 1, n)]
+    intervals = [Interval(a, b) for a, b in chosen + chosen[:1]]
+    return IntervalSet(tuple(intervals), min(iv.length for iv in intervals), (q + 1, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2), whitened=st.booleans())
+def test_held_rows_give_bitwise_the_full_prefix_kernel(seed, q, whitened):
+    # a scanner holds only the prefix rows its sets read; its scans and maxima
+    # are bitwise the kernel's over every row, for a first set, a second set
+    # on the same scanner and the second set again after a refill in place
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    n = int(rng.integers(40, 140))
+    a = generate_dense_stationary(p, seed=int(rng.integers(1 << 30))).coeffs[0]
+    noise = rng.standard_normal((p, p))
+    cov = noise @ noise.T + 0.5 * np.eye(p)
+    law = VarParams((a / q,) * q, cov)
+    panels = [simulate(law, n, burn_in=20, seed=int(rng.integers(1 << 30))) for _ in range(2)]
+    policy = LAMBDA_POLICIES[int(rng.integers(len(LAMBDA_POLICIES)))]
+    configs = [
+        StatConfig(method=method, lambda_scale=0.2, sigma=cov if whitened else None, lambda_policy=policy)
+        for method in ("ols", "lasso")
+    ]
+    scanner = PanelScanner(panels[0], law.stacked, q)
+    first, second = (_sharing_set(rng, n, q, p * q) for _ in range(2))
+    for panel, ivs in ((panels[0], first), (panels[0], second), (panels[1], second)):
+        if panel is panels[1]:
+            held = (scanner._gram_prefix, scanner._cross_prefix)
+            scanner._refill(panel)
+            assert held[0] is scanner._gram_prefix and held[1] is scanner._cross_prefix
+        for config in configs:
+            (values, nonzero, reliable), maximum = _full_prefix_kernel(panel, law.stacked, q, ivs, config)
+            got = scanner.scan(ivs, config)
+            assert got.values.tobytes() == values.tobytes()
+            assert np.array_equal(got.nonzero, nonzero) and np.array_equal(got.reliable, reliable)
+            got_max = scanner.max_statistic(ivs, config)
+            assert got_max == maximum and got_max.value.hex() == maximum.value.hex()
+            assert set(scanner._rows.tolist()) >= set(np.r_[ivs.starts - q - 1, ivs.ends - q].tolist())
+
+
+def test_seeded_scan_holds_only_the_rows_it_reads():
+    # the seeded set at p = 50, T = 1000 differences 497 of the 1000 prefix
+    # rows; the scanner holds those alone, so the scan, the build and the OLS
+    # kernel's buffers included, peaks below a prefix of every row
+    n, p = 1000, 50
+    base = generate_dense_stationary(p, seed=7)
+    panel = simulate(base, n, seed=8)
+    ivs = seeded_intervals(n, p + 1, 1 / 1.1, q=1)
+    rows = np.union1d(ivs.starts - 2, ivs.ends - 1)
+    assert len(rows) < 0.6 * n
+    row_bytes = (p * (p + 1) // 2 + p * p) * 8
+    tracemalloc.start()
+    try:
+        scanner = PanelScanner(panel, base.stacked, 1)
+        assert tracemalloc.get_traced_memory()[1] < 0.1 * n * row_bytes  # construction builds no prefix
+        scanner.scan(ivs, StatConfig(method="ols"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(scanner._rows, rows)
+    assert scanner._gram_prefix.shape[0] == scanner._cross_prefix.shape[0] == len(rows)
+    assert peak < n * row_bytes
 
 
 def _ols_reference(gram_prefix, cross_prefix, lo, hi, whitening=None):
@@ -405,11 +518,11 @@ def test_ols_kernel_certified_path_matches_gram_ols_value(monkeypatch, whitened)
     rng = np.random.default_rng(33)
     a = rng.standard_normal((6, 6))
     whitening = inverse_sqrt_psd(a @ a.T + 0.5 * np.eye(6)) if whitened else None
-    want, want_nonzero = _ols_reference(scanner._gram_prefix, scanner._cross_prefix, lo, hi, whitening)
+    gram_prefix, cross_prefix = _held_prefixes(scanner)
+    want, want_nonzero = _ols_reference(gram_prefix, cross_prefix, lo, hi, whitening)
     calls = _count_fallbacks(monkeypatch)
     values, nonzero, reliable = prefix_statistics(
-        scanner._gram_prefix, scanner._cross_prefix, lo, hi, np.zeros(len(lo)), "ols",
-        SolverOptions(), whitening,
+        gram_prefix, cross_prefix, lo, hi, hi - lo, np.zeros(len(lo)), "ols", SolverOptions(), whitening,
     )
     assert not calls  # every interval certified
     assert np.all(np.abs(values - want) <= 1e-12 * (1.0 + np.abs(want)))
@@ -431,7 +544,7 @@ def test_kernel_rejects_an_unpacked_gram_prefix_and_indices_outside_it():
     full = _unpack_gram(gram_prefix)
     for method in ("ols", "lasso"):
         with pytest.raises(ParameterError, match="packed"):
-            prefix_statistics(full, cross_prefix, lo, hi, np.zeros(2), method, SolverOptions(), None)
+            prefix_statistics(full, cross_prefix, lo, hi, hi - lo, np.zeros(2), method, SolverOptions(), None)
     with pytest.raises(ParameterError, match="packed"):
         interval_stats.lasso_maximum(
             full, cross_prefix, np.zeros((len(full), 2)), lo, hi, np.zeros(2), SolverOptions(), None
@@ -440,7 +553,9 @@ def test_kernel_rejects_an_unpacked_gram_prefix_and_indices_outside_it():
     # indices rather than let a clipping take read the wrong rows
     for bad_lo, bad_hi in ((lo, hi + len(gram_prefix)), (lo - 1, hi)):
         with pytest.raises(IndexError):
-            prefix_statistics(gram_prefix, cross_prefix, bad_lo, bad_hi, np.zeros(2), "ols", SolverOptions(), None)
+            prefix_statistics(
+                gram_prefix, cross_prefix, bad_lo, bad_hi, hi - lo, np.zeros(2), "ols", SolverOptions(), None
+            )
 
 
 def _spd(rng, eigenvalues):
@@ -458,7 +573,7 @@ def test_ols_kernel_falls_back_when_certificate_fails(monkeypatch):
     want, want_nonzero = _ols_reference(gram_prefix, cross_prefix, lo, hi)
     calls = _count_fallbacks(monkeypatch)
     values, nonzero, _ = prefix_statistics(
-        gram_prefix, cross_prefix, lo, hi, np.zeros(3), "ols", SolverOptions(), None
+        gram_prefix, cross_prefix, lo, hi, hi - lo, np.zeros(3), "ols", SolverOptions(), None
     )
     assert len(calls) == 1
     assert values[1] == want[1] and nonzero[1] == want_nonzero[1]
@@ -496,7 +611,8 @@ def test_ols_kernel_rank_deficient_interval_raises_like_gram_ols_value():
 def test_ols_kernel_short_interval_raises_before_any_solve(monkeypatch):
     rng = np.random.default_rng(60)
     gram_prefix, cross_prefix, lo, hi = _stacked_prefix([_spd(rng, [1.0, 2.0, 3.0, 4.0])] * 3)
-    lo[0] = hi[0] - 3  # 3 rows for 4 predictors
+    lengths = hi - lo
+    lengths[0] = 3  # 3 rows for 4 predictors, read from the row counts, not the positions
 
     def no_solve(*args):
         raise AssertionError("solved an interval")
@@ -504,7 +620,7 @@ def test_ols_kernel_short_interval_raises_before_any_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", no_solve)
     monkeypatch.setattr(interval_stats, "gram_ols_value", no_solve)
     with pytest.raises(DesignError, match="interval of 3 rows cannot fit 4 predictors"):
-        prefix_statistics(gram_prefix, cross_prefix, lo, hi, np.zeros(3), "ols", SolverOptions(), None)
+        prefix_statistics(gram_prefix, cross_prefix, lo, hi, lengths, np.zeros(3), "ols", SolverOptions(), None)
 
 
 def _lasso_without_screen(gram_prefix, cross_prefix, lo, hi, lams, solver, whitening):
@@ -533,7 +649,8 @@ def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
     rng = np.random.default_rng(72)
     a = rng.standard_normal((4, 4))
     whitening = inverse_sqrt_psd(a @ a.T + 0.5 * np.eye(4)) if whitened else None
-    crosses = scanner._cross_prefix[hi] - scanner._cross_prefix[lo]
+    gram_prefix, cross_prefix = _held_prefixes(scanner)
+    crosses = cross_prefix[hi] - cross_prefix[lo]
     if whitening is not None:
         crosses = crosses @ whitening
     # penalties around each interval's screening level 2 max|c|, half above it
@@ -542,8 +659,8 @@ def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
     busy = level > lams
     assert 0 < busy.sum() < len(lo)
     solver = SolverOptions(tolerance=1e-9)
-    args = (scanner._gram_prefix, scanner._cross_prefix, lo, hi, lams)
-    want = _lasso_without_screen(*args, solver, whitening)
+    args = (gram_prefix, cross_prefix, lo, hi, hi - lo, lams)
+    want = _lasso_without_screen(*args[:4], lams, solver, whitening)
     seen = []
 
     def spy(grams, crosses, lams, *rest):
@@ -560,7 +677,7 @@ def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
     assert not got[0][~busy].any() and not got[1][~busy].any() and got[2][~busy].all()
     # a set with every interval screened never calls the solver
     seen.clear()
-    values, nonzero, reliable = prefix_statistics(*args[:4], level, "lasso", solver, whitening)
+    values, nonzero, reliable = prefix_statistics(*args[:5], level, "lasso", solver, whitening)
     assert seen == []
     assert not values.any() and not nonzero.any() and reliable.all()
 
@@ -576,14 +693,15 @@ def test_lasso_kernel_chunks_change_no_value(monkeypatch, whitened):
     rng = np.random.default_rng(82)
     a = rng.standard_normal((4, 4))
     whitening = inverse_sqrt_psd(a @ a.T + 0.5 * np.eye(4)) if whitened else None
-    crosses = scanner._cross_prefix[hi] - scanner._cross_prefix[lo]
+    gram_prefix, cross_prefix = _held_prefixes(scanner)
+    crosses = cross_prefix[hi] - cross_prefix[lo]
     if whitening is not None:
         crosses = crosses @ whitening
     level = 2.0 * np.abs(crosses).max(axis=(1, 2))
     lams = level * rng.choice([0.2, 0.5, 0.9, 2.0], len(lo))
     busy = int((level > lams).sum())
     solver = SolverOptions()
-    args = (scanner._gram_prefix, scanner._cross_prefix, lo, hi, lams, "lasso", solver, whitening)
+    args = (gram_prefix, cross_prefix, lo, hi, hi - lo, lams, "lasso", solver, whitening)
     whole = prefix_statistics(*args)
     seen = []
 

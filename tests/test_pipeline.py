@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from varanom import (
+    DesignError,
     DetectionResult,
     Interval,
+    IntervalSet,
     PanelFormatError,
     ParameterError,
     RunConfig,
+    StatConfig,
     TimeSeriesPanel,
     default_lambda,
     detect_online,
@@ -20,6 +23,7 @@ from varanom import (
     load_panel,
     run_pipeline,
     save_panel,
+    scan_intervals,
     seeded_intervals,
     simulate,
     simulate_episodes,
@@ -28,7 +32,7 @@ from varanom import pipeline
 from varanom.cli import PIPELINE_FLAGS, _load_config, build_parser, main
 from varanom.detection import select_multiple
 from varanom.experiments import dense_base_with_change
-from varanom.interval_stats import ScanResult
+from varanom.interval_stats import ScanResult, check_ols_rows
 from varanom.panels import undifference
 
 
@@ -411,11 +415,34 @@ def test_pipeline_split_too_small(tmp_path):
         run_pipeline(RunConfig(), path, tmp_path / "out")
 
 
-def test_pipeline_ols_needs_long_intervals(tmp_path):
-    _, path = _write_null_panel(tmp_path)
-    config = RunConfig(method="ols", min_length=3)
-    with pytest.raises(ParameterError):
-        run_pipeline(config, path, tmp_path / "out")
+def test_pipeline_ols_needs_long_intervals(tmp_path, capsys):
+    # the pipeline applies check_ols_rows, the rule the scan applies: an
+    # interval of pq rows fits, one of pq - 1 rows fails with the same
+    # DesignError wherever it enters (the pipeline used to reject pq rows too)
+    base, path = _write_null_panel(tmp_path)
+    p = 4
+    with pytest.raises(DesignError) as owner:
+        check_ols_rows(p - 1, p)
+    panel = simulate(base, 60, seed=3)
+    ols = StatConfig(method="ols")
+    for rows in (p, p - 1):
+        ivs = IntervalSet((Interval(10, 30), Interval(40, 39 + rows)), 1, (2, 60))
+        config = RunConfig(method="ols", min_length=rows, count=40, calibration_runs=2, seed=2)
+        if rows == p:
+            assert len(scan_intervals(panel, base.stacked, ivs, ols, 1)) == 2
+            run = run_pipeline(config, path, tmp_path / "fits")
+            assert run.manifest["resolved_min_length"] == p and run.detection is not None
+            continue
+        with pytest.raises(DesignError) as scanned:
+            scan_intervals(panel, base.stacked, ivs, ols, 1)
+        with pytest.raises(DesignError) as piped:
+            run_pipeline(config, path, tmp_path / "short")
+        assert str(scanned.value) == str(piped.value) == str(owner.value)
+        assert not (tmp_path / "short").exists()
+        # the CLI reports it as an input error
+        rc = main(["detect", "--data", str(path), "--out-dir", str(tmp_path / "cli"),
+                   "--method", "ols", "--min-length", str(rows)])
+        assert rc == 2 and capsys.readouterr().err == f"input error: {owner.value}\n"
 
 
 def test_cli_simulate_and_detect(tmp_path, capsys):

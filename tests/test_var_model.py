@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -84,14 +86,19 @@ def _per_row_draws(base, episodes, n_rows, burn_in, seed):
 
 def test_simulation_matches_per_row_draws_bytewise():
     # one stacked product chol @ shock per row, bitwise the per-row product;
-    # under the identity covariance the Cholesky factor is exactly I
+    # under the identity covariance the Cholesky factor is exactly I. Each
+    # row is written in place and its lag vector read as a view, bitwise the
+    # allocating recursion at every order
     a = np.random.default_rng(3).standard_normal((3, 3))
     lag = generate_dense_stationary(3, seed=4).coeffs[0] / 2
-    delta = np.zeros((3, 6))
-    delta[0, 1], delta[2, 4] = 0.3, -0.2
-    episodes = [((20, 45), delta), ((70, 90), -delta)]
-    for cov in (a @ a.T + 0.5 * np.eye(3), np.eye(3)):
-        law = VarParams((lag, lag), cov)
+    for lags, cov in itertools.product(
+        ((lag,), (lag, lag), (lag / 1.5,) * 3), (a @ a.T + 0.5 * np.eye(3), np.eye(3))
+    ):
+        q = len(lags)
+        delta = np.zeros((3, 3 * q))
+        delta[0, 1], delta[2, 3 * q - 2] = 0.3, -0.2
+        episodes = [((20, 45), delta), ((70, 90), -delta)]
+        law = VarParams(lags, cov)
         assert simulate(law, 120, burn_in=25, seed=5).values.tobytes() == (
             _per_row_draws(law, [], 120, 25, 5).tobytes()
         )

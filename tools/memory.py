@@ -4,8 +4,10 @@
 
 Three runs at that workload's sizes (p = 50, q = 1), on fixed seeds:
 
-* ``scanner``: building a ``PanelScanner`` over a T = 2000 panel, the
-  length of the pipeline's test slice;
+* ``scanner``: a ``PanelScanner`` over a T = 2000 panel, the length of the
+  pipeline's test slice, and one OLS ``scan`` of
+  ``seeded_intervals(2000, 51, 1 / 1.1)``: a scanner builds its prefix
+  sums at its first request, so its construction alone allocates none;
 * ``detect_single``: an OLS ``detect_single`` of that panel over
   ``seeded_intervals(2000, 51, 1 / 1.1)``, threshold 1e9;
 * ``pipeline``: ``run_pipeline(stage="detect")`` with OLS and 10 calibration
@@ -52,10 +54,10 @@ def _prepare(run: str, work: Path):
         config = vm.RunConfig(method="ols", calibration_runs=10)
         return lambda: vm.run_pipeline(config, path, work / "out", stage="detect")
     panel = vm.simulate(law, TEST_ROWS, seed=17)
-    if run == "scanner":
-        return lambda: vm.PanelScanner(panel, law.stacked, 1)
     intervals = vm.seeded_intervals(TEST_ROWS, P + 1, 1 / 1.1, q=1)
     config = vm.StatConfig(method="ols")
+    if run == "scanner":
+        return lambda: vm.PanelScanner(panel, law.stacked, 1).scan(intervals, config)
     return lambda: vm.detect_single(panel, law.stacked, intervals, config, 1e9, q=1)
 
 
