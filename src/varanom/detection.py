@@ -16,10 +16,12 @@
   the lasso intervals a duality-gap bracket cannot rule out: offline from
   :meth:`~varanom.interval_stats.PanelScanner.max_statistic`, online from
   :func:`online_max_statistic`, one block of window pairs at a time.
-  Offline, one scanner serves every run and holds only the prefix rows
-  the interval set reads, held rows x (pq (pq + 1) / 2 + pq p) doubles,
-  refilled in place from each run's panel; online, the scanner holds
-  every row of the stream.
+  Offline, one scanner serves every run, refilled from each run's panel:
+  an OLS run walks the set in end-row order a kernel chunk at a time and
+  holds a prefix row, pq (pq + 1) / 2 + pq p doubles, only until its last
+  reader is done, in a pool the scanner reuses for every run; a lasso run
+  holds every row the set reads. Online, the scanner holds every row of
+  the stream.
 
 Offline scans and online windows share one statistic kernel,
 :func:`varanom.interval_stats.prefix_statistics`, which also whitens:
@@ -212,8 +214,9 @@ def calibrate_threshold(
     comes from :meth:`PanelScanner.max_statistic`, bitwise the maximum of a
     full scan. Every run's panel has the same shape, so one
     :class:`PanelScanner` serves them all: each run after the first refills
-    the prefix rows the set reads in place, with bitwise the sums a fresh
-    scanner builds. ``runs``, ``quantile`` and ``config.sigma`` (against
+    it, and it makes the set's walk plan and prefix arrays once and fills
+    them again in place, with bitwise the sums a fresh scanner builds.
+    ``runs``, ``quantile`` and ``config.sigma`` (against
     ``law.p``, by ``check_covariance``) are checked before the first run.
     """
     check_count(runs, "runs")

@@ -17,9 +17,12 @@ offline scan, of calibration and of the online monitor: each interval's
 Gram and cross-product blocks are the difference of two prefix-sum
 entries, which the kernel reads by their positions in the rows it is
 given, with each interval's row count beside them. A :class:`PanelScanner`
-builds its prefixes at its first request and holds only the prefix rows
-that request's intervals read, held rows x (m(m + 1) / 2 + m p) doubles;
-every held row is bitwise the row of a build over every row
+builds its prefixes for each request. A scan walks its interval set in
+end-row order, one kernel chunk at a time (:class:`_Walk`), and holds a
+prefix row, m(m + 1) / 2 + m p doubles, only from the chunk whose build
+reaches it to the last chunk that reads it, in a fixed pool of slots: at
+most 148 rows, about 4.5 MB, for the seeded T = 2000 set at p = 50, which
+reads 1061. Every written row is bitwise the row of a build over every row
 (:func:`_prefix_sum`). A Gram prefix is stored packed: row r holds the
 m(m + 1) / 2 lower-triangle entries of the symmetric running sum, in
 ``np.tril_indices`` order (:func:`_pack_gram`), 1275 doubles a row at m = 50 where the full
@@ -29,10 +32,12 @@ are the same doubles, so an expanded block is bitwise the full layout's.
 An interval whose cross block already passes the KKT test at zero has a
 lasso statistic of exactly zero and is screened out before any Gram block
 is gathered. Both methods gather Gram blocks a bounded chunk of
-intervals at a time. The lasso statistics of the busy intervals come from
-:func:`_solve_busy`, the one lasso solve path of the library: one batched
-solve and one :func:`~varanom.estimation.lasso_bracket` call per chunk. The
-OLS ones come from one
+intervals at a time, and a walked scan hands the kernel one chunk at a
+time, so a scan's memory is bounded whatever its interval count. The
+lasso statistics of the busy intervals come from :func:`_solve_busy`, the
+one lasso solve path of the library: one batched solve and one
+:func:`~varanom.estimation.lasso_bracket` call per chunk. The OLS ones
+come from one
 stacked Cholesky factorisation G = LL' and the forward substitution
 L^(-1): the statistic is ||L^(-1) C||_F^2. An interval counts as full rank only when
 1 / ||L^(-1)||_F^2 > 2 rtol tr(G). As 1 / ||L^(-1)||_F^2 = 1 / tr(G^(-1)) is
@@ -61,7 +66,9 @@ as the kernel does, and a few sweeps of every busy interval through
 statistic; an interval whose upper bound stays below the best value found
 is pruned, and the rest are solved in full through the same helper. A
 pruned statistic cannot be the maximum, so it is never counted as
-unreliable.
+unreliable. As it needs every busy bracket before it solves any interval,
+it holds every prefix row the set reads and gathers every cross block at
+once, so its memory, unlike a scan's, still grows with the interval count.
 
 ``StatConfig`` checks the statistic's options, offline and online: the
 method and lambda policy (``check_choice``), the lambda scale
@@ -76,6 +83,7 @@ scan may be parallelised freely and reduces deterministically.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -344,6 +352,7 @@ def prefix_statistics(
     method: str,
     solver: SolverOptions,
     whitening: Optional[np.ndarray],
+    buffers: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Statistics of the intervals whose blocks are ``prefix[hi[i]] - prefix[lo[i]]``.
 
@@ -352,7 +361,8 @@ def prefix_statistics(
     over lag vectors z_t and raw residuals u_t, at some of their prefix rows
     (a :class:`PanelScanner` holds only the rows its intervals read), and
     ``lo`` and ``hi`` are positions in those arrays; ``lengths[i]`` is
-    interval i's row count, which the OLS rule reads. Each interval's cross
+    interval i's row count, which the OLS rule reads. ``buffers``, if given,
+    are the OLS chunk buffers :func:`_ols_statistics` reuses. Each interval's cross
     block is right-multiplied by ``whitening`` (:func:`whitening_matrix`)
     after the prefix difference, never the whole prefix. Lasso statistics screen
     first, through :func:`busy_intervals`, the library's one screen (the
@@ -368,7 +378,8 @@ def prefix_statistics(
     interval's result depends on that interval alone, so chunking changes
     no value. That bounds the OLS kernel's memory whatever the number of
     intervals, but not the lasso kernel's: its cross blocks, m p doubles
-    per interval, are all gathered before the screen. OLS
+    per interval, are all gathered before the screen, so
+    :meth:`PanelScanner.scan` calls it a chunk at a time. OLS
     statistics ignore ``lams``; each chunk takes one stacked Cholesky
     factorisation, the batched forward substitution L^(-1) and the statistic
     ||L^(-1) C||_F^2; the coefficients are never formed. An interval whose
@@ -386,7 +397,7 @@ def prefix_statistics(
     n = len(lo)
     reliable = np.ones(n, dtype=bool)
     if method == "ols":
-        values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, lengths, whitening)
+        values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, lengths, whitening, buffers)
         return values, np.full(n, cross_prefix.shape[1] * cross_prefix.shape[2]), reliable
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     values = np.zeros(n)
@@ -505,31 +516,27 @@ def _ols_statistics(
     hi: np.ndarray,
     lengths: np.ndarray,
     whitening: Optional[np.ndarray],
+    buffers: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """OLS values of :func:`prefix_statistics`, chunk by chunk.
 
-    Intervals before the first one of fewer than m ``lengths`` rows are
-    computed in storage order,
+    Intervals before the first one of fewer than m ``lengths`` rows
+    (:func:`_computed`) are computed in storage order,
     so a rank-deficient one among them raises first, then the short one
-    raises without being solved. Every chunk reuses buffers allocated once
-    per call: fresh chunk-sized arrays would be handed back to the operating
-    system between chunks and faulted in again. Two of them, each sized for
-    a chunk of packed Gram rows or of cross blocks, take the prefix rows a
-    difference gathers, then the cross blocks and L^(-1) C; the others hold
-    the expanded Gram blocks and L^(-1).
+    raises without being solved. Every chunk reuses the buffers of
+    :func:`_ols_buffers`, ``buffers`` if given (of at least a chunk's
+    size), else allocated once per call: fresh chunk-sized arrays would be
+    handed back to the operating system between chunks and faulted in again.
     """
     n = len(lo)
     _, m, p = cross_prefix.shape
     values = np.empty(n)
     if n and (min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= len(gram_prefix)):
         raise IndexError("prefix index out of range")
-    short = np.flatnonzero(lengths < m)
-    stop = int(short[0]) if len(short) else n
+    stop = _computed(lengths, m)
     chunk = max(1, min(_CHUNK_ENTRIES // (m * m), stop))
     size = gram_prefix.shape[1]
-    pair = np.empty((2, chunk * max(size, m * p)))
-    grams = np.empty((chunk, m, m))
-    inv = np.zeros((chunk, m, m))  # _inverse_lower never writes above the diagonal
+    pair, grams, inv = buffers or _ols_buffers(chunk, m, p)
     for s in range(0, stop, chunk):
         k = min(chunk, stop - s)
         sl = slice(s, s + k)
@@ -545,6 +552,24 @@ def _ols_statistics(
     if stop < n:
         check_ols_rows(int(lengths[stop]), m)
     return values
+
+
+def _computed(lengths: np.ndarray, m: int) -> int:
+    """Count of the intervals an OLS kernel computes: those before the first
+    of fewer than m ``lengths`` rows, whose row count then raises."""
+    short = np.flatnonzero(lengths < m)
+    return int(short[0]) if len(short) else len(lengths)
+
+
+def _ols_buffers(chunk: int, m: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers of :func:`_ols_statistics` for chunks of up to ``chunk``
+    intervals of m predictors and p responses. Two of them, each sized for a
+    chunk of packed Gram rows or of cross blocks, take the prefix rows a
+    difference gathers, then the cross blocks and L^(-1) C; the others hold
+    the expanded Gram blocks and L^(-1)."""
+    pair = np.empty((2, chunk * max(m * (m + 1) // 2, m * p)))
+    inv = np.zeros((chunk, m, m))  # _inverse_lower never writes above the diagonal
+    return pair, np.empty((chunk, m, m)), inv
 
 
 def _difference(
@@ -631,38 +656,45 @@ def _unpack_gram(packed: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     return full.reshape(packed.shape[:-1] + (m, m))
 
 
-def _prefix_sum(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out[k]`` the sum of the outer products left[t] right[t]'
-    over t < ``rows[k]``, for increasing distinct prefix rows ``rows`` in
-    [0, len(left)] (row 0 is the zero entry); ``out`` is
-    (len(rows), left.shape[1], right.shape[1]), or (len(rows), m(m + 1) / 2)
-    for a Gram prefix packed as :func:`_pack_gram` packs it, whose symmetric
-    products have ``right`` equal to ``left`` (m columns).
+def _prefix_sum(
+    left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray, slots: Optional[np.ndarray] = None
+) -> Iterator[None]:
+    """Walk the running sum of the outer products left[t] right[t]' over
+    t < r, r = 0, 1, ..., ``rows[-1]``, writing its value at prefix row
+    ``rows[k]`` into ``out[slots[k]]`` (``out[k]`` if ``slots`` is None) and
+    yielding after each such row, for increasing distinct prefix rows
+    ``rows`` in [0, len(left)] (row 0 is the zero entry). A generator, so a
+    caller can advance it a few rows at a time (:func:`_consume`), read the
+    written slots and hand them to later rows; slots are written only as
+    the walk reaches their rows. ``out`` is (slots, left.shape[1],
+    right.shape[1]), or (slots, m(m + 1) / 2) for a Gram prefix packed as
+    :func:`_pack_gram` packs it, whose symmetric products have ``right``
+    equal to ``left`` (m columns).
 
     The products are made ``_PREFIX_BLOCK_ROWS`` rows at a time in a
     block-sized scratch array (a packed build takes their lower triangles
     there) and, while the block is in cache, each row's running sum is
     written in place: over its own products, or, at a row of ``rows``,
-    straight into ``out``. That adds every term in the same order as one
-    cumsum over all rows, so every written row is bitwise that cumsum's
-    entry, with no temporary of the full prefix's size and no copy of a
-    kept row. Two scratch blocks take turns, so the running sum a block ends
-    on survives the next block's products; rows after ``rows[-1]`` are not
-    read. Whole-row additions are contiguous; cumsum along the leading axis
-    runs a strided loop per entry and made the build three times slower at
-    pq = 50. Every entry of ``out`` is overwritten, so an array of an
-    earlier build can be filled again.
+    straight into its slot. That adds every term in the same order as one
+    cumsum over all rows, however the walk is paused, so every written row
+    is bitwise that cumsum's entry, with no temporary of the full prefix's
+    size and no copy of a written row. Two scratch blocks take turns, so
+    the running sum a block ends on survives the next block's products;
+    rows after ``rows[-1]`` are not read. Whole-row additions are
+    contiguous; cumsum along the leading axis runs a strided loop per entry
+    and made the build three times slower at pq = 50.
     """
     products = np.empty((_PREFIX_BLOCK_ROWS, left.shape[1], right.shape[1])) if out.ndim == 2 else None
     sums = np.empty((2, _PREFIX_BLOCK_ROWS) + out.shape[1:])
     last = int(rows[-1])
     kept = np.zeros(last + 1, dtype=bool)
     kept[rows] = True
-    held = iter(out)
+    held = iter(out) if slots is None else map(out.__getitem__, slots.tolist())
     total = np.zeros(out.shape[1:])
     if kept[0]:
         total = next(held)
         total[...] = 0.0
+        yield
     for b, s in enumerate(range(0, last, _PREFIX_BLOCK_ROWS)):
         e = min(s + _PREFIX_BLOCK_ROWS, last)
         block = sums[b % 2, : e - s]
@@ -675,29 +707,106 @@ def _prefix_sum(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.n
         # out[k] cost this per-row loop about 10% of the build
         for keep, row in zip(kept[s + 1 : e + 1].tolist(), block):
             total = np.add(total, row, next(held) if keep else row)
+            if keep:
+                yield
+
+
+def _consume(walk: Iterator[None], rows: Optional[int] = None) -> None:
+    """Advance ``walk`` by ``rows`` steps, or to its end if ``rows`` is None."""
+    collections.deque(itertools.islice(walk, rows), maxlen=0)
+
+
+class _Walk(NamedTuple):
+    """How a scan walks an interval set in (end row, storage index) order,
+    ``chunk`` intervals at a time, holding each prefix row it reads in a
+    pool of ``size`` slots only from the chunk whose walk reaches the row to
+    the last chunk that reads it (:func:`_walk_plan`).
+
+    ``order`` holds the storage indices in walk order, chunk k being
+    ``order[k chunk : (k + 1) chunk]``. ``rows`` are the distinct prefix rows
+    read, increasing, ``slots`` the pool slot of each, and ``born[k]`` the
+    count of them the walk writes before chunk k. ``lo`` and ``hi`` are the
+    slots of each interval's two prefix rows, in storage order.
+    ``prefix_rows`` are the (lo, hi) rows the plan was made for.
+    """
+
+    prefix_rows: tuple[np.ndarray, np.ndarray]
+    chunk: int
+    order: np.ndarray
+    rows: np.ndarray
+    slots: np.ndarray
+    born: list[int]
+    lo: np.ndarray
+    hi: np.ndarray
+    size: int
+
+    def fits(self, lo: np.ndarray, hi: np.ndarray, chunk: int) -> bool:
+        """Whether this plan walks intervals of prefix rows ``lo`` and ``hi`` in chunks of ``chunk``."""
+        return chunk == self.chunk and all(map(np.array_equal, self.prefix_rows, (lo, hi)))
+
+
+def _walk_plan(lo: np.ndarray, hi: np.ndarray, chunk: int) -> _Walk:
+    """The :class:`_Walk` of the intervals whose blocks are ``prefix[hi[i]] - prefix[lo[i]]``.
+
+    Chunk k reads rows up to its last end row; the walk writes a row before
+    the first chunk whose last end row reaches it, and the row's slot is
+    free again after the last chunk that reads it. Slots are handed out in
+    row order, each from the most recently freed, so ``size`` is the
+    largest count of rows live at once: 148 of the 1061 rows read by
+    ``seeded_intervals(2000, 51, 1 / 1.1, q=1)`` in chunks of 52.
+    """
+    n = len(lo)
+    order = np.argsort(hi, kind="stable")
+    which = np.empty(n, dtype=np.intp)
+    which[order] = np.arange(n) // chunk
+    reach = hi[order[np.minimum(np.arange(chunk, n + chunk, chunk), n) - 1]]
+    last = np.full(int(hi.max(initial=0)) + 1, -1)  # the last chunk to read each row
+    np.maximum.at(last, lo, which)
+    np.maximum.at(last, hi, which)
+    rows = np.flatnonzero(last >= 0)
+    born = np.bincount(np.searchsorted(reach, rows), minlength=len(reach)).tolist()
+    slots = np.empty(len(rows), dtype=np.intp)
+    fresh, free, written = itertools.count(), [], 0
+    for k, count in enumerate(born):
+        slots[written : written + count] = [free.pop() if free else next(fresh) for _ in range(count)]
+        written += count
+        free += slots[last[rows] == k].tolist()
+    where = np.empty(len(last), dtype=np.intp)
+    where[rows] = slots
+    return _Walk((lo, hi), chunk, order, rows, slots, born, where[lo], where[hi], next(fresh))
 
 
 class PanelScanner:
     """Prefix sums for constant-time per-interval Gram matrices.
 
-    The Gram and cross prefixes are built on first use, at the first
-    :meth:`scan`, :meth:`max_statistic` or :meth:`gram`, in O(T (pq)^2)
-    time, and hold only the prefix rows the request reads: the distinct
-    rows lo and hi at which its intervals' blocks are differenced. A later
-    request whose rows are all held reads them; any other rebuilds the
-    prefixes at its own rows. :meth:`gram` holds every row, so a loop of
-    ``gram`` calls builds once. A held row takes pq (pq + 1) / 2 + pq p
+    The Gram and cross prefixes, O(T (pq)^2) work, are built for each
+    request, and a scanner holds a prefix row only while a statistic still
+    reads it. :meth:`scan` and the OLS :meth:`max_statistic` walk their set
+    in (end row, storage index) order, one kernel chunk of
+    ``_CHUNK_ENTRIES`` / (pq)^2 intervals at a time (:class:`_Walk`): the
+    build advances to each chunk's last end row, writing into a fixed pool
+    of slots only the rows that chunk or a later one reads, and a slot is
+    reused once its last reader is done. A row takes pq (pq + 1) / 2 + pq p
     doubles, the Gram prefix being packed (:func:`_pack_gram`): 3775 at
-    p = 50, q = 1, so a T = 2000 scanner over ``seeded_intervals(2000, 51,
-    1 / 1.1)``, which reads 1061 of its 2001 rows, holds 32 MB where every
-    row would take 60.4 MB. Every held row is bitwise the row of a full
-    build (:func:`_prefix_sum`), so which rows are held changes no
-    statistic, and no (T, pq, pq) temporary is made. Each interval
-    statistic then reads its Gram and cross-product blocks by subtracting
-    two held rows, independently of the interval length. Results agree
-    with the direct per-view computation up to floating-point summation
-    order. The residuals are row-exact: one stacked product of the baseline
-    with every lag row is bitwise the row-by-row product x_t - B z_t of
+    p = 50, q = 1, so a T = 2000 scan of ``seeded_intervals(2000, 51,
+    1 / 1.1)`` in chunks of 52 holds at most 148 of the 1061 rows it reads,
+    about 4.5 MB. The plan depends only on the set, so a scanner keeps the
+    last one it made, with its pool and the OLS chunk buffers.
+
+    The lasso :meth:`max_statistic` needs every busy interval's bracket
+    before it solves any, and :meth:`gram` and
+    :func:`~varanom.detection.online_max_statistic` read rows in any order,
+    so these hold the distinct rows they read, increasing (:meth:`_positions`):
+    a later such request whose rows are all held reads them, any other
+    rebuilds. :meth:`gram` holds every row, so a loop of ``gram`` calls
+    builds once. Every written row is bitwise the row of a build over every
+    row (:func:`_prefix_sum`), so how rows are held changes no statistic,
+    and no (T, pq, pq) temporary is made. Each interval statistic reads its
+    Gram and cross-product blocks by subtracting two rows, independently of
+    the interval length. Results agree with the direct per-view computation
+    up to floating-point summation order. The residuals are row-exact: one
+    stacked product of the baseline with every lag row is bitwise the
+    row-by-row product x_t - B z_t of
     :class:`~varanom.detection.OnlineDetector`, so over the same rows the
     two build bitwise the same prefix sums, and offline and online
     statistics of a window agree bitwise. ``_refill`` takes another panel of
@@ -718,6 +827,8 @@ class PanelScanner:
         self._rows = np.empty(0, dtype=np.intp)
         self._gram_prefix = np.empty((0, m * (m + 1) // 2))
         self._cross_prefix = np.empty((0, m, p))
+        self._plan: Optional[_Walk] = None
+        self._buffers: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._refill(panel)
 
     def _refill(self, panel: TimeSeriesPanel) -> None:
@@ -729,20 +840,35 @@ class PanelScanner:
         # one stacked product of the baseline with each lag row, bitwise the
         # online detector's row-by-row baseline @ z (a block lagged @ baseline.T is not)
         self._resid = response - (self._baseline @ self._lagged[:, :, None])[:, :, 0]
-        self._build(self._rows)
+        if len(self._rows):
+            self._build(self._rows)
+
+    def _pool(self, size: int) -> None:
+        """Make the Gram and cross prefix arrays ``size`` rows long, in place
+        when they are, and hold no row for :meth:`_positions`: the caller
+        writes the arrays next."""
+        self._rows = np.empty(0, dtype=np.intp)
+        if size != len(self._gram_prefix):
+            shapes = self._gram_prefix.shape[1:], self._cross_prefix.shape[1:]
+            self._gram_prefix = self._cross_prefix = None  # freed before the new arrays are made
+            self._gram_prefix = np.empty((size,) + shapes[0])
+            self._cross_prefix = np.empty((size,) + shapes[1])
+
+    def _walks(self, rows: np.ndarray, slots: Optional[np.ndarray] = None) -> tuple[Iterator[None], ...]:
+        """The :func:`_prefix_sum` walks of the Gram and cross prefixes over ``rows``."""
+        return (
+            _prefix_sum(self._lagged, self._lagged, rows, self._gram_prefix, slots),
+            _prefix_sum(self._lagged, self._resid, rows, self._cross_prefix, slots),
+        )
 
     def _build(self, rows: np.ndarray) -> None:
         """Build both prefixes at the increasing distinct prefix rows ``rows``,
-        in place when as many rows are held."""
-        if len(rows) != len(self._rows):
-            self._gram_prefix = self._cross_prefix = None  # freed before the new arrays are made
-            m, p = self._lagged.shape[1], self.n_series
-            self._gram_prefix = np.empty((len(rows), m * (m + 1) // 2))
-            self._cross_prefix = np.empty((len(rows), m, p))
+        in place when the arrays have as many rows, and hold them."""
+        self._pool(len(rows))
         self._rows = rows
         if len(rows):
-            _prefix_sum(self._lagged, self._lagged, rows, self._gram_prefix)
-            _prefix_sum(self._lagged, self._resid, rows, self._cross_prefix)
+            for walk in self._walks(rows):
+                _consume(walk)
 
     def _positions(
         self, lo: np.ndarray, hi: np.ndarray, hold: Optional[np.ndarray] = None
@@ -775,45 +901,67 @@ class PanelScanner:
         return gram, cross
 
     def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple:
-        """(lo, hi, lengths, lams, whitening) of the set: the positions of its
-        intervals' prefix rows among the held ones, which are built here
-        unless held, their row counts and penalties, and the whitening
+        """(lo, hi, lengths, lams, whitening) of the set: its intervals'
+        prefix rows, their row counts and penalties, and the whitening
         matrix of ``config.sigma``."""
         starts, ends = interval_set.starts, interval_set.ends
         check_domain(starts, ends, self.n_rows, self.q)
         lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
         whitening = whitening_matrix(config.sigma, self.n_series)
-        lo, hi = self._positions(starts - self.q - 1, ends - self.q)
-        return lo, hi, ends - starts + 1, lams, whitening
+        return starts - self.q - 1, ends - self.q, ends - starts + 1, lams, whitening
 
     def scan(self, interval_set: IntervalSet, config: StatConfig) -> ScanResult:
         """Statistics for every interval in the set, in storage order.
 
-        Computed by :func:`prefix_statistics`, whitened by ``config.sigma``;
-        results match the direct per-view computation up to summation order.
+        Computed by :func:`prefix_statistics` on one chunk of the set's
+        :class:`_Walk` at a time, whitened by ``config.sigma``; results match
+        the direct per-view computation up to summation order. An OLS walk
+        covers the intervals :func:`_computed` computes, so a rank-deficient
+        one among them raises the kernel's DesignError, and then the first
+        short one raises.
         """
         lo, hi, lengths, lams, whitening = self._kernel_args(interval_set, config)
-        values, nonzero, reliable = prefix_statistics(
-            self._gram_prefix, self._cross_prefix, lo, hi, lengths, lams, config.method,
-            config.solver, whitening,
-        )
+        n, m, p = len(lo), self.n_series * self.q, self.n_series
+        stop = _computed(lengths, m) if config.method == "ols" else n
+        chunk = max(1, _CHUNK_ENTRIES // (m * m))
+        if self._plan is None or not self._plan.fits(lo[:stop], hi[:stop], chunk):
+            self._plan = self._buffers = None  # freed before the new plan's are made
+            self._plan = _walk_plan(lo[:stop], hi[:stop], chunk)
+        plan = self._plan
+        if config.method == "ols" and self._buffers is None:
+            self._buffers = _ols_buffers(min(chunk, stop), m, p)
+        self._pool(plan.size)
+        values, nonzero, reliable = columns = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=bool)
+        walks = self._walks(plan.rows, plan.slots)
+        for k, born in enumerate(plan.born):
+            for walk in walks:
+                _consume(walk, born)
+            at = plan.order[k * chunk : (k + 1) * chunk]
+            results = prefix_statistics(
+                self._gram_prefix, self._cross_prefix, plan.lo[at], plan.hi[at], lengths[at], lams[at],
+                config.method, config.solver, whitening, self._buffers,
+            )
+            for column, result in zip(columns, results):
+                column[at] = result
+        if stop < n:
+            check_ols_rows(int(lengths[stop]), m)
         return ScanResult(interval_set.starts, interval_set.ends, values, lams, nonzero, reliable, config.method)
 
     def max_statistic(self, interval_set: IntervalSet, config: StatConfig) -> ScanMaximum:
         """The largest reliable statistic of the set, bitwise
         ``max_reliable_statistic(self.scan(interval_set, config))``, with counts.
 
-        OLS takes the maximum of the kernel's values; lasso goes through
-        :func:`lasso_maximum`, fed the prefix of the squared whitened
-        residuals at the held rows, formed here. No
-        :class:`IntervalStatistic` is built. An empty set gives 0.0.
+        OLS takes the maximum of a scan's values; lasso goes through
+        :func:`lasso_maximum` over the held rows the set reads, fed the
+        prefix of the squared whitened residuals at those rows, formed here.
+        No :class:`IntervalStatistic` is built. An empty set gives 0.0.
         """
         if not interval_set.intervals:
             return ScanMaximum(0.0, 0, 0)
-        lo, hi, lengths, lams, whitening = self._kernel_args(interval_set, config)
         if config.method == "ols":
-            values = _ols_statistics(self._gram_prefix, self._cross_prefix, lo, hi, lengths, whitening)
-            return ScanMaximum(float(values.max()), 0, 0)
+            return ScanMaximum(float(self.scan(interval_set, config).values.max()), 0, 0)
+        lo, hi, _, lams, whitening = self._kernel_args(interval_set, config)
+        lo, hi = self._positions(lo, hi)
         return lasso_maximum(
             self._gram_prefix, self._cross_prefix, self._sq_prefix(whitening), lo, hi, lams,
             config.solver, whitening,

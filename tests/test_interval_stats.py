@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,9 +43,12 @@ from varanom.interval_stats import (
     _PREFIX_BLOCK_ROWS,
     LAMBDA_POLICIES,
     ScanMaximum,
+    _consume,
+    _CHUNK_ENTRIES,
     _pack_gram,
     _prefix_sum,
     _unpack_gram,
+    _walk_plan,
     gram_ols_value,
     interval_lambdas,
     inverse_sqrt_psd,
@@ -394,8 +399,8 @@ def _full_prefix_kernel(panel, baseline, q, ivs, config):
     m, p = lagged.shape[1], resid.shape[1]
     gram_prefix = np.empty((len(every), m * (m + 1) // 2))
     cross_prefix = np.empty((len(every), m, p))
-    _prefix_sum(lagged, lagged, every, gram_prefix)
-    _prefix_sum(lagged, resid, every, cross_prefix)
+    _consume(_prefix_sum(lagged, lagged, every, gram_prefix))
+    _consume(_prefix_sum(lagged, resid, every, cross_prefix))
     lo, hi = ivs.starts - q - 1, ivs.ends - q
     lams = interval_lambdas(config, ivs, p, panel.n_rows)
     whitening = whitening_matrix(config.sigma, p)
@@ -453,13 +458,15 @@ def test_held_rows_give_bitwise_the_full_prefix_kernel(seed, q, whitened):
             assert np.array_equal(got.nonzero, nonzero) and np.array_equal(got.reliable, reliable)
             got_max = scanner.max_statistic(ivs, config)
             assert got_max == maximum and got_max.value.hex() == maximum.value.hex()
-            assert set(scanner._rows.tolist()) >= set(np.r_[ivs.starts - q - 1, ivs.ends - q].tolist())
+        # the lasso maximum holds the rows it reads; scans and the OLS maximum walk
+        assert set(scanner._rows.tolist()) >= set(np.r_[ivs.starts - q - 1, ivs.ends - q].tolist())
 
 
 def test_seeded_scan_holds_only_the_rows_it_reads():
     # the seeded set at p = 50, T = 1000 differences 497 of the 1000 prefix
-    # rows; the scanner holds those alone, so the scan, the build and the OLS
-    # kernel's buffers included, peaks below a prefix of every row
+    # rows, and a walk in chunks of 52 intervals holds at most 134 of them at
+    # once, so the scan, the build and the OLS kernel's buffers included,
+    # peaks below half a prefix of every row (21.2 MB with all 497 held)
     n, p = 1000, 50
     base = generate_dense_stationary(p, seed=7)
     panel = simulate(base, n, seed=8)
@@ -475,9 +482,138 @@ def test_seeded_scan_holds_only_the_rows_it_reads():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(scanner._rows, rows)
-    assert scanner._gram_prefix.shape[0] == scanner._cross_prefix.shape[0] == len(rows)
-    assert peak < n * row_bytes
+    assert np.array_equal(scanner._plan.rows, rows)
+    assert scanner._gram_prefix.shape[0] == scanner._cross_prefix.shape[0] == scanner._plan.size <= 134
+    assert peak < n * row_bytes / 2
+    # the pipeline's T = 2000 test scan reads 1061 rows and holds at most 148
+    test_set = seeded_intervals(2 * n, p + 1, 1 / 1.1, q=1)
+    plan = _walk_plan(test_set.starts - 2, test_set.ends - 1, _CHUNK_ENTRIES // (p * p))
+    assert len(plan.rows) == 1061 and plan.size <= 148
+
+
+def _check_walk_plan(plan, lo, hi, chunk):
+    """The plan walks (end row, storage index) order in chunks of ``chunk``,
+    and no two rows live at one chunk share a slot, from the chunk whose last
+    end row first reaches a row to the last chunk that reads it."""
+    order = sorted(range(len(lo)), key=lambda i: (hi[i], i))
+    assert plan.order.tolist() == order
+    chunks = [order[k : k + chunk] for k in range(0, len(order), chunk)]
+    slot = dict(zip(plan.rows.tolist(), plan.slots.tolist()))
+    assert plan.rows.tolist() == sorted(set(lo.tolist()) | set(hi.tolist()))
+    assert plan.lo.tolist() == [slot[r] for r in lo.tolist()]
+    assert plan.hi.tolist() == [slot[r] for r in hi.tolist()]
+    reach = [max(hi[i] for i in c) for c in chunks]
+    readers = {r: [k for k, c in enumerate(chunks) if any(r in (lo[i], hi[i]) for i in c)] for r in slot}
+    for k in range(len(chunks)):
+        live = [r for r in slot if min(j for j, e in enumerate(reach) if e >= r) <= k <= max(readers[r])]
+        assert len({slot[r] for r in live}) == len(live) <= plan.size
+    assert sum(plan.born) == len(slot) and plan.size <= len(slot)
+
+
+def _interval_set(kind, rng, n, q, m):
+    if kind == "seeded":
+        return seeded_intervals(n, m + 1, float(rng.uniform(0.5, 0.9)), q=q)
+    if kind == "random":
+        return random_intervals(n, m + 1, int(rng.integers(1, 60)), seed=int(rng.integers(1 << 30)), q=q)
+    return _sharing_set(rng, n, q, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2), whitened=st.booleans(),
+    method=st.sampled_from(["ols", "lasso"]), kind=st.sampled_from(["seeded", "random", "sharing"]),
+    per_chunk=st.integers(1, 9),
+)
+def test_walked_scan_is_bitwise_the_held_rows_kernel(seed, q, whitened, method, kind, per_chunk):
+    # a scan walks its set in end-row order a chunk at a time and holds a
+    # prefix row only while a later interval reads it; its statistics, and
+    # the OLS maximum, are bitwise the kernel's on the held rows of the whole
+    # set in storage order, with sets spanning many chunks of a few intervals
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    n = int(rng.integers(40, 140))
+    a = generate_dense_stationary(p, seed=int(rng.integers(1 << 30))).coeffs[0]
+    noise = rng.standard_normal((p, p))
+    cov = noise @ noise.T + 0.5 * np.eye(p)
+    law = VarParams((a / q,) * q, cov)
+    panel = simulate(law, n, burn_in=20, seed=int(rng.integers(1 << 30)))
+    policy = LAMBDA_POLICIES[int(rng.integers(len(LAMBDA_POLICIES)))]
+    config = StatConfig(method=method, lambda_scale=0.2, sigma=cov if whitened else None, lambda_policy=policy)
+    m = p * q
+    ivs = _interval_set(kind, rng, n, q, m)
+    lo, hi = ivs.starts - q - 1, ivs.ends - q
+    held = PanelScanner(panel, law.stacked, q)
+    positions = held._positions(lo, hi)
+    values, nonzero, reliable = prefix_statistics(
+        held._gram_prefix, held._cross_prefix, *positions, ivs.ends - ivs.starts + 1,
+        interval_lambdas(config, ivs, p, n), method, config.solver, whitening_matrix(config.sigma, p),
+    )
+    scanner = PanelScanner(panel, law.stacked, q)
+    with mock.patch.object(interval_stats, "_CHUNK_ENTRIES", per_chunk * m * m):
+        got = scanner.scan(ivs, config)
+        assert got.values.tobytes() == values.tobytes()
+        assert np.array_equal(got.nonzero, nonzero) and np.array_equal(got.reliable, reliable)
+        if method == "ols":
+            assert scanner.max_statistic(ivs, config).value.hex() == float(values.max()).hex()
+    plan = scanner._plan
+    assert len(scanner._gram_prefix) == len(scanner._cross_prefix) == plan.size
+    _check_walk_plan(plan, lo, hi, per_chunk)
+
+
+@pytest.mark.parametrize("failing", list(itertools.permutations(["singular", "two rows", "one row"])))
+def test_walk_raises_the_first_error_in_storage_order(monkeypatch, failing):
+    # the walk meets the one-row, the two-row and the singular interval in
+    # that end-row order, yet raises what the kernel on held rows raises in
+    # storage order: the singular interval's error when it is stored before
+    # every short one, otherwise the first short one's
+    base = generate_dense_stationary(3, seed=51)
+    values = simulate(base, 300, seed=52).values.copy()
+    values[150:200, 1] = values[150:200, 0]  # two identical predictors there
+    panel = TimeSeriesPanel(values)
+    bad = {"singular": Interval(160, 190), "two rows": Interval(100, 101), "one row": Interval(60, 60)}
+    normal = [Interval(s, s + 19) for s in itertools.chain(range(2, 120, 9), range(212, 280, 9))]
+    stored = normal[::2] + [bad[f] for f in failing] + normal[1::2]
+    ivs = IntervalSet(tuple(stored), 1, (2, 300))
+    cfg = StatConfig(method="ols")
+    held = PanelScanner(panel, base.stacked, 1)
+    lo, hi = held._positions(ivs.starts - 2, ivs.ends - 1)
+    with pytest.raises(DesignError) as want:
+        prefix_statistics(
+            held._gram_prefix, held._cross_prefix, lo, hi, ivs.ends - ivs.starts + 1, np.zeros(len(ivs)),
+            "ols", cfg.solver, None,
+        )
+    expected = {"singular": "rank deficient", "two rows": "2 rows", "one row": "1 rows"}[failing[0]]
+    assert expected in str(want.value)
+    monkeypatch.setattr(interval_stats, "_CHUNK_ENTRIES", 4 * 3 * 3)  # 4 intervals a chunk
+    scanner = PanelScanner(panel, base.stacked, 1)
+    for call in (scanner.scan, scanner.max_statistic):
+        with pytest.raises(DesignError) as got:
+            call(ivs, cfg)
+        assert str(got.value) == str(want.value)
+
+
+def test_all_screened_lasso_scan_memory_stays_flat_in_the_interval_count():
+    # a walk gathers cross blocks one chunk at a time, so an all-screened
+    # p = 50 lasso scan peaks below a prefix of every row plus chunk-sized
+    # arrays, whatever the interval count: about 19 and 28 MB over 2000 and
+    # 8000 random intervals, where gathering every cross block first took
+    # 80.1 and 320.4 MB
+    n, p = 1000, 50
+    base = generate_dense_stationary(p, seed=90)
+    panel = simulate(base, n, seed=91)
+    config = StatConfig(method="lasso", lambda_scale=1e6)
+    peaks = []
+    for count in (2000, 8000):
+        ivs = random_intervals(n, p + 1, count, seed=92, q=1)
+        scanner = PanelScanner(panel, base.stacked, 1)
+        tracemalloc.start()
+        try:
+            stats = scanner.scan(ivs, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not stats.values.any() and stats.reliable.all()
+    assert max(peaks) < (n + 1) * (p * (p + 1) // 2 + p * p) * 8 + 8e6
 
 
 def _ols_reference(gram_prefix, cross_prefix, lo, hi, whitening=None):

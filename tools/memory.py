@@ -2,27 +2,34 @@
 
     python3 tools/memory.py [--against PARENT_CHECKOUT]
 
-Three runs at that workload's sizes (p = 50, q = 1), on fixed seeds:
+Four runs at that workload's sizes (p = 50, q = 1), on fixed seeds:
 
 * ``scanner``: a ``PanelScanner`` over a T = 2000 panel, the length of the
   pipeline's test slice, and one OLS ``scan`` of
-  ``seeded_intervals(2000, 51, 1 / 1.1)``: a scanner builds its prefix
-  sums at its first request, so its construction alone allocates none;
+  ``seeded_intervals(2000, 51, 1 / 1.1)``: the scan walks the set in
+  end-row order, one kernel chunk of 52 intervals at a time, and builds
+  each prefix row it reads into a pool slot held only until its last
+  reader is done (at most 148 of the 1061 rows it reads);
 * ``detect_single``: an OLS ``detect_single`` of that panel over
   ``seeded_intervals(2000, 51, 1 / 1.1)``, threshold 1e9;
 * ``pipeline``: ``run_pipeline(stage="detect")`` with OLS and 10 calibration
-  runs on a T = 4000 CSV panel.
+  runs on a T = 4000 CSV panel;
+* ``calibrate``: an OLS ``calibrate_threshold`` of 10 runs at T = 1000 over
+  ``seeded_intervals(1000, 51, 1 / 1.1)``, made after one ``detect_single``
+  of the T = 2000 panel (outside the measurement), as the calibration of a
+  second ``run_pipeline`` in a process follows the first one's detection.
 
 Every run is made twice, each time in a fresh subprocess: once under
 ``tracemalloc``, which prints the peak of the allocations the run itself
 makes (its inputs are built before tracing starts), and once untraced,
-which prints ``ru_maxrss``, the peak resident set of the whole process, and
-its growth over the run. With ``--against``, each run is also made with the
+which prints ``ru_maxrss``, the peak resident set of the whole process, its
+growth over the run, and the VmRSS after the run returns and its growth
+over the run, which counts freed memory the C heap keeps resident. With ``--against``, each run is also made with the
 library in ``src/`` of PARENT_CHECKOUT (for instance a ``git archive`` of
 the parent commit), alternating which tree goes first, and the table gains
 the parent's figures and the change over the parent. The panels come from
 the library's own ``simulate``, so both trees see the same inputs wherever
-that function is unchanged. It takes about 15 s on a 2-vCPU machine.
+that function is unchanged. It takes about 20 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = ("scanner", "detect_single", "pipeline")
-P, TEST_ROWS, PANEL_ROWS = 50, 2000, 4000
+RUNS = ("scanner", "detect_single", "pipeline", "calibrate")
+P, TEST_ROWS, PANEL_ROWS, CALIBRATION_ROWS = 50, 2000, 4000, 1000
 
 
 def _prepare(run: str, work: Path):
@@ -58,7 +65,19 @@ def _prepare(run: str, work: Path):
     config = vm.StatConfig(method="ols")
     if run == "scanner":
         return lambda: vm.PanelScanner(panel, law.stacked, 1).scan(intervals, config)
+    if run == "calibrate":
+        vm.detect_single(panel, law.stacked, intervals, config, 1e9, q=1)
+        calibration = vm.seeded_intervals(CALIBRATION_ROWS, P + 1, 1 / 1.1, q=1)
+        return lambda: vm.calibrate_threshold(law, calibration, config, runs=10, seed=18)
     return lambda: vm.detect_single(panel, law.stacked, intervals, config, 1e9, q=1)
+
+
+def _vmrss_mb() -> float:
+    """The resident set of this process now, from /proc/self/status (Linux)."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmRSS in /proc/self/status")
 
 
 def child(run: str, src: Path, traced: bool) -> dict:
@@ -67,6 +86,7 @@ def child(run: str, src: Path, traced: bool) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         go = _prepare(run, Path(tmp))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        resident = _vmrss_mb()
         start = time.perf_counter()
         if traced:
             tracemalloc.start()
@@ -77,7 +97,10 @@ def child(run: str, src: Path, traced: bool) -> dict:
         go()
         seconds = time.perf_counter() - start
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kB on Linux
-        return {"maxrss_mb": after / 1024, "maxrss_growth_mb": (after - before) / 1024, "seconds": seconds}
+        return {
+            "maxrss_mb": after / 1024, "maxrss_growth_mb": (after - before) / 1024,
+            "vmrss_mb": _vmrss_mb(), "vmrss_left_mb": _vmrss_mb() - resident, "seconds": seconds,
+        }
 
 
 def measure(run: str, src: Path) -> dict:
@@ -110,7 +133,7 @@ def main(argv=None) -> int:
     for i, run in enumerate(RUNS):
         order = list(trees) if i % 2 else list(reversed(trees))
         results[run] = {side: measure(run, trees[side]) for side in order}
-    fields = ("traced_peak_mb", "maxrss_mb", "maxrss_growth_mb", "seconds")
+    fields = ("traced_peak_mb", "maxrss_mb", "maxrss_growth_mb", "vmrss_mb", "vmrss_left_mb", "seconds")
     print("run            tree    " + "  ".join(f"{f:>16s}" for f in fields))
     for run, sides in results.items():
         for side in trees:
