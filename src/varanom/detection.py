@@ -16,12 +16,12 @@
   the lasso intervals a duality-gap bracket cannot rule out: offline from
   :meth:`~varanom.interval_stats.PanelScanner.max_statistic`, online from
   :func:`online_max_statistic`, one block of window pairs at a time.
-  Offline, one scanner serves every run, refilled from each run's panel:
-  an OLS run walks the set in end-row order a kernel chunk at a time and
-  holds a prefix row, pq (pq + 1) / 2 + pq p doubles, only until its last
-  reader is done, in a pool the scanner reuses for every run; a lasso run
-  holds every row the set reads. Online, the scanner holds every row of
-  the stream.
+  Offline, one scanner serves every run, refilled from each run's panel,
+  and builds each run's prefix rows once through one walk plan, in a pool
+  it reuses for every run: an OLS run walks the set a kernel chunk at a
+  time and holds a row, pq (pq + 1) / 2 + pq p doubles, only until its
+  last reader is done; a lasso run takes the set as one chunk, holding
+  every row it reads. Online, the scanner holds every row of the stream.
 
 Offline scans and online windows share one statistic kernel,
 :func:`varanom.interval_stats.prefix_statistics`, which also whitens:
@@ -214,8 +214,8 @@ def calibrate_threshold(
     comes from :meth:`PanelScanner.max_statistic`, bitwise the maximum of a
     full scan. Every run's panel has the same shape, so one
     :class:`PanelScanner` serves them all: each run after the first refills
-    it, and it makes the set's walk plan and prefix arrays once and fills
-    them again in place, with bitwise the sums a fresh scanner builds.
+    it, and it makes the set's walk plan and prefix arrays once and builds
+    each run's rows into them, with bitwise the sums a fresh scanner builds.
     ``runs``, ``quantile`` and ``config.sigma`` (against
     ``law.p``, by ``check_covariance``) are checked before the first run.
     """
@@ -576,8 +576,9 @@ def online_max_statistic(
     :meth:`OnlineDetector.update` skips as well. The rows are checked as
     :meth:`OnlineDetector.step` checks them, with the same errors, then one
     :class:`PanelScanner` takes the whole panel and holds every prefix row
-    (the windows of all blocks together read nearly all): its prefix sums
-    are bitwise the detector's, so each block of ``_REPLAY_BLOCK_ROWS`` times gives,
+    at its own position, built once (the windows of all blocks together
+    read nearly all): its prefix sums are bitwise the detector's, so each
+    block of ``_REPLAY_BLOCK_ROWS`` times gives,
     through :func:`~varanom.interval_stats.lasso_maximum`, bitwise the
     maximum of a :meth:`OnlineDetector.step` loop over those times while
     solving in full only the windows a duality-gap bracket cannot rule out.
@@ -590,14 +591,13 @@ def online_max_statistic(
         return 0.0
     scanner = PanelScanner(TimeSeriesPanel(rows), detector.baseline, q)
     every = np.arange(len(rows) - q + 1)
-    scanner._positions(every, every)  # built once; each block then finds its rows held
-    sq_prefix = scanner._sq_prefix(detector._whitening)
+    held = scanner._hold(every, every)  # row r at position r
+    sq_prefix = scanner._sq_prefix(detector._whitening, held.rows)
     best = 0.0
     for first in range(t0 + 1, len(rows) + 1, _REPLAY_BLOCK_ROWS):
         starts, ends, lams = detector._pairs(first, min(first + _REPLAY_BLOCK_ROWS - 1, len(rows)))
-        lo, hi = scanner._positions(starts - (q + 1), ends - q)
         best = max(best, lasso_maximum(
-            scanner._gram_prefix, scanner._cross_prefix, sq_prefix, lo, hi,
+            scanner._gram_prefix, scanner._cross_prefix, sq_prefix, starts - (q + 1), ends - q,
             lams, detector.solver, detector._whitening,
         ).value)
     return best

@@ -17,13 +17,13 @@ offline scan, of calibration and of the online monitor: each interval's
 Gram and cross-product blocks are the difference of two prefix-sum
 entries, which the kernel reads by their positions in the rows it is
 given, with each interval's row count beside them. A :class:`PanelScanner`
-builds its prefixes for each request. A scan walks its interval set in
-end-row order, one kernel chunk at a time (:class:`_Walk`), and holds a
-prefix row, m(m + 1) / 2 + m p doubles, only from the chunk whose build
-reaches it to the last chunk that reads it, in a fixed pool of slots: at
-most 148 rows, about 4.5 MB, for the seeded T = 2000 set at p = 50, which
-reads 1061. Every written row is bitwise the row of a build over every row
-(:func:`_prefix_sum`). A Gram prefix is stored packed: row r holds the
+builds its prefixes for each request by walking a plan (:class:`_Walk`):
+the intervals in end-row order, one chunk at a time, each prefix row,
+m(m + 1) / 2 + m p doubles, held in a fixed pool of slots only from the
+chunk whose build reaches it to the last chunk that reads it. A scan of
+kernel chunks holds at most 148 rows, about 4.5 MB, for the seeded
+T = 2000 set at p = 50, which reads 1061. Every written row is bitwise the
+row of a build over every row (:func:`_prefix_sum`). A Gram prefix is stored packed: row r holds the
 m(m + 1) / 2 lower-triangle entries of the symmetric running sum, in
 ``np.tril_indices`` order (:func:`_pack_gram`), 1275 doubles a row at m = 50 where the full
 matrix takes 2500, and only the blocks the kernel gathers are expanded to
@@ -67,8 +67,9 @@ statistic; an interval whose upper bound stays below the best value found
 is pruned, and the rest are solved in full through the same helper. A
 pruned statistic cannot be the maximum, so it is never counted as
 unreliable. As it needs every busy bracket before it solves any interval,
-it holds every prefix row the set reads and gathers every cross block at
-once, so its memory, unlike a scan's, still grows with the interval count.
+it takes its set as one chunk, holding every prefix row the set reads, and
+gathers every cross block at once, so its memory, unlike a scan's, still
+grows with the interval count.
 
 ``StatConfig`` checks the statistic's options, offline and online: the
 method and lambda policy (``check_choice``), the lambda scale
@@ -657,13 +658,13 @@ def _unpack_gram(packed: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
 
 
 def _prefix_sum(
-    left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray, slots: Optional[np.ndarray] = None
+    left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray, slots: np.ndarray
 ) -> Iterator[None]:
     """Walk the running sum of the outer products left[t] right[t]' over
     t < r, r = 0, 1, ..., ``rows[-1]``, writing its value at prefix row
-    ``rows[k]`` into ``out[slots[k]]`` (``out[k]`` if ``slots`` is None) and
-    yielding after each such row, for increasing distinct prefix rows
-    ``rows`` in [0, len(left)] (row 0 is the zero entry). A generator, so a
+    ``rows[k]`` into ``out[slots[k]]`` and yielding after each such row,
+    for increasing distinct prefix rows ``rows`` in [0, len(left)] (row 0
+    is the zero entry). A generator, so a
     caller can advance it a few rows at a time (:func:`_consume`), read the
     written slots and hand them to later rows; slots are written only as
     the walk reaches their rows. ``out`` is (slots, left.shape[1],
@@ -689,7 +690,7 @@ def _prefix_sum(
     last = int(rows[-1])
     kept = np.zeros(last + 1, dtype=bool)
     kept[rows] = True
-    held = iter(out) if slots is None else map(out.__getitem__, slots.tolist())
+    held = map(out.__getitem__, slots.tolist())
     total = np.zeros(out.shape[1:])
     if kept[0]:
         total = next(held)
@@ -717,10 +718,10 @@ def _consume(walk: Iterator[None], rows: Optional[int] = None) -> None:
 
 
 class _Walk(NamedTuple):
-    """How a scan walks an interval set in (end row, storage index) order,
-    ``chunk`` intervals at a time, holding each prefix row it reads in a
-    pool of ``size`` slots only from the chunk whose walk reaches the row to
-    the last chunk that reads it (:func:`_walk_plan`).
+    """How a scanner request walks an interval set in (end row, storage
+    index) order, ``chunk`` intervals at a time, holding each prefix row it
+    reads in a pool of ``size`` slots only from the chunk whose walk reaches
+    the row to the last chunk that reads it (:func:`_walk_plan`).
 
     ``order`` holds the storage indices in walk order, chunk k being
     ``order[k chunk : (k + 1) chunk]``. ``rows`` are the distinct prefix rows
@@ -790,29 +791,31 @@ class PanelScanner:
     doubles, the Gram prefix being packed (:func:`_pack_gram`): 3775 at
     p = 50, q = 1, so a T = 2000 scan of ``seeded_intervals(2000, 51,
     1 / 1.1)`` in chunks of 52 holds at most 148 of the 1061 rows it reads,
-    about 4.5 MB. The plan depends only on the set, so a scanner keeps the
-    last one it made, with its pool and the OLS chunk buffers.
+    about 4.5 MB. Every request builds through such a plan (:meth:`_walk`),
+    and a scanner keeps the last one, with its pool and the OLS chunk
+    buffers; the chunk is capped at the set's size, so at p = 10 (1310
+    intervals a kernel chunk) a scan and a lasso maximum of a set share one.
 
     The lasso :meth:`max_statistic` needs every busy interval's bracket
     before it solves any, and :meth:`gram` and
     :func:`~varanom.detection.online_max_statistic` read rows in any order,
-    so these hold the distinct rows they read, increasing (:meth:`_positions`):
-    a later such request whose rows are all held reads them, any other
-    rebuilds. :meth:`gram` holds every row, so a loop of ``gram`` calls
-    builds once. Every written row is bitwise the row of a build over every
-    row (:func:`_prefix_sum`), so how rows are held changes no statistic,
-    and no (T, pq, pq) temporary is made. Each interval statistic reads its
-    Gram and cross-product blocks by subtracting two rows, independently of
-    the interval length. Results agree with the direct per-view computation
-    up to floating-point summation order. The residuals are row-exact: one
-    stacked product of the baseline with every lag row is bitwise the
-    row-by-row product x_t - B z_t of
+    so these walk a plan of one chunk to its end (:meth:`_hold`), which
+    holds the k-th row read in slot k. It stays built until a walk or a
+    refill overwrites the pool, so a loop of ``gram`` calls, which hold
+    every row, builds once. Every written row is bitwise the row of a build
+    over every row (:func:`_prefix_sum`), so how rows are held changes no
+    statistic, and no (T, pq, pq) temporary is made. Each interval
+    statistic reads its Gram and cross-product blocks by subtracting two
+    rows, independently of the interval length. Results agree with the
+    direct per-view computation up to floating-point summation order. The
+    residuals are row-exact: one stacked product of the baseline with every
+    lag row is bitwise the row-by-row product x_t - B z_t of
     :class:`~varanom.detection.OnlineDetector`, so over the same rows the
     two build bitwise the same prefix sums, and offline and online
-    statistics of a window agree bitwise. ``_refill`` takes another panel of
-    the same shape and rebuilds the held rows in place;
-    ``calibrate_threshold`` refills one scanner for every run after its
-    first, so those runs allocate no prefix arrays.
+    statistics of a window agree bitwise. ``_refill`` takes another panel
+    of the same shape and builds nothing: the next request builds its
+    plan's rows in place; ``calibrate_threshold`` refills one scanner for
+    every run after its first, so those runs allocate no prefix arrays.
     """
 
     def __init__(self, panel: TimeSeriesPanel, baseline: np.ndarray, q: int):
@@ -824,78 +827,71 @@ class PanelScanner:
         self.n_series = p
         self._baseline = check_stacked(baseline, q, p)
         m = p * q
-        self._rows = np.empty(0, dtype=np.intp)
         self._gram_prefix = np.empty((0, m * (m + 1) // 2))
         self._cross_prefix = np.empty((0, m, p))
         self._plan: Optional[_Walk] = None
+        self._held: Optional[_Walk] = None
         self._buffers: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._refill(panel)
 
     def _refill(self, panel: TimeSeriesPanel) -> None:
         """Take the rows of ``panel``, whose shape must be the one the scanner
-        was built for, and rebuild the held prefix rows in place from them;
-        the baseline stays. The (T - q) x pq lag rows and (T - q) x p
-        residual rows are kept for later builds and :meth:`_sq_prefix`."""
+        was built for; the baseline, the plan and its pool stay, and the next
+        request builds into them. The (T - q) x pq lag rows and (T - q) x p
+        residual rows are kept for the builds and :meth:`_sq_prefix`."""
         self._lagged, response = lag_design(panel.values, self.q)
         # one stacked product of the baseline with each lag row, bitwise the
         # online detector's row-by-row baseline @ z (a block lagged @ baseline.T is not)
         self._resid = response - (self._baseline @ self._lagged[:, :, None])[:, :, 0]
-        if len(self._rows):
-            self._build(self._rows)
+        self._held = None
 
-    def _pool(self, size: int) -> None:
-        """Make the Gram and cross prefix arrays ``size`` rows long, in place
-        when they are, and hold no row for :meth:`_positions`: the caller
-        writes the arrays next."""
-        self._rows = np.empty(0, dtype=np.intp)
-        if size != len(self._gram_prefix):
+    def _walk(self, lo: np.ndarray, hi: np.ndarray, chunk: int) -> tuple[_Walk, tuple[Iterator[None], ...]]:
+        """The kept or a new :class:`_Walk` of the intervals of prefix rows
+        ``lo`` and ``hi`` in chunks of ``chunk``, capped to [1, len(lo)], with
+        the prefix arrays sized to its pool (in place when they are), and the
+        :func:`_prefix_sum` walks of both prefixes over it, which overwrite
+        the pool: no plan is held built until :meth:`_hold` consumes them."""
+        chunk = max(1, min(chunk, len(lo)))
+        if self._plan is None or not self._plan.fits(lo, hi, chunk):
+            self._plan = self._buffers = None  # freed before the new plan's are made
+            self._plan = _walk_plan(lo, hi, chunk)
+        plan, self._held = self._plan, None
+        if plan.size != len(self._gram_prefix):
             shapes = self._gram_prefix.shape[1:], self._cross_prefix.shape[1:]
             self._gram_prefix = self._cross_prefix = None  # freed before the new arrays are made
-            self._gram_prefix = np.empty((size,) + shapes[0])
-            self._cross_prefix = np.empty((size,) + shapes[1])
-
-    def _walks(self, rows: np.ndarray, slots: Optional[np.ndarray] = None) -> tuple[Iterator[None], ...]:
-        """The :func:`_prefix_sum` walks of the Gram and cross prefixes over ``rows``."""
-        return (
-            _prefix_sum(self._lagged, self._lagged, rows, self._gram_prefix, slots),
-            _prefix_sum(self._lagged, self._resid, rows, self._cross_prefix, slots),
+            self._gram_prefix = np.empty((plan.size,) + shapes[0])
+            self._cross_prefix = np.empty((plan.size,) + shapes[1])
+        return plan, (
+            _prefix_sum(self._lagged, self._lagged, plan.rows, self._gram_prefix, plan.slots),
+            _prefix_sum(self._lagged, self._resid, plan.rows, self._cross_prefix, plan.slots),
         )
 
-    def _build(self, rows: np.ndarray) -> None:
-        """Build both prefixes at the increasing distinct prefix rows ``rows``,
-        in place when the arrays have as many rows, and hold them."""
-        self._pool(len(rows))
-        self._rows = rows
-        if len(rows):
-            for walk in self._walks(rows):
+    def _hold(self, lo: np.ndarray, hi: np.ndarray) -> _Walk:
+        """The one-chunk walk of the (non-empty) intervals of prefix rows
+        ``lo`` and ``hi``, built to its end unless it is held already: slot k
+        holds ``plan.rows[k]``, so ``plan.lo`` and ``plan.hi`` are positions
+        in the prefix arrays, and with every row held, row r is at r."""
+        if self._held is None or not self._held.fits(lo, hi, len(lo)):
+            plan, walks = self._walk(lo, hi, len(lo))
+            for walk in walks:
                 _consume(walk)
+            self._held = plan
+        return self._held
 
-    def _positions(
-        self, lo: np.ndarray, hi: np.ndarray, hold: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the prefix rows ``lo`` and ``hi`` among the held rows.
-        Unless all of them are held, the prefixes are first rebuilt at
-        ``hold``, by default the distinct rows of ``lo`` and ``hi``."""
-        # a mask, not np.union1d: np.unique imports numpy.ma on first use, 1.1 MB
-        read = np.zeros(self.n_rows - self.q + 1, dtype=bool)
-        read[lo] = read[hi] = True
-        if np.count_nonzero(read[self._rows]) < np.count_nonzero(read):
-            self._build(np.flatnonzero(read) if hold is None else hold)
-        return np.searchsorted(self._rows, lo), np.searchsorted(self._rows, hi)
-
-    def _sq_prefix(self, whitening: Optional[np.ndarray]) -> np.ndarray:
+    def _sq_prefix(self, whitening: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
         """Running sums of the squared residuals, whitened by ``whitening``
-        unless it is None, at the held prefix rows; (held rows) x p."""
+        unless it is None, at the prefix rows ``rows``; len(rows) x p."""
         resid = self._resid if whitening is None else self._resid @ whitening
         sq_prefix = np.zeros((len(resid) + 1, self.n_series))
         np.cumsum(resid * resid, axis=0, out=sq_prefix[1:])
-        return sq_prefix.take(self._rows, axis=0)
+        return sq_prefix.take(rows, axis=0)
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
         """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""
         check_domain(interval.start, interval.end, self.n_rows, self.q)
-        rows = np.array([interval.start - self.q - 1, interval.end - self.q])
-        (a, b), _ = self._positions(rows, rows, np.arange(self.n_rows - self.q + 1))
+        every = np.arange(self.n_rows - self.q + 1)
+        self._hold(every, every)
+        a, b = interval.start - self.q - 1, interval.end - self.q
         gram = _unpack_gram(self._gram_prefix[b] - self._gram_prefix[a])
         cross = self._cross_prefix[b] - self._cross_prefix[a]
         return gram, cross
@@ -923,20 +919,14 @@ class PanelScanner:
         lo, hi, lengths, lams, whitening = self._kernel_args(interval_set, config)
         n, m, p = len(lo), self.n_series * self.q, self.n_series
         stop = _computed(lengths, m) if config.method == "ols" else n
-        chunk = max(1, _CHUNK_ENTRIES // (m * m))
-        if self._plan is None or not self._plan.fits(lo[:stop], hi[:stop], chunk):
-            self._plan = self._buffers = None  # freed before the new plan's are made
-            self._plan = _walk_plan(lo[:stop], hi[:stop], chunk)
-        plan = self._plan
+        plan, walks = self._walk(lo[:stop], hi[:stop], _CHUNK_ENTRIES // (m * m))
         if config.method == "ols" and self._buffers is None:
-            self._buffers = _ols_buffers(min(chunk, stop), m, p)
-        self._pool(plan.size)
+            self._buffers = _ols_buffers(plan.chunk, m, p)
         values, nonzero, reliable = columns = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=bool)
-        walks = self._walks(plan.rows, plan.slots)
         for k, born in enumerate(plan.born):
             for walk in walks:
                 _consume(walk, born)
-            at = plan.order[k * chunk : (k + 1) * chunk]
+            at = plan.order[k * plan.chunk : (k + 1) * plan.chunk]
             results = prefix_statistics(
                 self._gram_prefix, self._cross_prefix, plan.lo[at], plan.hi[at], lengths[at], lams[at],
                 config.method, config.solver, whitening, self._buffers,
@@ -952,8 +942,8 @@ class PanelScanner:
         ``max_reliable_statistic(self.scan(interval_set, config))``, with counts.
 
         OLS takes the maximum of a scan's values; lasso goes through
-        :func:`lasso_maximum` over the held rows the set reads, fed the
-        prefix of the squared whitened residuals at those rows, formed here.
+        :func:`lasso_maximum` over the rows the set reads (:meth:`_hold`),
+        fed the prefix of the squared whitened residuals at those rows.
         No :class:`IntervalStatistic` is built. An empty set gives 0.0.
         """
         if not interval_set.intervals:
@@ -961,10 +951,10 @@ class PanelScanner:
         if config.method == "ols":
             return ScanMaximum(float(self.scan(interval_set, config).values.max()), 0, 0)
         lo, hi, _, lams, whitening = self._kernel_args(interval_set, config)
-        lo, hi = self._positions(lo, hi)
+        plan = self._hold(lo, hi)
         return lasso_maximum(
-            self._gram_prefix, self._cross_prefix, self._sq_prefix(whitening), lo, hi, lams,
-            config.solver, whitening,
+            self._gram_prefix, self._cross_prefix, self._sq_prefix(whitening, plan.rows), plan.lo, plan.hi,
+            lams, config.solver, whitening,
         )
 
 

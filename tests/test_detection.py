@@ -530,9 +530,9 @@ def test_offline_statistics_of_online_windows_are_bitwise_the_steps(q, policy, s
     want = [s for x in panel.values for s in detector.step(x)]
     starts, ends, lams = detector._pairs(t0 + 1, n)
     scanner = PanelScanner(panel, baseline, q)
-    lo, hi = scanner._positions(starts - (q + 1), ends - q)
+    held = scanner._hold(starts - (q + 1), ends - q)
     got = prefix_statistics(
-        scanner._gram_prefix, scanner._cross_prefix, lo, hi, ends - starts + 1, lams, "lasso",
+        scanner._gram_prefix, scanner._cross_prefix, held.lo, held.hi, ends - starts + 1, lams, "lasso",
         SolverOptions(), whitening_matrix(sigma, p),
     )
     assert [(s.interval.start, s.interval.end, s.lam) for s in want] == list(

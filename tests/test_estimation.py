@@ -616,7 +616,8 @@ def test_prefix_statistics_values_are_the_bracket_values():
     intervals = seeded_intervals(200, 8, 1 / 1.1, q=1)
     scanner = PanelScanner(panel, base.stacked, 1)
     # positions of each interval's prefix rows among the rows the scanner holds
-    lo, hi = scanner._positions(intervals.starts - 2, intervals.ends - 1)
+    held = scanner._hold(intervals.starts - 2, intervals.ends - 1)
+    lo, hi = held.lo, held.hi
     lams = interval_lambdas(StatConfig(), intervals, 4, 200)
     lengths = intervals.ends - intervals.starts + 1
     values, _, _ = prefix_statistics(

@@ -23,6 +23,7 @@ from varanom import (
     TimeSeriesPanel,
     VarParams,
     build_regression_view,
+    calibrate_threshold,
     default_lambda,
     generate_dense_stationary,
     lasso_solve,
@@ -34,7 +35,7 @@ from varanom import (
     simulate,
     whiten,
 )
-from varanom.detection import max_reliable_statistic, select_multiple, select_single
+from varanom.detection import max_reliable_statistic, online_max_statistic, select_multiple, select_single
 from varanom import interval_stats
 from varanom.estimation import lasso_cd_gram_batch
 from varanom.interval_stats import (
@@ -65,7 +66,7 @@ def _held_prefixes(scanner):
     a prefix row's index is its position; a scanner builds none before its
     first request."""
     every = np.arange(scanner.n_rows - scanner.q + 1)
-    scanner._positions(every, every)
+    scanner._hold(every, every)
     return scanner._gram_prefix, scanner._cross_prefix
 
 
@@ -345,13 +346,15 @@ def test_prefix_build_is_bitwise_one_cumsum(rows, refilled, q):
     lagged = np.hstack([values[q - k : n - k] for k in range(1, q + 1)])
     resid = np.array([x - law.stacked @ z for x, z in zip(values[q:], lagged)])
     if refilled:
-        # built from another panel of the same shape, poisoned, then refilled in place
+        # built from another panel of the same shape and poisoned; the refill
+        # builds nothing, and the first request after it rebuilds in place
         scanner = PanelScanner(simulate(law, rows + q, burn_in=20, seed=60), law.stacked, q)
         held = _held_prefixes(scanner)
         for prefix in held:
             prefix.fill(np.nan)
         scanner._refill(panel)
-        assert all(a is b for a, b in zip(held, (scanner._gram_prefix, scanner._cross_prefix)))
+        assert all(np.isnan(prefix).all() for prefix in held)
+        assert all(a is b for a, b in zip(held, _held_prefixes(scanner)))
     else:
         scanner = PanelScanner(panel, law.stacked, q)
         _held_prefixes(scanner)
@@ -399,8 +402,8 @@ def _full_prefix_kernel(panel, baseline, q, ivs, config):
     m, p = lagged.shape[1], resid.shape[1]
     gram_prefix = np.empty((len(every), m * (m + 1) // 2))
     cross_prefix = np.empty((len(every), m, p))
-    _consume(_prefix_sum(lagged, lagged, every, gram_prefix))
-    _consume(_prefix_sum(lagged, resid, every, cross_prefix))
+    _consume(_prefix_sum(lagged, lagged, every, gram_prefix, every))
+    _consume(_prefix_sum(lagged, resid, every, cross_prefix, every))
     lo, hi = ivs.starts - q - 1, ivs.ends - q
     lams = interval_lambdas(config, ivs, p, panel.n_rows)
     whitening = whitening_matrix(config.sigma, p)
@@ -459,7 +462,86 @@ def test_held_rows_give_bitwise_the_full_prefix_kernel(seed, q, whitened):
             got_max = scanner.max_statistic(ivs, config)
             assert got_max == maximum and got_max.value.hex() == maximum.value.hex()
         # the lasso maximum holds the rows it reads; scans and the OLS maximum walk
-        assert set(scanner._rows.tolist()) >= set(np.r_[ivs.starts - q - 1, ivs.ends - q].tolist())
+        assert set(scanner._held.rows.tolist()) >= set(np.r_[ivs.starts - q - 1, ivs.ends - q].tolist())
+
+
+_REQUESTS = st.lists(
+    st.tuples(st.sampled_from(["scan", "max", "gram", "refill"]), st.integers(0, 7)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2), per_chunk=st.integers(1, 6), requests=_REQUESTS)
+def test_interleaved_requests_are_bitwise_a_fresh_scanner(seed, q, per_chunk, requests):
+    # one scanner serves a random sequence of scans and maxima (OLS and lasso,
+    # two sets, with and without sigma), gram calls and refills that swap
+    # between two panels; every result is bitwise a fresh scanner's over the
+    # current panel, so no request reads rows that an earlier one's walk or a
+    # refill left stale in the pool, with walks of a few intervals a chunk
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    n = int(rng.integers(40, 120))
+    a = generate_dense_stationary(p, seed=int(rng.integers(1 << 30))).coeffs[0]
+    noise = rng.standard_normal((p, p))
+    cov = noise @ noise.T + 0.5 * np.eye(p)
+    law = VarParams((a / q,) * q, cov)
+    panels = [simulate(law, n, burn_in=20, seed=int(rng.integers(1 << 30))) for _ in range(2)]
+    sets = [_sharing_set(rng, n, q, p * q) for _ in range(2)]
+    configs = [
+        StatConfig(method=method, lambda_scale=0.2, sigma=sigma, lambda_policy="interval_linear")
+        for method in ("ols", "lasso") for sigma in (None, cov)
+    ]
+    current = 0
+    scanner = PanelScanner(panels[current], law.stacked, q)
+    with mock.patch.object(interval_stats, "_CHUNK_ENTRIES", per_chunk * (p * q) ** 2):
+        for kind, pick in requests:
+            if kind == "refill":
+                current = 1 - current
+                scanner._refill(panels[current])
+                continue
+            fresh = PanelScanner(panels[current], law.stacked, q)
+            if kind == "gram":
+                start = int(rng.integers(q + 1, n + 1))
+                iv = Interval(start, int(rng.integers(start, n + 1)))
+                got, want = scanner.gram(iv), fresh.gram(iv)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+                continue
+            ivs, config = sets[pick % 2], configs[pick // 2]
+            if kind == "max":
+                got_max, want_max = scanner.max_statistic(ivs, config), fresh.max_statistic(ivs, config)
+                assert got_max == want_max and got_max.value.hex() == want_max.value.hex()
+                continue
+            got, want = scanner.scan(ivs, config), fresh.scan(ivs, config)
+            for column in ("values", "lams", "nonzero", "reliable"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+
+def _builds(call) -> int:
+    """Count of the ``_prefix_sum`` walks ``call()`` makes, two per build
+    (the Gram and the cross prefix)."""
+    with mock.patch.object(interval_stats, "_prefix_sum", wraps=_prefix_sum) as walks:
+        call()
+    return walks.call_count
+
+
+@pytest.mark.parametrize("method", ["lasso", "ols"])
+def test_calibration_builds_once_per_run(method):
+    # the refilled scanner builds each run's prefixes once, whether a lasso
+    # maximum holds the set's rows or an OLS scan walks them
+    law = VarParams((generate_dense_stationary(3, seed=71).coeffs[0],), np.eye(3))
+    ivs = seeded_intervals(120, 4, 1 / 1.2, q=1)
+    for runs in (1, 4):
+        assert _builds(lambda: calibrate_threshold(law, ivs, StatConfig(method=method), runs=runs, seed=72)) == 2 * runs
+
+
+def test_online_maximum_and_a_gram_loop_build_once():
+    # the online maximum holds every row of the stream once for all its
+    # blocks, and a loop of gram calls reads the rows its first call held
+    base = generate_dense_stationary(3, seed=73)
+    values = simulate(base, 300, seed=74).values
+    assert _builds(lambda: online_max_statistic(values, base.stacked, 1, 0.5)) == 2
+    scanner = PanelScanner(TimeSeriesPanel(values), base.stacked, 1)
+    assert _builds(lambda: [scanner.gram(Interval(s, s + 20)) for s in range(2, 280, 7)]) == 2
 
 
 def test_seeded_scan_holds_only_the_rows_it_reads():
@@ -543,9 +625,9 @@ def test_walked_scan_is_bitwise_the_held_rows_kernel(seed, q, whitened, method, 
     ivs = _interval_set(kind, rng, n, q, m)
     lo, hi = ivs.starts - q - 1, ivs.ends - q
     held = PanelScanner(panel, law.stacked, q)
-    positions = held._positions(lo, hi)
+    plan = held._hold(lo, hi)
     values, nonzero, reliable = prefix_statistics(
-        held._gram_prefix, held._cross_prefix, *positions, ivs.ends - ivs.starts + 1,
+        held._gram_prefix, held._cross_prefix, plan.lo, plan.hi, ivs.ends - ivs.starts + 1,
         interval_lambdas(config, ivs, p, n), method, config.solver, whitening_matrix(config.sigma, p),
     )
     scanner = PanelScanner(panel, law.stacked, q)
@@ -576,10 +658,10 @@ def test_walk_raises_the_first_error_in_storage_order(monkeypatch, failing):
     ivs = IntervalSet(tuple(stored), 1, (2, 300))
     cfg = StatConfig(method="ols")
     held = PanelScanner(panel, base.stacked, 1)
-    lo, hi = held._positions(ivs.starts - 2, ivs.ends - 1)
+    plan = held._hold(ivs.starts - 2, ivs.ends - 1)
     with pytest.raises(DesignError) as want:
         prefix_statistics(
-            held._gram_prefix, held._cross_prefix, lo, hi, ivs.ends - ivs.starts + 1, np.zeros(len(ivs)),
+            held._gram_prefix, held._cross_prefix, plan.lo, plan.hi, ivs.ends - ivs.starts + 1, np.zeros(len(ivs)),
             "ols", cfg.solver, None,
         )
     expected = {"singular": "rank deficient", "two rows": "2 rows", "one row": "1 rows"}[failing[0]]

@@ -27,6 +27,11 @@ Items:
   for OLS and for lasso at a penalty scale that screens no interval and at
   one that screens some, under the three penalty policies, unwhitened and
   whitened by a non-identity sigma, at q = 1 and q = 2;
+* ``scanner/interleaved``: every array of a fixed sequence of requests on
+  one ``PanelScanner`` at p = 5: a lasso ``max_statistic``, an OLS
+  ``scan``, three ``gram`` calls, a lasso ``scan``, a ``_refill`` from a
+  second panel of the same shape, a lasso ``max_statistic`` and a ``gram``,
+  so that each request follows one that held or walked other prefix rows;
 * ``calibration/<case>``: ``calibrate_threshold`` maxima, threshold and the
   unreliable and pruned counts at p = 10, T = 500 over 1078 seeded
   intervals, for the three lasso policies, a whitened case, a 20-sweep
@@ -165,6 +170,27 @@ def scans() -> dict[str, tuple[str, dict]]:
                         reliable=np.array([s.reliable for s in stats], dtype=bool),
                     )
     return out
+
+
+def interleaved() -> dict[str, tuple[str, dict]]:
+    law = _law(5, 1, seed=61, cov=_covariance(5, 62))
+    first, second = (simulate(law, 300, seed=seed) for seed in (63, 64))
+    ivs = seeded_intervals(300, 7, 1 / 1.2, q=1)
+    lasso = StatConfig(lambda_policy="interval_linear", sigma=law.noise_cov)
+    ols = StatConfig(method="ols")
+    columns = ("values", "lams", "nonzero", "reliable")
+    scanner = PanelScanner(first, law.stacked, 1)
+    fields = {"max": np.array(scanner.max_statistic(ivs, lasso), dtype=float)}
+    stats = scanner.scan(ivs, ols)
+    fields.update({f"ols_{c}": getattr(stats, c) for c in columns})
+    for k, (start, end) in enumerate(((2, 40), (100, 180), (250, 300))):
+        fields[f"gram{k}"], fields[f"cross{k}"] = scanner.gram(Interval(start, end))
+    stats = scanner.scan(ivs, lasso)
+    fields.update({f"lasso_{c}": getattr(stats, c) for c in columns})
+    scanner._refill(second)
+    fields["refilled_max"] = np.array(scanner.max_statistic(ivs, lasso), dtype=float)
+    fields["refilled_gram"], fields["refilled_cross"] = scanner.gram(Interval(60, 150))
+    return {"scanner/interleaved": _item(**fields)}
 
 
 def _calibration(cal) -> tuple[str, dict]:
@@ -667,7 +693,7 @@ def main() -> None:
     parser.add_argument("--save", metavar="FILE", help="write the raw result arrays to FILE (.npz)")
     parser.add_argument("--against", metavar="FILE", help="compare with arrays saved by --save")
     args = parser.parse_args()
-    items = {**scans(), **calibrations(), **online(), **duplicates(), **pipelines(), **cli(), **errors()}
+    items = {**scans(), **interleaved(), **calibrations(), **online(), **duplicates(), **pipelines(), **cli(), **errors()}
     total = hashlib.sha256()
     for name, (digest, _) in items.items():
         print(f"{digest}  {name}")
