@@ -15,13 +15,16 @@
   :func:`~varanom.interval_stats.lasso_maximum`, which solves in full only
   the lasso intervals a duality-gap bracket cannot rule out: offline from
   :meth:`~varanom.interval_stats.PanelScanner.max_statistic`, online from
-  :func:`online_max_statistic`, one block of window pairs at a time.
-  Offline, one scanner serves every run, refilled from each run's panel,
-  and builds each run's prefix rows once through one walk plan, in a pool
-  it reuses for every run: an OLS run walks the set a kernel chunk at a
-  time and holds a row, pq (pq + 1) / 2 + pq p doubles, only until its
-  last reader is done; a lasso run takes the set as one chunk, holding
-  every row it reads. Online, the scanner holds every row of the stream.
+  :func:`online_max_statistic`, each through a walk of a
+  :class:`~varanom.interval_stats.PanelScanner` that carries its best value
+  from one chunk to the next. Offline, one scanner serves every run,
+  refilled from each run's panel, and builds each run's prefix rows once
+  through one walk plan, in a pool it reuses for every run: an OLS run
+  walks the set a kernel chunk at a time and holds a row, pq (pq + 1) / 2
+  + pq p doubles, only until its last reader is done; a lasso run takes
+  the set as one chunk, holding every row it reads. Online, the scanner
+  walks every window of the stream a kernel chunk at a time, and holds a
+  row only until its last reader is done.
 
 Offline scans and online windows share one statistic kernel,
 :func:`varanom.interval_stats.prefix_statistics`, which also whitens:
@@ -44,10 +47,8 @@ inside it, first solves the steps up to the earliest window whose
 one-coefficient lower bound already clears the threshold, so the steps
 after an alarm are rarely solved. ``online_max_statistic`` checks the rows
 as ``step`` does, builds one scanner over the whole panel, and takes the
-maximum of each block of ``_REPLAY_BLOCK_ROWS`` times' window pairs
-through ``lasso_maximum``, bitwise the maximum of a ``step`` loop. A
-block's cross blocks, about ``_REPLAY_BLOCK_ROWS`` log2(t) pq p doubles,
-bound the extra memory.
+maximum of every window of every time in one walk of it, bitwise the
+maximum of a ``step`` loop.
 
 A scan, and an online step, return a
 :class:`~varanom.interval_stats.ScanResult`, the kernel's result columns;
@@ -82,6 +83,7 @@ import numpy as np
 from .errors import ParameterError
 from .estimation import SolverOptions, check_non_negative
 from .evaluation import write_table
+from . import interval_stats
 from .intervals import Interval, IntervalSet, check_count
 from .interval_stats import (
     IntervalStatistic,
@@ -90,23 +92,19 @@ from .interval_stats import (
     StatConfig,
     _gram_layout,
     cross_blocks,
-    lasso_maximum,
     prefix_statistics,
     scaled_lambda,
     whitening_matrix,
 )
-from .var_model import TimeSeriesPanel, VarParams, check_covariance, check_stacked, simulate
+from .var_model import TimeSeriesPanel, VarParams, check_covariance, check_domain, check_stacked, simulate
 
 THRESHOLD_FLOOR = 1e-12
-# Rows per block of detect_online's replay and of online_max_statistic's
-# maxima: one kernel call covers every window of the block's times, whose
-# cross blocks hold about 64 log2(t) pq p doubles (0.5 MB at p = 10, q = 1),
-# memory that grows as (pq)p. Timed alternately in one process on the online
-# study's streams (2-vCPU host, 12 rounds of 30 streams), detect_online took
-# a median 25.9, 22.8 and 22.9 ms per evaluation stream at 32, 64 and 128
-# rows, and online_max_statistic 10.1, 6.8 and 6.5 ms per calibration
-# stream; 128 rows won 8 and 10 of the 12 rounds, within the host's spread,
-# for twice the memory.
+# Rows per block of detect_online's replay: one kernel call covers every
+# window of the block's times, whose cross blocks hold about 64 log2(t) pq p
+# doubles (0.5 MB at p = 10, q = 1), memory that grows as (pq)p. Timed
+# alternately in one process on the online study's streams (2-vCPU host, 12
+# rounds of 30 streams), detect_online took a median 25.9, 22.8 and 22.9 ms
+# per evaluation stream at 32, 64 and 128 rows.
 _REPLAY_BLOCK_ROWS = 64
 # t - start of the online windows: 2^(j-1) for j = 1..62, every window an
 # int64 time can have.
@@ -216,16 +214,18 @@ def calibrate_threshold(
     :class:`PanelScanner` serves them all: each run after the first refills
     it, and it makes the set's walk plan and prefix arrays once and builds
     each run's rows into them, with bitwise the sums a fresh scanner builds.
-    ``runs``, ``quantile`` and ``config.sigma`` (against
-    ``law.p``, by ``check_covariance``) are checked before the first run.
+    ``runs``, ``quantile``, ``config.sigma`` (against ``law.p``, by
+    ``check_covariance``), a given ``baseline`` (``check_stacked``) and the
+    set's intervals (``check_domain`` over its horizon) are checked before
+    the first run.
     """
     check_count(runs, "runs")
     check_quantile(quantile)
     if config.sigma is not None:
         check_covariance(config.sigma, law.p)
-    if baseline is None:
-        baseline = law.stacked
+    baseline = law.stacked if baseline is None else check_stacked(baseline, law.q, law.p)
     horizon = interval_set.horizon
+    check_domain(interval_set.starts, interval_set.ends, horizon, law.q)
     seeds = np.random.SeedSequence(seed).generate_state(runs)
     maxima = np.empty(runs)
     unreliable = pruned = 0
@@ -575,13 +575,16 @@ def online_max_statistic(
     its statistic is unreliable, which the alarm rule of
     :meth:`OnlineDetector.update` skips as well. The rows are checked as
     :meth:`OnlineDetector.step` checks them, with the same errors, then one
-    :class:`PanelScanner` takes the whole panel and holds every prefix row
-    at its own position, built once (the windows of all blocks together
-    read nearly all): its prefix sums are bitwise the detector's, so each
-    block of ``_REPLAY_BLOCK_ROWS`` times gives,
-    through :func:`~varanom.interval_stats.lasso_maximum`, bitwise the
-    maximum of a :meth:`OnlineDetector.step` loop over those times while
-    solving in full only the windows a duality-gap bracket cannot rule out.
+    :class:`PanelScanner` over the panel, whose prefix sums are bitwise the
+    detector's, takes the maximum of every window of every time in one walk
+    (:meth:`PanelScanner._maximum`), in kernel chunks of
+    ``_CHUNK_ENTRIES`` / (pq)^2 windows in time order. It holds a prefix
+    row only while a later window still reads it, and each chunk goes
+    through :func:`~varanom.interval_stats.lasso_maximum` with the best
+    value of the chunks before it as its floor, so the result is bitwise
+    the maximum of a :meth:`OnlineDetector.step` loop while only the windows
+    a duality-gap bracket cannot rule out are solved in full. The windows'
+    index arrays, about T log2(T) entries each, are made at once.
     """
     detector = OnlineDetector(baseline, q, lam, np.inf, t0, solver, sigma, lambda_policy)
     p = detector.baseline.shape[0]
@@ -589,15 +592,9 @@ def online_max_statistic(
     rows = _check_rows(rows.reshape(len(rows), rows[0].size if len(rows) else p), p)
     if len(rows) <= t0:
         return 0.0
+    starts, ends, lams = detector._pairs(t0 + 1, len(rows))
     scanner = PanelScanner(TimeSeriesPanel(rows), detector.baseline, q)
-    every = np.arange(len(rows) - q + 1)
-    held = scanner._hold(every, every)  # row r at position r
-    sq_prefix = scanner._sq_prefix(detector._whitening, held.rows)
-    best = 0.0
-    for first in range(t0 + 1, len(rows) + 1, _REPLAY_BLOCK_ROWS):
-        starts, ends, lams = detector._pairs(first, min(first + _REPLAY_BLOCK_ROWS - 1, len(rows)))
-        best = max(best, lasso_maximum(
-            scanner._gram_prefix, scanner._cross_prefix, sq_prefix, starts - (q + 1), ends - q,
-            lams, detector.solver, detector._whitening,
-        ).value)
-    return best
+    return scanner._maximum(
+        starts - (q + 1), ends - q, lams, detector.solver, detector._whitening,
+        interval_stats._CHUNK_ENTRIES // (p * q) ** 2,
+    ).value

@@ -58,7 +58,7 @@ as a sequence of :class:`IntervalStatistic` built on demand. The offline
 scan and each online step return one, and selection reads its columns.
 
 Null calibration reads only a scan's largest reliable statistic, which
-:meth:`PanelScanner.max_statistic` (and, per block of online windows,
+:meth:`PanelScanner.max_statistic` (and, over every window of a stream,
 :func:`~varanom.detection.online_max_statistic`) gives bitwise without
 solving most lasso intervals in full (:func:`lasso_maximum`). It screens
 as the kernel does, and a few sweeps of every busy interval through
@@ -66,10 +66,13 @@ as the kernel does, and a few sweeps of every busy interval through
 statistic; an interval whose upper bound stays below the best value found
 is pruned, and the rest are solved in full through the same helper. A
 pruned statistic cannot be the maximum, so it is never counted as
-unreliable. As it needs every busy bracket before it solves any interval,
-it takes its set as one chunk, holding every prefix row the set reads, and
-gathers every cross block at once, so its memory, unlike a scan's, still
-grows with the interval count.
+unreliable. A walked maximum carries its best value from one chunk to the
+next as the next chunk's floor, which prunes there too. The offline
+lasso maximum takes its set as one chunk, so that every busy bracket is
+known before any interval is solved: it holds every prefix row the set
+reads and gathers every cross block at once, and its memory, unlike a
+scan's, still grows with the interval count. The online maximum walks its
+windows in kernel chunks.
 
 ``StatConfig`` checks the statistic's options, offline and online: the
 method and lambda policy (``check_choice``), the lambda scale
@@ -459,43 +462,49 @@ def _solve_busy(
 def lasso_maximum(
     gram_prefix: np.ndarray,
     cross_prefix: np.ndarray,
-    sq_prefix: np.ndarray,
+    y_sq: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     lams: np.ndarray,
     solver: SolverOptions,
     whitening: Optional[np.ndarray],
+    floor: float,
 ) -> ScanMaximum:
-    """Largest reliable lasso statistic of the intervals of :func:`prefix_statistics`,
-    bitwise that of its values, with only a few intervals solved in full.
+    """The larger of ``floor`` and the largest reliable lasso statistic of the
+    intervals of :func:`prefix_statistics`, bitwise that of its values, with
+    only a few intervals solved in full.
 
-    ``sq_prefix`` is (rows, p), the running sums of the squared whitened
-    residuals at the same prefix rows, so interval i's column norms
-    ||y_k||^2 are ``sq_prefix[hi[i]] - sq_prefix[lo[i]]``. The cross blocks are gathered
+    ``y_sq`` is (n, p): row i holds interval i's column norms ||y_k||^2 of
+    the whitened response. The cross blocks are gathered
     and screened once, as the kernel does. The busy intervals first take
     ``_BRACKET_SWEEPS`` sweeps of :func:`_solve_busy`, whose brackets
     [value, upper] of their statistics get a slack of ``_BRACKET_MARGIN``
-    (1 + sum_k ||y_k||^2) on ``upper`` for rounding. With F the largest
-    ``value``, every interval whose ``upper`` reaches F is solved in full by
+    (1 + sum_k ||y_k||^2) on ``upper`` for rounding. ``floor``, a reliable
+    value already found elsewhere (0.0 if none), starts both the best value
+    and the level F, which then rises to the largest ``value``. Every
+    interval whose ``upper`` reaches F is solved in full by
     :func:`_solve_busy`, from zero and in a batch of its own, as in a full
     scan; each problem's result is independent of its batch, so its value is
-    bitwise the full scan's. Should the best reliable solved value M fall
-    below F, every interval whose ``upper`` reaches M is solved too, which
-    makes the result exact at any solver budget. The intervals left unsolved
-    have statistics below M, so they cannot change the maximum.
+    bitwise the full scan's. Should the best reliable value M, the floor
+    included, fall below F, every interval whose ``upper`` reaches M is
+    solved too, which makes the result exact at any solver budget. The
+    intervals left unsolved, counted as pruned, have statistics below M, so
+    they cannot change the maximum. A walk of a set in chunks, each taking
+    the maximum of the chunks before it as its floor, gives bitwise the
+    maximum of one chunk of all; a higher floor prunes no fewer.
     """
     _check_layout(gram_prefix, cross_prefix)
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     busy = busy_intervals(crosses, lams)
-    y_sq = sq_prefix.take(hi[busy], axis=0) - sq_prefix.take(lo[busy], axis=0)
+    y_sq = y_sq[busy]
     sweeps = min(_BRACKET_SWEEPS, solver.max_iterations)
     value, upper, _, _ = _solve_busy(
         gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, sweeps, y_sq
     )
     upper += _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
     solved = np.zeros(busy.size, dtype=bool)
-    best, unreliable = 0.0, 0
-    level = float(value.max(initial=0.0))
+    best, unreliable = floor, 0
+    level = float(value.max(initial=floor))
     while True:
         todo = np.flatnonzero(~solved & (upper >= level))
         if todo.size:
@@ -721,7 +730,11 @@ class _Walk(NamedTuple):
     """How a scanner request walks an interval set in (end row, storage
     index) order, ``chunk`` intervals at a time, holding each prefix row it
     reads in a pool of ``size`` slots only from the chunk whose walk reaches
-    the row to the last chunk that reads it (:func:`_walk_plan`).
+    the row to the last chunk that reads it (:func:`_walk_plan`). Every
+    request is such a walk: a scan in kernel chunks, a lasso maximum in
+    chunks that each start from the best value of the ones before
+    (:meth:`PanelScanner._maximum`), and a ``gram`` call of its one
+    interval.
 
     ``order`` holds the storage indices in walk order, chunk k being
     ``order[k chunk : (k + 1) chunk]``. ``rows`` are the distinct prefix rows
@@ -782,34 +795,34 @@ class PanelScanner:
 
     The Gram and cross prefixes, O(T (pq)^2) work, are built for each
     request, and a scanner holds a prefix row only while a statistic still
-    reads it. :meth:`scan` and the OLS :meth:`max_statistic` walk their set
-    in (end row, storage index) order, one kernel chunk of
-    ``_CHUNK_ENTRIES`` / (pq)^2 intervals at a time (:class:`_Walk`): the
-    build advances to each chunk's last end row, writing into a fixed pool
-    of slots only the rows that chunk or a later one reads, and a slot is
+    reads it. Every request walks its intervals in (end row, storage index)
+    order, a chunk at a time (:meth:`_walk`, :class:`_Walk`): the build
+    advances to each chunk's last end row, writing into a fixed pool of
+    slots only the rows that chunk or a later one reads, and a slot is
     reused once its last reader is done. A row takes pq (pq + 1) / 2 + pq p
     doubles, the Gram prefix being packed (:func:`_pack_gram`): 3775 at
     p = 50, q = 1, so a T = 2000 scan of ``seeded_intervals(2000, 51,
-    1 / 1.1)`` in chunks of 52 holds at most 148 of the 1061 rows it reads,
-    about 4.5 MB. Every request builds through such a plan (:meth:`_walk`),
-    and a scanner keeps the last one, with its pool and the OLS chunk
-    buffers; the chunk is capped at the set's size, so at p = 10 (1310
-    intervals a kernel chunk) a scan and a lasso maximum of a set share one.
+    1 / 1.1)`` in kernel chunks of ``_CHUNK_ENTRIES`` / (pq)^2 = 52
+    intervals holds at most 148 of the 1061 rows it reads, about 4.5 MB.
+    :meth:`scan` and the OLS :meth:`max_statistic` walk kernel chunks.
+    Lasso maxima go through :meth:`_maximum`, which carries the best value
+    from one chunk to the next: the lasso :meth:`max_statistic` takes its
+    set as one chunk, and
+    :func:`~varanom.detection.online_max_statistic` walks every window of a
+    stream in kernel chunks. :meth:`gram` walks its one interval. A scanner
+    keeps the last plan, with its pool and the OLS chunk buffers; the chunk
+    is capped at the set's size, so at p = 10 (1310 intervals a kernel
+    chunk) a scan and a lasso maximum of a set share one, and a repeated
+    request makes no plan, but every request builds its rows again.
 
-    The lasso :meth:`max_statistic` needs every busy interval's bracket
-    before it solves any, and :meth:`gram` and
-    :func:`~varanom.detection.online_max_statistic` read rows in any order,
-    so these walk a plan of one chunk to its end (:meth:`_hold`), which
-    holds the k-th row read in slot k. It stays built until a walk or a
-    refill overwrites the pool, so a loop of ``gram`` calls, which hold
-    every row, builds once. Every written row is bitwise the row of a build
-    over every row (:func:`_prefix_sum`), so how rows are held changes no
-    statistic, and no (T, pq, pq) temporary is made. Each interval
-    statistic reads its Gram and cross-product blocks by subtracting two
-    rows, independently of the interval length. Results agree with the
-    direct per-view computation up to floating-point summation order. The
-    residuals are row-exact: one stacked product of the baseline with every
-    lag row is bitwise the row-by-row product x_t - B z_t of
+    Every written row is bitwise the row of a build over every row
+    (:func:`_prefix_sum`), so how rows are held changes no statistic, and
+    no (T, pq, pq) temporary is made. Each interval statistic reads its
+    Gram and cross-product blocks by subtracting two rows, independently of
+    the interval length. Results agree with the direct per-view computation
+    up to floating-point summation order. The residuals are row-exact: one
+    stacked product of the baseline with every lag row is bitwise the
+    row-by-row product x_t - B z_t of
     :class:`~varanom.detection.OnlineDetector`, so over the same rows the
     two build bitwise the same prefix sums, and offline and online
     statistics of a window agree bitwise. ``_refill`` takes another panel
@@ -830,7 +843,6 @@ class PanelScanner:
         self._gram_prefix = np.empty((0, m * (m + 1) // 2))
         self._cross_prefix = np.empty((0, m, p))
         self._plan: Optional[_Walk] = None
-        self._held: Optional[_Walk] = None
         self._buffers: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._refill(panel)
 
@@ -843,57 +855,77 @@ class PanelScanner:
         # one stacked product of the baseline with each lag row, bitwise the
         # online detector's row-by-row baseline @ z (a block lagged @ baseline.T is not)
         self._resid = response - (self._baseline @ self._lagged[:, :, None])[:, :, 0]
-        self._held = None
 
-    def _walk(self, lo: np.ndarray, hi: np.ndarray, chunk: int) -> tuple[_Walk, tuple[Iterator[None], ...]]:
-        """The kept or a new :class:`_Walk` of the intervals of prefix rows
-        ``lo`` and ``hi`` in chunks of ``chunk``, capped to [1, len(lo)], with
-        the prefix arrays sized to its pool (in place when they are), and the
-        :func:`_prefix_sum` walks of both prefixes over it, which overwrite
-        the pool: no plan is held built until :meth:`_hold` consumes them."""
+    def _walk(self, lo: np.ndarray, hi: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Walk the intervals of prefix rows ``lo`` and ``hi`` in chunks of
+        ``chunk``, capped to [1, len(lo)], through the kept :class:`_Walk`
+        if it fits, else a new one, with the prefix arrays sized to its pool
+        (in place when they are). For each chunk, both prefixes'
+        :func:`_prefix_sum` walks advance to the rows it reads, which
+        overwrites the pool, then the chunk's storage indices are yielded
+        with the slots of their two prefix rows; a chunk's slots hold its
+        rows until the walk is advanced."""
         chunk = max(1, min(chunk, len(lo)))
         if self._plan is None or not self._plan.fits(lo, hi, chunk):
             self._plan = self._buffers = None  # freed before the new plan's are made
             self._plan = _walk_plan(lo, hi, chunk)
-        plan, self._held = self._plan, None
+        plan = self._plan
         if plan.size != len(self._gram_prefix):
             shapes = self._gram_prefix.shape[1:], self._cross_prefix.shape[1:]
             self._gram_prefix = self._cross_prefix = None  # freed before the new arrays are made
             self._gram_prefix = np.empty((plan.size,) + shapes[0])
             self._cross_prefix = np.empty((plan.size,) + shapes[1])
-        return plan, (
+        walks = (
             _prefix_sum(self._lagged, self._lagged, plan.rows, self._gram_prefix, plan.slots),
             _prefix_sum(self._lagged, self._resid, plan.rows, self._cross_prefix, plan.slots),
         )
-
-    def _hold(self, lo: np.ndarray, hi: np.ndarray) -> _Walk:
-        """The one-chunk walk of the (non-empty) intervals of prefix rows
-        ``lo`` and ``hi``, built to its end unless it is held already: slot k
-        holds ``plan.rows[k]``, so ``plan.lo`` and ``plan.hi`` are positions
-        in the prefix arrays, and with every row held, row r is at r."""
-        if self._held is None or not self._held.fits(lo, hi, len(lo)):
-            plan, walks = self._walk(lo, hi, len(lo))
+        for k, born in enumerate(plan.born):
             for walk in walks:
-                _consume(walk)
-            self._held = plan
-        return self._held
+                _consume(walk, born)
+            at = plan.order[k * plan.chunk : (k + 1) * plan.chunk]
+            yield at, plan.lo[at], plan.hi[at]
 
-    def _sq_prefix(self, whitening: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    def _sq_prefix(self, whitening: Optional[np.ndarray]) -> np.ndarray:
         """Running sums of the squared residuals, whitened by ``whitening``
-        unless it is None, at the prefix rows ``rows``; len(rows) x p."""
+        unless it is None, at every prefix row; (T - q + 1) x p."""
         resid = self._resid if whitening is None else self._resid @ whitening
         sq_prefix = np.zeros((len(resid) + 1, self.n_series))
         np.cumsum(resid * resid, axis=0, out=sq_prefix[1:])
-        return sq_prefix.take(rows, axis=0)
+        return sq_prefix
+
+    def _maximum(
+        self, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions,
+        whitening: Optional[np.ndarray], chunk: int,
+    ) -> ScanMaximum:
+        """The largest reliable lasso statistic of the intervals of prefix
+        rows ``lo`` and ``hi`` and penalties ``lams``, whitened by
+        ``whitening``, walked in chunks of ``chunk`` (:meth:`_walk`), with
+        the unreliable and pruned counts summed over the chunks.
+
+        Each chunk goes through :func:`lasso_maximum`, fed the column norms
+        of its intervals, differenced at their prefix rows of
+        :meth:`_sq_prefix`, and the best value of the chunks before it as its
+        floor, so the result is bitwise the maximum of one chunk of all.
+        """
+        sq_prefix = self._sq_prefix(whitening)
+        best, unreliable, pruned = 0.0, 0, 0
+        for at, a, b in self._walk(lo, hi, chunk):
+            y_sq = sq_prefix.take(hi[at], axis=0) - sq_prefix.take(lo[at], axis=0)
+            best, skipped, ruled_out = lasso_maximum(
+                self._gram_prefix, self._cross_prefix, y_sq, a, b, lams[at], solver, whitening, best
+            )
+            unreliable += skipped
+            pruned += ruled_out
+        return ScanMaximum(best, unreliable, pruned)
 
     def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
-        """The interval's Gram and cross-product blocks, unwhitened (raw residuals)."""
+        """The interval's Gram and cross-product blocks, unwhitened (raw
+        residuals), from a walk of that one interval."""
         check_domain(interval.start, interval.end, self.n_rows, self.q)
-        every = np.arange(self.n_rows - self.q + 1)
-        self._hold(every, every)
-        a, b = interval.start - self.q - 1, interval.end - self.q
-        gram = _unpack_gram(self._gram_prefix[b] - self._gram_prefix[a])
-        cross = self._cross_prefix[b] - self._cross_prefix[a]
+        lo, hi = np.array([interval.start - self.q - 1]), np.array([interval.end - self.q])
+        for _, (a,), (b,) in self._walk(lo, hi, 1):
+            gram = _unpack_gram(self._gram_prefix[b] - self._gram_prefix[a])
+            cross = self._cross_prefix[b] - self._cross_prefix[a]
         return gram, cross
 
     def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple:
@@ -919,16 +951,12 @@ class PanelScanner:
         lo, hi, lengths, lams, whitening = self._kernel_args(interval_set, config)
         n, m, p = len(lo), self.n_series * self.q, self.n_series
         stop = _computed(lengths, m) if config.method == "ols" else n
-        plan, walks = self._walk(lo[:stop], hi[:stop], _CHUNK_ENTRIES // (m * m))
-        if config.method == "ols" and self._buffers is None:
-            self._buffers = _ols_buffers(plan.chunk, m, p)
         values, nonzero, reliable = columns = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=bool)
-        for k, born in enumerate(plan.born):
-            for walk in walks:
-                _consume(walk, born)
-            at = plan.order[k * plan.chunk : (k + 1) * plan.chunk]
+        for at, a, b in self._walk(lo[:stop], hi[:stop], _CHUNK_ENTRIES // (m * m)):
+            if config.method == "ols" and self._buffers is None:
+                self._buffers = _ols_buffers(len(at), m, p)  # the first chunk is a whole one
             results = prefix_statistics(
-                self._gram_prefix, self._cross_prefix, plan.lo[at], plan.hi[at], lengths[at], lams[at],
+                self._gram_prefix, self._cross_prefix, a, b, lengths[at], lams[at],
                 config.method, config.solver, whitening, self._buffers,
             )
             for column, result in zip(columns, results):
@@ -941,9 +969,10 @@ class PanelScanner:
         """The largest reliable statistic of the set, bitwise
         ``max_reliable_statistic(self.scan(interval_set, config))``, with counts.
 
-        OLS takes the maximum of a scan's values; lasso goes through
-        :func:`lasso_maximum` over the rows the set reads (:meth:`_hold`),
-        fed the prefix of the squared whitened residuals at those rows.
+        OLS takes the maximum of a scan's values. Lasso goes through
+        :meth:`_maximum` with the set as one chunk: every busy interval's
+        bracket is then known before any is solved in full, where kernel
+        chunks of short intervals would set low floors early.
         No :class:`IntervalStatistic` is built. An empty set gives 0.0.
         """
         if not interval_set.intervals:
@@ -951,11 +980,7 @@ class PanelScanner:
         if config.method == "ols":
             return ScanMaximum(float(self.scan(interval_set, config).values.max()), 0, 0)
         lo, hi, _, lams, whitening = self._kernel_args(interval_set, config)
-        plan = self._hold(lo, hi)
-        return lasso_maximum(
-            self._gram_prefix, self._cross_prefix, self._sq_prefix(whitening, plan.rows), plan.lo, plan.hi,
-            lams, config.solver, whitening,
-        )
+        return self._maximum(lo, hi, lams, config.solver, whitening, len(lo))
 
 
 def scan_intervals(

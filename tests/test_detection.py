@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -506,6 +507,29 @@ def test_online_max_statistic_equals_step_loop(q, policy, sigma_seed):
                 assert (got > 0.0) == (n > 10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2), policy=st.sampled_from(LAMBDA_POLICIES),
+    whitened=st.booleans(), per_chunk=st.integers(1, 9), lam=st.sampled_from([0.5, 1.5, 6.0]),
+)
+def test_walked_online_maximum_is_bitwise_the_step_loop(seed, q, policy, whitened, per_chunk, lam):
+    # the online maximum walks every window of the stream in chunks of a few
+    # windows, each starting from the best value of the chunks before it as
+    # its floor; the result is bitwise the maximum of a step loop
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    n = int(rng.integers(12, 90))
+    a = generate_dense_stationary(p, seed=int(rng.integers(1 << 30))).coeffs[0]
+    noise = rng.standard_normal((p, p))
+    sigma = noise @ noise.T + 0.5 * np.eye(p) if whitened else None
+    law = VarParams((a / q,) * q, np.eye(p))
+    values = simulate(law, n, seed=int(rng.integers(1 << 30))).values
+    want = _step_loop_max(values, law.stacked, q, lam, 10, sigma, policy)
+    with mock.patch.object(interval_stats, "_CHUNK_ENTRIES", per_chunk * (p * q) ** 2):
+        got = online_max_statistic(values, law.stacked, q, lam, 10, sigma=sigma, lambda_policy=policy)
+    assert got.hex() == want.hex()
+
+
 @pytest.mark.parametrize("fortran", [False, True])
 @pytest.mark.parametrize("sigma_seed", [None, 8])
 @pytest.mark.parametrize("policy", LAMBDA_POLICIES)
@@ -530,7 +554,10 @@ def test_offline_statistics_of_online_windows_are_bitwise_the_steps(q, policy, s
     want = [s for x in panel.values for s in detector.step(x)]
     starts, ends, lams = detector._pairs(t0 + 1, n)
     scanner = PanelScanner(panel, baseline, q)
-    held = scanner._hold(starts - (q + 1), ends - q)
+    # a one-chunk walk holds every row it reads, and its plan's lo and hi
+    # are positions in the prefix arrays
+    list(scanner._walk(starts - (q + 1), ends - q, len(starts)))
+    held = scanner._plan
     got = prefix_statistics(
         scanner._gram_prefix, scanner._cross_prefix, held.lo, held.hi, ends - starts + 1, lams, "lasso",
         SolverOptions(), whitening_matrix(sigma, p),

@@ -615,8 +615,9 @@ def test_prefix_statistics_values_are_the_bracket_values():
     panel = simulate(base, 200, seed=8)
     intervals = seeded_intervals(200, 8, 1 / 1.1, q=1)
     scanner = PanelScanner(panel, base.stacked, 1)
-    # positions of each interval's prefix rows among the rows the scanner holds
-    held = scanner._hold(intervals.starts - 2, intervals.ends - 1)
+    # positions of each interval's prefix rows among the rows a one-chunk walk holds
+    list(scanner._walk(intervals.starts - 2, intervals.ends - 1, len(intervals)))
+    held = scanner._plan
     lo, hi = held.lo, held.hi
     lams = interval_lambdas(StatConfig(), intervals, 4, 200)
     lengths = intervals.ends - intervals.starts + 1

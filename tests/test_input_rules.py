@@ -8,6 +8,7 @@ function. NaN is among the bad values wherever the input is a float.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -418,6 +419,30 @@ def test_calibration_checks_sigma_against_the_law_before_any_run(no_simulation):
     sigma = np.eye(2)
     config = StatConfig(sigma=sigma)
     assert_reaches(lambda: check_covariance(sigma, 3), lambda: calibrate_threshold(LAW, IVS, config, runs=3))
+
+
+LAGLESS = seeded_intervals(60, 5, 1 / 1.2, q=0)  # starts at row 1, which a q = 1 law cannot lag
+BEFORE_ANY_RUN = {
+    # (owner, entry, error): each met only the first run's scanner, after one simulated panel
+    "baseline": (
+        lambda: check_stacked(np.zeros((2, 2)), 1, 3),
+        lambda: calibrate_threshold(LAW, IVS, CONFIG, runs=3, baseline=np.zeros((2, 2))),
+        ParameterError,
+    ),
+    "domain": (
+        lambda: check_domain(LAGLESS.starts, LAGLESS.ends, LAGLESS.horizon, 1),
+        lambda: calibrate_threshold(LAW, LAGLESS, CONFIG, runs=3),
+        DesignError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BEFORE_ANY_RUN))
+def test_calibration_checks_baseline_and_domain_before_any_run(case):
+    owner, entry, error = BEFORE_ANY_RUN[case]
+    with mock.patch.object(detection, "simulate", wraps=detection.simulate) as spy:
+        assert_reaches(owner, entry, error)
+    assert spy.call_count == 0
 
 
 def test_penalty_rate_has_one_definition():

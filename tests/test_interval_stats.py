@@ -61,12 +61,20 @@ from varanom.interval_stats import (
 from varanom.var_model import lag_design
 
 
+def _one_chunk(scanner, lo, hi):
+    """The plan of a one-chunk walk of the intervals of prefix rows ``lo`` and
+    ``hi``, walked to its end: slot k holds the k-th row read, and the plan's
+    ``lo`` and ``hi`` are positions in the scanner's prefix arrays."""
+    _consume(scanner._walk(lo, hi, len(lo)))
+    return scanner._plan
+
+
 def _held_prefixes(scanner):
     """The scanner's (Gram, cross) prefixes holding every prefix row, so that
     a prefix row's index is its position; a scanner builds none before its
     first request."""
     every = np.arange(scanner.n_rows - scanner.q + 1)
-    scanner._hold(every, every)
+    _one_chunk(scanner, every, every)
     return scanner._gram_prefix, scanner._cross_prefix
 
 
@@ -415,7 +423,8 @@ def _full_prefix_kernel(panel, baseline, q, ivs, config):
     white = resid if whitening is None else resid @ whitening
     sq_prefix = np.zeros((len(every), p))
     np.cumsum(white * white, axis=0, out=sq_prefix[1:])
-    return stats, lasso_maximum(gram_prefix, cross_prefix, sq_prefix, lo, hi, lams, config.solver, whitening)
+    y_sq = sq_prefix[hi] - sq_prefix[lo]
+    return stats, lasso_maximum(gram_prefix, cross_prefix, y_sq, lo, hi, lams, config.solver, whitening, 0.0)
 
 
 def _sharing_set(rng, n, q, m):
@@ -461,8 +470,8 @@ def test_held_rows_give_bitwise_the_full_prefix_kernel(seed, q, whitened):
             assert np.array_equal(got.nonzero, nonzero) and np.array_equal(got.reliable, reliable)
             got_max = scanner.max_statistic(ivs, config)
             assert got_max == maximum and got_max.value.hex() == maximum.value.hex()
-        # the lasso maximum holds the rows it reads; scans and the OLS maximum walk
-        assert set(scanner._held.rows.tolist()) >= set(np.r_[ivs.starts - q - 1, ivs.ends - q].tolist())
+        # the lasso maximum, the last request, walks the set as one chunk
+        assert set(scanner._plan.rows.tolist()) >= set(np.r_[ivs.starts - q - 1, ivs.ends - q].tolist())
 
 
 _REQUESTS = st.lists(
@@ -534,14 +543,15 @@ def test_calibration_builds_once_per_run(method):
         assert _builds(lambda: calibrate_threshold(law, ivs, StatConfig(method=method), runs=runs, seed=72)) == 2 * runs
 
 
-def test_online_maximum_and_a_gram_loop_build_once():
-    # the online maximum holds every row of the stream once for all its
-    # blocks, and a loop of gram calls reads the rows its first call held
+def test_online_maximum_builds_once_and_gram_once_per_call():
+    # the online maximum walks every window of the stream in one build, and
+    # each gram call walks its own interval, so a loop of them builds per call
     base = generate_dense_stationary(3, seed=73)
     values = simulate(base, 300, seed=74).values
     assert _builds(lambda: online_max_statistic(values, base.stacked, 1, 0.5)) == 2
     scanner = PanelScanner(TimeSeriesPanel(values), base.stacked, 1)
-    assert _builds(lambda: [scanner.gram(Interval(s, s + 20)) for s in range(2, 280, 7)]) == 2
+    starts = range(2, 280, 7)
+    assert _builds(lambda: [scanner.gram(Interval(s, s + 20)) for s in starts]) == 2 * len(starts)
 
 
 def test_seeded_scan_holds_only_the_rows_it_reads():
@@ -625,7 +635,7 @@ def test_walked_scan_is_bitwise_the_held_rows_kernel(seed, q, whitened, method, 
     ivs = _interval_set(kind, rng, n, q, m)
     lo, hi = ivs.starts - q - 1, ivs.ends - q
     held = PanelScanner(panel, law.stacked, q)
-    plan = held._hold(lo, hi)
+    plan = _one_chunk(held, lo, hi)
     values, nonzero, reliable = prefix_statistics(
         held._gram_prefix, held._cross_prefix, plan.lo, plan.hi, ivs.ends - ivs.starts + 1,
         interval_lambdas(config, ivs, p, n), method, config.solver, whitening_matrix(config.sigma, p),
@@ -658,7 +668,7 @@ def test_walk_raises_the_first_error_in_storage_order(monkeypatch, failing):
     ivs = IntervalSet(tuple(stored), 1, (2, 300))
     cfg = StatConfig(method="ols")
     held = PanelScanner(panel, base.stacked, 1)
-    plan = held._hold(ivs.starts - 2, ivs.ends - 1)
+    plan = _one_chunk(held, ivs.starts - 2, ivs.ends - 1)
     with pytest.raises(DesignError) as want:
         prefix_statistics(
             held._gram_prefix, held._cross_prefix, plan.lo, plan.hi, ivs.ends - ivs.starts + 1, np.zeros(len(ivs)),
@@ -765,7 +775,7 @@ def test_kernel_rejects_an_unpacked_gram_prefix_and_indices_outside_it():
             prefix_statistics(full, cross_prefix, lo, hi, hi - lo, np.zeros(2), method, SolverOptions(), None)
     with pytest.raises(ParameterError, match="packed"):
         interval_stats.lasso_maximum(
-            full, cross_prefix, np.zeros((len(full), 2)), lo, hi, np.zeros(2), SolverOptions(), None
+            full, cross_prefix, np.zeros((len(lo), 2)), lo, hi, np.zeros(2), SolverOptions(), None, 0.0
         )
     # the OLS gathers write straight into reused buffers, so they check their
     # indices rather than let a clipping take read the wrong rows
@@ -1085,7 +1095,8 @@ def test_max_statistic_of_empty_and_all_screened_sets_is_zero():
 @pytest.mark.parametrize("q", [1, 2])
 def test_max_statistic_brackets_read_whitened_column_norms(monkeypatch, q):
     # the ||y_k||^2 behind each busy interval's bracket are those of its
-    # whitened response, taken from the squared-residual prefix
+    # whitened response, taken from the squared-residual prefix, in the
+    # walk's order: by end row, then storage order
     base = generate_dense_stationary(3, seed=7)
     a = np.random.default_rng(8).standard_normal((3, 3))
     cov = 0.1 * (a @ a.T + 0.5 * np.eye(3))
@@ -1094,7 +1105,7 @@ def test_max_statistic_brackets_read_whitened_column_norms(monkeypatch, q):
     ivs = seeded_intervals(160, 3 * q + 2, 1 / 1.1, q=q)
     config = StatConfig(sigma=cov)
     scanner = PanelScanner(panel, law.stacked, q)
-    busy = [x.interval for x in scanner.scan(ivs, config) if x.nonzero > 0]
+    busy = sorted((x.interval for x in scanner.scan(ivs, config) if x.nonzero > 0), key=lambda iv: iv.end)
     seen = []
     bracket = interval_stats.lasso_bracket
 
@@ -1109,6 +1120,41 @@ def test_max_statistic_brackets_read_whitened_column_norms(monkeypatch, q):
     want = np.array([(v.residuals**2).sum(axis=0) for v in views])
     assert len(seen) == 1
     np.testing.assert_allclose(seen[0], want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("budget, counts", [(10000, (0, 666)), (8, (583, 0))])
+def test_lasso_maximum_floor(budget, counts):
+    # over one chunk of 737 busy intervals, a floor below, at or above the
+    # chunk's own maximum M gives max(floor, M), bitwise, and prunes no fewer;
+    # floor 0.0 gives M, the kernel's largest reliable value, with the
+    # unreliable and pruned counts pinned for this case (at 8 sweeps most
+    # solves stop short, and the low reliable maximum rules nothing out)
+    base = generate_dense_stationary(3, seed=7)
+    a = np.random.default_rng(8).standard_normal((3, 3))
+    cov = a @ a.T + 0.5 * np.eye(3)
+    law = VarParams((base.coeffs[0],), cov)
+    panel = simulate(law, 160, burn_in=30, seed=9)
+    ivs = seeded_intervals(160, 5, 1 / 1.1, q=1)
+    config = StatConfig(sigma=cov, solver=SolverOptions(max_iterations=budget))
+    scanner = PanelScanner(panel, law.stacked, 1)
+    gram_prefix, cross_prefix = _held_prefixes(scanner)
+    whitening = whitening_matrix(cov, 3)
+    sq_prefix = scanner._sq_prefix(whitening)
+    lo, hi = ivs.starts - 2, ivs.ends - 1
+    lams = interval_lambdas(config, ivs, 3, 160)
+    args = (gram_prefix, cross_prefix, sq_prefix[hi] - sq_prefix[lo], lo, hi, lams, config.solver, whitening)
+    values, _, reliable = prefix_statistics(*args[:2], lo, hi, hi - lo, lams, "lasso", config.solver, whitening)
+    top = lasso_maximum(*args, 0.0)
+    assert top.value.hex() == float(values[reliable].max()).hex()
+    assert (top.unreliable, top.pruned) == counts
+    pruned = top.pruned
+    for floor in (top.value / 2, top.value, 2 * top.value):
+        got = lasso_maximum(*args, floor)
+        assert got.value.hex() == max(floor, top.value).hex()
+        assert got.pruned >= pruned
+        pruned = got.pruned
+    # every busy interval's upper bound lies below 2M, so that floor solves none
+    assert (got.unreliable, got.pruned) == (0, 737)
 
 
 def test_max_statistic_solves_fewer_problems_than_its_first_pass(monkeypatch):

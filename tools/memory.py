@@ -1,8 +1,9 @@
-"""Memory of the p = 50 OLS runs of the benchmark's pipeline-ols-p50 workload.
+"""Memory of the p = 50 OLS runs of the benchmark's pipeline-ols-p50 workload, and of online calibration.
 
     python3 tools/memory.py [--against PARENT_CHECKOUT]
 
-Four runs at that workload's sizes (p = 50, q = 1), on fixed seeds:
+Four runs at that workload's sizes (p = 50, q = 1), and two online ones, on
+fixed seeds:
 
 * ``scanner``: a ``PanelScanner`` over a T = 2000 panel, the length of the
   pipeline's test slice, and one OLS ``scan`` of
@@ -17,19 +18,25 @@ Four runs at that workload's sizes (p = 50, q = 1), on fixed seeds:
 * ``calibrate``: an OLS ``calibrate_threshold`` of 10 runs at T = 1000 over
   ``seeded_intervals(1000, 51, 1 / 1.1)``, made after one ``detect_single``
   of the T = 2000 panel (outside the measurement), as the calibration of a
-  second ``run_pipeline`` in a process follows the first one's detection.
+  second ``run_pipeline`` in a process follows the first one's detection;
+* ``online-p50`` and ``online-p10``: ``online_max_statistic`` of one
+  T = 4096 null stream at p = 50 and at p = 10 (q = 1), at the online
+  study's penalty policy, ``interval_sqrt`` at scale 3: the scanner walks
+  every window of the stream, a kernel chunk at a time.
 
 Every run is made twice, each time in a fresh subprocess: once under
 ``tracemalloc``, which prints the peak of the allocations the run itself
 makes (its inputs are built before tracing starts), and once untraced,
 which prints ``ru_maxrss``, the peak resident set of the whole process, its
 growth over the run, and the VmRSS after the run returns and its growth
-over the run, which counts freed memory the C heap keeps resident. With ``--against``, each run is also made with the
+over the run, which counts freed memory the C heap keeps resident. Both
+print ``pool_rows``, the most prefix rows held at the end of the run by a
+``PanelScanner`` made during it. With ``--against``, each run is also made with the
 library in ``src/`` of PARENT_CHECKOUT (for instance a ``git archive`` of
 the parent commit), alternating which tree goes first, and the table gains
 the parent's figures and the change over the parent. The panels come from
 the library's own ``simulate``, so both trees see the same inputs wherever
-that function is unchanged. It takes about 20 s on a 2-vCPU machine.
+that function is unchanged. It takes about 40 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = ("scanner", "detect_single", "pipeline", "calibrate")
-P, TEST_ROWS, PANEL_ROWS, CALIBRATION_ROWS = 50, 2000, 4000, 1000
+RUNS = ("scanner", "detect_single", "pipeline", "calibrate", "online-p50", "online-p10")
+P, TEST_ROWS, PANEL_ROWS, CALIBRATION_ROWS, STREAM_ROWS = 50, 2000, 4000, 1000, 4096
 
 
 def _prepare(run: str, work: Path):
@@ -54,6 +61,12 @@ def _prepare(run: str, work: Path):
     import numpy as np
     import varanom as vm
 
+    if run.startswith("online"):
+        p = int(run[len("online-p"):])
+        law = vm.generate_dense_stationary(p, seed=15)
+        stream = vm.simulate(law, STREAM_ROWS, seed=19).values
+        lam = vm.default_lambda(2, p, STREAM_ROWS, 3.0)
+        return lambda: vm.detection.online_max_statistic(stream, law.stacked, 1, lam, lambda_policy="interval_sqrt")
     law = vm.generate_dense_stationary(P, seed=15)
     if run == "pipeline":
         path = work / "panel.csv"
@@ -83,8 +96,18 @@ def _vmrss_mb() -> float:
 def child(run: str, src: Path, traced: bool) -> dict:
     """One run in this process, with the library imported from ``src``."""
     sys.path.insert(0, str(src))
+    from varanom import PanelScanner
+
     with tempfile.TemporaryDirectory() as tmp:
         go = _prepare(run, Path(tmp))
+        scanners = []
+        init = PanelScanner.__init__
+
+        def record(self, *args, **kwargs):
+            scanners.append(self)
+            init(self, *args, **kwargs)
+
+        PanelScanner.__init__ = record
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         resident = _vmrss_mb()
         start = time.perf_counter()
@@ -93,14 +116,20 @@ def child(run: str, src: Path, traced: bool) -> dict:
             go()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            return {"traced_peak_mb": peak / 1e6}
+            return {"traced_peak_mb": peak / 1e6, "pool_rows": _pool_rows(scanners)}
         go()
         seconds = time.perf_counter() - start
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kB on Linux
         return {
             "maxrss_mb": after / 1024, "maxrss_growth_mb": (after - before) / 1024,
             "vmrss_mb": _vmrss_mb(), "vmrss_left_mb": _vmrss_mb() - resident, "seconds": seconds,
+            "pool_rows": _pool_rows(scanners),
         }
+
+
+def _pool_rows(scanners: list) -> int:
+    """The most prefix rows any of ``scanners`` holds now."""
+    return max((len(s._gram_prefix) for s in scanners), default=0)
 
 
 def measure(run: str, src: Path) -> dict:
@@ -133,7 +162,7 @@ def main(argv=None) -> int:
     for i, run in enumerate(RUNS):
         order = list(trees) if i % 2 else list(reversed(trees))
         results[run] = {side: measure(run, trees[side]) for side in order}
-    fields = ("traced_peak_mb", "maxrss_mb", "maxrss_growth_mb", "vmrss_mb", "vmrss_left_mb", "seconds")
+    fields = ("traced_peak_mb", "maxrss_mb", "maxrss_growth_mb", "vmrss_mb", "vmrss_left_mb", "seconds", "pool_rows")
     print("run            tree    " + "  ".join(f"{f:>16s}" for f in fields))
     for run, sides in results.items():
         for side in trees:
