@@ -28,7 +28,6 @@ from .estimation import (
     estimate_noise_covariance,
     lasso_solve,
     ols_solve,
-    ridge_solve,
 )
 from .evaluation import (
     ScenarioOutcome,
@@ -107,7 +106,6 @@ __all__ = [
     "ols_statistic",
     "online_windows",
     "random_intervals",
-    "ridge_solve",
     "run_pipeline",
     "save_panel",
     "scan_intervals",

@@ -7,8 +7,11 @@
   disjoint detections;
 * online detection: after each new observation at time t, scan the
   geometric windows [t - 2^(j-1), t] for j = 1..floor(log2(t)) and stop at
-  the first exceedance; window statistics come from running Gram and
-  cross-product prefix sums, O(t (pq)^2) memory after t observations;
+  the first exceedance. ``OnlineDetector`` steps row by row over running
+  Gram and cross-product prefix sums, O(t (pq)^2) memory after t
+  observations; ``detect_online`` walks a finite stream's windows through a
+  :class:`~varanom.interval_stats.PanelScanner` and stops at the first
+  chunk holding a reliable exceedance;
 * threshold calibration: an empirical quantile of the per-run maximum
   reliable statistic over simulated null panels, offline or online. Both
   read only each run's maximum through
@@ -39,16 +42,16 @@ each residual as the product x_t - B z_t of that row. A
 :class:`~varanom.interval_stats.PanelScanner` forms its residuals with one
 stacked product that is bitwise the same, row by row, so over the same
 rows its prefix sums, and every window statistic read from them, are
-bitwise the detector's. ``detect_online`` replays a stream already in hand
-a block of ``_REPLAY_BLOCK_ROWS`` rows at a time, with one kernel call over
-every window of the block's steps, which gives the same statistics as
-stepping; it stops at the first block holding a reliable exceedance and,
-inside it, first solves the steps up to the earliest window whose
-one-coefficient lower bound already clears the threshold, so the steps
-after an alarm are rarely solved. ``online_max_statistic`` checks the rows
-as ``step`` does, builds one scanner over the whole panel, and takes the
-maximum of every window of every time in one walk of it, bitwise the
-maximum of a ``step`` loop.
+bitwise the detector's. ``detect_online`` and ``online_max_statistic``
+check the rows as ``step`` does, build one scanner over the rows, and walk
+every window of every time in kernel chunks, in time order, then shortest
+window (:meth:`OnlineDetector._stream_walk`), each chunk read through the
+screen and the duality-gap bracket the offline maximum uses. The maximum
+takes every chunk, bitwise the maximum of a ``step`` loop. ``detect_online``
+solves in full, in order, only the windows whose upper bound exceeds the
+threshold, first up to the first one whose bracket value already exceeds
+it, and stops at the first reliable exceedance, bitwise the alarm of an
+``update`` loop.
 
 A scan, and an online step, return a
 :class:`~varanom.interval_stats.ScanResult`, the kernel's result columns;
@@ -73,10 +76,9 @@ fails as the offline scan's does.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -90,8 +92,6 @@ from .interval_stats import (
     PanelScanner,
     ScanResult,
     StatConfig,
-    _gram_layout,
-    cross_blocks,
     prefix_statistics,
     scaled_lambda,
     whitening_matrix,
@@ -99,13 +99,6 @@ from .interval_stats import (
 from .var_model import TimeSeriesPanel, VarParams, check_covariance, check_domain, check_stacked, simulate
 
 THRESHOLD_FLOOR = 1e-12
-# Rows per block of detect_online's replay: one kernel call covers every
-# window of the block's times, whose cross blocks hold about 64 log2(t) pq p
-# doubles (0.5 MB at p = 10, q = 1), memory that grows as (pq)p. Timed
-# alternately in one process on the online study's streams (2-vCPU host, 12
-# rounds of 30 streams), detect_online took a median 25.9, 22.8 and 22.9 ms
-# per evaluation stream at 32, 64 and 128 rows.
-_REPLAY_BLOCK_ROWS = 64
 # t - start of the online windows: 2^(j-1) for j = 1..62, every window an
 # int64 time can have.
 _WINDOW_OFFSETS = 1 << np.arange(62, dtype=np.int64)
@@ -434,10 +427,10 @@ class OnlineDetector:
         ends, j = _window_pairs(times, self.q)
         return ends - _WINDOW_OFFSETS[j], ends, self._window_lams[j]
 
-    def _scan(self, first: int, last: int) -> ScanResult:
-        """Statistics of every window inspected at times ``first`` to ``last``,
-        from one :func:`prefix_statistics` call over :meth:`_pairs`."""
-        starts, ends, lams = self._pairs(first, last)
+    def _scan(self) -> ScanResult:
+        """Statistics of every window inspected at the current time, from one
+        :func:`prefix_statistics` call over :meth:`_pairs`."""
+        starts, ends, lams = self._pairs(self._n, self._n)
         lo, hi = starts - (self.q + 1), ends - self.q  # the detector holds every prefix row
         values, nonzero, reliable = prefix_statistics(
             self._gram_prefix, self._cross_prefix, lo, hi, hi - lo, lams, "lasso", self.solver,
@@ -445,27 +438,20 @@ class OnlineDetector:
         )
         return ScanResult(starts, ends, values, lams, nonzero, reliable, "lasso")
 
-    def _bound_crossing(self, first: int, last: int) -> int:
-        """Earliest time in ``first`` to ``last`` at which a window's statistic
-        surely exceeds the threshold, or ``last`` if none surely does.
-
-        The bound is the gain of the best fit with one non-zero coefficient,
-        (2 |c_jk| - lam)^2 / (4 G_jj) where 2 |c_jk| > lam, which the lasso
-        gain can only exceed. It needs the cross blocks and Gram diagonals,
-        no solve.
-        """
-        starts, ends, lams = self._pairs(first, last)
-        lo, hi = starts - (self.q + 1), ends - self.q
-        crosses = cross_blocks(self._cross_prefix, lo, hi, self._whitening)
-        m = self._lags.size
-        diag = _gram_layout(m)[1][:: m + 1]  # packed positions of the diagonal
-        gram = self._gram_prefix
-        gram_diag = (gram[hi[:, None], diag] - gram[lo[:, None], diag])[:, :, None]
-        excess = np.maximum(2.0 * np.abs(crosses) - lams[:, None, None], 0.0)
-        # a predictor that is zero over the window (zero Gram diagonal) bounds nothing
-        bound = np.divide(excess**2, 4.0 * gram_diag, out=np.zeros_like(excess), where=gram_diag > 0.0)
-        over = np.flatnonzero(bound.max(axis=(1, 2), initial=0.0) > self.threshold)
-        return int(ends[over[0]]) if over.size else last
+    def _stream_walk(self, rows: np.ndarray) -> tuple[PanelScanner, np.ndarray, np.ndarray, tuple]:
+        """A :class:`PanelScanner` over ``rows``, checked observations of more
+        than ``t0`` rows, the (starts, ends) of every window inspected at
+        times ``t0`` + 1 to len(rows), and the arguments (lo, hi, lams,
+        solver, whitening, chunk) of a walk of those windows in kernel chunks
+        of ``_CHUNK_ENTRIES`` / (pq)^2 windows, in time order, then shortest
+        window: the order of :meth:`_pairs`, since every window of a time
+        ends on the same row."""
+        starts, ends, lams = self._pairs(self.t0 + 1, len(rows))
+        scanner = PanelScanner(TimeSeriesPanel(rows), self.baseline, self.q)
+        chunk = interval_stats._CHUNK_ENTRIES // self._lags.size**2
+        return scanner, starts, ends, (
+            starts - (self.q + 1), ends - self.q, lams, self.solver, self._whitening, chunk,
+        )
 
     def step(self, x: np.ndarray) -> ScanResult:
         """Ingest one observation and return every window statistic at this
@@ -474,7 +460,7 @@ class OnlineDetector:
         No stopping rule is applied; used for calibration sweeps.
         """
         self._append(x)
-        return self._scan(self._n, self._n)
+        return self._scan()
 
     def update(self, x: np.ndarray) -> Optional[OnlineAlarm]:
         """Ingest one observation; return an alarm if a window fires.
@@ -486,7 +472,7 @@ class OnlineDetector:
         if self.stopped_at is not None:
             return self.stopped_at
         self._append(x)
-        self.stopped_at = _first_alarm(self._scan(self._n, self._n), self.threshold)
+        self.stopped_at = _first_alarm(self._scan(), self.threshold)
         return self.stopped_at
 
 
@@ -499,32 +485,6 @@ def _first_alarm(windows: ScanResult, threshold: float) -> Optional[OnlineAlarm]
         return None
     s = windows[hit[0]]
     return OnlineAlarm(s.interval.end, s.interval, s.value)
-
-
-def _replay(detector: OnlineDetector, stream: Iterable[np.ndarray]) -> Iterator[tuple[int, int]]:
-    """Feed ``stream`` to ``detector`` ``_REPLAY_BLOCK_ROWS`` rows at a time.
-
-    Yields the first and last time of each block once its rows are in. A
-    row that cannot be appended, or a stream that fails, ends the block
-    early; its exception is raised only after the rows before it have been
-    yielded, so a consumer that stops at an alarm on those rows never sees
-    it, as a row-by-row replay would never have read that row.
-    """
-    rows = iter(stream)
-    while True:
-        first = detector.t + 1
-        failure = None
-        try:
-            for x in itertools.islice(rows, _REPLAY_BLOCK_ROWS):
-                detector._append(x)
-        except Exception as exc:  # re-raised below unless an earlier alarm ends the replay
-            failure = exc
-        if detector.t >= first:
-            yield first, detector.t
-        if failure is not None:
-            raise failure
-        if detector.t < first + _REPLAY_BLOCK_ROWS - 1:
-            return
 
 
 def detect_online(
@@ -540,21 +500,35 @@ def detect_online(
 ) -> Optional[OnlineAlarm]:
     """Run the online monitor over a finite stream; None if it never fires.
 
-    The stream is read and solved a block of rows at a time, and the replay
-    stops at the first block holding a reliable exceedance. The alarm is the
-    one :meth:`OnlineDetector.update` raises row by row: the earliest time,
-    then the shortest window. A row that fails validation raises only when
-    no alarm fires before it.
+    The alarm is the one :meth:`OnlineDetector.update` raises row by row:
+    the first reliable exceedance, at the earliest time, then the shortest
+    window. The stream is read to its end, or to its first row that fails
+    the checks of ``update`` (or to an exception the stream raises), before
+    any window is solved; a generator is therefore read past the alarm. One
+    :class:`PanelScanner` over the rows read then walks their windows in
+    kernel chunks, in time order, and stops at the first chunk holding a
+    reliable exceedance (:meth:`PanelScanner._first_exceedance`): in each
+    chunk a duality-gap bracket rules out the windows that cannot exceed
+    the threshold, and only the rest are solved in full. The error of a
+    failing row, or of the stream, is raised only when no alarm fires
+    before it.
     """
     detector = OnlineDetector(baseline, q, lam, threshold, t0, solver, sigma, lambda_policy)
-    for first, last in _replay(detector, stream):
-        # solve up to the first sure exceedance, and the rest only if no
-        # reliable alarm comes before it
-        cut = detector._bound_crossing(first, last)
-        for a, b in ((first, cut), (cut + 1, last)):
-            alarm = _first_alarm(detector._scan(a, b), threshold)
-            if alarm is not None:
-                return alarm
+    p = detector.baseline.shape[0]
+    rows, failure = [], None
+    try:
+        for x in stream:
+            rows.append(_check_rows(np.asarray(x, dtype=float).ravel(), p))
+    except Exception as exc:  # re-raised below unless an alarm on the rows before it comes first
+        failure = exc
+    if len(rows) > t0:
+        scanner, starts, ends, walk = detector._stream_walk(np.array(rows))
+        hit = scanner._first_exceedance(*walk, threshold)
+        if hit is not None:
+            window = Interval(int(starts[hit[0]]), int(ends[hit[0]]))
+            return OnlineAlarm(window.end, window, hit[1])
+    if failure is not None:
+        raise failure
     return None
 
 
@@ -592,9 +566,5 @@ def online_max_statistic(
     rows = _check_rows(rows.reshape(len(rows), rows[0].size if len(rows) else p), p)
     if len(rows) <= t0:
         return 0.0
-    starts, ends, lams = detector._pairs(t0 + 1, len(rows))
-    scanner = PanelScanner(TimeSeriesPanel(rows), detector.baseline, q)
-    return scanner._maximum(
-        starts - (q + 1), ends - q, lams, detector.solver, detector._whitening,
-        interval_stats._CHUNK_ENTRIES // (p * q) ** 2,
-    ).value
+    scanner, _, _, walk = detector._stream_walk(rows)
+    return scanner._maximum(*walk).value

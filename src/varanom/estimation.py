@@ -34,8 +34,9 @@ the KKT test at zero.
 
 :func:`lasso_bracket` turns any iterates into brackets [value, upper] of
 the statistics, from the Gram-form duality gap; the kernel's values are its
-lower end, and the maximum of a calibration scan uses the whole bracket to
-skip the intervals that cannot reach it. In the library, one helper of
+lower end, and the maximum of a calibration scan and the online monitor's
+first exceedance use the whole bracket to skip the intervals that cannot
+reach the maximum or the threshold. In the library, one helper of
 :mod:`varanom.interval_stats` makes every call of
 :func:`lasso_cd_gram_batch` and :func:`lasso_bracket`.
 
@@ -467,19 +468,6 @@ def lasso_bracket(
     return value, value + np.maximum(gap, 0.0).sum(axis=1)
 
 
-def kkt_violation(gram: np.ndarray, cross: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    """Worst violation of the lasso stationarity conditions, in gradient units."""
-    grad = 2.0 * (gram @ beta - cross)
-    active = beta != 0.0
-    v = 0.0
-    if np.any(active):
-        v = float(np.max(np.abs(grad[active] + lam * np.sign(beta[active]))))
-    inactive = ~active
-    if np.any(inactive):
-        v = max(v, float(np.max(np.abs(grad[inactive])) - lam))
-    return max(v, 0.0)
-
-
 def lasso_solve(X: np.ndarray, y: np.ndarray, lam: float, opts: SolverOptions | None = None) -> FitResult:
     """Minimise ||y - X b||^2 + lam ||b||_1 by cyclic coordinate descent.
 
@@ -513,18 +501,6 @@ def ols_solve(X: np.ndarray, y: np.ndarray) -> FitResult:
     b, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ b
     return FitResult(b, float(resid @ resid), 1, True)
-
-
-def ridge_solve(X: np.ndarray, y: np.ndarray, lam: float) -> FitResult:
-    """Minimise ||y - X b||^2 + lam ||b||^2; unique for lam > 0."""
-    if not lam > 0:
-        raise ParameterError("ridge penalty must be positive")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    m = X.shape[1]
-    b = np.linalg.solve(X.T @ X + lam * np.eye(m), X.T @ y)
-    resid = y - X @ b
-    return FitResult(b, float(resid @ resid) + lam * float(b @ b), 1, True)
 
 
 BASELINE_PENALTIES = ("ridge", "lasso", "none")

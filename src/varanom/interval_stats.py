@@ -60,19 +60,23 @@ scan and each online step return one, and selection reads its columns.
 Null calibration reads only a scan's largest reliable statistic, which
 :meth:`PanelScanner.max_statistic` (and, over every window of a stream,
 :func:`~varanom.detection.online_max_statistic`) gives bitwise without
-solving most lasso intervals in full (:func:`lasso_maximum`). It screens
-as the kernel does, and a few sweeps of every busy interval through
-:func:`_solve_busy` give a bracket [value, value + duality gap] of its
-statistic; an interval whose upper bound stays below the best value found
-is pruned, and the rest are solved in full through the same helper. A
-pruned statistic cannot be the maximum, so it is never counted as
-unreliable. A walked maximum carries its best value from one chunk to the
-next as the next chunk's floor, which prunes there too. The offline
-lasso maximum takes its set as one chunk, so that every busy bracket is
-known before any interval is solved: it holds every prefix row the set
-reads and gathers every cross block at once, and its memory, unlike a
-scan's, still grows with the interval count. The online maximum walks its
-windows in kernel chunks.
+solving most lasso intervals in full (:func:`lasso_maximum`), and the
+online monitor reads only a stream's first reliable exceedance, which
+:func:`~varanom.detection.detect_online` finds the same way
+(:meth:`PanelScanner._first_exceedance`). Both screen as the kernel does, and
+:func:`_bracket`, a few sweeps of every busy interval through
+:func:`_solve_busy`, gives a bracket [value, value + duality gap] of its
+statistic; an interval whose upper bound stays below the best value found,
+or does not exceed the threshold, is ruled out, and the rest are solved in
+full through the same helper. A pruned statistic cannot be the maximum, so
+it is never counted as unreliable. A walked maximum carries its best value
+from one chunk to the next as the next chunk's floor, which prunes there
+too; a walk for the first exceedance stops at the first chunk that holds
+one. The offline lasso maximum takes its set as one chunk, so that every
+busy bracket is known before any interval is solved: it holds every prefix
+row the set reads and gathers every cross block at once, and its memory,
+unlike a scan's, still grows with the interval count. The online walks
+take their windows in kernel chunks.
 
 ``StatConfig`` checks the statistic's options, offline and online: the
 method and lambda policy (``check_choice``), the lambda scale
@@ -110,13 +114,14 @@ _PREFIX_BLOCK_ROWS = 32
 # (m^2 per interval): about 50 intervals at m = 50, which keeps a chunk's
 # arrays to a few megabytes, and a whole p = 10 scan (1078 intervals) at m = 10.
 _CHUNK_ENTRIES = 1 << 17
-# Sweeps of the lasso maximum's first pass over every busy interval, whose
-# duality-gap brackets rule most intervals out of the maximum. On 8 null
-# p = 10, T = 500 runs over 1078 seeded intervals, 3, 4 and 5 sweeps left
-# 22-94, 9-44 and 5-29 intervals to solve under interval_linear, and
-# 241-385, 53-144 and 9-35 under global. Timed alternately on 12 other
-# runs, the three took the same time within 4% under interval_linear and
-# interval_sqrt, while under global 3 sweeps took 35% longer than 4 or 5.
+# Sweeps of the first pass over every busy interval (_bracket), whose
+# duality-gap brackets rule most intervals out of a maximum or an online
+# alarm. On 8 null p = 10, T = 500 runs over 1078 seeded intervals, 3, 4 and
+# 5 sweeps left 22-94, 9-44 and 5-29 intervals to solve under
+# interval_linear, and 241-385, 53-144 and 9-35 under global. Timed
+# alternately on 12 other runs, the three took the same time within 4% under
+# interval_linear and interval_sqrt, while under global 3 sweeps took 35%
+# longer than 4 or 5.
 _BRACKET_SWEEPS = 4
 # Slack added to every upper bound, relative to 1 + sum_k ||y_k||^2, which
 # covers the rounding of the prefix differences and of the bound itself.
@@ -459,6 +464,32 @@ def _solve_busy(
     return value, upper, nonzero, converged
 
 
+def _bracket(
+    gram_prefix: np.ndarray, cross_prefix: np.ndarray, y_sq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    lams: np.ndarray, solver: SolverOptions, whitening: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(crosses, busy, value, upper) of the lasso intervals of
+    :func:`prefix_statistics`: their whitened cross blocks, the indices of
+    the busy ones (:func:`busy_intervals`), and, in the order of ``busy``,
+    the bracket [value, upper] of each busy statistic after
+    ``_BRACKET_SWEEPS`` sweeps of :func:`_solve_busy`, with a slack of
+    ``_BRACKET_MARGIN`` (1 + sum_k ||y_k||^2) on ``upper`` for rounding.
+    ``y_sq`` is (n, p): row i holds interval i's column norms ||y_k||^2 of
+    the whitened response. A busy statistic solved in full lies in
+    [value, upper]; every other one is exactly 0.0 and reliable.
+    """
+    _check_layout(gram_prefix, cross_prefix)
+    crosses = cross_blocks(cross_prefix, lo, hi, whitening)
+    busy = busy_intervals(crosses, lams)
+    y_sq = y_sq[busy]
+    sweeps = min(_BRACKET_SWEEPS, solver.max_iterations)
+    value, upper, _, _ = _solve_busy(
+        gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, sweeps, y_sq
+    )
+    upper += _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
+    return crosses, busy, value, upper
+
+
 def lasso_maximum(
     gram_prefix: np.ndarray,
     cross_prefix: np.ndarray,
@@ -474,34 +505,22 @@ def lasso_maximum(
     intervals of :func:`prefix_statistics`, bitwise that of its values, with
     only a few intervals solved in full.
 
-    ``y_sq`` is (n, p): row i holds interval i's column norms ||y_k||^2 of
-    the whitened response. The cross blocks are gathered
-    and screened once, as the kernel does. The busy intervals first take
-    ``_BRACKET_SWEEPS`` sweeps of :func:`_solve_busy`, whose brackets
-    [value, upper] of their statistics get a slack of ``_BRACKET_MARGIN``
-    (1 + sum_k ||y_k||^2) on ``upper`` for rounding. ``floor``, a reliable
-    value already found elsewhere (0.0 if none), starts both the best value
-    and the level F, which then rises to the largest ``value``. Every
-    interval whose ``upper`` reaches F is solved in full by
-    :func:`_solve_busy`, from zero and in a batch of its own, as in a full
-    scan; each problem's result is independent of its batch, so its value is
-    bitwise the full scan's. Should the best reliable value M, the floor
-    included, fall below F, every interval whose ``upper`` reaches M is
-    solved too, which makes the result exact at any solver budget. The
-    intervals left unsolved, counted as pruned, have statistics below M, so
-    they cannot change the maximum. A walk of a set in chunks, each taking
-    the maximum of the chunks before it as its floor, gives bitwise the
-    maximum of one chunk of all; a higher floor prunes no fewer.
+    The intervals are screened and the busy ones bracketed once, by
+    :func:`_bracket`. ``floor``, a reliable value already found elsewhere
+    (0.0 if none), starts both the best value and the level F, which then
+    rises to the largest ``value``. Every interval whose ``upper`` reaches F
+    is solved in full by :func:`_solve_busy`, from zero and in a batch of
+    its own, as in a full scan; each problem's result is independent of its
+    batch, so its value is bitwise the full scan's. Should the best reliable
+    value M, the floor included, fall below F, every interval whose
+    ``upper`` reaches M is solved too, which makes the result exact at any
+    solver budget. The intervals left unsolved, counted as pruned, have
+    statistics below M, so they cannot change the maximum. A walk of a set
+    in chunks, each taking the maximum of the chunks before it as its
+    floor, gives bitwise the maximum of one chunk of all; a higher floor
+    prunes no fewer.
     """
-    _check_layout(gram_prefix, cross_prefix)
-    crosses = cross_blocks(cross_prefix, lo, hi, whitening)
-    busy = busy_intervals(crosses, lams)
-    y_sq = y_sq[busy]
-    sweeps = min(_BRACKET_SWEEPS, solver.max_iterations)
-    value, upper, _, _ = _solve_busy(
-        gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, sweeps, y_sq
-    )
-    upper += _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
+    crosses, busy, value, upper = _bracket(gram_prefix, cross_prefix, y_sq, lo, hi, lams, solver, whitening)
     solved = np.zeros(busy.size, dtype=bool)
     best, unreliable = floor, 0
     level = float(value.max(initial=floor))
@@ -733,8 +752,8 @@ class _Walk(NamedTuple):
     the row to the last chunk that reads it (:func:`_walk_plan`). Every
     request is such a walk: a scan in kernel chunks, a lasso maximum in
     chunks that each start from the best value of the ones before
-    (:meth:`PanelScanner._maximum`), and a ``gram`` call of its one
-    interval.
+    (:meth:`PanelScanner._maximum`), and an online first exceedance, which
+    stops at the chunk that holds it (:meth:`PanelScanner._first_exceedance`).
 
     ``order`` holds the storage indices in walk order, chunk k being
     ``order[k chunk : (k + 1) chunk]``. ``rows`` are the distinct prefix rows
@@ -809,11 +828,13 @@ class PanelScanner:
     from one chunk to the next: the lasso :meth:`max_statistic` takes its
     set as one chunk, and
     :func:`~varanom.detection.online_max_statistic` walks every window of a
-    stream in kernel chunks. :meth:`gram` walks its one interval. A scanner
-    keeps the last plan, with its pool and the OLS chunk buffers; the chunk
-    is capped at the set's size, so at p = 10 (1310 intervals a kernel
-    chunk) a scan and a lasso maximum of a set share one, and a repeated
-    request makes no plan, but every request builds its rows again.
+    stream in kernel chunks, as :func:`~varanom.detection.detect_online`
+    does through :meth:`_first_exceedance` up to its first chunk with an
+    exceedance. A scanner keeps the last plan, with its pool and the OLS
+    chunk buffers; the chunk is capped at the set's size, so at p = 10
+    (1310 intervals a kernel chunk) a scan and a lasso maximum of a set
+    share one, and a repeated request makes no plan, but every request
+    builds its rows again.
 
     Every written row is bitwise the row of a build over every row
     (:func:`_prefix_sum`), so how rows are held changes no statistic, and
@@ -893,24 +914,31 @@ class PanelScanner:
         np.cumsum(resid * resid, axis=0, out=sq_prefix[1:])
         return sq_prefix
 
+    def _bracket_walk(
+        self, lo: np.ndarray, hi: np.ndarray, whitening: Optional[np.ndarray], chunk: int,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """:meth:`_walk`, with each chunk's column norms ||y_k||^2 of the
+        response whitened by ``whitening`` beside its indices and slots,
+        differenced at its intervals' prefix rows of :meth:`_sq_prefix`."""
+        sq_prefix = self._sq_prefix(whitening)
+        for at, a, b in self._walk(lo, hi, chunk):
+            yield at, a, b, sq_prefix.take(hi[at], axis=0) - sq_prefix.take(lo[at], axis=0)
+
     def _maximum(
         self, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions,
         whitening: Optional[np.ndarray], chunk: int,
     ) -> ScanMaximum:
         """The largest reliable lasso statistic of the intervals of prefix
         rows ``lo`` and ``hi`` and penalties ``lams``, whitened by
-        ``whitening``, walked in chunks of ``chunk`` (:meth:`_walk`), with
-        the unreliable and pruned counts summed over the chunks.
+        ``whitening``, walked in chunks of ``chunk`` (:meth:`_bracket_walk`),
+        with the unreliable and pruned counts summed over the chunks.
 
-        Each chunk goes through :func:`lasso_maximum`, fed the column norms
-        of its intervals, differenced at their prefix rows of
-        :meth:`_sq_prefix`, and the best value of the chunks before it as its
-        floor, so the result is bitwise the maximum of one chunk of all.
+        Each chunk goes through :func:`lasso_maximum` with the best value of
+        the chunks before it as its floor, so the result is bitwise the
+        maximum of one chunk of all.
         """
-        sq_prefix = self._sq_prefix(whitening)
         best, unreliable, pruned = 0.0, 0, 0
-        for at, a, b in self._walk(lo, hi, chunk):
-            y_sq = sq_prefix.take(hi[at], axis=0) - sq_prefix.take(lo[at], axis=0)
+        for at, a, b, y_sq in self._bracket_walk(lo, hi, whitening, chunk):
             best, skipped, ruled_out = lasso_maximum(
                 self._gram_prefix, self._cross_prefix, y_sq, a, b, lams[at], solver, whitening, best
             )
@@ -918,15 +946,44 @@ class PanelScanner:
             pruned += ruled_out
         return ScanMaximum(best, unreliable, pruned)
 
-    def gram(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
-        """The interval's Gram and cross-product blocks, unwhitened (raw
-        residuals), from a walk of that one interval."""
-        check_domain(interval.start, interval.end, self.n_rows, self.q)
-        lo, hi = np.array([interval.start - self.q - 1]), np.array([interval.end - self.q])
-        for _, (a,), (b,) in self._walk(lo, hi, 1):
-            gram = _unpack_gram(self._gram_prefix[b] - self._gram_prefix[a])
-            cross = self._cross_prefix[b] - self._cross_prefix[a]
-        return gram, cross
+    def _first_exceedance(
+        self, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions,
+        whitening: Optional[np.ndarray], chunk: int, threshold: float,
+    ) -> Optional[tuple[int, float]]:
+        """(storage index, value) of the first interval, in walk order (end
+        row, then storage index), whose lasso statistic is reliable and
+        exceeds ``threshold`` > 0, bitwise the first such one of a scan's
+        values; None if none does. The intervals are those of
+        :meth:`_maximum`, walked in the same chunks, and the walk stops,
+        building no further row, at the first chunk that holds one.
+
+        Each chunk is screened and bracketed by :func:`_bracket`, as in
+        :func:`lasso_maximum`. A statistic whose ``upper`` does not exceed
+        the threshold cannot exceed it, and a screened one is 0.0, so only
+        the busy intervals whose ``upper`` exceeds it are solved in full, from
+        zero, by :func:`_solve_busy`, in two batches: the first runs up to
+        and including the first one whose bracket ``value`` already exceeds
+        the threshold, which surely exceeds it unless its full solve is
+        unreliable; the second, solved only if the first holds no reliable
+        exceedance, holds the rest. Each problem's result is independent of
+        its batch, so its value and reliability are bitwise a scan's.
+        """
+        for at, a, b, y_sq in self._bracket_walk(lo, hi, whitening, chunk):
+            chunk_lams = lams[at]
+            crosses, busy, value, upper = _bracket(
+                self._gram_prefix, self._cross_prefix, y_sq, a, b, chunk_lams, solver, whitening
+            )
+            over = upper > threshold
+            todo, sure = busy[over], np.flatnonzero(value[over] > threshold)
+            cut = int(sure[0]) + 1 if sure.size else todo.size
+            for part in (todo[:cut], todo[cut:]):
+                values, _, _, reliable = _solve_busy(
+                    self._gram_prefix, crosses, a, b, chunk_lams, part, solver.tolerance, solver.max_iterations
+                )
+                hit = np.flatnonzero(reliable & (values > threshold))
+                if hit.size:
+                    return int(at[part[hit[0]]]), float(values[hit[0]])
+        return None
 
     def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple:
         """(lo, hi, lengths, lams, whitening) of the set: its intervals'

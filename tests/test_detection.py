@@ -32,7 +32,6 @@ from varanom import (
     simulate_with_anomaly,
 )
 from varanom.detection import (
-    _REPLAY_BLOCK_ROWS,
     THRESHOLD_FLOOR,
     _window_pairs,
     empirical_quantile,
@@ -497,8 +496,8 @@ def test_online_max_statistic_equals_step_loop(q, policy, sigma_seed):
     if sigma_seed is not None:
         a = np.random.default_rng(sigma_seed).standard_normal((p, p))
         sigma = a @ a.T + 0.5 * np.eye(p)
-    values = simulate(law, 2 * _REPLAY_BLOCK_ROWS + 1, seed=21).values
-    for n in (5, _REPLAY_BLOCK_ROWS, 2 * _REPLAY_BLOCK_ROWS + 1):  # shorter than t0, block edges
+    values = simulate(law, 129, seed=21).values
+    for n in (5, 64, 129):  # shorter than t0, and longer
         for lam in (1.5, 6.0):
             want = _step_loop_max(values[:n], law.stacked, q, lam, 10, sigma, policy)
             got = online_max_statistic(values[:n], law.stacked, q, lam, 10, sigma=sigma, lambda_policy=policy)
@@ -575,7 +574,7 @@ def test_online_max_statistic_prunes_busy_windows(monkeypatch):
     # at a penalty that leaves most windows busy, the maximum solves in full
     # far fewer windows than are busy and still equals the step loop
     base = generate_dense_stationary(4, seed=30)
-    values = simulate(base, 3 * _REPLAY_BLOCK_ROWS, seed=31).values
+    values = simulate(base, 192, seed=31).values
     want = _step_loop_max(values, base.stacked, 1, 0.5, 10, None, "global")
     calls = []
     solve_busy = interval_stats._solve_busy
@@ -615,8 +614,8 @@ def test_online_max_statistic_checks_rows_as_step_does(n):
     assert online_max_statistic(np.empty((0, 3)), base.stacked, 1, 1.0) == 0.0
 
 
-def _update_loop(stream, baseline, q, lam, threshold, t0=10, solver=None):
-    detector = OnlineDetector(baseline, q, lam, threshold, t0, solver)
+def _update_loop(stream, baseline, q, lam, threshold, t0=10, solver=None, sigma=None, policy="global"):
+    detector = OnlineDetector(baseline, q, lam, threshold, t0, solver, sigma, policy)
     for x in stream:
         alarm = detector.update(x)
         if alarm is not None:
@@ -630,48 +629,109 @@ def _alarm_key(alarm):
 
 def test_detect_online_equals_update_loop():
     # null rows at a penalty that screens them to zero, then one shock row
-    # whose time is the first that can fire
+    # whose time is the first that can fire, at the edges of the walk's
+    # chunks of 20 windows
     base = generate_dense_stationary(3, seed=22)
-    null = simulate(base, 3 * _REPLAY_BLOCK_ROWS, seed=23).values
-    lam = 60.0
+    null = simulate(base, 192, seed=23).values
+    lam, per_chunk = 60.0, 20
     assert online_max_statistic(null, base.stacked, 1, lam) == 0.0
-    for shock_time in (11, _REPLAY_BLOCK_ROWS, _REPLAY_BLOCK_ROWS + 1, 2 * _REPLAY_BLOCK_ROWS + 5):
-        stream = null.copy()
-        stream[shock_time - 1] += 40.0
-        want = _update_loop(stream, base.stacked, 1, lam, 1.0)
-        assert want is not None and want.time == shock_time
-        got = detect_online(stream, base.stacked, 1, lam, 1.0)
-        assert _alarm_key(got) == _alarm_key(want)
-        # a generator is read a block at a time, with the same alarm
-        got = detect_online((row for row in stream), base.stacked, 1, lam, 1.0)
-        assert _alarm_key(got) == _alarm_key(want)
-        # a bad row after the alarm is never reached by the row-by-row loop
-        broken = stream.copy()
-        broken[shock_time + 1] = np.nan
-        assert _alarm_key(detect_online(broken, base.stacked, 1, lam, 1.0)) == _alarm_key(want)
+    ends = _window_pairs(np.arange(11, len(null) + 1), 1)[0]
+    edges = [int(ends[k * per_chunk + d]) for k in (1, 3) for d in (-1, 0)]
+    assert ends[per_chunk - 1] == ends[per_chunk]  # a time whose windows span two chunks
+    with mock.patch.object(interval_stats, "_CHUNK_ENTRIES", per_chunk * 9):
+        for shock_time in [11] + edges + [edges[-1] + 1]:
+            stream = null.copy()
+            stream[shock_time - 1] += 40.0
+            want = _update_loop(stream, base.stacked, 1, lam, 1.0)
+            assert want is not None and want.time == shock_time
+            got = detect_online(stream, base.stacked, 1, lam, 1.0)
+            assert _alarm_key(got) == _alarm_key(want)
+            # a generator is read to its end, with the same alarm
+            read = []
+            got = detect_online((read.append(row) or row for row in stream), base.stacked, 1, lam, 1.0)
+            assert _alarm_key(got) == _alarm_key(want) and len(read) == len(stream)
+            # a bad row after the alarm is never reached by the row-by-row loop
+            broken = stream.copy()
+            broken[shock_time + 1] = np.nan
+            assert _alarm_key(detect_online(broken, base.stacked, 1, lam, 1.0)) == _alarm_key(want)
     # no alarm
     assert _update_loop(null, base.stacked, 1, lam, 1.0) is None
     assert detect_online(iter(null), base.stacked, 1, lam, 1.0) is None
     # a bad row before any alarm raises, as the row-by-row loop does
     broken = null.copy()
-    broken[_REPLAY_BLOCK_ROWS + 3, 1] = np.inf
+    broken[67, 1] = np.inf
     with pytest.raises(ParameterError):
         detect_online(broken, base.stacked, 1, lam, 1.0)
 
 
 def test_detect_online_equals_update_loop_on_anomalous_stream():
-    # a block is solved up to its first window whose one-coefficient bound
-    # clears the threshold, then past it if no reliable alarm came first; a
-    # 12-sweep solver leaves some windows unreliable, and a 9-sweep one, which
-    # stops before the batched solver's first finish attempt, leaves
-    # unreliable windows above every threshold
+    # a chunk is solved up to its first window whose bracket value clears
+    # the threshold, then past it if no reliable alarm came first; 1, 2 and
+    # 12 sweeps, and no tolerance, leave some windows unreliable, and a
+    # 9-sweep solver, which stops before the batched solver's first finish
+    # attempt, leaves unreliable windows above every threshold; the lowest
+    # threshold lies below every busy window
     base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
     stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
-    for solver in (None, SolverOptions(max_iterations=12), SolverOptions(max_iterations=9)):
-        for threshold in (5.0, 20.0, 80.0):
-            want = _update_loop(stream, base.stacked, 1, 4.0, threshold, solver=solver)
-            got = detect_online(stream, base.stacked, 1, 4.0, threshold, solver=solver)
-            assert _alarm_key(got) == _alarm_key(want)
+    solvers = (None, SolverOptions(max_iterations=12), SolverOptions(max_iterations=9),
+               SolverOptions(max_iterations=1), SolverOptions(max_iterations=2), SolverOptions(tolerance=0.0))
+    for policy in LAMBDA_POLICIES:
+        for solver in solvers:
+            for threshold in (THRESHOLD_FLOOR, 5.0, 20.0, 80.0):
+                want = _update_loop(stream, base.stacked, 1, 4.0, threshold, solver=solver, policy=policy)
+                got = detect_online(stream, base.stacked, 1, 4.0, threshold, solver=solver, lambda_policy=policy)
+                assert _alarm_key(got) == _alarm_key(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2), policy=st.sampled_from(LAMBDA_POLICIES),
+    whitened=st.booleans(), per_chunk=st.integers(1, 9), lam=st.sampled_from([0.5, 1.5, 6.0]),
+    level=st.floats(0.01, 1.2), sweeps=st.sampled_from([2, 12, 10000]),
+)
+def test_walked_detect_online_is_the_update_loop(seed, q, policy, whitened, per_chunk, lam, level, sweeps):
+    # detect_online walks the stream's windows in chunks of a few windows and
+    # stops at the first chunk with a reliable exceedance; its alarm is the
+    # update loop's, at thresholds around the stream's maximum statistic
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    n = int(rng.integers(12, 90))
+    a = generate_dense_stationary(p, seed=int(rng.integers(1 << 30))).coeffs[0]
+    noise = rng.standard_normal((p, p))
+    sigma = noise @ noise.T + 0.5 * np.eye(p) if whitened else None
+    law = VarParams((a / q,) * q, np.eye(p))
+    values = simulate(law, n, seed=int(rng.integers(1 << 30))).values
+    solver = SolverOptions(max_iterations=sweeps)
+    threshold = max(level * _step_loop_max(values, law.stacked, q, lam, 10, sigma, policy), THRESHOLD_FLOOR)
+    want = _update_loop(values, law.stacked, q, lam, threshold, 10, solver, sigma, policy)
+    with mock.patch.object(interval_stats, "_CHUNK_ENTRIES", per_chunk * (p * q) ** 2):
+        got = detect_online(values, law.stacked, q, lam, threshold, 10, solver, sigma, policy)
+    assert _alarm_key(got) == _alarm_key(want)
+    if want is not None:
+        assert got.statistic.hex() == want.statistic.hex()
+
+
+def test_detect_online_prunes_busy_windows(monkeypatch):
+    # at a penalty that leaves most windows busy, the walk solves in full far
+    # fewer windows than it brackets, and its alarm is the update loop's
+    base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
+    stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
+    want = _update_loop(stream, base.stacked, 1, 1.0, 80.0)
+    calls = []
+    solve_busy = interval_stats._solve_busy
+
+    def counting(*args, **kwargs):
+        calls.append((args[7], args[5].size))  # (sweeps, windows)
+        return solve_busy(*args, **kwargs)
+
+    monkeypatch.setattr(interval_stats, "_solve_busy", counting)
+    got = detect_online(stream, base.stacked, 1, 1.0, 80.0)
+    assert want is not None and _alarm_key(got) == _alarm_key(want)
+    busy = sum(size for sweeps, size in calls if sweeps == interval_stats._BRACKET_SWEEPS)
+    solved = sum(size for sweeps, size in calls if sweeps == SolverOptions().max_iterations)
+    windows = _window_pairs(np.arange(11, len(stream) + 1), 1)[0].size
+    assert busy > windows // 2
+    assert 0 < solved < busy // 4
 
 
 def test_update_alarms_on_the_first_reliable_step_statistic():
@@ -700,23 +760,6 @@ def test_update_alarms_on_the_first_reliable_step_statistic():
             raise AssertionError(f"no alarm at threshold {threshold}")
         if solver is nine:
             assert skipped > 0
-
-
-def test_bound_crossing_is_a_sure_exceedance():
-    base, theta = dense_base_with_change(4, 0.8, 3, seed=24)
-    stream = simulate_episodes(base, [((60, 199), theta)], 200, seed=25).values
-    crossings = 0
-    for threshold in (5.0, 20.0, 80.0, 1e9):
-        detector = OnlineDetector(base.stacked, 1, 4.0, threshold, solver=SolverOptions(tolerance=1e-12))
-        for x in stream:
-            detector._append(x)
-        for first in range(1, 200, 16):
-            cut = detector._bound_crossing(first, first + 15)
-            if cut < first + 15:
-                crossings += 1
-                values = detector._scan(cut, cut).values
-                assert values.max() > threshold
-    assert crossings > 3
 
 
 def test_online_max_statistic_skips_unreliable_windows():

@@ -16,6 +16,7 @@ from varanom import (
     StatConfig,
     TimeSeriesPanel,
     VarParams,
+    build_regression_view,
     estimate_baseline,
     estimate_noise_covariance,
     generate_dense_stationary,
@@ -23,20 +24,38 @@ from varanom import (
     lasso_solve,
     lasso_statistic,
     ols_solve,
-    ridge_solve,
     seeded_intervals,
     simulate,
 )
 from varanom import estimation
 from varanom.estimation import (
     default_lambda,
-    kkt_violation,
     lasso_bracket,
     lasso_cd_gram,
     lasso_cd_gram_batch,
     soft_threshold,
 )
 from varanom.interval_stats import _pack_gram, _unpack_gram, interval_lambdas, prefix_statistics
+
+
+def kkt_violation(gram: np.ndarray, cross: np.ndarray, beta: np.ndarray, lam: float) -> float:
+    """Worst violation of the lasso stationarity conditions, in gradient units."""
+    grad = 2.0 * (gram @ beta - cross)
+    active = beta != 0.0
+    v = 0.0
+    if np.any(active):
+        v = float(np.max(np.abs(grad[active] + lam * np.sign(beta[active]))))
+    inactive = ~active
+    if np.any(inactive):
+        v = max(v, float(np.max(np.abs(grad[inactive])) - lam))
+    return max(v, 0.0)
+
+
+def _interval_blocks(panel, baseline, intervals):
+    """Stacked Gram and cross-product blocks of the intervals, unwhitened,
+    each from the interval's regression view."""
+    views = [build_regression_view(panel, baseline, iv.start, iv.end, 1) for iv in intervals]
+    return np.stack([v.lagged.T @ v.lagged for v in views]), np.stack([v.lagged.T @ v.residuals for v in views])
 
 
 def test_lasso_identity_design_no_penalty():
@@ -159,18 +178,6 @@ def test_ols_residual_orthogonality():
     fit = ols_solve(X, y)
     resid = y - X @ fit.coefficients
     assert np.abs(X.T @ resid).max() < 1e-8 * np.abs(X.T @ y).max()
-
-
-def test_ridge_examples():
-    assert abs(ridge_solve(np.eye(1), np.array([4.0]), 1.0).coefficients[0] - 2.0) < 1e-12
-    big = ridge_solve(np.eye(3), np.ones(3), 1e12)
-    assert np.linalg.norm(big.coefficients) < 1e-6
-    zero = ridge_solve(np.zeros((4, 2)), np.ones(4), 1.0)
-    assert np.allclose(zero.coefficients, 0.0)
-    # NaN passed the old lam <= 0 test and gave NaN coefficients
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ParameterError, match="ridge penalty must be positive"):
-            ridge_solve(np.eye(2), np.ones(2), bad)
 
 
 def test_fit_result_objective_consistency():
@@ -318,10 +325,7 @@ def test_batch_solver_gains_match_tight_single_solver():
     panel = simulate(base, 200, seed=8)
     intervals = seeded_intervals(200, 8, 1 / 1.1, q=1)
     config = StatConfig(lambda_policy="interval_linear")
-    scanner = PanelScanner(panel, base.stacked, 1)
-    pairs = [scanner.gram(iv) for iv in intervals]
-    grams = np.stack([g for g, _ in pairs])
-    crosses = np.stack([c for _, c in pairs])
+    grams, crosses = _interval_blocks(panel, base.stacked, intervals)
     lams = interval_lambdas(config, intervals, 4, 200)
     beta, conv = lasso_cd_gram_batch(grams, crosses, lams)
     assert conv.all()
@@ -390,10 +394,8 @@ def _p10_interval_batch():
     base = generate_dense_stationary(10, seed=1)
     panel = simulate(base, 500, seed=2)
     intervals = seeded_intervals(500, 11, 1 / 1.1, q=1)
-    scanner = PanelScanner(panel, base.stacked, 1)
-    pairs = [scanner.gram(iv) for iv in intervals]
     lams = interval_lambdas(StatConfig(lambda_policy="interval_linear"), intervals, 10, 500)
-    return np.stack([g for g, _ in pairs]), np.stack([c for _, c in pairs]), lams
+    return (*_interval_blocks(panel, base.stacked, intervals), lams)
 
 
 @pytest.mark.parametrize("live, rounds", [(1, 12), (2, 12), (2, 3)])

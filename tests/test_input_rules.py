@@ -317,7 +317,6 @@ def test_decay_rule(entry, value):
 
 OUTSIDE = [(1, 10), (50, 61)]
 DOMAIN = {
-    "PanelScanner.gram": lambda s, e: PanelScanner(PANEL, BASE, 1).gram(Interval(s, e)),
     "PanelScanner.scan": lambda s, e: PanelScanner(PANEL, BASE, 1).scan(_set(s, e), CONFIG),
     "PanelScanner.max_statistic": lambda s, e: PanelScanner(PANEL, BASE, 1).max_statistic(_set(s, e), CONFIG),
     "scan_intervals": lambda s, e: scan_intervals(PANEL, BASE, _set(s, e), CONFIG, 1),

@@ -475,7 +475,7 @@ def test_held_rows_give_bitwise_the_full_prefix_kernel(seed, q, whitened):
 
 
 _REQUESTS = st.lists(
-    st.tuples(st.sampled_from(["scan", "max", "gram", "refill"]), st.integers(0, 7)), min_size=1, max_size=12
+    st.tuples(st.sampled_from(["scan", "max", "blocks", "refill"]), st.integers(0, 7)), min_size=1, max_size=12
 )
 
 
@@ -483,7 +483,7 @@ _REQUESTS = st.lists(
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2), per_chunk=st.integers(1, 6), requests=_REQUESTS)
 def test_interleaved_requests_are_bitwise_a_fresh_scanner(seed, q, per_chunk, requests):
     # one scanner serves a random sequence of scans and maxima (OLS and lasso,
-    # two sets, with and without sigma), gram calls and refills that swap
+    # two sets, with and without sigma), one-interval walks and refills that swap
     # between two panels; every result is bitwise a fresh scanner's over the
     # current panel, so no request reads rows that an earlier one's walk or a
     # refill left stale in the pool, with walks of a few intervals a chunk
@@ -509,10 +509,10 @@ def test_interleaved_requests_are_bitwise_a_fresh_scanner(seed, q, per_chunk, re
                 scanner._refill(panels[current])
                 continue
             fresh = PanelScanner(panels[current], law.stacked, q)
-            if kind == "gram":
+            if kind == "blocks":
                 start = int(rng.integers(q + 1, n + 1))
                 iv = Interval(start, int(rng.integers(start, n + 1)))
-                got, want = scanner.gram(iv), fresh.gram(iv)
+                got, want = _walked_blocks(scanner, iv), _walked_blocks(fresh, iv)
                 assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
                 continue
             ivs, config = sets[pick % 2], configs[pick // 2]
@@ -523,6 +523,16 @@ def test_interleaved_requests_are_bitwise_a_fresh_scanner(seed, q, per_chunk, re
             got, want = scanner.scan(ivs, config), fresh.scan(ivs, config)
             for column in ("values", "lams", "nonzero", "reliable"):
                 assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+
+def _walked_blocks(scanner, interval):
+    """The interval's Gram and cross-product blocks, unwhitened, from a walk
+    of that one interval through the scanner's pool."""
+    lo, hi = np.array([interval.start - scanner.q - 1]), np.array([interval.end - scanner.q])
+    for _, (a,), (b,) in scanner._walk(lo, hi, 1):
+        gram = _unpack_gram(scanner._gram_prefix[b] - scanner._gram_prefix[a])
+        cross = scanner._cross_prefix[b] - scanner._cross_prefix[a]
+    return gram, cross
 
 
 def _builds(call) -> int:
@@ -543,15 +553,11 @@ def test_calibration_builds_once_per_run(method):
         assert _builds(lambda: calibrate_threshold(law, ivs, StatConfig(method=method), runs=runs, seed=72)) == 2 * runs
 
 
-def test_online_maximum_builds_once_and_gram_once_per_call():
-    # the online maximum walks every window of the stream in one build, and
-    # each gram call walks its own interval, so a loop of them builds per call
+def test_online_maximum_builds_once():
+    # the online maximum walks every window of the stream in one build
     base = generate_dense_stationary(3, seed=73)
     values = simulate(base, 300, seed=74).values
     assert _builds(lambda: online_max_statistic(values, base.stacked, 1, 0.5)) == 2
-    scanner = PanelScanner(TimeSeriesPanel(values), base.stacked, 1)
-    starts = range(2, 280, 7)
-    assert _builds(lambda: [scanner.gram(Interval(s, s + 20)) for s in starts]) == 2 * len(starts)
 
 
 def test_seeded_scan_holds_only_the_rows_it_reads():
@@ -818,7 +824,7 @@ def test_ols_kernel_rank_deficient_interval_raises_like_gram_ols_value():
     normal = [Interval(s, s + 19) for s in range(2, 140, 6)]
     singular = Interval(160, 190)
     scanner = PanelScanner(panel, base.stacked, 1)
-    gram, cross = scanner.gram(singular)
+    gram, cross = _walked_blocks(scanner, singular)
     with pytest.raises(DesignError) as direct:
         gram_ols_value(gram, cross)
     cfg = StatConfig(method="ols")
@@ -986,7 +992,7 @@ def test_scanner_rejects_out_of_domain():
     panel = simulate(base, 50, seed=1)
     scanner = PanelScanner(panel, base.stacked, 1)
     with pytest.raises(DesignError):
-        scanner.gram(Interval(1, 10))
+        scanner.scan(IntervalSet((Interval(1, 10),), 5, (0, 50)), StatConfig())
 
 
 def test_values_never_negative():
@@ -1026,7 +1032,7 @@ def test_scan_invariant_to_storage_order(seed, q):
             picked = [s.interval for s in select(stats, threshold)]
             assert picked and [s.interval for s in select(moved, threshold)] == picked
     for iv in ivs.intervals[::4]:
-        gram, cross = scanner.gram(iv)
+        gram, cross = _walked_blocks(scanner, iv)
         view = build_regression_view(panel, law.stacked, iv.start, iv.end, q)
         want_gram = view.lagged.T @ view.lagged
         want_cross = view.lagged.T @ view.residuals

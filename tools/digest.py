@@ -29,9 +29,10 @@ Items:
   whitened by a non-identity sigma, at q = 1 and q = 2;
 * ``scanner/interleaved``: every array of a fixed sequence of requests on
   one ``PanelScanner`` at p = 5: a lasso ``max_statistic``, an OLS
-  ``scan``, three ``gram`` calls, a lasso ``scan``, a ``_refill`` from a
-  second panel of the same shape, a lasso ``max_statistic`` and a ``gram``,
-  so that each request follows one that held or walked other prefix rows;
+  ``scan``, the Gram and cross blocks of three one-interval walks, a lasso
+  ``scan``, a ``_refill`` from a second panel of the same shape, a lasso
+  ``max_statistic`` and one more one-interval walk, so that each request
+  follows one that held or walked other prefix rows;
 * ``calibration/<case>``: ``calibrate_threshold`` maxima, threshold and the
   unreliable and pruned counts at p = 10, T = 500 over 1078 seeded
   intervals, for the three lasso policies, a whitened case, a 20-sweep
@@ -113,7 +114,6 @@ from varanom import (  # noqa: E402
     lasso_statistic,
     ols_statistic,
     random_intervals,
-    ridge_solve,
     run_pipeline,
     save_panel,
     seeded_intervals,
@@ -124,7 +124,7 @@ from varanom import (  # noqa: E402
 from varanom import experiments  # noqa: E402
 from varanom.cli import _load_config, build_parser, main as cli_main  # noqa: E402
 from varanom.detection import empirical_quantile, online_max_statistic, select_multiple, select_single  # noqa: E402
-from varanom.interval_stats import LAMBDA_POLICIES, PanelScanner, default_lambda  # noqa: E402
+from varanom.interval_stats import LAMBDA_POLICIES, PanelScanner, _unpack_gram, default_lambda  # noqa: E402
 from varanom.intervals import build_intervals  # noqa: E402
 
 
@@ -177,6 +177,16 @@ def scans() -> dict[str, tuple[str, dict]]:
     return out
 
 
+def _walked_blocks(scanner: PanelScanner, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram and cross-product blocks of [start, end], unwhitened, from a
+    walk of that one interval through the scanner's pool."""
+    lo, hi = np.array([start - scanner.q - 1]), np.array([end - scanner.q])
+    for _, (a,), (b,) in scanner._walk(lo, hi, 1):
+        gram = _unpack_gram(scanner._gram_prefix[b] - scanner._gram_prefix[a])
+        cross = scanner._cross_prefix[b] - scanner._cross_prefix[a]
+    return gram, cross
+
+
 def interleaved() -> dict[str, tuple[str, dict]]:
     law = _law(5, 1, seed=61, cov=_covariance(5, 62))
     first, second = (simulate(law, 300, seed=seed) for seed in (63, 64))
@@ -189,12 +199,12 @@ def interleaved() -> dict[str, tuple[str, dict]]:
     stats = scanner.scan(ivs, ols)
     fields.update({f"ols_{c}": getattr(stats, c) for c in columns})
     for k, (start, end) in enumerate(((2, 40), (100, 180), (250, 300))):
-        fields[f"gram{k}"], fields[f"cross{k}"] = scanner.gram(Interval(start, end))
+        fields[f"gram{k}"], fields[f"cross{k}"] = _walked_blocks(scanner, start, end)
     stats = scanner.scan(ivs, lasso)
     fields.update({f"lasso_{c}": getattr(stats, c) for c in columns})
     scanner._refill(second)
     fields["refilled_max"] = np.array(scanner.max_statistic(ivs, lasso), dtype=float)
-    fields["refilled_gram"], fields["refilled_cross"] = scanner.gram(Interval(60, 150))
+    fields["refilled_gram"], fields["refilled_cross"] = _walked_blocks(scanner, 60, 150)
     return {"scanner/interleaved": _item(**fields)}
 
 
@@ -532,7 +542,6 @@ def errors() -> dict[str, tuple[str, dict]]:
             "RunConfig": lambda d: RunConfig(decay=d),
         },
         "domain": {
-            "PanelScanner.gram": lambda s: PanelScanner(panel, base, 1).gram(Interval(*s)),
             "PanelScanner.scan": lambda s: PanelScanner(panel, base, 1).scan(outside, config),
             "PanelScanner.max_statistic": lambda s: PanelScanner(panel, base, 1).max_statistic(outside, config),
             "build_regression_view": lambda s: build_regression_view(panel, base, *s, 1),
@@ -577,7 +586,6 @@ def errors() -> dict[str, tuple[str, dict]]:
             "estimate_baseline/lasso": lambda v: estimate_baseline(panel, 1, "lasso", lam=v),
             "estimate_baseline/none": lambda v: estimate_baseline(panel, 1, "none", lam=v),
             "RunConfig": lambda v: RunConfig(baseline_lambda=v),
-            "ridge_solve": lambda v: ridge_solve(view.lagged, view.residuals[:, 0], v),
         },
         "ols-rows": {
             "ols_statistic": lambda n: ols_statistic(build_regression_view(panel, base, 10, 9 + n, 1)),
