@@ -53,6 +53,17 @@ threshold, first up to the first one whose bracket value already exceeds
 it, and stops at the first reliable exceedance, bitwise the alarm of an
 ``update`` loop.
 
+Offline detection picks as :func:`select_single` or :func:`select_multiple`
+would on a full scan. OLS selects on :meth:`PanelScanner.scan`. A lasso
+detection (:func:`_run_scan`) makes one bracketed request instead
+(:meth:`PanelScanner._bracketed_scan`), which screens every interval and
+brackets every busy one, and then solves in full only the rows that could
+still change a pick (:func:`_open_rows`), selecting again after each batch.
+The picks and their values are bitwise a full scan's. A row left unsolved
+holds the bracket [value, upper] of its statistic and is unreliable, so no
+rule reads its lower bound as a statistic; ``DetectionResult.to_csv``
+writes the bracket and whether each row was solved.
+
 A scan, and an online step, return a
 :class:`~varanom.interval_stats.ScanResult`, the kernel's result columns;
 its items are :class:`~varanom.interval_stats.IntervalStatistic` objects
@@ -130,7 +141,13 @@ class CalibrationResult:
 
 @dataclass
 class DetectionResult:
-    """Ordered detections plus every statistic computed during the scan."""
+    """Ordered detections plus the scan they were picked from.
+
+    An OLS scan is exact. A lasso scan is bracketed (:func:`_run_scan`): a
+    row with ``statistics.solved`` False was never solved in full, holds
+    the bracket [value, upper] of its statistic and is unreliable, and
+    ``pruned`` counts those rows (0 for an exact scan).
+    """
 
     detected: list[IntervalStatistic]
     statistics: ScanResult
@@ -140,12 +157,26 @@ class DetectionResult:
     def detected_intervals(self) -> list[Interval]:
         return [s.interval for s in self.detected]
 
+    @property
+    def pruned(self) -> int:
+        solved = self.statistics.solved
+        return 0 if solved is None else int(np.count_nonzero(~solved))
+
     def to_csv(self, path) -> None:
+        """One row per statistic: start, end, statistic, upper, solved and
+        detected. On an unsolved row (``solved`` 0) the statistic column
+        holds only the bracket's lower bound and ``upper`` its upper bound;
+        on a solved row, and on every row of an exact scan, ``upper`` is the
+        statistic and ``solved`` is 1."""
         stats = self.statistics
         flagged = {(s.interval.start, s.interval.end) for s in self.detected}
-        columns = zip(stats.starts.tolist(), stats.ends.tolist(), stats.values.tolist())
-        rows = ([a, b, repr(v), int((a, b) in flagged)] for a, b, v in columns)
-        write_table(path, ["start", "end", "statistic", "detected"], rows)
+        upper = stats.values if stats.upper is None else stats.upper
+        solved = np.ones(len(stats), dtype=bool) if stats.solved is None else stats.solved
+        columns = zip(
+            stats.starts.tolist(), stats.ends.tolist(), stats.values.tolist(), upper.tolist(), solved.tolist()
+        )
+        rows = ([a, b, repr(v), repr(u), int(k), int((a, b) in flagged)] for a, b, v, u, k in columns)
+        write_table(path, ["start", "end", "statistic", "upper", "solved", "detected"], rows)
 
 
 def check_quantile(quantile: float) -> None:
@@ -280,10 +311,58 @@ def _run_scan(
     q: int,
     multiple: bool,
 ) -> DetectionResult:
+    """The picks of :func:`select_multiple`, or of :func:`select_single`, on
+    an exact scan of the set, with the scan they were made on.
+
+    OLS selects on :meth:`PanelScanner.scan`. Lasso selects on a bracketed
+    scan (:meth:`PanelScanner._bracketed_scan`) and solves in full only
+    the rows that could change a pick (:func:`_open_rows`), a batch at a
+    time, selecting again after each: each batch is every open row whose
+    ``upper`` reaches the level max(threshold, the largest bracket value
+    among them). An unsolved row is unreliable, so selection skips it, and
+    once no row is open every unsolved row's statistic, which lies in its
+    bracket, is certified unable to change a pick. The picks and their
+    values are then bitwise those of the same selection on an exact scan,
+    whose solved rows are bitwise this one's.
+    """
     check_threshold(threshold)
-    stats = PanelScanner(panel, baseline, q).scan(interval_set, config)
+    scanner = PanelScanner(panel, baseline, q)
     select = select_multiple if multiple else select_single
-    return DetectionResult(select(stats, threshold), stats, threshold)
+    if config.method == "ols":
+        stats = scanner.scan(interval_set, config)
+        return DetectionResult(select(stats, threshold), stats, threshold)
+    stats, solve = scanner._bracketed_scan(interval_set, config)
+    while True:
+        picked = select(stats, threshold)
+        todo = _open_rows(stats, picked, threshold, multiple)
+        if not todo.size:
+            return DetectionResult(picked, stats, threshold)
+        level = max(threshold, float(stats.values[todo].max()))
+        solve(todo[stats.upper[todo] >= level])
+
+
+def _open_rows(
+    stats: ScanResult, picked: list[IntervalStatistic], threshold: float, multiple: bool
+) -> np.ndarray:
+    """Storage indices of the unsolved rows of a bracketed scan that could
+    still change ``picked``, the selection made on it.
+
+    For pick k, that is every unsolved row overlapping none of the picks
+    before k whose ``upper`` reaches pick k's value: its statistic could
+    rank at or above the pick by the tie key. After the last pick (of
+    :func:`select_multiple`), or when there is none, it is every unsolved
+    row overlapping no pick whose ``upper`` exceeds ``threshold``: it could
+    be one more pick.
+    """
+    unsolved = ~stats.solved
+    free = np.ones(len(stats), dtype=bool)  # overlapping none of the picks so far
+    found = np.zeros(len(stats), dtype=bool)
+    for s in picked:
+        found |= unsolved & free & (stats.upper >= s.value)
+        free &= (stats.starts > s.interval.end) | (stats.ends < s.interval.start)
+    if multiple or not picked:
+        found |= unsolved & free & (stats.upper > threshold)
+    return np.flatnonzero(found)
 
 
 def detect_single(
@@ -294,7 +373,8 @@ def detect_single(
     threshold: float,
     q: int = 1,
 ) -> DetectionResult:
-    """Scan every interval and report the argmax if it clears the threshold."""
+    """Report the argmax interval if it clears the threshold, as
+    :func:`select_single` on a full scan would (:func:`_run_scan`)."""
     return _run_scan(panel, baseline, interval_set, config, threshold, q, False)
 
 
@@ -306,7 +386,9 @@ def detect_multiple(
     threshold: float,
     q: int = 1,
 ) -> DetectionResult:
-    """Iterated argmax detection with overlap removal; detections are disjoint."""
+    """Iterated argmax detection with overlap removal, as
+    :func:`select_multiple` on a full scan would (:func:`_run_scan`);
+    detections are disjoint."""
     return _run_scan(panel, baseline, interval_set, config, threshold, q, True)
 
 

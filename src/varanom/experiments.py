@@ -19,9 +19,9 @@ from .detection import (
     check_quantile,
     detect_multiple,
     detect_online,
+    detect_single,
     null_threshold,
     online_max_statistic,
-    select_single,
 )
 from .errors import ParameterError, check_choice
 from .estimation import BASELINE_PENALTIES, SolverOptions, estimate_baseline
@@ -103,7 +103,10 @@ def run_single_anomaly_study(
     For the known mode the true coefficients drive the scan; for the
     estimated mode every calibration and evaluation run re-estimates the
     baseline from a fresh training panel of the same length, so thresholds
-    absorb the estimation error. ``baseline_penalty`` is checked at entry.
+    absorb the estimation error. Each evaluation run's pick is
+    :func:`detect_single`'s, so a lasso run solves in full only the
+    intervals that could change it. ``baseline_penalty`` is checked at
+    entry.
     """
     check_quantile(quantile)
     check_choice(baseline_penalty, "baseline penalty", BASELINE_PENALTIES)
@@ -144,17 +147,17 @@ def run_single_anomaly_study(
     truth = [window]
     for r in range(runs):
         panel = simulate_with_anomaly(scenario, seed=int(eval_states[2 * r]))
-        scanners = {}
+        baselines = {}
         if "known" in modes:
-            scanners["known"] = PanelScanner(panel, base.stacked, q)
+            baselines["known"] = base.stacked
         if "estimated" in modes:
             train = simulate(base, horizon, seed=int(eval_states[2 * r + 1]))
-            theta_hat = estimate_baseline(train, q, penalty=baseline_penalty)
-            scanners["estimated"] = PanelScanner(panel, theta_hat, q)
-        for mode, scanner in scanners.items():
+            baselines["estimated"] = estimate_baseline(train, q, penalty=baseline_penalty)
+        for mode, baseline in baselines.items():
             for m in methods:
-                stats = scanner.scan(interval_set, configs[m])
-                picked = select_single(stats, thresholds[(mode, m)])
+                picked = detect_single(
+                    panel, baseline, interval_set, configs[m], thresholds[(mode, m)], q
+                ).detected
                 outcomes[(mode, m)].append(
                     ScenarioOutcome(
                         truth,

@@ -76,7 +76,12 @@ one. The offline lasso maximum takes its set as one chunk, so that every
 busy bracket is known before any interval is solved: it holds every prefix
 row the set reads and gathers every cross block at once, and its memory,
 unlike a scan's, still grows with the interval count. The online walks
-take their windows in kernel chunks.
+take their windows in kernel chunks. Offline lasso detections read a
+bracketed scan (:meth:`PanelScanner._bracketed_scan`), which walks its set
+as one chunk in the same way: every busy interval keeps its bracket until
+:func:`~varanom.detection.detect_single` or
+:func:`~varanom.detection.detect_multiple` solves it in full, which they do
+only for the intervals that could change a pick.
 
 ``StatConfig`` checks the statistic's options, offline and online: the
 method and lambda policy (``check_choice``), the lambda scale
@@ -97,7 +102,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -179,6 +184,15 @@ class ScanResult(Sequence):
     interval: start, end, statistic, penalty, count of non-zero
     coefficients and reliability, with the ``method`` they share.
 
+    ``upper`` and ``solved`` are None on an exact scan, where every value is
+    the interval's statistic. A bracketed scan
+    (:meth:`PanelScanner._bracketed_scan`) sets them: where ``solved`` is
+    False, the row was left at its duality-gap bracket, its statistic lies
+    in [``values``, ``upper``], its ``nonzero`` counts the bracket iterate's
+    coefficients and it is marked unreliable, so that no rule reads the
+    lower bound as a statistic; where ``solved`` is True, the row is the
+    exact scan's, bitwise, and ``upper`` equals its value.
+
     A sequence of :class:`IntervalStatistic`, indexed by int (not by slice):
     item i is built when it is read, or iterated, with every field a Python
     int, float or bool. Selection, maxima, alarms and CSV files read the
@@ -192,6 +206,8 @@ class ScanResult(Sequence):
     nonzero: np.ndarray
     reliable: np.ndarray
     method: str
+    upper: Optional[np.ndarray] = None
+    solved: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -467,13 +483,14 @@ def _solve_busy(
 def _bracket(
     gram_prefix: np.ndarray, cross_prefix: np.ndarray, y_sq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     lams: np.ndarray, solver: SolverOptions, whitening: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(crosses, busy, value, upper) of the lasso intervals of
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(crosses, busy, value, upper, nonzero) of the lasso intervals of
     :func:`prefix_statistics`: their whitened cross blocks, the indices of
     the busy ones (:func:`busy_intervals`), and, in the order of ``busy``,
     the bracket [value, upper] of each busy statistic after
     ``_BRACKET_SWEEPS`` sweeps of :func:`_solve_busy`, with a slack of
-    ``_BRACKET_MARGIN`` (1 + sum_k ||y_k||^2) on ``upper`` for rounding.
+    ``_BRACKET_MARGIN`` (1 + sum_k ||y_k||^2) on ``upper`` for rounding,
+    and the count of non-zero coefficients of the iterate behind ``value``.
     ``y_sq`` is (n, p): row i holds interval i's column norms ||y_k||^2 of
     the whitened response. A busy statistic solved in full lies in
     [value, upper]; every other one is exactly 0.0 and reliable.
@@ -483,11 +500,11 @@ def _bracket(
     busy = busy_intervals(crosses, lams)
     y_sq = y_sq[busy]
     sweeps = min(_BRACKET_SWEEPS, solver.max_iterations)
-    value, upper, _, _ = _solve_busy(
+    value, upper, nonzero, _ = _solve_busy(
         gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, sweeps, y_sq
     )
     upper += _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
-    return crosses, busy, value, upper
+    return crosses, busy, value, upper, nonzero
 
 
 def lasso_maximum(
@@ -520,7 +537,7 @@ def lasso_maximum(
     floor, gives bitwise the maximum of one chunk of all; a higher floor
     prunes no fewer.
     """
-    crosses, busy, value, upper = _bracket(gram_prefix, cross_prefix, y_sq, lo, hi, lams, solver, whitening)
+    crosses, busy, value, upper, _ = _bracket(gram_prefix, cross_prefix, y_sq, lo, hi, lams, solver, whitening)
     solved = np.zeros(busy.size, dtype=bool)
     best, unreliable = floor, 0
     level = float(value.max(initial=floor))
@@ -826,7 +843,8 @@ class PanelScanner:
     :meth:`scan` and the OLS :meth:`max_statistic` walk kernel chunks.
     Lasso maxima go through :meth:`_maximum`, which carries the best value
     from one chunk to the next: the lasso :meth:`max_statistic` takes its
-    set as one chunk, and
+    set as one chunk, as does the bracketed scan of lasso detections
+    (:meth:`_bracketed_scan`), and
     :func:`~varanom.detection.online_max_statistic` walks every window of a
     stream in kernel chunks, as :func:`~varanom.detection.detect_online`
     does through :meth:`_first_exceedance` up to its first chunk with an
@@ -970,7 +988,7 @@ class PanelScanner:
         """
         for at, a, b, y_sq in self._bracket_walk(lo, hi, whitening, chunk):
             chunk_lams = lams[at]
-            crosses, busy, value, upper = _bracket(
+            crosses, busy, value, upper, _ = _bracket(
                 self._gram_prefix, self._cross_prefix, y_sq, a, b, chunk_lams, solver, whitening
             )
             over = upper > threshold
@@ -1021,6 +1039,55 @@ class PanelScanner:
         if stop < n:
             check_ols_rows(int(lengths[stop]), m)
         return ScanResult(interval_set.starts, interval_set.ends, values, lams, nonzero, reliable, config.method)
+
+    def _bracketed_scan(
+        self, interval_set: IntervalSet, config: StatConfig
+    ) -> tuple[ScanResult, Callable[[np.ndarray], None]]:
+        """A lasso scan of the set that leaves every busy interval at its
+        bracket, and ``solve``, which solves some of them in full.
+
+        The set is walked as one chunk, as the lasso :meth:`max_statistic`
+        walks it, and every interval is screened and every busy one
+        bracketed once by :func:`_bracket`. In the result, a screened row is
+        exact (0.0, reliable) and a busy row holds its bracket, unsolved and
+        unreliable (:class:`ScanResult`). ``solve(rows)``, for storage
+        indices of unsolved rows, solves them in full, from zero and in one
+        batch, through :func:`_solve_busy`, and writes their value, non-zero
+        count and reliability into the result, with ``upper`` set to the
+        value and ``solved`` True. Each problem's result is independent of
+        its batch, so a solved row is bitwise the row of :meth:`scan`. Both
+        read the prefix rows the walk left in the scanner's pool, so no other
+        request may run on the scanner while ``solve`` is in use.
+        """
+        lo, hi, _, lams, whitening = self._kernel_args(interval_set, config)
+        n = len(lo)
+        values, upper, nonzero = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+        reliable, solved = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        result = ScanResult(
+            interval_set.starts, interval_set.ends, values, lams, nonzero, reliable, "lasso", upper, solved
+        )
+        if n == 0:
+            return result, lambda rows: None
+        (at, a, b, y_sq), = self._bracket_walk(lo, hi, whitening, n)
+        chunk_lams = lams[at]
+        crosses, busy, value, bound, count = _bracket(
+            self._gram_prefix, self._cross_prefix, y_sq, a, b, chunk_lams, config.solver, whitening
+        )
+        rows = at[busy]
+        values[rows], upper[rows], nonzero[rows] = value, bound, count
+        reliable[rows] = solved[rows] = False
+        position = np.empty(n, dtype=np.intp)  # of each storage index in the chunk
+        position[at] = np.arange(n)
+
+        def solve(rows: np.ndarray) -> None:
+            values[rows], _, nonzero[rows], reliable[rows] = _solve_busy(
+                self._gram_prefix, crosses, a, b, chunk_lams, position[rows],
+                config.solver.tolerance, config.solver.max_iterations,
+            )
+            upper[rows] = values[rows]
+            solved[rows] = True
+
+        return result, solve
 
     def max_statistic(self, interval_set: IntervalSet, config: StatConfig) -> ScanMaximum:
         """The largest reliable statistic of the set, bitwise

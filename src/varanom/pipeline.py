@@ -249,6 +249,7 @@ def run_pipeline(
         manifest["lambda_test"] = _lambda_range(stat_config, test_intervals, p, n_test)
         manifest["test_intervals"] = {**test_intervals.provenance, "n": len(test_intervals)}
     if detection is not None:
+        manifest["detection_pruned"] = detection.pruned
         manifest["detected"] = [
             {"start": s.interval.start, "end": s.interval.end, "statistic": s.value}
             for s in detection.detected

@@ -44,7 +44,7 @@ from varanom.detection import (
 from varanom import interval_stats
 from varanom.estimation import estimate_baseline
 from varanom.experiments import dense_base_with_change, run_two_anomaly_study
-from varanom.interval_stats import LAMBDA_POLICIES, ScanResult, prefix_statistics, whitening_matrix
+from varanom.interval_stats import LAMBDA_POLICIES, ScanResult, prefix_statistics, whiten, whitening_matrix
 
 
 def _stat(start, end, value, reliable=True):
@@ -121,9 +121,15 @@ def test_calibrate_threshold_empty_scan():
     # an empty set scans to empty columns through the kernel, for both methods
     panel = simulate(base, 80, seed=5)
     for method in ("lasso", "ols"):
-        result = detect_multiple(panel, base.stacked, empty, StatConfig(method=method), 1.0)
-        assert len(result.statistics) == 0 and list(result.statistics) == []
-        assert result.detected == [] and max_reliable_statistic(result.statistics) == 0.0
+        for detect in (detect_single, detect_multiple):
+            result = detect(panel, base.stacked, empty, StatConfig(method=method), 1.0)
+            assert len(result.statistics) == 0 and list(result.statistics) == []
+            assert result.detected == [] and max_reliable_statistic(result.statistics) == 0.0
+            assert result.pruned == 0
+    # a bracketed lasso scan of no interval has empty bound columns
+    assert result.statistics.upper is None
+    lasso = detect_single(panel, base.stacked, empty, StatConfig(), 1.0).statistics
+    assert lasso.upper.shape == lasso.solved.shape == (0,)
 
 
 def test_calibrate_threshold_skips_unreliable_statistics():
@@ -804,5 +810,110 @@ def test_detection_csv(tmp_path):
     path = tmp_path / "detections.csv"
     result.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "start,end,statistic,detected"
+    assert lines[0] == "start,end,statistic,upper,solved,detected"
     assert len(lines) == 21
+    stats = result.statistics
+    for line, value, upper, solved in zip(lines[1:], stats.values, stats.upper, stats.solved):
+        fields = line.split(",")
+        assert fields[2:5] == [repr(float(value)), repr(float(upper)), str(int(solved))]
+        assert solved or float(fields[2]) <= float(fields[3])
+
+
+def _check_bracketed(panel, baseline, ivs, config, threshold, q=1):
+    """Assert that bracketed detect_single and detect_multiple pick as the
+    selection rules do on a full scan, with every solved row bitwise that
+    scan's and every unsolved row unreliable and bracketing the scan's
+    value, the lower bound up to the bracket's rounding slack; returns the
+    detect_multiple result."""
+    full = PanelScanner(panel, baseline, q).scan(ivs, config)
+    y_sq = np.array([
+        np.sum(whiten(build_regression_view(panel, baseline, s, e, q), config.sigma).residuals ** 2)
+        for s, e in zip(ivs.starts.tolist(), ivs.ends.tolist())
+    ])
+    slack = interval_stats._BRACKET_MARGIN * (1.0 + y_sq)
+    for detect, select in ((detect_single, select_single), (detect_multiple, select_multiple)):
+        result = detect(panel, baseline, ivs, config, threshold, q)
+        assert result.detected == select(full, threshold)
+        assert [s.value.hex() for s in result.detected] == [s.value.hex() for s in select(full, threshold)]
+        got, solved = result.statistics, result.statistics.solved
+        for column in ("values", "nonzero", "reliable"):
+            assert getattr(got, column)[solved].tobytes() == getattr(full, column)[solved].tobytes()
+        assert got.upper[solved].tobytes() == got.values[solved].tobytes()
+        unsolved = ~solved
+        assert not got.reliable[unsolved].any() and result.pruned == np.count_nonzero(unsolved)
+        assert (got.values[unsolved] <= full.values[unsolved] + slack[unsolved]).all()
+        assert (full.values[unsolved] <= got.upper[unsolved]).all()
+    return result
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(LAMBDA_POLICIES), whitened=st.booleans(),
+    solver=st.sampled_from([SolverOptions(), SolverOptions(max_iterations=12), SolverOptions(tolerance=0.0, max_iterations=3)]),
+    level=st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.5]),
+)
+def test_bracketed_detection_picks_as_a_full_scan_property(seed, policy, whitened, solver, level):
+    # a random set holds duplicated rows; the small budgets leave unreliable
+    # statistics, and the thresholds run from the floor to above the scan's
+    # largest reliable value
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    n = int(rng.integers(40, 120))
+    law = generate_dense_stationary(p, seed=int(rng.integers(1 << 30)))
+    theta = 0.35 * law.coeffs[0]  # spectral radius 0.7 -> 0.945
+    start = int(rng.integers(2, n - 10))
+    panel = simulate_episodes(law, [((start, start + 10), theta)], n, seed=int(rng.integers(1 << 30)))
+    noise = rng.standard_normal((p, p))
+    sigma = noise @ noise.T + 0.5 * np.eye(p) if whitened else None
+    ivs = random_intervals(n, p + 2, int(rng.integers(20, 80)), seed=int(rng.integers(1 << 30)), q=1)
+    config = StatConfig(lambda_scale=float(rng.uniform(0.05, 0.5)), sigma=sigma, solver=solver, lambda_policy=policy)
+    top = max_reliable_statistic(PanelScanner(panel, law.stacked, 1).scan(ivs, config))
+    _check_bracketed(panel, law.stacked, ivs, config, max(level * top, THRESHOLD_FLOOR))
+
+
+def test_bracketed_detection_above_every_upper_bound_solves_nothing(monkeypatch):
+    # a threshold above every bracket's upper bound picks nothing and leaves
+    # every busy row at its bracket: the bracket pass is the only solve
+    base = generate_dense_stationary(3, seed=6)
+    panel = simulate(base, 100, seed=13)
+    ivs = random_intervals(100, 5, 40, seed=14, q=1)
+    calls = []
+    solve_busy = interval_stats._solve_busy
+
+    def counting(*args, **kwargs):
+        calls.append((args[7], args[5].size))  # (sweeps, rows)
+        return solve_busy(*args, **kwargs)
+
+    monkeypatch.setattr(interval_stats, "_solve_busy", counting)
+    for detect in (detect_single, detect_multiple):
+        calls.clear()
+        result = detect(panel, base.stacked, ivs, StatConfig(), 1e6)
+        stats = result.statistics
+        busy = np.count_nonzero(~stats.solved)
+        assert result.detected == [] and stats.upper.max() < 1e6
+        assert calls == [(interval_stats._BRACKET_SWEEPS, busy)] and result.pruned == busy > 0
+
+
+def test_bracketed_detection_solves_few_of_its_busy_rows(monkeypatch):
+    # at the studies' settings every interval is busy, and exact picks of
+    # two anomalies solve in full a small share of them
+    base, theta = dense_base_with_change(5, 0.6, 4, seed=1)
+    panel = simulate_episodes(base, [((60, 90), theta), ((200, 240), theta)], 300, seed=2)
+    ivs = seeded_intervals(300, 6, 1 / 1.1, q=1)
+    config = StatConfig(lambda_policy="interval_linear")
+    calls = []
+    solve_busy = interval_stats._solve_busy
+
+    def counting(*args, **kwargs):
+        calls.append((args[7], args[5].size))  # (sweeps, rows)
+        return solve_busy(*args, **kwargs)
+
+    monkeypatch.setattr(interval_stats, "_solve_busy", counting)
+    result = detect_multiple(panel, base.stacked, ivs, config, 60.0)
+    monkeypatch.undo()
+    (sweeps, busy), *rounds = calls
+    solved = sum(size for _, size in rounds)
+    assert sweeps == interval_stats._BRACKET_SWEEPS and busy > len(ivs) // 2
+    assert len(result.detected) == 2 and 0 < solved < busy // 8
+    assert result.pruned == busy - solved
+    _check_bracketed(panel, base.stacked, ivs, config, 60.0)

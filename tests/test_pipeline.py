@@ -304,6 +304,33 @@ def test_pipeline_manifest_reports_calibration_pruned(tmp_path, monkeypatch):
     assert manifest["calibration_pruned"] == 11
 
 
+def test_pipeline_manifest_reports_detection_pruned(tmp_path, monkeypatch):
+    _, path = _write_null_panel(tmp_path)
+    config = RunConfig(calibration_runs=5, seed=2)
+    run = run_pipeline(config, path, tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    solved = run.detection.statistics.solved
+    assert manifest["detection_pruned"] == run.detection.pruned == np.count_nonzero(~solved) > 0
+    # statistics.csv marks the same rows unsolved
+    with open(tmp_path / "out" / "statistics.csv") as fh:
+        assert [row["solved"] for row in csv.DictReader(fh)] == [str(int(k)) for k in solved]
+    ols = run_pipeline(RunConfig(calibration_runs=5, seed=2, method="ols"), path, tmp_path / "ols")
+    assert ols.manifest["detection_pruned"] == 0 and ols.detection.statistics.solved is None
+    # the count is passed through, whatever detection found
+    detect = pipeline.detect_single
+
+    def with_pruned(*args, **kwargs):
+        result = detect(*args, **kwargs)
+        result.statistics.solved[:11] = False
+        result.statistics.solved[11:] = True
+        return result
+
+    monkeypatch.setattr(pipeline, "detect_single", with_pruned)
+    run_pipeline(config, path, tmp_path / "again")
+    manifest = json.loads((tmp_path / "again" / "manifest.json").read_text())
+    assert manifest["detection_pruned"] == 11
+
+
 def test_pipeline_manifest_lambda_range_under_interval_linear(tmp_path):
     _, path = _write_null_panel(tmp_path)
     config = RunConfig(calibration_runs=5, lambda_policy="interval_linear", seed=2)
@@ -577,7 +604,10 @@ def test_cli_evaluate_counts_a_duplicated_detection_once(tmp_path, capsys):
     assert result.detected_intervals == [Interval(140, 160)]
     det = tmp_path / "statistics.csv"
     result.to_csv(det)
-    assert det.read_text().splitlines()[1:] == ["140,160,33.0,1", "10,20,1.0,0", "140,160,33.0,1", "150,170,20.0,0"]
+    # an exact scan's rows are solved, with the statistic as their upper bound
+    assert det.read_text().splitlines()[1:] == [
+        "140,160,33.0,33.0,1,1", "10,20,1.0,1.0,1,0", "140,160,33.0,33.0,1,1", "150,170,20.0,20.0,1,0"
+    ]
     rc = main(["evaluate", "--detections", str(det), "--truth", "133:166", "--horizon", "500"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)

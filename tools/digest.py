@@ -37,6 +37,12 @@ Items:
   unreliable and pruned counts at p = 10, T = 500 over 1078 seeded
   intervals, for the three lasso policies, a whitened case, a 20-sweep
   budget and OLS, and at q = 2 for p = 3;
+* ``detect/bracketed/<policy>/<selection>``: the picks (start, end,
+  value) of lasso ``detect_single`` and ``detect_multiple`` and the
+  ``upper`` and ``solved`` columns of their bracketed scans, on a
+  two-anomaly panel of the calibration items' law and set, under the three
+  policies, each at the threshold of its ``calibration/lasso/<policy>``
+  item, so that a change to which rows are solved in full shows here;
 * ``online/max`` and ``online/alarms``: ``online_max_statistic`` of null
   streams and the ``detect_online`` alarms of streams with a change, under
   the three policies and a whitening sigma, at p = 6 and T = 200, where a
@@ -215,12 +221,17 @@ def _calibration(cal) -> tuple[str, dict]:
     return _sha(fields["maxima"], summary), fields
 
 
-def calibrations() -> dict[str, tuple[str, dict]]:
+def _p10() -> tuple[VarParams, IntervalSet]:
+    """The p = 10 law and the seeded set over T = 500 of the calibration and
+    bracketed-detection items."""
     rng = np.random.default_rng(21)
     a = rng.uniform(-1.0, 1.0, size=(10, 10))
     a *= 0.7 / np.max(np.abs(np.linalg.eigvals(a)))
-    law = VarParams((a,), np.eye(10))
-    ivs = seeded_intervals(500, 11, 1 / 1.1, q=1)
+    return VarParams((a,), np.eye(10)), seeded_intervals(500, 11, 1 / 1.1, q=1)
+
+
+def calibrations() -> dict[str, tuple[str, dict]]:
+    law, ivs = _p10()
     cases = {f"lasso/{policy}": StatConfig(lambda_policy=policy) for policy in LAMBDA_POLICIES}
     cases["lasso/interval_linear/sigma"] = StatConfig(
         lambda_policy="interval_linear", sigma=_covariance(10, 22)
@@ -288,6 +299,26 @@ def online_chunks() -> tuple[str, dict]:
                 null = simulate(base, horizon, seed=300 + r).values
                 maxima.append(online_max_statistic(null, base.stacked, 1, lam, sigma=sigma, lambda_policy=policy))
     return _item(maxima=np.array(maxima, dtype=float))
+
+
+def bracketed() -> dict[str, tuple[str, dict]]:
+    law, ivs = _p10()
+    theta = experiments.sparse_increment(law.coeffs[0], 0.6, 5)
+    panel = simulate_episodes(law, [((133, 166), theta), ((333, 366), theta)], 500, seed=26)
+    out = {}
+    for policy in LAMBDA_POLICIES:
+        config = StatConfig(lambda_policy=policy)
+        threshold = calibrate_threshold(law, ivs, config, runs=10, seed=23).threshold
+        for name, detect in (("single", detect_single), ("multiple", detect_multiple)):
+            result = detect(panel, law.stacked, ivs, config, threshold)
+            out[f"detect/bracketed/{policy}/{name}"] = _item(
+                start=np.array([s.interval.start for s in result.detected], dtype=np.int64),
+                end=np.array([s.interval.end for s in result.detected], dtype=np.int64),
+                value=np.array([s.value for s in result.detected], dtype=float),
+                upper=result.statistics.upper,
+                solved=result.statistics.solved,
+            )
+    return out
 
 
 def duplicates() -> dict[str, tuple[str, dict]]:
@@ -684,9 +715,9 @@ def _difference(a: np.ndarray, b: np.ndarray) -> str:
 def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
     """Print, item by item, how ``items`` differ from ``saved``, then whether
     the thresholds, detections and alarms are identical: the calibration and
-    pipeline thresholds, which intervals the pipelines and the duplicates
-    items detect (the start and end columns of ``detections.csv`` and of
-    the picks), and the time and window of each
+    pipeline thresholds, which intervals the pipelines, the bracketed and
+    the duplicates items detect (the start and end columns of
+    ``detections.csv`` and of the picks), and the time and window of each
     online alarm. A changed statistic of a detection or an alarm, and so the
     bytes of its file, shows in its item's line."""
     same = {"thresholds": True, "detections": True, "alarms": True}
@@ -706,7 +737,7 @@ def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
             if field == "threshold":
                 same["thresholds"] = False
             elif field in ("start", "end") and (
-                name.endswith("detections.csv") or name.startswith("duplicates/")
+                name.endswith("detections.csv") or name.startswith(("duplicates/", "detect/"))
             ):
                 same["detections"] = False
             elif name == "online/alarms" and field != "statistic":
@@ -723,7 +754,10 @@ def main() -> None:
     parser.add_argument("--save", metavar="FILE", help="write the raw result arrays to FILE (.npz)")
     parser.add_argument("--against", metavar="FILE", help="compare with arrays saved by --save")
     args = parser.parse_args()
-    items = {**scans(), **interleaved(), **calibrations(), **online(), **duplicates(), **pipelines(), **cli(), **errors()}
+    items = {
+        **scans(), **interleaved(), **calibrations(), **bracketed(), **online(), **duplicates(), **pipelines(),
+        **cli(), **errors(),
+    }
     total = hashlib.sha256()
     for name, (digest, _) in items.items():
         print(f"{digest}  {name}")
