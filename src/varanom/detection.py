@@ -14,13 +14,14 @@
   chunk holding a reliable exceedance;
 * threshold calibration: an empirical quantile of the per-run maximum
   reliable statistic over simulated null panels, offline or online. Both
-  read only each run's maximum through
-  :func:`~varanom.interval_stats.lasso_maximum`, which solves in full only
-  the lasso intervals a duality-gap bracket cannot rule out: offline from
+  read only each run's maximum, through
+  :func:`~varanom.interval_stats.lasso_maximum` over the chunks of a
+  bracketed walk of a :class:`~varanom.interval_stats.PanelScanner`
+  (:meth:`~varanom.interval_stats.PanelScanner._bracketed`), which solves
+  in full only the lasso intervals a duality-gap bracket cannot rule out
+  and carries its best value from one chunk to the next: offline from
   :meth:`~varanom.interval_stats.PanelScanner.max_statistic`, online from
-  :func:`online_max_statistic`, each through a walk of a
-  :class:`~varanom.interval_stats.PanelScanner` that carries its best value
-  from one chunk to the next. Offline, one scanner serves every run,
+  :func:`online_max_statistic`. Offline, one scanner serves every run,
   refilled from each run's panel, and builds each run's prefix rows once
   through one walk plan, in a pool it reuses for every run: an OLS run
   walks the set a kernel chunk at a time and holds a row, pq (pq + 1) / 2
@@ -45,20 +46,22 @@ rows its prefix sums, and every window statistic read from them, are
 bitwise the detector's. ``detect_online`` and ``online_max_statistic``
 check the rows as ``step`` does, build one scanner over the rows, and walk
 every window of every time in kernel chunks, in time order, then shortest
-window (:meth:`OnlineDetector._stream_walk`), each chunk read through the
-screen and the duality-gap bracket the offline maximum uses. The maximum
-takes every chunk, bitwise the maximum of a ``step`` loop. ``detect_online``
-solves in full, in order, only the windows whose upper bound exceeds the
-threshold, first up to the first one whose bracket value already exceeds
-it, and stops at the first reliable exceedance, bitwise the alarm of an
+window (:meth:`OnlineDetector._stream_walk`), through the bracketed walk
+the offline maximum reads. The maximum takes every chunk, bitwise the
+maximum of a ``step`` loop. ``detect_online`` solves in full, in order,
+only the windows of a chunk whose upper bound exceeds the threshold, first
+up to the first one whose bracket value already exceeds it, and stops at
+the first chunk holding a reliable exceedance. Both it and ``update`` read
+the alarm through :func:`_first_alarm`, so it is bitwise the alarm of an
 ``update`` loop.
 
 Offline detection picks as :func:`select_single` or :func:`select_multiple`
 would on a full scan. OLS selects on :meth:`PanelScanner.scan`. A lasso
-detection (:func:`_run_scan`) makes one bracketed request instead
-(:meth:`PanelScanner._bracketed_scan`), which screens every interval and
-brackets every busy one, and then solves in full only the rows that could
-still change a pick (:func:`_open_rows`), selecting again after each batch.
+detection (:func:`_run_scan`) takes its set as the one chunk of a
+bracketed walk instead (:meth:`PanelScanner._bracketed`), which screens
+every interval and brackets every busy one, and then solves in full only
+the rows that could still change a pick (:func:`_open_rows`), selecting
+again after each batch.
 The picks and their values are bitwise a full scan's. A row left unsolved
 holds the bracket [value, upper] of its statistic and is unreliable, so no
 rule reads its lower bound as a statistic; ``DetectionResult.to_csv``
@@ -314,8 +317,9 @@ def _run_scan(
     """The picks of :func:`select_multiple`, or of :func:`select_single`, on
     an exact scan of the set, with the scan they were made on.
 
-    OLS selects on :meth:`PanelScanner.scan`. Lasso selects on a bracketed
-    scan (:meth:`PanelScanner._bracketed_scan`) and solves in full only
+    OLS selects on :meth:`PanelScanner.scan`. Lasso selects on the set as
+    the one chunk of a bracketed walk (:meth:`PanelScanner._bracketed`), in
+    storage order, and solves in full only
     the rows that could change a pick (:func:`_open_rows`), a batch at a
     time, selecting again after each: each batch is every open row whose
     ``upper`` reaches the level max(threshold, the largest bracket value
@@ -331,7 +335,9 @@ def _run_scan(
     if config.method == "ols":
         stats = scanner.scan(interval_set, config)
         return DetectionResult(select(stats, threshold), stats, threshold)
-    stats, solve = scanner._bracketed_scan(interval_set, config)
+    # next(...), not unpacking: running the walk to its end would release the
+    # chunk's blocks before solve reads them
+    stats, solve = next(scanner._bracketed(*scanner._kernel_args(interval_set, config), len(interval_set)))
     while True:
         picked = select(stats, threshold)
         todo = _open_rows(stats, picked, threshold, multiple)
@@ -520,20 +526,18 @@ class OnlineDetector:
         )
         return ScanResult(starts, ends, values, lams, nonzero, reliable, "lasso")
 
-    def _stream_walk(self, rows: np.ndarray) -> tuple[PanelScanner, np.ndarray, np.ndarray, tuple]:
+    def _stream_walk(self, rows: np.ndarray) -> tuple[PanelScanner, tuple]:
         """A :class:`PanelScanner` over ``rows``, checked observations of more
-        than ``t0`` rows, the (starts, ends) of every window inspected at
-        times ``t0`` + 1 to len(rows), and the arguments (lo, hi, lams,
-        solver, whitening, chunk) of a walk of those windows in kernel chunks
-        of ``_CHUNK_ENTRIES`` / (pq)^2 windows, in time order, then shortest
-        window: the order of :meth:`_pairs`, since every window of a time
-        ends on the same row."""
+        than ``t0`` rows, and the arguments (lo, hi, lams, solver,
+        whitening, chunk) of its bracketed walk
+        (:meth:`PanelScanner._bracketed`) of every window inspected at times
+        ``t0`` + 1 to len(rows), in kernel chunks of ``_CHUNK_ENTRIES`` /
+        (pq)^2 windows, in time order, then shortest window: the order of
+        :meth:`_pairs`, since every window of a time ends on the same row."""
         starts, ends, lams = self._pairs(self.t0 + 1, len(rows))
         scanner = PanelScanner(TimeSeriesPanel(rows), self.baseline, self.q)
         chunk = interval_stats._CHUNK_ENTRIES // self._lags.size**2
-        return scanner, starts, ends, (
-            starts - (self.q + 1), ends - self.q, lams, self.solver, self._whitening, chunk,
-        )
+        return scanner, (starts - (self.q + 1), ends - self.q, lams, self.solver, self._whitening, chunk)
 
     def step(self, x: np.ndarray) -> ScanResult:
         """Ingest one observation and return every window statistic at this
@@ -559,9 +563,10 @@ class OnlineDetector:
 
 
 def _first_alarm(windows: ScanResult, threshold: float) -> Optional[OnlineAlarm]:
-    """Alarm of the first reliable exceedance among the windows of
-    :meth:`OnlineDetector._scan`, which are ordered by time, then shortest
-    window; None if none."""
+    """Alarm of the first reliable exceedance among ``windows``, ordered by
+    time, then shortest window: those of :meth:`OnlineDetector._scan`, or a
+    chunk of a bracketed walk, whose unsolved rows are unreliable; None if
+    none."""
     hit = np.flatnonzero(windows.reliable & (windows.values > threshold))
     if hit.size == 0:
         return None
@@ -588,12 +593,14 @@ def detect_online(
     the checks of ``update`` (or to an exception the stream raises), before
     any window is solved; a generator is therefore read past the alarm. One
     :class:`PanelScanner` over the rows read then walks their windows in
-    kernel chunks, in time order, and stops at the first chunk holding a
-    reliable exceedance (:meth:`PanelScanner._first_exceedance`): in each
-    chunk a duality-gap bracket rules out the windows that cannot exceed
-    the threshold, and only the rest are solved in full. The error of a
-    failing row, or of the stream, is raised only when no alarm fires
-    before it.
+    kernel chunks, in time order (:meth:`PanelScanner._bracketed`), and
+    stops at the first chunk holding a reliable exceedance: in each chunk a
+    duality-gap bracket rules out the windows that cannot exceed the
+    threshold, and the rest are solved in full in two batches, the first up
+    to the first window whose bracket value already exceeds it; the alarm
+    is read after each batch by :func:`_first_alarm`, as in ``update``. The
+    error of a failing row, or of the stream, is raised only when no alarm
+    fires before it.
     """
     detector = OnlineDetector(baseline, q, lam, threshold, t0, solver, sigma, lambda_policy)
     p = detector.baseline.shape[0]
@@ -604,11 +611,16 @@ def detect_online(
     except Exception as exc:  # re-raised below unless an alarm on the rows before it comes first
         failure = exc
     if len(rows) > t0:
-        scanner, starts, ends, walk = detector._stream_walk(np.array(rows))
-        hit = scanner._first_exceedance(*walk, threshold)
-        if hit is not None:
-            window = Interval(int(starts[hit[0]]), int(ends[hit[0]]))
-            return OnlineAlarm(window.end, window, hit[1])
+        scanner, walk = detector._stream_walk(np.array(rows))
+        for windows, solve in scanner._bracketed(*walk):
+            todo = np.flatnonzero(~windows.solved & (windows.upper > threshold))
+            sure = np.flatnonzero(windows.values[todo] > threshold)
+            cut = int(sure[0]) + 1 if sure.size else todo.size
+            for part in (todo[:cut], todo[cut:]):
+                solve(part)
+                alarm = _first_alarm(windows, threshold)
+                if alarm is not None:
+                    return alarm
     if failure is not None:
         raise failure
     return None
@@ -632,10 +644,11 @@ def online_max_statistic(
     :meth:`OnlineDetector.update` skips as well. The rows are checked as
     :meth:`OnlineDetector.step` checks them, with the same errors, then one
     :class:`PanelScanner` over the panel, whose prefix sums are bitwise the
-    detector's, takes the maximum of every window of every time in one walk
-    (:meth:`PanelScanner._maximum`), in kernel chunks of
+    detector's, takes the maximum of every window of every time in one
+    bracketed walk (:meth:`PanelScanner._maximum`), in kernel chunks of
     ``_CHUNK_ENTRIES`` / (pq)^2 windows in time order. It holds a prefix
-    row only while a later window still reads it, and each chunk goes
+    row only while a later window still reads it, and a chunk's cross
+    blocks only until the next chunk gathers its own; each chunk goes
     through :func:`~varanom.interval_stats.lasso_maximum` with the best
     value of the chunks before it as its floor, so the result is bitwise
     the maximum of a :meth:`OnlineDetector.step` loop while only the windows
@@ -648,5 +661,5 @@ def online_max_statistic(
     rows = _check_rows(rows.reshape(len(rows), rows[0].size if len(rows) else p), p)
     if len(rows) <= t0:
         return 0.0
-    scanner, _, _, walk = detector._stream_walk(rows)
+    scanner, walk = detector._stream_walk(rows)
     return scanner._maximum(*walk).value

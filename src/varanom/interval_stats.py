@@ -57,31 +57,31 @@ value, penalty, non-zero count, reliability) and the method, which reads
 as a sequence of :class:`IntervalStatistic` built on demand. The offline
 scan and each online step return one, and selection reads its columns.
 
-Null calibration reads only a scan's largest reliable statistic, which
-:meth:`PanelScanner.max_statistic` (and, over every window of a stream,
-:func:`~varanom.detection.online_max_statistic`) gives bitwise without
-solving most lasso intervals in full (:func:`lasso_maximum`), and the
-online monitor reads only a stream's first reliable exceedance, which
-:func:`~varanom.detection.detect_online` finds the same way
-(:meth:`PanelScanner._first_exceedance`). Both screen as the kernel does, and
-:func:`_bracket`, a few sweeps of every busy interval through
-:func:`_solve_busy`, gives a bracket [value, value + duality gap] of its
-statistic; an interval whose upper bound stays below the best value found,
-or does not exceed the threshold, is ruled out, and the rest are solved in
-full through the same helper. A pruned statistic cannot be the maximum, so
-it is never counted as unreliable. A walked maximum carries its best value
-from one chunk to the next as the next chunk's floor, which prunes there
-too; a walk for the first exceedance stops at the first chunk that holds
-one. The offline lasso maximum takes its set as one chunk, so that every
-busy bracket is known before any interval is solved: it holds every prefix
-row the set reads and gathers every cross block at once, and its memory,
-unlike a scan's, still grows with the interval count. The online walks
-take their windows in kernel chunks. Offline lasso detections read a
-bracketed scan (:meth:`PanelScanner._bracketed_scan`), which walks its set
-as one chunk in the same way: every busy interval keeps its bracket until
-:func:`~varanom.detection.detect_single` or
-:func:`~varanom.detection.detect_multiple` solves it in full, which they do
-only for the intervals that could change a pick.
+Null calibration reads only a scan's largest reliable statistic, the
+online monitor only a stream's first reliable exceedance, and a lasso
+detection only the rows that could change a pick. All three read one
+bracketed walk (:meth:`PanelScanner._bracketed`): each chunk of intervals
+is screened as the kernel does, and :func:`_bracket`, a few sweeps of
+every busy interval through :func:`_solve_busy`, gives a bracket
+[value, value + duality gap] of its statistic. The chunk comes as a
+:class:`ScanResult` whose busy rows hold their brackets, unsolved, with a
+``solve`` that solves rows in full through the same helper, and each
+request is a rule over it: :func:`lasso_maximum` solves the rows whose
+upper bound reaches the best value found and carries that value to the
+next chunk as its floor (:meth:`PanelScanner.max_statistic`,
+:func:`~varanom.detection.online_max_statistic`);
+:func:`~varanom.detection.detect_online` solves the rows whose upper
+bound exceeds the threshold and stops at the first chunk holding an
+alarm; :func:`~varanom.detection.detect_single` and
+:func:`~varanom.detection.detect_multiple` solve the rows that could
+change a pick. A statistic left unsolved cannot be the maximum, so it is
+never counted as unreliable. The offline lasso maximum and detections take
+their set as one chunk, so that every busy bracket is known before any
+interval is solved: they hold every prefix row the set reads and gather
+every cross block at once, and their memory, unlike a scan's, still grows
+with the interval count. The online walks take their windows in kernel
+chunks, and each chunk releases the cross blocks of the one before it
+before it gathers its own.
 
 ``StatConfig`` checks the statistic's options, offline and online: the
 method and lambda policy (``check_choice``), the lambda scale
@@ -185,8 +185,8 @@ class ScanResult(Sequence):
     coefficients and reliability, with the ``method`` they share.
 
     ``upper`` and ``solved`` are None on an exact scan, where every value is
-    the interval's statistic. A bracketed scan
-    (:meth:`PanelScanner._bracketed_scan`) sets them: where ``solved`` is
+    the interval's statistic. A chunk of a bracketed walk
+    (:meth:`PanelScanner._bracketed`) sets them: where ``solved`` is
     False, the row was left at its duality-gap bracket, its statistic lies
     in [``values``, ``upper``], its ``nonzero`` counts the bracket iterate's
     coefficients and it is marked unreliable, so that no rule reads the
@@ -481,8 +481,8 @@ def _solve_busy(
 
 
 def _bracket(
-    gram_prefix: np.ndarray, cross_prefix: np.ndarray, y_sq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    lams: np.ndarray, solver: SolverOptions, whitening: Optional[np.ndarray],
+    gram_prefix: np.ndarray, cross_prefix: np.ndarray, sq_prefix: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
+    lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions, whitening: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(crosses, busy, value, upper, nonzero) of the lasso intervals of
     :func:`prefix_statistics`: their whitened cross blocks, the indices of
@@ -491,14 +491,18 @@ def _bracket(
     ``_BRACKET_SWEEPS`` sweeps of :func:`_solve_busy`, with a slack of
     ``_BRACKET_MARGIN`` (1 + sum_k ||y_k||^2) on ``upper`` for rounding,
     and the count of non-zero coefficients of the iterate behind ``value``.
-    ``y_sq`` is (n, p): row i holds interval i's column norms ||y_k||^2 of
-    the whitened response. A busy statistic solved in full lies in
-    [value, upper]; every other one is exactly 0.0 and reliable.
+    ``sq_prefix`` holds the running sums of the squared whitened residuals
+    at every prefix row (:meth:`PanelScanner._sq_prefix`) and ``rows`` each
+    interval's two prefix rows, from which the column norms ||y_k||^2 of
+    the busy intervals are differenced after the screen, so that none is
+    held while the cross blocks are gathered. A busy statistic solved in
+    full lies in [value, upper]; every other one is exactly 0.0 and
+    reliable.
     """
     _check_layout(gram_prefix, cross_prefix)
     crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     busy = busy_intervals(crosses, lams)
-    y_sq = y_sq[busy]
+    y_sq = sq_prefix.take(rows[1][busy], axis=0) - sq_prefix.take(rows[0][busy], axis=0)
     sweeps = min(_BRACKET_SWEEPS, solver.max_iterations)
     value, upper, nonzero, _ = _solve_busy(
         gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, sweeps, y_sq
@@ -507,51 +511,34 @@ def _bracket(
     return crosses, busy, value, upper, nonzero
 
 
-def lasso_maximum(
-    gram_prefix: np.ndarray,
-    cross_prefix: np.ndarray,
-    y_sq: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    lams: np.ndarray,
-    solver: SolverOptions,
-    whitening: Optional[np.ndarray],
-    floor: float,
-) -> ScanMaximum:
-    """The larger of ``floor`` and the largest reliable lasso statistic of the
-    intervals of :func:`prefix_statistics`, bitwise that of its values, with
-    only a few intervals solved in full.
+def lasso_maximum(stats: ScanResult, solve: Callable[[np.ndarray], None], floor: float) -> float:
+    """The larger of ``floor`` and the largest reliable statistic of a
+    bracketed chunk (:meth:`PanelScanner._bracketed`), bitwise that of an
+    exact scan of it, with only a few of its rows solved in full.
 
-    The intervals are screened and the busy ones bracketed once, by
-    :func:`_bracket`. ``floor``, a reliable value already found elsewhere
-    (0.0 if none), starts both the best value and the level F, which then
-    rises to the largest ``value``. Every interval whose ``upper`` reaches F
-    is solved in full by :func:`_solve_busy`, from zero and in a batch of
-    its own, as in a full scan; each problem's result is independent of its
-    batch, so its value is bitwise the full scan's. Should the best reliable
-    value M, the floor included, fall below F, every interval whose
-    ``upper`` reaches M is solved too, which makes the result exact at any
-    solver budget. The intervals left unsolved, counted as pruned, have
-    statistics below M, so they cannot change the maximum. A walk of a set
-    in chunks, each taking the maximum of the chunks before it as its
-    floor, gives bitwise the maximum of one chunk of all; a higher floor
-    prunes no fewer.
+    ``stats`` holds the chunk's screened rows, exact, and its busy rows at
+    their brackets [value, upper], unsolved; ``solve(rows)`` solves rows in
+    full and writes them back. ``floor``, a reliable value already found
+    elsewhere (0.0 if none), starts both the best value and the level F,
+    which then rises to the largest ``value``. Every unsolved row whose
+    ``upper`` reaches F is solved in full, in a batch of its own; each
+    problem's result is independent of its batch, so its value is bitwise
+    the full scan's. Should the best reliable value M, the floor included,
+    fall below F, every unsolved row whose ``upper`` reaches M is solved
+    too, which makes the result exact at any solver budget. The rows left
+    unsolved have statistics below M, so they cannot change the maximum. A
+    walk of a set in chunks, each taking the maximum of the chunks before it
+    as its floor, gives bitwise the maximum of one chunk of all; a higher
+    floor leaves no fewer rows unsolved.
     """
-    crosses, busy, value, upper, _ = _bracket(gram_prefix, cross_prefix, y_sq, lo, hi, lams, solver, whitening)
-    solved = np.zeros(busy.size, dtype=bool)
-    best, unreliable = floor, 0
-    level = float(value.max(initial=floor))
+    level = float(stats.values.max(initial=floor))
     while True:
-        todo = np.flatnonzero(~solved & (upper >= level))
+        todo = np.flatnonzero(~stats.solved & (stats.upper >= level))
         if todo.size:
-            values, _, _, reliable = _solve_busy(
-                gram_prefix, crosses, lo, hi, lams, busy[todo], solver.tolerance, solver.max_iterations
-            )
-            solved[todo] = True
-            unreliable += int(np.count_nonzero(~reliable))
-            best = max(best, float(values[reliable].max(initial=0.0)))
+            solve(todo)
+        best = float(stats.values[stats.solved & stats.reliable].max(initial=floor))
         if best >= level:
-            return ScanMaximum(best, unreliable, int(busy.size - np.count_nonzero(solved)))
+            return best
         level = best
 
 
@@ -732,7 +719,7 @@ def _prefix_sum(
     """
     products = np.empty((_PREFIX_BLOCK_ROWS, left.shape[1], right.shape[1])) if out.ndim == 2 else None
     sums = np.empty((2, _PREFIX_BLOCK_ROWS) + out.shape[1:])
-    last = int(rows[-1])
+    last = int(rows.max(initial=0))  # rows[-1], or 0 for no rows, which walks none
     kept = np.zeros(last + 1, dtype=bool)
     kept[rows] = True
     held = map(out.__getitem__, slots.tolist())
@@ -766,11 +753,12 @@ class _Walk(NamedTuple):
     """How a scanner request walks an interval set in (end row, storage
     index) order, ``chunk`` intervals at a time, holding each prefix row it
     reads in a pool of ``size`` slots only from the chunk whose walk reaches
-    the row to the last chunk that reads it (:func:`_walk_plan`). Every
-    request is such a walk: a scan in kernel chunks, a lasso maximum in
-    chunks that each start from the best value of the ones before
-    (:meth:`PanelScanner._maximum`), and an online first exceedance, which
-    stops at the chunk that holds it (:meth:`PanelScanner._first_exceedance`).
+    the row to the last chunk that reads it (:func:`_walk_plan`); an empty
+    set is one empty chunk. Every request is such a walk: a scan in kernel
+    chunks, and a bracketed walk (:meth:`PanelScanner._bracketed`), whose
+    chunks a lasso maximum reads each from the best value of the ones
+    before (:meth:`PanelScanner._maximum`), an online alarm up to the chunk
+    that holds it, and a lasso detection as one chunk.
 
     ``order`` holds the storage indices in walk order, chunk k being
     ``order[k chunk : (k + 1) chunk]``. ``rows`` are the distinct prefix rows
@@ -814,7 +802,7 @@ def _walk_plan(lo: np.ndarray, hi: np.ndarray, chunk: int) -> _Walk:
     np.maximum.at(last, lo, which)
     np.maximum.at(last, hi, which)
     rows = np.flatnonzero(last >= 0)
-    born = np.bincount(np.searchsorted(reach, rows), minlength=len(reach)).tolist()
+    born = np.bincount(np.searchsorted(reach, rows), minlength=max(1, len(reach))).tolist()
     slots = np.empty(len(rows), dtype=np.intp)
     fresh, free, written = itertools.count(), [], 0
     for k, count in enumerate(born):
@@ -841,14 +829,14 @@ class PanelScanner:
     1 / 1.1)`` in kernel chunks of ``_CHUNK_ENTRIES`` / (pq)^2 = 52
     intervals holds at most 148 of the 1061 rows it reads, about 4.5 MB.
     :meth:`scan` and the OLS :meth:`max_statistic` walk kernel chunks.
-    Lasso maxima go through :meth:`_maximum`, which carries the best value
-    from one chunk to the next: the lasso :meth:`max_statistic` takes its
-    set as one chunk, as does the bracketed scan of lasso detections
-    (:meth:`_bracketed_scan`), and
-    :func:`~varanom.detection.online_max_statistic` walks every window of a
-    stream in kernel chunks, as :func:`~varanom.detection.detect_online`
-    does through :meth:`_first_exceedance` up to its first chunk with an
-    exceedance. A scanner keeps the last plan, with its pool and the OLS
+    Every other lasso request reads the bracketed walk (:meth:`_bracketed`):
+    lasso maxima through :meth:`_maximum`, which carries the best value from
+    one chunk to the next, the lasso :meth:`max_statistic` with its set as
+    one chunk, :func:`~varanom.detection.online_max_statistic` over every
+    window of a stream in kernel chunks, and
+    :func:`~varanom.detection.detect_online` in the same chunks up to its
+    first chunk with an alarm, while lasso detections take their set as one
+    chunk. A scanner keeps the last plan, with its pool and the OLS
     chunk buffers; the chunk is capped at the set's size, so at p = 10
     (1310 intervals a kernel chunk) a scan and a lasso maximum of a set
     share one, and a repeated request makes no plan, but every request
@@ -919,8 +907,8 @@ class PanelScanner:
             _prefix_sum(self._lagged, self._resid, plan.rows, self._cross_prefix, plan.slots),
         )
         for k, born in enumerate(plan.born):
-            for walk in walks:
-                _consume(walk, born)
+            for walk in walks:  # the last chunk runs them to their end, which frees their scratch blocks
+                _consume(walk, born if k + 1 < len(plan.born) else None)
             at = plan.order[k * plan.chunk : (k + 1) * plan.chunk]
             yield at, plan.lo[at], plan.hi[at]
 
@@ -932,86 +920,85 @@ class PanelScanner:
         np.cumsum(resid * resid, axis=0, out=sq_prefix[1:])
         return sq_prefix
 
-    def _bracket_walk(
-        self, lo: np.ndarray, hi: np.ndarray, whitening: Optional[np.ndarray], chunk: int,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """:meth:`_walk`, with each chunk's column norms ||y_k||^2 of the
-        response whitened by ``whitening`` beside its indices and slots,
-        differenced at its intervals' prefix rows of :meth:`_sq_prefix`."""
+    def _bracketed(
+        self, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions,
+        whitening: Optional[np.ndarray], chunk: int,
+    ) -> Iterator[tuple[ScanResult, Callable[[np.ndarray], None]]]:
+        """Walk the lasso intervals of prefix rows ``lo`` and ``hi``, of
+        penalties ``lams`` and whitened by ``whitening``, in chunks of
+        ``chunk`` (:meth:`_walk`), yielding each chunk bracketed, with a
+        ``solve``.
+
+        Each chunk is screened and its busy intervals bracketed once by
+        :func:`_bracket`, with their column norms ||y_k||^2 differenced from
+        :meth:`_sq_prefix`. The chunk's :class:`ScanResult` holds its rows in
+        storage order: a screened row is exact (0.0, reliable) and a busy
+        row holds its bracket, unsolved and unreliable. ``solve(rows)``, for
+        positions of unsolved rows in that result, solves them in full, from
+        zero and in one batch, through :func:`_solve_busy`, and writes their
+        value, non-zero count and reliability back, with ``upper`` set to the
+        value and ``solved`` True. Each problem's result is independent of
+        its batch, so a solved row is bitwise the row of :meth:`scan`.
+        ``solve`` reads the prefix rows and cross blocks of its chunk, so it
+        works only until the walk advances: the next chunk releases the
+        blocks before it gathers its own, and no other request may run on
+        the scanner while it is in use.
+        """
         sq_prefix = self._sq_prefix(whitening)
         for at, a, b in self._walk(lo, hi, chunk):
-            yield at, a, b, sq_prefix.take(hi[at], axis=0) - sq_prefix.take(lo[at], axis=0)
+            keep = np.argsort(at)
+            at, a, b = at[keep], a[keep], b[keep]
+            first, last, n = lo[at], hi[at], len(at)
+            stats = ScanResult(
+                first + self.q + 1, last + self.q, np.zeros(n), lams[at], np.zeros(n, dtype=int),
+                np.ones(n, dtype=bool), "lasso", np.zeros(n), np.ones(n, dtype=bool),
+            )
+            crosses, busy, value, upper, nonzero = _bracket(
+                self._gram_prefix, self._cross_prefix, sq_prefix, (first, last), a, b, stats.lams, solver, whitening
+            )
+            stats.values[busy], stats.upper[busy], stats.nonzero[busy] = value, upper, nonzero
+            stats.reliable[busy] = stats.solved[busy] = False
+
+            def solve(rows: np.ndarray) -> None:
+                stats.values[rows], _, stats.nonzero[rows], stats.reliable[rows] = _solve_busy(
+                    self._gram_prefix, crosses, a, b, stats.lams, rows, solver.tolerance, solver.max_iterations
+                )
+                stats.upper[rows] = stats.values[rows]
+                stats.solved[rows] = True
+
+            yield stats, solve
+            del crosses  # empties solve's cell, so the blocks go before the next chunk gathers
 
     def _maximum(
         self, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions,
         whitening: Optional[np.ndarray], chunk: int,
     ) -> ScanMaximum:
-        """The largest reliable lasso statistic of the intervals of prefix
-        rows ``lo`` and ``hi`` and penalties ``lams``, whitened by
-        ``whitening``, walked in chunks of ``chunk`` (:meth:`_bracket_walk`),
-        with the unreliable and pruned counts summed over the chunks.
+        """The largest reliable lasso statistic of the intervals of
+        :meth:`_bracketed`, walked in the same chunks, with the counts read
+        from each chunk's columns once :func:`lasso_maximum` is done with it:
+        ``unreliable`` its rows solved to the end and unreliable, ``pruned``
+        its rows left unsolved.
 
         Each chunk goes through :func:`lasso_maximum` with the best value of
         the chunks before it as its floor, so the result is bitwise the
         maximum of one chunk of all.
         """
         best, unreliable, pruned = 0.0, 0, 0
-        for at, a, b, y_sq in self._bracket_walk(lo, hi, whitening, chunk):
-            best, skipped, ruled_out = lasso_maximum(
-                self._gram_prefix, self._cross_prefix, y_sq, a, b, lams[at], solver, whitening, best
-            )
-            unreliable += skipped
-            pruned += ruled_out
+        for stats, solve in self._bracketed(lo, hi, lams, solver, whitening, chunk):
+            best = lasso_maximum(stats, solve, best)
+            unreliable += int(np.count_nonzero(stats.solved & ~stats.reliable))
+            pruned += int(np.count_nonzero(~stats.solved))
         return ScanMaximum(best, unreliable, pruned)
 
-    def _first_exceedance(
-        self, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions,
-        whitening: Optional[np.ndarray], chunk: int, threshold: float,
-    ) -> Optional[tuple[int, float]]:
-        """(storage index, value) of the first interval, in walk order (end
-        row, then storage index), whose lasso statistic is reliable and
-        exceeds ``threshold`` > 0, bitwise the first such one of a scan's
-        values; None if none does. The intervals are those of
-        :meth:`_maximum`, walked in the same chunks, and the walk stops,
-        building no further row, at the first chunk that holds one.
-
-        Each chunk is screened and bracketed by :func:`_bracket`, as in
-        :func:`lasso_maximum`. A statistic whose ``upper`` does not exceed
-        the threshold cannot exceed it, and a screened one is 0.0, so only
-        the busy intervals whose ``upper`` exceeds it are solved in full, from
-        zero, by :func:`_solve_busy`, in two batches: the first runs up to
-        and including the first one whose bracket ``value`` already exceeds
-        the threshold, which surely exceeds it unless its full solve is
-        unreliable; the second, solved only if the first holds no reliable
-        exceedance, holds the rest. Each problem's result is independent of
-        its batch, so its value and reliability are bitwise a scan's.
-        """
-        for at, a, b, y_sq in self._bracket_walk(lo, hi, whitening, chunk):
-            chunk_lams = lams[at]
-            crosses, busy, value, upper, _ = _bracket(
-                self._gram_prefix, self._cross_prefix, y_sq, a, b, chunk_lams, solver, whitening
-            )
-            over = upper > threshold
-            todo, sure = busy[over], np.flatnonzero(value[over] > threshold)
-            cut = int(sure[0]) + 1 if sure.size else todo.size
-            for part in (todo[:cut], todo[cut:]):
-                values, _, _, reliable = _solve_busy(
-                    self._gram_prefix, crosses, a, b, chunk_lams, part, solver.tolerance, solver.max_iterations
-                )
-                hit = np.flatnonzero(reliable & (values > threshold))
-                if hit.size:
-                    return int(at[part[hit[0]]]), float(values[hit[0]])
-        return None
-
     def _kernel_args(self, interval_set: IntervalSet, config: StatConfig) -> tuple:
-        """(lo, hi, lengths, lams, whitening) of the set: its intervals'
-        prefix rows, their row counts and penalties, and the whitening
-        matrix of ``config.sigma``."""
+        """(lo, hi, lams, solver, whitening) of the set: its intervals'
+        prefix rows, checked against the scanner's domain, their penalties,
+        the solver options and the whitening matrix of ``config.sigma``."""
         starts, ends = interval_set.starts, interval_set.ends
         check_domain(starts, ends, self.n_rows, self.q)
         lams = interval_lambdas(config, interval_set, self.n_series, self.n_rows)
         whitening = whitening_matrix(config.sigma, self.n_series)
-        return starts - self.q - 1, ends - self.q, ends - starts + 1, lams, whitening
+        return starts - self.q - 1, ends - self.q, lams, config.solver, whitening
 
     def scan(self, interval_set: IntervalSet, config: StatConfig) -> ScanResult:
         """Statistics for every interval in the set, in storage order.
@@ -1023,8 +1010,8 @@ class PanelScanner:
         one among them raises the kernel's DesignError, and then the first
         short one raises.
         """
-        lo, hi, lengths, lams, whitening = self._kernel_args(interval_set, config)
-        n, m, p = len(lo), self.n_series * self.q, self.n_series
+        lo, hi, lams, _, whitening = self._kernel_args(interval_set, config)
+        n, m, p, lengths = len(lo), self.n_series * self.q, self.n_series, hi - lo
         stop = _computed(lengths, m) if config.method == "ols" else n
         values, nonzero, reliable = columns = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=bool)
         for at, a, b in self._walk(lo[:stop], hi[:stop], _CHUNK_ENTRIES // (m * m)):
@@ -1040,71 +1027,22 @@ class PanelScanner:
             check_ols_rows(int(lengths[stop]), m)
         return ScanResult(interval_set.starts, interval_set.ends, values, lams, nonzero, reliable, config.method)
 
-    def _bracketed_scan(
-        self, interval_set: IntervalSet, config: StatConfig
-    ) -> tuple[ScanResult, Callable[[np.ndarray], None]]:
-        """A lasso scan of the set that leaves every busy interval at its
-        bracket, and ``solve``, which solves some of them in full.
-
-        The set is walked as one chunk, as the lasso :meth:`max_statistic`
-        walks it, and every interval is screened and every busy one
-        bracketed once by :func:`_bracket`. In the result, a screened row is
-        exact (0.0, reliable) and a busy row holds its bracket, unsolved and
-        unreliable (:class:`ScanResult`). ``solve(rows)``, for storage
-        indices of unsolved rows, solves them in full, from zero and in one
-        batch, through :func:`_solve_busy`, and writes their value, non-zero
-        count and reliability into the result, with ``upper`` set to the
-        value and ``solved`` True. Each problem's result is independent of
-        its batch, so a solved row is bitwise the row of :meth:`scan`. Both
-        read the prefix rows the walk left in the scanner's pool, so no other
-        request may run on the scanner while ``solve`` is in use.
-        """
-        lo, hi, _, lams, whitening = self._kernel_args(interval_set, config)
-        n = len(lo)
-        values, upper, nonzero = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
-        reliable, solved = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-        result = ScanResult(
-            interval_set.starts, interval_set.ends, values, lams, nonzero, reliable, "lasso", upper, solved
-        )
-        if n == 0:
-            return result, lambda rows: None
-        (at, a, b, y_sq), = self._bracket_walk(lo, hi, whitening, n)
-        chunk_lams = lams[at]
-        crosses, busy, value, bound, count = _bracket(
-            self._gram_prefix, self._cross_prefix, y_sq, a, b, chunk_lams, config.solver, whitening
-        )
-        rows = at[busy]
-        values[rows], upper[rows], nonzero[rows] = value, bound, count
-        reliable[rows] = solved[rows] = False
-        position = np.empty(n, dtype=np.intp)  # of each storage index in the chunk
-        position[at] = np.arange(n)
-
-        def solve(rows: np.ndarray) -> None:
-            values[rows], _, nonzero[rows], reliable[rows] = _solve_busy(
-                self._gram_prefix, crosses, a, b, chunk_lams, position[rows],
-                config.solver.tolerance, config.solver.max_iterations,
-            )
-            upper[rows] = values[rows]
-            solved[rows] = True
-
-        return result, solve
-
     def max_statistic(self, interval_set: IntervalSet, config: StatConfig) -> ScanMaximum:
         """The largest reliable statistic of the set, bitwise
         ``max_reliable_statistic(self.scan(interval_set, config))``, with counts.
 
         OLS takes the maximum of a scan's values. Lasso goes through
-        :meth:`_maximum` with the set as one chunk: every busy interval's
-        bracket is then known before any is solved in full, where kernel
-        chunks of short intervals would set low floors early.
+        :meth:`_maximum`, a bracketed walk (:meth:`_bracketed`) with the set
+        as one chunk: every busy interval's bracket is then known before any
+        is solved in full, where kernel chunks of short intervals would set
+        low floors early.
         No :class:`IntervalStatistic` is built. An empty set gives 0.0.
         """
         if not interval_set.intervals:
             return ScanMaximum(0.0, 0, 0)
         if config.method == "ols":
             return ScanMaximum(float(self.scan(interval_set, config).values.max()), 0, 0)
-        lo, hi, _, lams, whitening = self._kernel_args(interval_set, config)
-        return self._maximum(lo, hi, lams, config.solver, whitening, len(lo))
+        return self._maximum(*self._kernel_args(interval_set, config), len(interval_set))
 
 
 def scan_intervals(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -423,8 +424,43 @@ def _full_prefix_kernel(panel, baseline, q, ivs, config):
     white = resid if whitening is None else resid @ whitening
     sq_prefix = np.zeros((len(every), p))
     np.cumsum(white * white, axis=0, out=sq_prefix[1:])
-    y_sq = sq_prefix[hi] - sq_prefix[lo]
-    return stats, lasso_maximum(gram_prefix, cross_prefix, y_sq, lo, hi, lams, config.solver, whitening, 0.0)
+    chunk = _bracketed_chunk(gram_prefix, cross_prefix, sq_prefix, ivs, q, lams, config.solver, whitening)
+    return stats, _maximum_of(chunk, 0.0)
+
+
+def _bracketed_chunk(gram_prefix, cross_prefix, sq_prefix, ivs, q, lams, solver, whitening):
+    """``ivs`` as one bracketed chunk with its ``solve``, as
+    ``PanelScanner._bracketed`` yields them, built from ``_bracket`` and
+    ``_solve_busy`` over prefixes where a prefix row's index is its position."""
+    lo, hi = ivs.starts - q - 1, ivs.ends - q
+    n = len(lo)
+    crosses, busy, value, upper, nonzero = interval_stats._bracket(
+        gram_prefix, cross_prefix, sq_prefix, (lo, hi), lo, hi, lams, solver, whitening
+    )
+    stats = interval_stats.ScanResult(
+        ivs.starts, ivs.ends, np.zeros(n), lams, np.zeros(n, dtype=int), np.ones(n, dtype=bool), "lasso",
+        np.zeros(n), np.ones(n, dtype=bool),
+    )
+    stats.values[busy], stats.upper[busy], stats.nonzero[busy] = value, upper, nonzero
+    stats.reliable[busy] = stats.solved[busy] = False
+
+    def solve(rows):
+        stats.values[rows], _, stats.nonzero[rows], stats.reliable[rows] = interval_stats._solve_busy(
+            gram_prefix, crosses, lo, hi, lams, rows, solver.tolerance, solver.max_iterations
+        )
+        stats.upper[rows] = stats.values[rows]
+        stats.solved[rows] = True
+
+    return stats, solve
+
+
+def _maximum_of(chunk, floor):
+    """``lasso_maximum`` of a bracketed chunk, with the unreliable and pruned
+    counts ``PanelScanner._maximum`` reads from the chunk's columns."""
+    stats, solve = chunk
+    value = lasso_maximum(stats, solve, floor)
+    unreliable = int(np.count_nonzero(stats.solved & ~stats.reliable))
+    return ScanMaximum(value, unreliable, int(np.count_nonzero(~stats.solved)))
 
 
 def _sharing_set(rng, n, q, m):
@@ -780,8 +816,8 @@ def test_kernel_rejects_an_unpacked_gram_prefix_and_indices_outside_it():
         with pytest.raises(ParameterError, match="packed"):
             prefix_statistics(full, cross_prefix, lo, hi, hi - lo, np.zeros(2), method, SolverOptions(), None)
     with pytest.raises(ParameterError, match="packed"):
-        interval_stats.lasso_maximum(
-            full, cross_prefix, np.zeros((len(lo), 2)), lo, hi, np.zeros(2), SolverOptions(), None, 0.0
+        interval_stats._bracket(
+            full, cross_prefix, np.zeros((len(full), 2)), (lo, hi), lo, hi, np.zeros(2), SolverOptions(), None
         )
     # the OLS gathers write straight into reused buffers, so they check their
     # indices rather than let a clipping take read the wrong rows
@@ -1101,8 +1137,8 @@ def test_max_statistic_of_empty_and_all_screened_sets_is_zero():
 @pytest.mark.parametrize("q", [1, 2])
 def test_max_statistic_brackets_read_whitened_column_norms(monkeypatch, q):
     # the ||y_k||^2 behind each busy interval's bracket are those of its
-    # whitened response, taken from the squared-residual prefix, in the
-    # walk's order: by end row, then storage order
+    # whitened response, taken from the squared-residual prefix, in storage
+    # order, the order of the bracketed chunk's rows
     base = generate_dense_stationary(3, seed=7)
     a = np.random.default_rng(8).standard_normal((3, 3))
     cov = 0.1 * (a @ a.T + 0.5 * np.eye(3))
@@ -1111,7 +1147,7 @@ def test_max_statistic_brackets_read_whitened_column_norms(monkeypatch, q):
     ivs = seeded_intervals(160, 3 * q + 2, 1 / 1.1, q=q)
     config = StatConfig(sigma=cov)
     scanner = PanelScanner(panel, law.stacked, q)
-    busy = sorted((x.interval for x in scanner.scan(ivs, config) if x.nonzero > 0), key=lambda iv: iv.end)
+    busy = [x.interval for x in scanner.scan(ivs, config) if x.nonzero > 0]
     seen = []
     bracket = interval_stats.lasso_bracket
 
@@ -1148,19 +1184,85 @@ def test_lasso_maximum_floor(budget, counts):
     sq_prefix = scanner._sq_prefix(whitening)
     lo, hi = ivs.starts - 2, ivs.ends - 1
     lams = interval_lambdas(config, ivs, 3, 160)
-    args = (gram_prefix, cross_prefix, sq_prefix[hi] - sq_prefix[lo], lo, hi, lams, config.solver, whitening)
+    args = (gram_prefix, cross_prefix, sq_prefix, ivs, 1, lams, config.solver, whitening)
     values, _, reliable = prefix_statistics(*args[:2], lo, hi, hi - lo, lams, "lasso", config.solver, whitening)
-    top = lasso_maximum(*args, 0.0)
+    top = _maximum_of(_bracketed_chunk(*args), 0.0)
     assert top.value.hex() == float(values[reliable].max()).hex()
     assert (top.unreliable, top.pruned) == counts
     pruned = top.pruned
     for floor in (top.value / 2, top.value, 2 * top.value):
-        got = lasso_maximum(*args, floor)
+        got = _maximum_of(_bracketed_chunk(*args), floor)
         assert got.value.hex() == max(floor, top.value).hex()
         assert got.pruned >= pruned
         pruned = got.pruned
     # every busy interval's upper bound lies below 2M, so that floor solves none
     assert (got.unreliable, got.pruned) == (0, 737)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2), policy=st.sampled_from(LAMBDA_POLICIES),
+    whitened=st.booleans(), sweeps=st.sampled_from([3, 12]), per_chunk=st.integers(1, 9),
+)
+def test_bracketed_walk_brackets_the_scan_chunk_by_chunk(seed, q, policy, whitened, sweeps, per_chunk):
+    # a bracketed walk in chunks of a few intervals: each chunk holds its rows
+    # in storage order, its screened rows are the scan's bitwise, and its busy
+    # rows bracket the scan's values, the lower side up to the rounding slack,
+    # until solve makes them the scan's bitwise; a chunk's cross blocks are
+    # dead by the time the next chunk gathers its own
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    n = int(rng.integers(40, 120))
+    m = p * q
+    a = generate_dense_stationary(p, seed=int(rng.integers(1 << 30))).coeffs[0]
+    noise = rng.standard_normal((p, p))
+    cov = noise @ noise.T + 0.5 * np.eye(p)
+    law = VarParams((a / q,) * q, cov)
+    panel = simulate(law, n, burn_in=20, seed=int(rng.integers(1 << 30)))
+    ivs = random_intervals(n, m + 2, int(rng.integers(20, 60)), seed=int(rng.integers(1 << 30)), q=q)
+    config = StatConfig(
+        lambda_scale=float(rng.uniform(0.05, 0.5)), sigma=cov if whitened else None,
+        solver=SolverOptions(max_iterations=sweeps), lambda_policy=policy,
+    )
+    full = PanelScanner(panel, law.stacked, q).scan(ivs, config)
+    y_sq = np.array([
+        np.sum(whiten(build_regression_view(panel, law.stacked, s, e, q), config.sigma).residuals ** 2)
+        for s, e in zip(ivs.starts.tolist(), ivs.ends.tolist())
+    ])
+    slack = _BRACKET_MARGIN * (1.0 + y_sq)
+    gathered, walked = [], []
+    gather = interval_stats.cross_blocks
+
+    def spy(*args):
+        assert all(ref() is None for ref in gathered), "an earlier chunk's cross blocks are still held"
+        crosses = gather(*args)
+        gathered.append(weakref.ref(crosses))
+        return crosses
+
+    scanner = PanelScanner(panel, law.stacked, q)
+    with mock.patch.object(interval_stats, "_CHUNK_ENTRIES", per_chunk * m * m), \
+            mock.patch.object(interval_stats, "cross_blocks", spy):
+        chunk = interval_stats._CHUNK_ENTRIES // (m * m)
+        for k, (stats, solve) in enumerate(scanner._bracketed(*scanner._kernel_args(ivs, config), chunk)):
+            plan = scanner._plan
+            at = np.sort(plan.order[k * plan.chunk : (k + 1) * plan.chunk])
+            walked.append(at)
+            for column in ("starts", "ends", "lams"):
+                assert getattr(stats, column).tobytes() == getattr(full, column)[at].tobytes()
+            busy = ~stats.solved
+            for column in ("values", "nonzero", "reliable"):
+                assert getattr(stats, column)[~busy].tobytes() == getattr(full, column)[at][~busy].tobytes()
+            want = full.values[at][busy]
+            assert not stats.reliable[busy].any()
+            assert (stats.values[busy] <= want + slack[at][busy]).all() and (want <= stats.upper[busy]).all()
+            rows = np.flatnonzero(busy)
+            solve(rows[::2])
+            solve(rows[1::2])
+            assert stats.solved.all() and stats.upper.tobytes() == stats.values.tobytes()
+            for column in ("values", "nonzero", "reliable"):
+                assert getattr(stats, column).tobytes() == getattr(full, column)[at].tobytes()
+    assert np.array_equal(np.sort(np.concatenate(walked)), np.arange(len(ivs)))
+    assert len(gathered) == len(walked)
 
 
 def test_max_statistic_solves_fewer_problems_than_its_first_pass(monkeypatch):

@@ -51,6 +51,10 @@ Items:
   streams under the three policies, unwhitened and whitened, whose
   windows span 9 kernel chunks, so that each chunk's maximum starts from
   the best value of the chunks before it;
+* ``online/alarms-chunks``: the ``detect_online`` alarms of p = 20,
+  T = 400 streams with a change, in the same cases, at a threshold just
+  above each case's null maxima, so that the walk for an alarm passes
+  several kernel chunks before the one that holds it;
 * ``duplicates/<method>/<selection>``: the picks of ``detect_single`` and
   ``detect_multiple`` and the bytes of their ``DetectionResult.to_csv``,
   over a ``random_intervals`` set that holds duplicated intervals, for
@@ -281,24 +285,43 @@ def online() -> dict[str, tuple[str, dict]]:
         "online/alarms": (
             _sha(alarms), dict(zip(("time", "start", "end", "statistic"), alarms.T))
         ),
-        "online/max-chunks": online_chunks(),
+        **online_chunks(),
     }
 
 
-def online_chunks() -> tuple[str, dict]:
+def online_chunks() -> dict[str, tuple[str, dict]]:
     """``online_max_statistic`` of p = 20, T = 400 null streams, whose 2679
-    windows span 9 kernel chunks of 327."""
+    windows span 9 kernel chunks of 327, and the ``detect_online`` alarms of
+    streams of the same shape with a change from time 200, each at a
+    threshold just above its case's two null maxima."""
     p, horizon = 20, 400
     base = generate_dense_stationary(p, seed=41)
+    theta = np.zeros((p, p))
+    theta[np.arange(p), np.arange(p)[::-1]] = 0.2
     cov = _covariance(p, 42)
-    maxima = []
+    maxima, alarms = [], []
     for policy, scale in (("global", 0.5), ("interval_sqrt", 1.0), ("interval_linear", 0.3)):
         lam = default_lambda(2, p, horizon, scale)
         for sigma in (None, cov):
             for r in range(2):
                 null = simulate(base, horizon, seed=300 + r).values
                 maxima.append(online_max_statistic(null, base.stacked, 1, lam, sigma=sigma, lambda_policy=policy))
-    return _item(maxima=np.array(maxima, dtype=float))
+            threshold = max(maxima[-2:]) + 1e-9
+            for r in range(2):
+                stream = simulate_episodes(base, [((200, horizon - 1), theta)], horizon, seed=400 + r)
+                alarm = detect_online(
+                    stream.values, base.stacked, 1, lam, threshold, sigma=sigma, lambda_policy=policy
+                )
+                alarms.append((-1, -1, -1, np.nan) if alarm is None else (
+                    alarm.time, alarm.window.start, alarm.window.end, alarm.statistic
+                ))
+    alarms = np.array(alarms, dtype=float)
+    return {
+        "online/max-chunks": _item(maxima=np.array(maxima, dtype=float)),
+        "online/alarms-chunks": (
+            _sha(alarms), dict(zip(("time", "start", "end", "statistic"), alarms.T))
+        ),
+    }
 
 
 def bracketed() -> dict[str, tuple[str, dict]]:
@@ -740,7 +763,7 @@ def compare(items: dict[str, dict], saved: dict[str, dict]) -> None:
                 name.endswith("detections.csv") or name.startswith(("duplicates/", "detect/"))
             ):
                 same["detections"] = False
-            elif name == "online/alarms" and field != "statistic":
+            elif name.startswith("online/alarms") and field != "statistic":
                 same["alarms"] = False
         if len(notes) > 1:
             notes.pop("bytes", None)  # a file's parsed fields say how its bytes differ

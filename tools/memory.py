@@ -1,9 +1,9 @@
-"""Memory of the p = 50 OLS runs of the benchmark's pipeline-ols-p50 workload, and of online calibration.
+"""Memory of the benchmark's pipeline-ols-p50 OLS runs, of p = 50 lasso requests and of online calibration.
 
     python3 tools/memory.py [--against PARENT_CHECKOUT]
 
-Four runs at that workload's sizes (p = 50, q = 1), and two online ones, on
-fixed seeds:
+Four runs at that workload's sizes (p = 50, q = 1), two lasso ones and two
+online ones, on fixed seeds:
 
 * ``scanner``: a ``PanelScanner`` over a T = 2000 panel, the length of the
   pipeline's test slice, and one OLS ``scan`` of
@@ -19,6 +19,11 @@ fixed seeds:
   ``seeded_intervals(1000, 51, 1 / 1.1)``, made after one ``detect_single``
   of the T = 2000 panel (outside the measurement), as the calibration of a
   second ``run_pipeline`` in a process follows the first one's detection;
+* ``lasso-detect-p50`` and ``lasso-max-p50``: a lasso ``detect_multiple``,
+  at a threshold above every statistic, and a lasso ``max_statistic`` of a
+  T = 1000 panel over 2000 ``random_intervals`` under ``interval_linear``:
+  both bracket the set as one chunk, so they gather every cross block at
+  once and hold every prefix row the set reads;
 * ``online-p50`` and ``online-p10``: ``online_max_statistic`` of one
   T = 4096 null stream at p = 50 and at p = 10 (q = 1), at the online
   study's penalty policy, ``interval_sqrt`` at scale 3: the scanner walks
@@ -36,7 +41,7 @@ library in ``src/`` of PARENT_CHECKOUT (for instance a ``git archive`` of
 the parent commit), alternating which tree goes first, and the table gains
 the parent's figures and the change over the parent. The panels come from
 the library's own ``simulate``, so both trees see the same inputs wherever
-that function is unchanged. It takes about 40 s on a 2-vCPU machine.
+that function is unchanged. It takes about 90 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -52,8 +57,11 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = ("scanner", "detect_single", "pipeline", "calibrate", "online-p50", "online-p10")
-P, TEST_ROWS, PANEL_ROWS, CALIBRATION_ROWS, STREAM_ROWS = 50, 2000, 4000, 1000, 4096
+RUNS = (
+    "scanner", "detect_single", "pipeline", "calibrate", "lasso-detect-p50", "lasso-max-p50",
+    "online-p50", "online-p10",
+)
+P, TEST_ROWS, PANEL_ROWS, CALIBRATION_ROWS, STREAM_ROWS, LASSO_INTERVALS = 50, 2000, 4000, 1000, 4096, 2000
 
 
 def _prepare(run: str, work: Path):
@@ -68,6 +76,13 @@ def _prepare(run: str, work: Path):
         lam = vm.default_lambda(2, p, STREAM_ROWS, 3.0)
         return lambda: vm.detection.online_max_statistic(stream, law.stacked, 1, lam, lambda_policy="interval_sqrt")
     law = vm.generate_dense_stationary(P, seed=15)
+    if run.startswith("lasso"):
+        panel = vm.simulate(law, CALIBRATION_ROWS, seed=20)
+        intervals = vm.random_intervals(CALIBRATION_ROWS, P + 1, LASSO_INTERVALS, seed=21, q=1)
+        config = vm.StatConfig(lambda_policy="interval_linear")
+        if run == "lasso-max-p50":
+            return lambda: vm.PanelScanner(panel, law.stacked, 1).max_statistic(intervals, config)
+        return lambda: vm.detect_multiple(panel, law.stacked, intervals, config, 1e9, q=1)
     if run == "pipeline":
         path = work / "panel.csv"
         np.savetxt(path, vm.simulate(law, PANEL_ROWS, seed=16).values, delimiter=",", fmt="%.17g")
@@ -163,13 +178,13 @@ def main(argv=None) -> int:
         order = list(trees) if i % 2 else list(reversed(trees))
         results[run] = {side: measure(run, trees[side]) for side in order}
     fields = ("traced_peak_mb", "maxrss_mb", "maxrss_growth_mb", "vmrss_mb", "vmrss_left_mb", "seconds", "pool_rows")
-    print("run            tree    " + "  ".join(f"{f:>16s}" for f in fields))
+    print("run              tree    " + "  ".join(f"{f:>16s}" for f in fields))
     for run, sides in results.items():
         for side in trees:
-            print(f"{run:14s} {side:7s} " + "  ".join(f"{sides[side][f]:16.2f}" for f in fields))
+            print(f"{run:16s} {side:7s} " + "  ".join(f"{sides[side][f]:16.2f}" for f in fields))
         if "parent" in sides:
             ratios = (sides["change"][f] / sides["parent"][f] for f in fields[:2])
-            print(f"{run:14s} {'ratio':7s} " + "  ".join(f"{r:16.3f}" for r in ratios))
+            print(f"{run:16s} {'ratio':7s} " + "  ".join(f"{r:16.3f}" for r in ratios))
     print(json.dumps(results))
     return 0
 
