@@ -26,9 +26,11 @@
   through one walk plan, in a pool it reuses for every run: an OLS run
   walks the set a kernel chunk at a time and holds a row, pq (pq + 1) / 2
   + pq p doubles, only until its last reader is done; a lasso run takes
-  the set as one chunk, holding every row it reads. Online, the scanner
-  walks every window of the stream a kernel chunk at a time, and holds a
-  row only until its last reader is done.
+  the set as one chunk, holding every row it reads, and screens, brackets
+  and solves it in solver batches (163 intervals at p = 10), each of which
+  gathers its own blocks. Online, the scanner walks every window of the
+  stream a kernel chunk at a time, and holds a row only until its last
+  reader is done.
 
 Offline scans and online windows share one statistic kernel,
 :func:`varanom.interval_stats.prefix_statistics`, which also whitens:
@@ -335,8 +337,6 @@ def _run_scan(
     if config.method == "ols":
         stats = scanner.scan(interval_set, config)
         return DetectionResult(select(stats, threshold), stats, threshold)
-    # next(...), not unpacking: running the walk to its end would release the
-    # chunk's blocks before solve reads them
     stats, solve = next(scanner._bracketed(*scanner._kernel_args(interval_set, config), len(interval_set)))
     while True:
         picked = select(stats, threshold)
@@ -647,8 +647,8 @@ def online_max_statistic(
     detector's, takes the maximum of every window of every time in one
     bracketed walk (:meth:`PanelScanner._maximum`), in kernel chunks of
     ``_CHUNK_ENTRIES`` / (pq)^2 windows in time order. It holds a prefix
-    row only while a later window still reads it, and a chunk's cross
-    blocks only until the next chunk gathers its own; each chunk goes
+    row only while a later window still reads it, and gathers blocks one
+    solver batch at a time; each chunk goes
     through :func:`~varanom.interval_stats.lasso_maximum` with the best
     value of the chunks before it as its floor, so the result is bitwise
     the maximum of a :meth:`OnlineDetector.step` loop while only the windows

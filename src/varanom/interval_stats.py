@@ -31,13 +31,15 @@ full m x m matrices (:func:`_unpack_gram`). The products z_i z_j and z_j z_i
 are the same doubles, so an expanded block is bitwise the full layout's.
 An interval whose cross block already passes the KKT test at zero has a
 lasso statistic of exactly zero and is screened out before any Gram block
-is gathered. Both methods gather Gram blocks a bounded chunk of
-intervals at a time, and a walked scan hands the kernel one chunk at a
-time, so a scan's memory is bounded whatever its interval count. The
-lasso statistics of the busy intervals come from :func:`_solve_busy`, the
-one lasso solve path of the library: one batched solve and one
-:func:`~varanom.estimation.lasso_bracket` call per chunk. The OLS ones
-come from one
+is gathered. The OLS kernel gathers its blocks a bounded chunk of
+intervals at a time; the lasso kernel screens and solves in batches
+(:func:`_batch_size`: 163 intervals at p = 10, 52 at p = 50), each of which
+gathers its own cross and Gram blocks from the held prefix rows, so no
+call's blocks grow with its interval count, and a walked scan hands the
+kernel one chunk at a time. The lasso statistics of the busy intervals
+come from :func:`_solve_busy`, the one lasso solve path of the library:
+one batched solve and one :func:`~varanom.estimation.lasso_bracket` call
+per batch. The OLS ones come from one
 stacked Cholesky factorisation G = LL' and the forward substitution
 L^(-1): the statistic is ||L^(-1) C||_F^2. An interval counts as full rank only when
 1 / ||L^(-1)||_F^2 > 2 rtol tr(G). As 1 / ||L^(-1)||_F^2 = 1 / tr(G^(-1)) is
@@ -77,11 +79,12 @@ alarm; :func:`~varanom.detection.detect_single` and
 change a pick. A statistic left unsolved cannot be the maximum, so it is
 never counted as unreliable. The offline lasso maximum and detections take
 their set as one chunk, so that every busy bracket is known before any
-interval is solved: they hold every prefix row the set reads and gather
-every cross block at once, and their memory, unlike a scan's, still grows
-with the interval count. The online walks take their windows in kernel
-chunks, and each chunk releases the cross blocks of the one before it
-before it gathers its own.
+interval is solved: they hold every prefix row the set reads, so their
+memory, unlike a scan's, still grows with the interval count, but they
+screen, bracket and solve it a batch at a time and hold no block beyond
+its batch (a traced peak of 2.5 MB for a p = 10 maximum over 1078
+intervals, and 40 MB at p = 50 over 2000 random intervals of a T = 1000
+panel). The online walks take their windows in kernel chunks.
 
 ``StatConfig`` checks the statistic's options, offline and online: the
 method and lambda policy (``check_choice``), the lambda scale
@@ -115,10 +118,21 @@ from .var_model import RegressionView, TimeSeriesPanel, check_covariance, check_
 # Rows per block of the prefix build: a block of pq x pq products (640 kB at
 # pq = 50) stays in cache while it is summed.
 _PREFIX_BLOCK_ROWS = 32
-# Gram entries per chunk of intervals the kernel gathers and solves at once
-# (m^2 per interval): about 50 intervals at m = 50, which keeps a chunk's
-# arrays to a few megabytes, and a whole p = 10 scan (1078 intervals) at m = 10.
+# Gram entries per chunk of intervals a walk hands the kernel and the OLS
+# kernel gathers at once (m^2 per interval), and the most a lasso batch
+# takes: about 50 intervals at m = 50, which keeps a chunk's arrays to a few
+# megabytes, and a whole p = 10 scan (1078 intervals) at m = 10.
 _CHUNK_ENTRIES = 1 << 17
+# The lasso screen and solves take their intervals in batches of
+# min(_CHUNK_ENTRIES / m^2, max(_BATCH_FLOOR, _BATCH_ENTRIES / (m p)))
+# (:func:`_batch_size`): 163 at p = 10, 1024 at p = 4 and 52 at p = 50, so
+# that a batch's gathers and solver copies stay near the cache and a call's
+# memory does not grow with its set. Timed in alternating pairs of a
+# T = 1000 lasso maximum over the seeded intervals, a plain cap of 128 or
+# 163 problems made p = 4 4-22% slower, and floors of 32 or 64 made p = 20
+# 17-18% slower, each batch carrying a fixed cost in Python.
+_BATCH_ENTRIES = 1 << 14
+_BATCH_FLOOR = 128
 # Sweeps of the first pass over every busy interval (_bracket), whose
 # duality-gap brackets rule most intervals out of a maximum or an online
 # alarm. On 8 null p = 10, T = 500 runs over 1078 seeded intervals, 3, 4 and
@@ -355,15 +369,36 @@ def cross_blocks(
     """Cross blocks ``cross_prefix[hi[i]] - cross_prefix[lo[i]]``, right-multiplied
     by ``whitening`` unless it is None; (len(lo), m, p)."""
     # take along axis 0 gathers the same rows as fancy indexing, in half the time
-    crosses = cross_prefix.take(hi, axis=0) - cross_prefix.take(lo, axis=0)
+    crosses = cross_prefix.take(hi, axis=0)
+    np.subtract(crosses, cross_prefix.take(lo, axis=0), crosses)
     if whitening is not None:
         crosses = crosses @ whitening
     return crosses
 
 
-def busy_intervals(crosses: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Indices of the intervals whose cross blocks fail the KKT test at zero,
-    2 max|c| <= lam, which makes a lasso statistic exactly 0."""
+def _batch_size(m: int, p: int) -> int:
+    """Intervals of m predictors and p responses per batch of the lasso screen and solves."""
+    return max(1, min(_CHUNK_ENTRIES // (m * m), max(_BATCH_FLOOR, _BATCH_ENTRIES // (m * p))))
+
+
+def busy_intervals(
+    cross_prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, whitening: Optional[np.ndarray]
+) -> np.ndarray:
+    """Indices of the intervals whose cross blocks (:func:`cross_blocks`) fail
+    the KKT test at zero, 2 max|c| <= lam, which makes a lasso statistic
+    exactly 0; gathered and tested a batch (:func:`_batch_size`) at a time,
+    or in one call when the set fits one batch."""
+    _, m, p = cross_prefix.shape
+    n = len(lo)
+    # n > _batch_size(m, p), tested without its calls of min and max, which
+    # took 5% of the screen of an online step, whose few windows fit one batch
+    if n > _CHUNK_ENTRIES // (m * m) or n > _BATCH_FLOOR and n > _BATCH_ENTRIES // (m * p):
+        batch = _batch_size(m, p)
+        return np.concatenate([
+            s + busy_intervals(cross_prefix, lo[s : s + batch], hi[s : s + batch], lams[s : s + batch], whitening)
+            for s in range(0, n, batch)
+        ])
+    crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     return np.flatnonzero(2.0 * np.abs(crosses).max(axis=(1, 2)) > lams)
 
 
@@ -396,15 +431,14 @@ def prefix_statistics(
     2 max|c| <= ``lams[i]`` is exactly zero by the KKT test at zero (value
     0.0, no non-zero coefficient, reliable) without its Gram block ever
     being gathered. Only the rest, the busy intervals, get their Gram blocks
-    and a batched solve, so a set that is all screened, as most online
-    windows are, costs one cross-block gather, and never calls
-    :func:`_solve_busy`, which solves the busy ones. Both methods gather
-    Gram blocks in chunks of at most ``_CHUNK_ENTRIES`` entries; each
-    interval's result depends on that interval alone, so chunking changes
-    no value. That bounds the OLS kernel's memory whatever the number of
-    intervals, but not the lasso kernel's: its cross blocks, m p doubles
-    per interval, are all gathered before the screen, so
-    :meth:`PanelScanner.scan` calls it a chunk at a time. OLS
+    and a batched solve, through :func:`_solve_busy`, so a set of at most
+    one batch that is all screened, as most online windows are, costs one
+    cross-block gather, and never calls the solver. The OLS kernel gathers
+    in chunks of at most ``_CHUNK_ENTRIES`` Gram entries, and the lasso
+    screen and solves in batches (:func:`_batch_size`), each gathering
+    its own blocks; each interval's result depends on that interval alone,
+    so neither changes a value, and both bound the kernel's memory
+    whatever the number of intervals. OLS
     statistics ignore ``lams``; each chunk takes one stacked Cholesky
     factorisation, the batched forward substitution L^(-1) and the statistic
     ||L^(-1) C||_F^2; the coefficients are never formed. An interval whose
@@ -424,13 +458,12 @@ def prefix_statistics(
     if method == "ols":
         values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, lengths, whitening, buffers)
         return values, np.full(n, cross_prefix.shape[1] * cross_prefix.shape[2]), reliable
-    crosses = cross_blocks(cross_prefix, lo, hi, whitening)
     values = np.zeros(n)
     nonzero = np.zeros(n, dtype=int)
-    busy = busy_intervals(crosses, lams)
+    busy = busy_intervals(cross_prefix, lo, hi, lams, whitening)
     if busy.size:
         values[busy], _, nonzero[busy], reliable[busy] = _solve_busy(
-            gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, solver.max_iterations
+            gram_prefix, cross_prefix, lo, hi, lams, busy, solver.tolerance, solver.max_iterations, whitening
         )
     return values, nonzero, reliable
 
@@ -445,70 +478,72 @@ def _check_layout(gram_prefix: np.ndarray, cross_prefix: np.ndarray) -> None:
 
 
 def _solve_busy(
-    gram_prefix: np.ndarray, crosses: np.ndarray, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray,
-    busy: np.ndarray, tolerance: float, sweeps: int, y_sq: Optional[np.ndarray] = None,
+    gram_prefix: np.ndarray, cross_prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray,
+    busy: np.ndarray, tolerance: float, sweeps: int, whitening: Optional[np.ndarray],
+    y_sq: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
     """(value, upper, nonzero, converged) of the intervals ``busy``, each solved from zero.
 
-    ``crosses`` holds the whitened cross blocks of the intervals whose prefix
-    indices are ``lo`` and ``hi`` and whose penalties are ``lams``; ``busy``
-    selects the ones to solve, and the results follow its order. Gram
-    blocks are gathered ``_CHUNK_ENTRIES`` entries at a time, as packed rows
-    differenced and then expanded by one :func:`_unpack_gram`, and each chunk
-    takes one :func:`lasso_cd_gram_batch` call of at most ``sweeps`` sweeps
-    and one :func:`lasso_bracket` call at its iterates. ``upper`` is None
-    unless ``y_sq`` holds the column norms ||y_k||^2 of the ``busy``
-    intervals, in that order.
+    The intervals have prefix indices ``lo`` and ``hi`` and penalties
+    ``lams``; ``busy`` selects the ones to solve, and the results follow its
+    order. They are solved a batch (:func:`_batch_size`) at a time: each
+    batch gathers its own Gram blocks, as packed rows differenced and then
+    expanded by one :func:`_unpack_gram`, and its own cross blocks, whitened
+    by ``whitening`` (:func:`cross_blocks`), and takes one
+    :func:`lasso_cd_gram_batch` call of at most ``sweeps`` sweeps and one
+    :func:`lasso_bracket` call at its iterates. ``upper`` is None unless
+    ``y_sq`` holds the column norms ||y_k||^2 of the ``busy`` intervals, in
+    that order.
     """
     n = busy.size
     value = np.empty(n)
     upper = None if y_sq is None else np.empty(n)
     nonzero = np.empty(n, dtype=int)
     converged = np.empty(n, dtype=bool)
-    m = crosses.shape[1]
-    chunk = max(1, _CHUNK_ENTRIES // (m * m))
-    for s in range(0, n, chunk):
-        at = slice(s, s + chunk)
+    batch = _batch_size(*cross_prefix.shape[1:])
+    for s in range(0, n, batch):
+        at = slice(s, s + batch)
         part = busy[at]
-        grams = _unpack_gram(gram_prefix.take(hi[part], axis=0) - gram_prefix.take(lo[part], axis=0))
-        c, lam = crosses[part], lams[part]
+        a, b, lam = lo[part], hi[part], lams[part]
+        grams = _unpack_gram(gram_prefix.take(b, axis=0) - gram_prefix.take(a, axis=0))
+        c = cross_blocks(cross_prefix, a, b, whitening)
         beta, converged[at] = lasso_cd_gram_batch(grams, c, lam, tolerance, sweeps)
         value[at], bound = lasso_bracket(grams, c, beta, lam, None if y_sq is None else y_sq[at])
         if upper is not None:
             upper[at] = bound
         nonzero[at] = np.count_nonzero(beta.reshape(part.size, -1), axis=1)
+        del grams, c, beta  # freed before the next batch gathers its own
     return value, upper, nonzero, converged
 
 
 def _bracket(
     gram_prefix: np.ndarray, cross_prefix: np.ndarray, sq_prefix: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
     lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions, whitening: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(crosses, busy, value, upper, nonzero) of the lasso intervals of
-    :func:`prefix_statistics`: their whitened cross blocks, the indices of
-    the busy ones (:func:`busy_intervals`), and, in the order of ``busy``,
-    the bracket [value, upper] of each busy statistic after
-    ``_BRACKET_SWEEPS`` sweeps of :func:`_solve_busy`, with a slack of
-    ``_BRACKET_MARGIN`` (1 + sum_k ||y_k||^2) on ``upper`` for rounding,
-    and the count of non-zero coefficients of the iterate behind ``value``.
-    ``sq_prefix`` holds the running sums of the squared whitened residuals
-    at every prefix row (:meth:`PanelScanner._sq_prefix`) and ``rows`` each
-    interval's two prefix rows, from which the column norms ||y_k||^2 of
-    the busy intervals are differenced after the screen, so that none is
-    held while the cross blocks are gathered. A busy statistic solved in
-    full lies in [value, upper]; every other one is exactly 0.0 and
-    reliable.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(busy, value, upper, nonzero) of the lasso intervals of
+    :func:`prefix_statistics`: the indices of the busy ones
+    (:func:`busy_intervals`), and, in the order of ``busy``, the bracket
+    [value, upper] of each busy statistic after ``_BRACKET_SWEEPS`` sweeps
+    of :func:`_solve_busy`, with a slack of ``_BRACKET_MARGIN``
+    (1 + sum_k ||y_k||^2) on ``upper`` for rounding, and the count of
+    non-zero coefficients of the iterate behind ``value``. The screen and
+    the sweeps gather their cross blocks a batch at a time, so none is held
+    for the whole set. ``sq_prefix`` holds the running sums of the squared
+    whitened residuals at every prefix row (:meth:`PanelScanner._sq_prefix`)
+    and ``rows`` each interval's two prefix rows, from which the column
+    norms ||y_k||^2 of the busy intervals are differenced after the screen.
+    A busy statistic solved in full lies in [value, upper]; every other one
+    is exactly 0.0 and reliable.
     """
     _check_layout(gram_prefix, cross_prefix)
-    crosses = cross_blocks(cross_prefix, lo, hi, whitening)
-    busy = busy_intervals(crosses, lams)
+    busy = busy_intervals(cross_prefix, lo, hi, lams, whitening)
     y_sq = sq_prefix.take(rows[1][busy], axis=0) - sq_prefix.take(rows[0][busy], axis=0)
     sweeps = min(_BRACKET_SWEEPS, solver.max_iterations)
     value, upper, nonzero, _ = _solve_busy(
-        gram_prefix, crosses, lo, hi, lams, busy, solver.tolerance, sweeps, y_sq
+        gram_prefix, cross_prefix, lo, hi, lams, busy, solver.tolerance, sweeps, whitening, y_sq
     )
     upper += _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
-    return crosses, busy, value, upper, nonzero
+    return busy, value, upper, nonzero
 
 
 def lasso_maximum(stats: ScanResult, solve: Callable[[np.ndarray], None], floor: float) -> float:
@@ -521,7 +556,7 @@ def lasso_maximum(stats: ScanResult, solve: Callable[[np.ndarray], None], floor:
     full and writes them back. ``floor``, a reliable value already found
     elsewhere (0.0 if none), starts both the best value and the level F,
     which then rises to the largest ``value``. Every unsolved row whose
-    ``upper`` reaches F is solved in full, in a batch of its own; each
+    ``upper`` reaches F is solved in full, in a solve of its own; each
     problem's result is independent of its batch, so its value is bitwise
     the full scan's. Should the best reliable value M, the floor included,
     fall below F, every unsolved row whose ``upper`` reaches M is solved
@@ -761,9 +796,9 @@ class _Walk(NamedTuple):
     that holds it, and a lasso detection as one chunk.
 
     ``order`` holds the storage indices in walk order, chunk k being
-    ``order[k chunk : (k + 1) chunk]``. ``rows`` are the distinct prefix rows
-    read, increasing, ``slots`` the pool slot of each, and ``born[k]`` the
-    count of them the walk writes before chunk k. ``lo`` and ``hi`` are the
+    ``order[k chunk : (k + 1) chunk]``, in storage order. ``rows`` are the
+    distinct prefix rows read, increasing, ``slots`` the pool slot of each,
+    and ``born[k]`` the count of them the walk writes before chunk k. ``lo`` and ``hi`` are the
     slots of each interval's two prefix rows, in storage order.
     ``prefix_rows`` are the (lo, hi) rows the plan was made for.
     """
@@ -791,7 +826,9 @@ def _walk_plan(lo: np.ndarray, hi: np.ndarray, chunk: int) -> _Walk:
     free again after the last chunk that reads it. Slots are handed out in
     row order, each from the most recently freed, so ``size`` is the
     largest count of rows live at once: 148 of the 1061 rows read by
-    ``seeded_intervals(2000, 51, 1 / 1.1, q=1)`` in chunks of 52.
+    ``seeded_intervals(2000, 51, 1 / 1.1, q=1)`` in chunks of 52. Each
+    chunk's intervals are handed out in storage order, sorted once per plan,
+    so a chunk's result columns need no sort.
     """
     n = len(lo)
     order = np.argsort(hi, kind="stable")
@@ -811,6 +848,7 @@ def _walk_plan(lo: np.ndarray, hi: np.ndarray, chunk: int) -> _Walk:
         free += slots[last[rows] == k].tolist()
     where = np.empty(len(last), dtype=np.intp)
     where[rows] = slots
+    order = np.argsort(which, kind="stable")
     return _Walk((lo, hi), chunk, order, rows, slots, born, where[lo], where[hi], next(fresh))
 
 
@@ -836,7 +874,10 @@ class PanelScanner:
     window of a stream in kernel chunks, and
     :func:`~varanom.detection.detect_online` in the same chunks up to its
     first chunk with an alarm, while lasso detections take their set as one
-    chunk. A scanner keeps the last plan, with its pool and the OLS
+    chunk. Whatever the chunk, the lasso kernel and the bracketed walk
+    gather cross and Gram blocks one solver batch (:func:`_batch_size`) at a
+    time, so a one-chunk request holds its prefix rows and one batch's
+    blocks. A scanner keeps the last plan, with its pool and the OLS
     chunk buffers; the chunk is capped at the set's size, so at p = 10
     (1310 intervals a kernel chunk) a scan and a lasso maximum of a set
     share one, and a repeated request makes no plan, but every request
@@ -935,25 +976,24 @@ class PanelScanner:
         storage order: a screened row is exact (0.0, reliable) and a busy
         row holds its bracket, unsolved and unreliable. ``solve(rows)``, for
         positions of unsolved rows in that result, solves them in full, from
-        zero and in one batch, through :func:`_solve_busy`, and writes their
+        zero, through :func:`_solve_busy`, and writes their
         value, non-zero count and reliability back, with ``upper`` set to the
         value and ``solved`` True. Each problem's result is independent of
         its batch, so a solved row is bitwise the row of :meth:`scan`.
-        ``solve`` reads the prefix rows and cross blocks of its chunk, so it
-        works only until the walk advances: the next chunk releases the
-        blocks before it gathers its own, and no other request may run on
-        the scanner while it is in use.
+        The screen, the bracket and ``solve`` gather their blocks from the
+        chunk's prefix rows a solver batch (:func:`_batch_size`) at a time,
+        so no chunk-sized block array is made; ``solve`` works only until
+        the walk advances, and no other request may run on the scanner while
+        it is in use.
         """
         sq_prefix = self._sq_prefix(whitening)
         for at, a, b in self._walk(lo, hi, chunk):
-            keep = np.argsort(at)
-            at, a, b = at[keep], a[keep], b[keep]
             first, last, n = lo[at], hi[at], len(at)
             stats = ScanResult(
                 first + self.q + 1, last + self.q, np.zeros(n), lams[at], np.zeros(n, dtype=int),
                 np.ones(n, dtype=bool), "lasso", np.zeros(n), np.ones(n, dtype=bool),
             )
-            crosses, busy, value, upper, nonzero = _bracket(
+            busy, value, upper, nonzero = _bracket(
                 self._gram_prefix, self._cross_prefix, sq_prefix, (first, last), a, b, stats.lams, solver, whitening
             )
             stats.values[busy], stats.upper[busy], stats.nonzero[busy] = value, upper, nonzero
@@ -961,13 +1001,13 @@ class PanelScanner:
 
             def solve(rows: np.ndarray) -> None:
                 stats.values[rows], _, stats.nonzero[rows], stats.reliable[rows] = _solve_busy(
-                    self._gram_prefix, crosses, a, b, stats.lams, rows, solver.tolerance, solver.max_iterations
+                    self._gram_prefix, self._cross_prefix, a, b, stats.lams, rows, solver.tolerance,
+                    solver.max_iterations, whitening,
                 )
                 stats.upper[rows] = stats.values[rows]
                 stats.solved[rows] = True
 
             yield stats, solve
-            del crosses  # empties solve's cell, so the blocks go before the next chunk gathers
 
     def _maximum(
         self, lo: np.ndarray, hi: np.ndarray, lams: np.ndarray, solver: SolverOptions,
@@ -1035,7 +1075,8 @@ class PanelScanner:
         :meth:`_maximum`, a bracketed walk (:meth:`_bracketed`) with the set
         as one chunk: every busy interval's bracket is then known before any
         is solved in full, where kernel chunks of short intervals would set
-        low floors early.
+        low floors early. It holds every prefix row the set reads, and
+        gathers blocks one solver batch at a time.
         No :class:`IntervalStatistic` is built. An empty set gives 0.0.
         """
         if not interval_set.intervals:

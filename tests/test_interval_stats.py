@@ -26,6 +26,8 @@ from varanom import (
     build_regression_view,
     calibrate_threshold,
     default_lambda,
+    detect_multiple,
+    detect_online,
     generate_dense_stationary,
     lasso_solve,
     lasso_statistic,
@@ -77,6 +79,13 @@ def _held_prefixes(scanner):
     every = np.arange(scanner.n_rows - scanner.q + 1)
     _one_chunk(scanner, every, every)
     return scanner._gram_prefix, scanner._cross_prefix
+
+
+def _batches(n, m, p):
+    """The sizes of the batches the lasso screen and solves split n intervals
+    of m predictors and p responses into."""
+    batch = interval_stats._batch_size(m, p)
+    return [min(batch, n - s) for s in range(0, n, batch)]
 
 
 def _view_from(rng, n, p, q=1):
@@ -434,7 +443,7 @@ def _bracketed_chunk(gram_prefix, cross_prefix, sq_prefix, ivs, q, lams, solver,
     ``_solve_busy`` over prefixes where a prefix row's index is its position."""
     lo, hi = ivs.starts - q - 1, ivs.ends - q
     n = len(lo)
-    crosses, busy, value, upper, nonzero = interval_stats._bracket(
+    busy, value, upper, nonzero = interval_stats._bracket(
         gram_prefix, cross_prefix, sq_prefix, (lo, hi), lo, hi, lams, solver, whitening
     )
     stats = interval_stats.ScanResult(
@@ -446,7 +455,7 @@ def _bracketed_chunk(gram_prefix, cross_prefix, sq_prefix, ivs, q, lams, solver,
 
     def solve(rows):
         stats.values[rows], _, stats.nonzero[rows], stats.reliable[rows] = interval_stats._solve_busy(
-            gram_prefix, crosses, lo, hi, lams, rows, solver.tolerance, solver.max_iterations
+            gram_prefix, cross_prefix, lo, hi, lams, rows, solver.tolerance, solver.max_iterations, whitening
         )
         stats.upper[rows] = stats.values[rows]
         stats.solved[rows] = True
@@ -627,11 +636,12 @@ def test_seeded_scan_holds_only_the_rows_it_reads():
 
 def _check_walk_plan(plan, lo, hi, chunk):
     """The plan walks (end row, storage index) order in chunks of ``chunk``,
-    and no two rows live at one chunk share a slot, from the chunk whose last
-    end row first reaches a row to the last chunk that reads it."""
+    each chunk handed out in storage order, and no two rows live at one chunk
+    share a slot, from the chunk whose last end row first reaches a row to the
+    last chunk that reads it."""
     order = sorted(range(len(lo)), key=lambda i: (hi[i], i))
-    assert plan.order.tolist() == order
-    chunks = [order[k : k + chunk] for k in range(0, len(order), chunk)]
+    chunks = [sorted(order[k : k + chunk]) for k in range(0, len(order), chunk)]
+    assert plan.order.tolist() == [i for c in chunks for i in c]
     slot = dict(zip(plan.rows.tolist(), plan.slots.tolist()))
     assert plan.rows.tolist() == sorted(set(lo.tolist()) | set(hi.tolist()))
     assert plan.lo.tolist() == [slot[r] for r in lo.tolist()]
@@ -941,7 +951,7 @@ def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
 
     monkeypatch.setattr(interval_stats, "lasso_cd_gram_batch", spy)
     got = prefix_statistics(*args, "lasso", solver, whitening)
-    assert seen == [busy.sum()]  # only the busy intervals reach the solver
+    assert seen == _batches(busy.sum(), 4, 4)  # only the busy intervals reach the solver, a batch at a time
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert not got[0][~busy].any() and not got[1][~busy].any() and got[2][~busy].all()
@@ -1160,8 +1170,8 @@ def test_max_statistic_brackets_read_whitened_column_norms(monkeypatch, q):
     scanner.max_statistic(ivs, config)
     views = (whiten(build_regression_view(panel, law.stacked, iv.start, iv.end, q), cov) for iv in busy)
     want = np.array([(v.residuals**2).sum(axis=0) for v in views])
-    assert len(seen) == 1
-    np.testing.assert_allclose(seen[0], want, rtol=1e-10)
+    assert [len(y) for y in seen] == _batches(len(busy), 3 * q, 3)
+    np.testing.assert_allclose(np.concatenate(seen), want, rtol=1e-10)
 
 
 @pytest.mark.parametrize("budget, counts", [(10000, (0, 666)), (8, (583, 0))])
@@ -1208,8 +1218,8 @@ def test_bracketed_walk_brackets_the_scan_chunk_by_chunk(seed, q, policy, whiten
     # a bracketed walk in chunks of a few intervals: each chunk holds its rows
     # in storage order, its screened rows are the scan's bitwise, and its busy
     # rows bracket the scan's values, the lower side up to the rounding slack,
-    # until solve makes them the scan's bitwise; a chunk's cross blocks are
-    # dead by the time the next chunk gathers its own
+    # until solve makes them the scan's bitwise; every gather covers at most
+    # one batch, and every earlier gather's cross blocks are dead by then
     rng = np.random.default_rng(seed)
     p = int(rng.integers(2, 4))
     n = int(rng.integers(40, 120))
@@ -1230,11 +1240,12 @@ def test_bracketed_walk_brackets_the_scan_chunk_by_chunk(seed, q, policy, whiten
         for s, e in zip(ivs.starts.tolist(), ivs.ends.tolist())
     ])
     slack = _BRACKET_MARGIN * (1.0 + y_sq)
-    gathered, walked = [], []
+    gathered, walked, gathers = [], [], 0
     gather = interval_stats.cross_blocks
 
     def spy(*args):
-        assert all(ref() is None for ref in gathered), "an earlier chunk's cross blocks are still held"
+        assert all(ref() is None for ref in gathered), "an earlier gather's cross blocks are still held"
+        assert len(args[1]) <= interval_stats._batch_size(m, p)
         crosses = gather(*args)
         gathered.append(weakref.ref(crosses))
         return crosses
@@ -1258,11 +1269,13 @@ def test_bracketed_walk_brackets_the_scan_chunk_by_chunk(seed, q, policy, whiten
             rows = np.flatnonzero(busy)
             solve(rows[::2])
             solve(rows[1::2])
+            # a chunk is one batch: its screen, its bracket and each non-empty solve gather once
+            gathers += 1 + 2 * (rows.size > 0) + (rows.size > 1)
             assert stats.solved.all() and stats.upper.tobytes() == stats.values.tobytes()
             for column in ("values", "nonzero", "reliable"):
                 assert getattr(stats, column).tobytes() == getattr(full, column)[at].tobytes()
     assert np.array_equal(np.sort(np.concatenate(walked)), np.arange(len(ivs)))
-    assert len(gathered) == len(walked)
+    assert len(gathered) == gathers
 
 
 def test_max_statistic_solves_fewer_problems_than_its_first_pass(monkeypatch):
@@ -1284,8 +1297,11 @@ def test_max_statistic_solves_fewer_problems_than_its_first_pass(monkeypatch):
 
     monkeypatch.setattr(interval_stats, "lasso_cd_gram_batch", spy)
     got = scanner.max_statistic(ivs, config)
-    (first, sweeps), *rest = calls
-    assert sweeps == _BRACKET_SWEEPS
+    # the first pass's batches come before every survivor solve
+    k = [it for _, it in calls].count(_BRACKET_SWEEPS)
+    first, rest = sum(n for n, _ in calls[:k]), calls[k:]
+    assert [n for n, _ in calls[:k]] == _batches(first, 10, 10)
+    assert all(it == _BRACKET_SWEEPS for _, it in calls[:k])
     assert rest and all(it == config.solver.max_iterations for _, it in rest)
     assert 0 < sum(n for n, _ in rest) < first
     assert got.pruned == first - sum(n for n, _ in rest)
@@ -1295,9 +1311,10 @@ def test_max_statistic_solves_fewer_problems_than_its_first_pass(monkeypatch):
 
 @pytest.mark.parametrize("tolerance, budget", [(1e-8, 10000), (1e-8, 20), (0.0, 3)])
 def test_max_statistic_gathers_once_and_solves_exactly_the_survivors(monkeypatch, tolerance, budget):
-    # one max_statistic call gathers the cross blocks once, never re-enters
-    # the kernel, and each survivor solve gets exactly the unsolved busy
-    # intervals whose upper bound reaches that round's level; at no
+    # one max_statistic call screens each interval's cross block once, a
+    # batch at a time, never re-enters the kernel, and each survivor solve
+    # gets exactly the unsolved busy intervals whose upper bound reaches that
+    # round's level, and gathers only their blocks, a batch at a time; at no
     # tolerance nothing converges, so a second round solves the rest
     rng = np.random.default_rng(5)
     a = rng.uniform(-1.0, 1.0, size=(10, 10))
@@ -1309,25 +1326,33 @@ def test_max_statistic_gathers_once_and_solves_exactly_the_survivors(monkeypatch
     config = StatConfig(lambda_policy="interval_linear", solver=solver)
     gathers, calls = [], []
     gather, solve = interval_stats.cross_blocks, interval_stats._solve_busy
+    batch = interval_stats._batch_size(10, 10)
+    assert batch == 163
 
     def gather_spy(cross_prefix, lo, hi, whitening):
-        gathers.append(len(lo))
+        gathers.append(list(zip(lo.tolist(), hi.tolist())))
         return gather(cross_prefix, lo, hi, whitening)
 
     def no_kernel(*args):
         raise AssertionError("max_statistic called prefix_statistics")
 
-    def solve_spy(gram_prefix, crosses, lo, hi, lams, busy, tolerance, sweeps, y_sq=None):
-        result = solve(gram_prefix, crosses, lo, hi, lams, busy, tolerance, sweeps, y_sq)
+    def solve_spy(gram_prefix, cross_prefix, lo, hi, lams, busy, tolerance, sweeps, whitening, y_sq=None):
+        before = len(gathers)
+        result = solve(gram_prefix, cross_prefix, lo, hi, lams, busy, tolerance, sweeps, whitening, y_sq)
+        rows = list(zip(lo[busy].tolist(), hi[busy].tolist()))
+        assert gathers[before:] == [rows[s : s + batch] for s in range(0, len(rows), batch)]
+        del gathers[before:]
         copies = tuple(None if r is None else r.copy() for r in result)
-        calls.append((list(zip(lo[busy].tolist(), hi[busy].tolist())), sweeps, y_sq, copies))
+        calls.append((rows, sweeps, y_sq, copies))
         return result
 
     monkeypatch.setattr(interval_stats, "cross_blocks", gather_spy)
     monkeypatch.setattr(interval_stats, "prefix_statistics", no_kernel)
     monkeypatch.setattr(interval_stats, "_solve_busy", solve_spy)
     got = scanner.max_statistic(ivs, config)
-    assert gathers == [len(ivs)]
+    screened = list(zip(scanner._plan.lo.tolist(), scanner._plan.hi.tolist()))  # the one chunk, in storage order
+    assert len(screened) == len(ivs)
+    assert gathers == [screened[s : s + batch] for s in range(0, len(ivs), batch)]
     (busy, sweeps, y_sq, (value, upper, _, _)), *rounds = calls
     assert sweeps == min(_BRACKET_SWEEPS, budget) and y_sq is not None and rounds
     upper = upper + _BRACKET_MARGIN * (1.0 + y_sq.sum(axis=1))
@@ -1348,3 +1373,83 @@ def test_max_statistic_gathers_once_and_solves_exactly_the_survivors(monkeypatch
     assert next(rounds, None) is None
     assert len(calls) == (3 if tolerance == 0.0 else 2)
     assert got.value == best and got.pruned == int(np.count_nonzero(~solved))
+
+
+def _lasso_results(panel, baseline, q, ivs, config, chunk, lam):
+    """Every lasso result a batch could change, as bytes: the held-rows
+    kernel's columns and maximum, a scan, a maximum with its counts, each
+    chunk of a bracketed walk in chunks of ``chunk`` before and after its
+    busy rows are solved, the picks of a detection at half the maximum, and
+    the online maximum and alarm of the panel as a stream at half it (at 1.0
+    when a maximum is 0.0)."""
+    (values, nonzero, reliable), top = _full_prefix_kernel(panel, baseline, q, ivs, config)
+    out = [values.tobytes(), nonzero.tobytes(), reliable.tobytes(), top.value.hex(), top[1:]]
+    scanner = PanelScanner(panel, baseline, q)
+    stats = scanner.scan(ivs, config)
+    out += [getattr(stats, c).tobytes() for c in ("values", "nonzero", "reliable")]
+    got = scanner.max_statistic(ivs, config)
+    out += [got.value.hex(), got[1:]]
+    columns = ("values", "upper", "nonzero", "reliable", "solved")
+    for chunk_stats, solve in scanner._bracketed(*scanner._kernel_args(ivs, config), chunk):
+        out += [getattr(chunk_stats, c).tobytes() for c in columns]
+        solve(np.flatnonzero(~chunk_stats.solved))
+        out += [getattr(chunk_stats, c).tobytes() for c in columns]
+    picked = detect_multiple(panel, baseline, ivs, config, got.value / 2 or 1.0, q=q).detected
+    out.append([(x.interval, x.value.hex()) for x in picked])
+    online = dict(solver=config.solver, sigma=config.sigma, lambda_policy=config.lambda_policy)
+    best = online_max_statistic(panel.values, baseline, q, lam, **online)
+    alarm = detect_online(panel.values, baseline, q, lam, best / 2 or 1.0, **online)
+    return out + [best.hex(), alarm and (alarm.time, alarm.window, alarm.statistic.hex())]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2), policy=st.sampled_from(LAMBDA_POLICIES),
+    whitened=st.booleans(), sweeps=st.sampled_from([3, 12]), batch=st.integers(1, 9),
+)
+def test_lasso_batches_change_no_result(seed, q, policy, whitened, sweeps, batch):
+    # each problem's result depends on that problem alone, so screening and
+    # solving in batches of 1 to 9 intervals gives bitwise every result of
+    # the default batches: kernel, scan, maximum and counts, bracketed
+    # chunks, detections, online maximum and alarm
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    n = int(rng.integers(40, 120))
+    m = p * q
+    a = generate_dense_stationary(p, seed=int(rng.integers(1 << 30))).coeffs[0]
+    noise = rng.standard_normal((p, p))
+    cov = noise @ noise.T + 0.5 * np.eye(p)
+    law = VarParams((a / q,) * q, cov)
+    panel = simulate(law, n, burn_in=20, seed=int(rng.integers(1 << 30)))
+    ivs = random_intervals(n, m + 2, int(rng.integers(20, 60)), seed=int(rng.integers(1 << 30)), q=q)
+    config = StatConfig(
+        lambda_scale=float(rng.uniform(0.05, 0.5)), sigma=cov if whitened else None,
+        solver=SolverOptions(max_iterations=sweeps), lambda_policy=policy,
+    )
+    args = (panel, law.stacked, q, ivs, config, int(rng.integers(5, 30)), float(rng.uniform(0.05, 1.0)))
+    want = _lasso_results(*args)
+    assert interval_stats._batch_size(m, p) >= 128
+    with mock.patch.object(interval_stats, "_BATCH_FLOOR", batch), mock.patch.object(interval_stats, "_BATCH_ENTRIES", 1):
+        assert interval_stats._batch_size(m, p) == batch
+        assert _lasso_results(*args) == want
+
+
+def test_p10_lasso_maximum_holds_a_few_batches():
+    # a p = 10 maximum over the 1078 seeded intervals screens and solves in
+    # batches of 163, so its traced peak, the scanner's prefix rows included,
+    # stays below 4 MB, where gathering every cross block at once took 9.2 MB
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, size=(10, 10))
+    a *= 0.7 / np.max(np.abs(np.linalg.eigvals(a)))
+    law = VarParams((a,), np.eye(10))
+    panel = simulate(law, 500, seed=6)
+    ivs = seeded_intervals(500, 11, 1 / 1.1, q=1)
+    config = StatConfig(lambda_policy="interval_linear")
+    tracemalloc.start()
+    try:
+        got = PanelScanner(panel, a, 1).max_statistic(ivs, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ivs) == 1078 and got.pruned > 0
+    assert peak < 4e6

@@ -1,8 +1,8 @@
-"""Memory of the benchmark's pipeline-ols-p50 OLS runs, of p = 50 lasso requests and of online calibration.
+"""Memory of the benchmark's pipeline-ols-p50 OLS runs, of p = 50 and p = 10 lasso requests and of online calibration.
 
     python3 tools/memory.py [--against PARENT_CHECKOUT]
 
-Four runs at that workload's sizes (p = 50, q = 1), two lasso ones and two
+Four runs at that workload's sizes (p = 50, q = 1), four lasso ones and two
 online ones, on fixed seeds:
 
 * ``scanner``: a ``PanelScanner`` over a T = 2000 panel, the length of the
@@ -22,8 +22,16 @@ online ones, on fixed seeds:
 * ``lasso-detect-p50`` and ``lasso-max-p50``: a lasso ``detect_multiple``,
   at a threshold above every statistic, and a lasso ``max_statistic`` of a
   T = 1000 panel over 2000 ``random_intervals`` under ``interval_linear``:
-  both bracket the set as one chunk, so they gather every cross block at
-  once and hold every prefix row the set reads;
+  both bracket the set as one chunk, so they hold every prefix row the set
+  reads, and screen and solve it in batches of 52 intervals;
+* ``calib-lasso-p10`` and ``detect-lasso-p10``: at the benchmark's
+  ``calib-lasso-p10`` settings (p = 10, T = 500, the 1078
+  ``seeded_intervals(500, 11, 1 / 1.1)``, lasso under ``interval_linear``),
+  one ``calibrate_threshold(runs=1)`` null run, as a benchmark operation
+  makes it, with a fresh scanner, and one ``detect_multiple`` of a
+  two-anomaly panel at threshold 100; each is measured after one warm-up
+  call of its own kind, so that it shows the steady state of a process
+  making such runs one after another;
 * ``online-p50`` and ``online-p10``: ``online_max_statistic`` of one
   T = 4096 null stream at p = 50 and at p = 10 (q = 1), at the online
   study's penalty policy, ``interval_sqrt`` at scale 3: the scanner walks
@@ -33,15 +41,17 @@ Every run is made twice, each time in a fresh subprocess: once under
 ``tracemalloc``, which prints the peak of the allocations the run itself
 makes (its inputs are built before tracing starts), and once untraced,
 which prints ``ru_maxrss``, the peak resident set of the whole process, its
-growth over the run, and the VmRSS after the run returns and its growth
-over the run, which counts freed memory the C heap keeps resident. Both
+growth over the run, the VmRSS after the run returns and its growth
+over the run, which counts freed memory the C heap keeps resident, and
+``minflt``, the minor page faults (``ru_minflt``) the run makes, the fresh
+pages it touches. Both
 print ``pool_rows``, the most prefix rows held at the end of the run by a
 ``PanelScanner`` made during it. With ``--against``, each run is also made with the
 library in ``src/`` of PARENT_CHECKOUT (for instance a ``git archive`` of
 the parent commit), alternating which tree goes first, and the table gains
 the parent's figures and the change over the parent. The panels come from
 the library's own ``simulate``, so both trees see the same inputs wherever
-that function is unchanged. It takes about 90 s on a 2-vCPU machine.
+that function is unchanged. It takes about 100 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = (
     "scanner", "detect_single", "pipeline", "calibrate", "lasso-detect-p50", "lasso-max-p50",
-    "online-p50", "online-p10",
+    "calib-lasso-p10", "detect-lasso-p10", "online-p50", "online-p10",
 )
 P, TEST_ROWS, PANEL_ROWS, CALIBRATION_ROWS, STREAM_ROWS, LASSO_INTERVALS = 50, 2000, 4000, 1000, 4096, 2000
 
@@ -68,7 +78,18 @@ def _prepare(run: str, work: Path):
     """The run's inputs and a function that makes the run."""
     import numpy as np
     import varanom as vm
+    from varanom.experiments import dense_base_with_change
 
+    if run.endswith("lasso-p10"):
+        intervals = vm.seeded_intervals(500, 11, 1 / 1.1, q=1)
+        config = vm.StatConfig(lambda_policy="interval_linear")
+        base, theta = dense_base_with_change(10, 0.6, 5, seed=22)
+        if run == "calib-lasso-p10":
+            vm.calibrate_threshold(base, intervals, config, runs=1, seed=23)  # the warm-up run
+            return lambda: vm.calibrate_threshold(base, intervals, config, runs=1, seed=24)
+        panel = vm.simulate_episodes(base, [((133, 166), theta), ((333, 366), theta)], 500, seed=25)
+        vm.detect_multiple(panel, base.stacked, intervals, config, 100.0, q=1)  # the warm-up run
+        return lambda: vm.detect_multiple(panel, base.stacked, intervals, config, 100.0, q=1)
     if run.startswith("online"):
         p = int(run[len("online-p"):])
         law = vm.generate_dense_stationary(p, seed=15)
@@ -123,7 +144,7 @@ def child(run: str, src: Path, traced: bool) -> dict:
             init(self, *args, **kwargs)
 
         PanelScanner.__init__ = record
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = resource.getrusage(resource.RUSAGE_SELF)
         resident = _vmrss_mb()
         start = time.perf_counter()
         if traced:
@@ -134,11 +155,11 @@ def child(run: str, src: Path, traced: bool) -> dict:
             return {"traced_peak_mb": peak / 1e6, "pool_rows": _pool_rows(scanners)}
         go()
         seconds = time.perf_counter() - start
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kB on Linux
+        after = resource.getrusage(resource.RUSAGE_SELF)  # ru_maxrss in kB on Linux
         return {
-            "maxrss_mb": after / 1024, "maxrss_growth_mb": (after - before) / 1024,
+            "maxrss_mb": after.ru_maxrss / 1024, "maxrss_growth_mb": (after.ru_maxrss - before.ru_maxrss) / 1024,
             "vmrss_mb": _vmrss_mb(), "vmrss_left_mb": _vmrss_mb() - resident, "seconds": seconds,
-            "pool_rows": _pool_rows(scanners),
+            "minflt": after.ru_minflt - before.ru_minflt, "pool_rows": _pool_rows(scanners),
         }
 
 
@@ -177,7 +198,10 @@ def main(argv=None) -> int:
     for i, run in enumerate(RUNS):
         order = list(trees) if i % 2 else list(reversed(trees))
         results[run] = {side: measure(run, trees[side]) for side in order}
-    fields = ("traced_peak_mb", "maxrss_mb", "maxrss_growth_mb", "vmrss_mb", "vmrss_left_mb", "seconds", "pool_rows")
+    fields = (
+        "traced_peak_mb", "maxrss_mb", "maxrss_growth_mb", "vmrss_mb", "vmrss_left_mb", "seconds", "minflt",
+        "pool_rows",
+    )
     print("run              tree    " + "  ".join(f"{f:>16s}" for f in fields))
     for run, sides in results.items():
         for side in trees:
