@@ -124,13 +124,13 @@ _PREFIX_BLOCK_ROWS = 32
 # megabytes, and a whole p = 10 scan (1078 intervals) at m = 10.
 _CHUNK_ENTRIES = 1 << 17
 # The lasso screen and solves take their intervals in batches of
-# min(_CHUNK_ENTRIES / m^2, max(_BATCH_FLOOR, _BATCH_ENTRIES / (m p)))
-# (:func:`_batch_size`): 163 at p = 10, 1024 at p = 4 and 52 at p = 50, so
-# that a batch's gathers and solver copies stay near the cache and a call's
-# memory does not grow with its set. Timed in alternating pairs of a
-# T = 1000 lasso maximum over the seeded intervals, a plain cap of 128 or
-# 163 problems made p = 4 4-22% slower, and floors of 32 or 64 made p = 20
-# 17-18% slower, each batch carrying a fixed cost in Python.
+# min(_CHUNK_ENTRIES / m^2, max(_BATCH_FLOOR, _BATCH_ENTRIES / (m p))), at
+# least 1 (:func:`_batch_size`): 163 at p = 10, 1024 at p = 4, 52 at p = 50
+# and 1 from m = 363, so that a batch's gathers and solver copies stay near
+# the cache and a call's memory does not grow with its set. Timed in
+# alternating pairs of a T = 1000 lasso maximum over the seeded intervals, a
+# plain cap of 128 or 163 problems made p = 4 4-22% slower, and floors of 32
+# or 64 made p = 20 17-18% slower, each batch carrying a fixed cost in Python.
 _BATCH_ENTRIES = 1 << 14
 _BATCH_FLOOR = 128
 # Sweeps of the first pass over every busy interval (_bracket), whose
@@ -387,19 +387,18 @@ def busy_intervals(
     """Indices of the intervals whose cross blocks (:func:`cross_blocks`) fail
     the KKT test at zero, 2 max|c| <= lam, which makes a lasso statistic
     exactly 0; gathered and tested a batch (:func:`_batch_size`) at a time,
-    or in one call when the set fits one batch."""
-    _, m, p = cross_prefix.shape
+    or in one gather, unsliced, when the set fits one batch, as an online
+    step's windows do."""
     n = len(lo)
-    # n > _batch_size(m, p), tested without its calls of min and max, which
-    # took 5% of the screen of an online step, whose few windows fit one batch
-    if n > _CHUNK_ENTRIES // (m * m) or n > _BATCH_FLOOR and n > _BATCH_ENTRIES // (m * p):
-        batch = _batch_size(m, p)
-        return np.concatenate([
-            s + busy_intervals(cross_prefix, lo[s : s + batch], hi[s : s + batch], lams[s : s + batch], whitening)
-            for s in range(0, n, batch)
-        ])
-    crosses = cross_blocks(cross_prefix, lo, hi, whitening)
-    return np.flatnonzero(2.0 * np.abs(crosses).max(axis=(1, 2)) > lams)
+    batch = _batch_size(*cross_prefix.shape[1:])
+    if n <= batch:
+        peak = np.abs(cross_blocks(cross_prefix, lo, hi, whitening)).max(axis=(1, 2))
+    else:
+        peak = np.empty(n)
+        for s in range(0, n, batch):
+            at = slice(s, s + batch)
+            peak[at] = np.abs(cross_blocks(cross_prefix, lo[at], hi[at], whitening)).max(axis=(1, 2))
+    return np.flatnonzero(2.0 * peak > lams)
 
 
 def prefix_statistics(

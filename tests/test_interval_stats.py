@@ -1432,6 +1432,11 @@ def test_lasso_batches_change_no_result(seed, q, policy, whitened, sweeps, batch
     with mock.patch.object(interval_stats, "_BATCH_FLOOR", batch), mock.patch.object(interval_stats, "_BATCH_ENTRIES", 1):
         assert interval_stats._batch_size(m, p) == batch
         assert _lasso_results(*args) == want
+    # fewer chunk entries than one m x m block, as at pq >= 363, floor the
+    # batches and the walks' kernel chunks at one interval
+    with mock.patch.object(interval_stats, "_CHUNK_ENTRIES", m * m - 1):
+        assert interval_stats._batch_size(m, p) == 1
+        assert _lasso_results(*args) == want
 
 
 def test_p10_lasso_maximum_holds_a_few_batches():
