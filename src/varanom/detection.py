@@ -40,14 +40,18 @@ it gathers the window's Gram block, so an online step whose windows are
 all zero, the common case at the online study's penalties, costs one
 cross-block gather.
 
-``OnlineDetector.step`` and ``update`` ingest one row at a time, and form
-each residual as the product x_t - B z_t of that row. A
+``OnlineDetector.step`` and ``update`` ingest one row at a time, form
+each residual as the product x_t - B z_t of that row, and write each
+prefix row through :func:`~varanom.interval_stats._prefix_step`, one row
+of the scanner's build, in arrays laid out by
+:func:`~varanom.interval_stats._prefix_arrays`. A
 :class:`~varanom.interval_stats.PanelScanner` forms its residuals with one
 stacked product that is bitwise the same, row by row, so over the same
 rows its prefix sums, and every window statistic read from them, are
 bitwise the detector's. ``detect_online`` and ``online_max_statistic``
 check the rows as ``step`` does, build one scanner over the rows, and walk
-every window of every time in kernel chunks, in time order, then shortest
+every window of every time in kernel chunks
+(:func:`~varanom.interval_stats._kernel_chunk`), in time order, then shortest
 window (:meth:`OnlineDetector._stream_walk`), through the bracketed walk
 the offline maximum reads. The maximum takes every chunk, bitwise the
 maximum of a ``step`` loop. ``detect_online`` solves in full, in order,
@@ -101,13 +105,15 @@ import numpy as np
 from .errors import ParameterError
 from .estimation import SolverOptions, check_non_negative
 from .evaluation import write_table
-from . import interval_stats
 from .intervals import Interval, IntervalSet, check_count
 from .interval_stats import (
     IntervalStatistic,
     PanelScanner,
     ScanResult,
     StatConfig,
+    _kernel_chunk,
+    _prefix_arrays,
+    _prefix_step,
     prefix_statistics,
     scaled_lambda,
     whitening_matrix,
@@ -438,8 +444,11 @@ class OnlineDetector:
 
     The detector keeps running Gram and cross-product prefix sums of the lag
     vectors and raw residuals, and reads every window's blocks from two
-    prefix entries, whitened by ``sigma``. The Gram prefix is packed as
-    :class:`~varanom.interval_stats.PanelScanner` packs it, so a row holds
+    prefix entries, whitened by ``sigma``. The layout of its arrays
+    (:func:`~varanom.interval_stats._prefix_arrays`) and each row it appends
+    (:func:`~varanom.interval_stats._prefix_step`) come from the module that
+    builds :class:`~varanom.interval_stats.PanelScanner` prefixes, so the
+    Gram prefix is packed as a scanner packs it, and a row holds
     pq (pq + 1) / 2 + pq p doubles: 30 kB per observation at p = 50, q = 1,
     where the full pq x pq Gram took 40 kB. The arrays double in length when
     full.
@@ -481,9 +490,7 @@ class OnlineDetector:
         self._window_lams = scaled_lambda(lam, _WINDOW_OFFSETS + 1, 2, lambda_policy)
         self._lags = np.zeros(m)  # x_{t-1}, ..., x_{t-q} stacked
         self._n = 0
-        self._tril = np.tril_indices(m)
-        self._gram_prefix = np.zeros((257, m * (m + 1) // 2))
-        self._cross_prefix = np.zeros((257, m, p))
+        self._gram_prefix, self._cross_prefix = _prefix_arrays(257, m, p)
 
     @property
     def t(self) -> int:
@@ -499,12 +506,7 @@ class OnlineDetector:
                 self._gram_prefix = np.concatenate([self._gram_prefix, np.zeros_like(self._gram_prefix)])
                 self._cross_prefix = np.concatenate([self._cross_prefix, np.zeros_like(self._cross_prefix)])
             z = self._lags
-            gram, cross = self._gram_prefix, self._cross_prefix
-            rows, cols = self._tril
-            np.multiply(z[rows], z[cols], out=gram[i])
-            gram[i] += gram[i - 1]
-            np.multiply(z[:, None], x - self.baseline @ z, out=cross[i])
-            cross[i] += cross[i - 1]
+            _prefix_step(self._gram_prefix, self._cross_prefix, i, z, x - self.baseline @ z)
         self._lags[p:] = self._lags[:-p]
         self._lags[:p] = x
 
@@ -521,8 +523,7 @@ class OnlineDetector:
         starts, ends, lams = self._pairs(self._n, self._n)
         lo, hi = starts - (self.q + 1), ends - self.q  # the detector holds every prefix row
         values, nonzero, reliable = prefix_statistics(
-            self._gram_prefix, self._cross_prefix, lo, hi, hi - lo, lams, "lasso", self.solver,
-            self._whitening,
+            self._gram_prefix, self._cross_prefix, lo, hi, lams, "lasso", self.solver, self._whitening
         )
         return ScanResult(starts, ends, values, lams, nonzero, reliable, "lasso")
 
@@ -531,12 +532,12 @@ class OnlineDetector:
         than ``t0`` rows, and the arguments (lo, hi, lams, solver,
         whitening, chunk) of its bracketed walk
         (:meth:`PanelScanner._bracketed`) of every window inspected at times
-        ``t0`` + 1 to len(rows), in kernel chunks of ``_CHUNK_ENTRIES`` /
-        (pq)^2 windows, in time order, then shortest window: the order of
+        ``t0`` + 1 to len(rows), in the kernel chunks of a scan
+        (:func:`~varanom.interval_stats._kernel_chunk`), in time order, then shortest window: the order of
         :meth:`_pairs`, since every window of a time ends on the same row."""
         starts, ends, lams = self._pairs(self.t0 + 1, len(rows))
         scanner = PanelScanner(TimeSeriesPanel(rows), self.baseline, self.q)
-        chunk = interval_stats._CHUNK_ENTRIES // self._lags.size**2
+        chunk = _kernel_chunk(self._lags.size)
         return scanner, (starts - (self.q + 1), ends - self.q, lams, self.solver, self._whitening, chunk)
 
     def step(self, x: np.ndarray) -> ScanResult:
@@ -645,8 +646,8 @@ def online_max_statistic(
     :meth:`OnlineDetector.step` checks them, with the same errors, then one
     :class:`PanelScanner` over the panel, whose prefix sums are bitwise the
     detector's, takes the maximum of every window of every time in one
-    bracketed walk (:meth:`PanelScanner._maximum`), in kernel chunks of
-    ``_CHUNK_ENTRIES`` / (pq)^2 windows in time order. It holds a prefix
+    bracketed walk (:meth:`PanelScanner._maximum`), in kernel chunks
+    (:func:`~varanom.interval_stats._kernel_chunk`) in time order. It holds a prefix
     row only while a later window still reads it, and gathers blocks one
     solver batch at a time; each chunk goes
     through :func:`~varanom.interval_stats.lasso_maximum` with the best

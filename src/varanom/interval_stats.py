@@ -16,14 +16,16 @@ One kernel, :func:`prefix_statistics`, computes the statistics of the
 offline scan, of calibration and of the online monitor: each interval's
 Gram and cross-product blocks are the difference of two prefix-sum
 entries, which the kernel reads by their positions in the rows it is
-given, with each interval's row count beside them. A :class:`PanelScanner`
+given. A :class:`PanelScanner`
 builds its prefixes for each request by walking a plan (:class:`_Walk`):
-the intervals in end-row order, one chunk at a time, each prefix row,
+the intervals in end-row order, one chunk (:func:`_kernel_chunk`) at a time, each prefix row,
 m(m + 1) / 2 + m p doubles, held in a fixed pool of slots only from the
 chunk whose build reaches it to the last chunk that reads it. A scan of
 kernel chunks holds at most 148 rows, about 4.5 MB, for the seeded
 T = 2000 set at p = 50, which reads 1061. Every written row is bitwise the
-row of a build over every row (:func:`_prefix_sum`). A Gram prefix is stored packed: row r holds the
+row of a build over every row (:func:`_prefix_sum`), and so is every row the
+online monitor, which receives its rows one at a time, writes through
+:func:`_prefix_step`. A Gram prefix is stored packed: row r holds the
 m(m + 1) / 2 lower-triangle entries of the symmetric running sum, in
 ``np.tril_indices`` order (:func:`_pack_gram`), 1275 doubles a row at m = 50 where the full
 matrix takes 2500, and only the blocks the kernel gathers are expanded to
@@ -31,12 +33,13 @@ full m x m matrices (:func:`_unpack_gram`). The products z_i z_j and z_j z_i
 are the same doubles, so an expanded block is bitwise the full layout's.
 An interval whose cross block already passes the KKT test at zero has a
 lasso statistic of exactly zero and is screened out before any Gram block
-is gathered. The OLS kernel gathers its blocks a bounded chunk of
-intervals at a time; the lasso kernel screens and solves in batches
-(:func:`_batch_size`: 163 intervals at p = 10, 52 at p = 50), each of which
-gathers its own cross and Gram blocks from the held prefix rows, so no
-call's blocks grow with its interval count, and a walked scan hands the
-kernel one chunk at a time. The lasso statistics of the busy intervals
+is gathered. A walked scan hands the kernel one chunk at a time. The OLS
+kernel gathers the blocks of the intervals it is handed as one block, in
+buffers the scan keeps across its chunks; the lasso kernel screens and
+solves in batches (:func:`_batch_size`: 163 intervals at p = 10, 52 at
+p = 50), each of which gathers its own cross and Gram blocks from the held
+prefix rows, so no call's blocks grow with its interval count. The lasso
+statistics of the busy intervals
 come from :func:`_solve_busy`, the one lasso solve path of the library:
 one batched solve and one :func:`~varanom.estimation.lasso_bracket` call
 per batch. The OLS ones come from one
@@ -45,7 +48,7 @@ L^(-1): the statistic is ||L^(-1) C||_F^2. An interval counts as full rank only 
 1 / ||L^(-1)||_F^2 > 2 rtol tr(G). As 1 / ||L^(-1)||_F^2 = 1 / tr(G^(-1)) is
 at most lambda_min and tr(G) at least lambda_max, this certifies, with a
 factor 2 to spare for rounding, the test lambda_min > rtol lambda_max of
-:func:`gram_ols_value`. A chunk that cannot be factorised, and every
+:func:`gram_ols_value`. A block that cannot be factorised, and every
 interval that misses the certificate, go through :func:`gram_ols_value`,
 which raises on a rank-deficient Gram. The kernel is also
 the one place that whitens: prefix sums hold raw residuals u_t, and as
@@ -90,7 +93,8 @@ panel). The online walks take their windows in kernel chunks.
 method and lambda policy (``check_choice``), the lambda scale
 (``check_non_negative``), sigma (``check_covariance``) and solver options
 the batched kernel can honour. :func:`check_ols_rows` owns an OLS
-interval's row count. A scanner checks its baseline and intervals through
+interval's row count, which :meth:`PanelScanner.scan` applies; the kernel
+never sees an interval that fails it. A scanner checks its baseline and intervals through
 ``check_stacked`` and ``check_domain``.
 
 Statistics over distinct intervals are independent pure computations; the
@@ -118,10 +122,11 @@ from .var_model import RegressionView, TimeSeriesPanel, check_covariance, check_
 # Rows per block of the prefix build: a block of pq x pq products (640 kB at
 # pq = 50) stays in cache while it is summed.
 _PREFIX_BLOCK_ROWS = 32
-# Gram entries per chunk of intervals a walk hands the kernel and the OLS
-# kernel gathers at once (m^2 per interval), and the most a lasso batch
-# takes: about 50 intervals at m = 50, which keeps a chunk's arrays to a few
-# megabytes, and a whole p = 10 scan (1078 intervals) at m = 10.
+# Gram entries per chunk of intervals a walk hands the kernel (m^2 per
+# interval, :func:`_kernel_chunk`), all of which the OLS kernel gathers at
+# once, and the most a lasso batch takes: about 50 intervals at m = 50, which
+# keeps a chunk's arrays to a few megabytes, and a whole p = 10 scan (1078
+# intervals) at m = 10.
 _CHUNK_ENTRIES = 1 << 17
 # The lasso screen and solves take their intervals in batches of
 # min(_CHUNK_ENTRIES / m^2, max(_BATCH_FLOOR, _BATCH_ENTRIES / (m p))), at
@@ -376,9 +381,14 @@ def cross_blocks(
     return crosses
 
 
+def _kernel_chunk(m: int) -> int:
+    """Intervals of m predictors per chunk a walk hands the kernel: ``_CHUNK_ENTRIES`` / m^2."""
+    return _CHUNK_ENTRIES // (m * m)
+
+
 def _batch_size(m: int, p: int) -> int:
     """Intervals of m predictors and p responses per batch of the lasso screen and solves."""
-    return max(1, min(_CHUNK_ENTRIES // (m * m), max(_BATCH_FLOOR, _BATCH_ENTRIES // (m * p))))
+    return max(1, min(_kernel_chunk(m), max(_BATCH_FLOOR, _BATCH_ENTRIES // (m * p))))
 
 
 def busy_intervals(
@@ -406,7 +416,6 @@ def prefix_statistics(
     cross_prefix: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    lengths: np.ndarray,
     lams: np.ndarray,
     method: str,
     solver: SolverOptions,
@@ -419,9 +428,8 @@ def prefix_statistics(
     running sums of z_t z_t', packed by :func:`_pack_gram`, and of z_t u_t'
     over lag vectors z_t and raw residuals u_t, at some of their prefix rows
     (a :class:`PanelScanner` holds only the rows its intervals read), and
-    ``lo`` and ``hi`` are positions in those arrays; ``lengths[i]`` is
-    interval i's row count, which the OLS rule reads. ``buffers``, if given,
-    are the OLS chunk buffers :func:`_ols_statistics` reuses. Each interval's cross
+    ``lo`` and ``hi`` are positions in those arrays. ``buffers``, if given,
+    are the OLS buffers :func:`_ols_statistics` fills. Each interval's cross
     block is right-multiplied by ``whitening`` (:func:`whitening_matrix`)
     after the prefix difference, never the whole prefix. Lasso statistics screen
     first, through :func:`busy_intervals`, the library's one screen (the
@@ -432,20 +440,21 @@ def prefix_statistics(
     being gathered. Only the rest, the busy intervals, get their Gram blocks
     and a batched solve, through :func:`_solve_busy`, so a set of at most
     one batch that is all screened, as most online windows are, costs one
-    cross-block gather, and never calls the solver. The OLS kernel gathers
-    in chunks of at most ``_CHUNK_ENTRIES`` Gram entries, and the lasso
-    screen and solves in batches (:func:`_batch_size`), each gathering
-    its own blocks; each interval's result depends on that interval alone,
-    so neither changes a value, and both bound the kernel's memory
-    whatever the number of intervals. OLS
-    statistics ignore ``lams``; each chunk takes one stacked Cholesky
-    factorisation, the batched forward substitution L^(-1) and the statistic
-    ||L^(-1) C||_F^2; the coefficients are never formed. An interval whose
-    factor misses the rank certificate
-    1 / ||L^(-1)||_F^2 > 2 * ``_RANK_RTOL`` * tr(G), or whose chunk cannot
+    cross-block gather, and never calls the solver. The lasso screen and
+    solves take batches (:func:`_batch_size`), each gathering its own
+    blocks; each interval's result depends on that interval alone, so no
+    batch changes a value, and the lasso kernel's memory is bounded
+    whatever the number of intervals. OLS statistics ignore ``lams`` and
+    are computed as one block, which a caller bounds by handing the kernel
+    one walk chunk at a time, as :meth:`PanelScanner.scan` does: one
+    stacked Cholesky factorisation, the batched forward substitution
+    L^(-1) and the statistic ||L^(-1) C||_F^2; the coefficients are never
+    formed. An interval whose factor misses the rank certificate
+    1 / ||L^(-1)||_F^2 > 2 * ``_RANK_RTOL`` * tr(G), or whose block cannot
     be factorised, falls back to :func:`gram_ols_value`, so DesignError is
-    raised for the first interval, in storage order, that is too short or
-    rank deficient. Returns arrays (values, nonzero, reliable), one entry per
+    raised for the first rank-deficient interval in storage order. The
+    kernel applies no row-count rule: a caller checks it
+    (:func:`check_ols_rows`) first. Returns arrays (values, nonzero, reliable), one entry per
     interval: the statistic clamped at zero, the count of non-zero
     coefficients, and whether the lasso solve converged (always True for
     OLS). An OLS fit is dense, so its count is the size m p of the
@@ -455,7 +464,7 @@ def prefix_statistics(
     n = len(lo)
     reliable = np.ones(n, dtype=bool)
     if method == "ols":
-        values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, lengths, whitening, buffers)
+        values = _ols_statistics(gram_prefix, cross_prefix, lo, hi, whitening, buffers)
         return values, np.full(n, cross_prefix.shape[1] * cross_prefix.shape[2]), reliable
     values = np.zeros(n)
     nonzero = np.zeros(n, dtype=int)
@@ -581,62 +590,50 @@ def _ols_statistics(
     cross_prefix: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    lengths: np.ndarray,
     whitening: Optional[np.ndarray],
     buffers: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """OLS values of :func:`prefix_statistics`, chunk by chunk.
+    """OLS values of :func:`prefix_statistics`, the intervals computed as one block.
 
-    Intervals before the first one of fewer than m ``lengths`` rows
-    (:func:`_computed`) are computed in storage order,
-    so a rank-deficient one among them raises first, then the short one
-    raises without being solved. Every chunk reuses the buffers of
-    :func:`_ols_buffers`, ``buffers`` if given (of at least a chunk's
-    size), else allocated once per call: fresh chunk-sized arrays would be
-    handed back to the operating system between chunks and faulted in again.
+    The blocks are gathered into the buffers of :func:`_ols_buffers`,
+    ``buffers`` if given (sized for at least len(``lo``) intervals), else
+    ones sized to the block; a scan hands every chunk of its walk the same
+    buffers, since fresh chunk-sized arrays would be handed back to the
+    operating system between chunks and faulted in again. An interval that
+    misses the certificate is recomputed by :func:`gram_ols_value`, in
+    storage order, so the first rank-deficient one raises. Row counts are
+    not checked here: :meth:`PanelScanner.scan` applies
+    :func:`check_ols_rows` before it walks.
     """
-    n = len(lo)
+    k = len(lo)
     _, m, p = cross_prefix.shape
-    values = np.empty(n)
-    if n and (min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= len(gram_prefix)):
+    if not k:  # an empty walk chunk: nothing to factorise
+        return np.empty(0)
+    if min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= len(gram_prefix):
         raise IndexError("prefix index out of range")
-    stop = _computed(lengths, m)
-    chunk = max(1, min(_CHUNK_ENTRIES // (m * m), stop))
     size = gram_prefix.shape[1]
-    pair, grams, inv = buffers or _ols_buffers(chunk, m, p)
-    for s in range(0, stop, chunk):
-        k = min(chunk, stop - s)
-        sl = slice(s, s + k)
-        a, b = pair[:, : k * size].reshape(2, k, size)
-        _unpack_gram(_difference(gram_prefix, lo[sl], hi[sl], a, b), out=grams[:k])
-        crosses, other = pair[:, : k * m * p].reshape(2, k, m, p)
-        _difference(cross_prefix, lo[sl], hi[sl], crosses, other)
-        if whitening is not None:
-            crosses, other = np.matmul(crosses, whitening, out=other), crosses
-        values[sl], certified = _cholesky_ols(grams[:k], crosses, inv[:k], other)
-        for j in np.flatnonzero(~certified):
-            values[s + j], _ = gram_ols_value(grams[j], crosses[j])
-    if stop < n:
-        check_ols_rows(int(lengths[stop]), m)
+    pair, grams, inv = buffers or _ols_buffers(k, m, p)
+    a, b = pair[:, : k * size].reshape(2, k, size)
+    _unpack_gram(_difference(gram_prefix, lo, hi, a, b), out=grams[:k])
+    crosses, other = pair[:, : k * m * p].reshape(2, k, m, p)
+    _difference(cross_prefix, lo, hi, crosses, other)
+    if whitening is not None:
+        crosses, other = np.matmul(crosses, whitening, out=other), crosses
+    values, certified = _cholesky_ols(grams[:k], crosses, inv[:k], other)
+    for j in np.flatnonzero(~certified):
+        values[j], _ = gram_ols_value(grams[j], crosses[j])
     return values
 
 
-def _computed(lengths: np.ndarray, m: int) -> int:
-    """Count of the intervals an OLS kernel computes: those before the first
-    of fewer than m ``lengths`` rows, whose row count then raises."""
-    short = np.flatnonzero(lengths < m)
-    return int(short[0]) if len(short) else len(lengths)
-
-
-def _ols_buffers(chunk: int, m: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Buffers of :func:`_ols_statistics` for chunks of up to ``chunk``
-    intervals of m predictors and p responses. Two of them, each sized for a
-    chunk of packed Gram rows or of cross blocks, take the prefix rows a
-    difference gathers, then the cross blocks and L^(-1) C; the others hold
-    the expanded Gram blocks and L^(-1)."""
-    pair = np.empty((2, chunk * max(m * (m + 1) // 2, m * p)))
-    inv = np.zeros((chunk, m, m))  # _inverse_lower never writes above the diagonal
-    return pair, np.empty((chunk, m, m)), inv
+def _ols_buffers(n: int, m: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers of :func:`_ols_statistics` for up to n intervals of m
+    predictors and p responses. Two of them, each sized for n packed Gram
+    rows or n cross blocks, take the prefix rows a difference gathers, then
+    the cross blocks and L^(-1) C; the others hold the expanded Gram blocks
+    and L^(-1)."""
+    pair = np.empty((2, n * max(m * (m + 1) // 2, m * p)))
+    inv = np.zeros((n, m, m))  # _inverse_lower never writes above the diagonal
+    return pair, np.empty((n, m, m)), inv
 
 
 def _difference(
@@ -706,6 +703,16 @@ def _gram_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, full
 
 
+@functools.lru_cache(maxsize=16)
+def _gram_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols), read-only: packed entry k of :func:`_gram_layout` is
+    entry (rows[k], cols[k]). Cached apart from the layout, so that only a
+    process that writes rows one at a time (:func:`_prefix_step`) holds them."""
+    rows, cols = divmod(_gram_layout(m)[0], m)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _pack_gram(full: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The lower-triangle entries of symmetric (..., m, m) matrices,
     (..., m(m + 1) / 2), written to ``out`` if given."""
@@ -721,6 +728,24 @@ def _unpack_gram(packed: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     flat = None if out is None else out.reshape(packed.shape[:-1] + (m * m,))
     full = packed.take(_gram_layout(m)[1], axis=-1, out=flat, mode="clip")
     return full.reshape(packed.shape[:-1] + (m, m))
+
+
+def _prefix_arrays(rows: int, m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed (Gram, cross) prefix arrays of ``rows`` rows for m predictors
+    and p responses, the Gram prefix packed (:func:`_pack_gram`)."""
+    return np.zeros((rows, m * (m + 1) // 2)), np.zeros((rows, m, p))
+
+
+def _prefix_step(gram_prefix: np.ndarray, cross_prefix: np.ndarray, i: int, z: np.ndarray, u: np.ndarray) -> None:
+    """Write prefix row i of both prefixes: row i - 1 plus the products of
+    lag vector ``z`` with itself (the lower triangle, packed) and with
+    residual ``u``. One row of :func:`_prefix_sum`, bitwise, for a caller
+    that receives its rows one at a time, as the online monitor does."""
+    rows, cols = _gram_pairs(z.size)
+    np.multiply(z[rows], z[cols], out=gram_prefix[i])
+    gram_prefix[i] += gram_prefix[i - 1]
+    np.multiply(z[:, None], u, out=cross_prefix[i])
+    cross_prefix[i] += cross_prefix[i - 1]
 
 
 def _prefix_sum(
@@ -863,8 +888,8 @@ class PanelScanner:
     reused once its last reader is done. A row takes pq (pq + 1) / 2 + pq p
     doubles, the Gram prefix being packed (:func:`_pack_gram`): 3775 at
     p = 50, q = 1, so a T = 2000 scan of ``seeded_intervals(2000, 51,
-    1 / 1.1)`` in kernel chunks of ``_CHUNK_ENTRIES`` / (pq)^2 = 52
-    intervals holds at most 148 of the 1061 rows it reads, about 4.5 MB.
+    1 / 1.1)`` in kernel chunks of :func:`_kernel_chunk` = 52 intervals
+    holds at most 148 of the 1061 rows it reads, about 4.5 MB.
     :meth:`scan` and the OLS :meth:`max_statistic` walk kernel chunks.
     Every other lasso request reads the bracketed walk (:meth:`_bracketed`):
     lasso maxima through :meth:`_maximum`, which carries the best value from
@@ -890,7 +915,8 @@ class PanelScanner:
     up to floating-point summation order. The residuals are row-exact: one
     stacked product of the baseline with every lag row is bitwise the
     row-by-row product x_t - B z_t of
-    :class:`~varanom.detection.OnlineDetector`, so over the same rows the
+    :class:`~varanom.detection.OnlineDetector`, which writes each prefix
+    row through :func:`_prefix_step`, so over the same rows the
     two build bitwise the same prefix sums, and offline and online
     statistics of a window agree bitwise. ``_refill`` takes another panel
     of the same shape and builds nothing: the next request builds its
@@ -906,9 +932,7 @@ class PanelScanner:
         self.n_rows = n
         self.n_series = p
         self._baseline = check_stacked(baseline, q, p)
-        m = p * q
-        self._gram_prefix = np.empty((0, m * (m + 1) // 2))
-        self._cross_prefix = np.empty((0, m, p))
+        self._gram_prefix, self._cross_prefix = _prefix_arrays(0, p * q, p)
         self._plan: Optional[_Walk] = None
         self._buffers: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._refill(panel)
@@ -1043,27 +1067,31 @@ class PanelScanner:
         """Statistics for every interval in the set, in storage order.
 
         Computed by :func:`prefix_statistics` on one chunk of the set's
-        :class:`_Walk` at a time, whitened by ``config.sigma``; results match
-        the direct per-view computation up to summation order. An OLS walk
-        covers the intervals :func:`_computed` computes, so a rank-deficient
-        one among them raises the kernel's DesignError, and then the first
-        short one raises.
+        :class:`_Walk` at a time, in chunks of :func:`_kernel_chunk`
+        intervals, whitened by ``config.sigma``; results match the direct
+        per-view computation up to summation order. The scan owns the OLS
+        row rule (:func:`check_ols_rows`): an OLS walk covers only the
+        intervals stored before the first one of fewer than pq rows, so a
+        rank-deficient one among them raises the kernel's DesignError, and
+        then that short one raises, unsolved. Every OLS chunk is computed in
+        the buffers the scanner keeps with its plan.
         """
         lo, hi, lams, _, whitening = self._kernel_args(interval_set, config)
-        n, m, p, lengths = len(lo), self.n_series * self.q, self.n_series, hi - lo
-        stop = _computed(lengths, m) if config.method == "ols" else n
+        n, m, p = len(lo), self.n_series * self.q, self.n_series
+        short = np.flatnonzero(hi - lo < m) if config.method == "ols" else []
+        stop = int(short[0]) if len(short) else n
         values, nonzero, reliable = columns = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=bool)
-        for at, a, b in self._walk(lo[:stop], hi[:stop], _CHUNK_ENTRIES // (m * m)):
+        for at, a, b in self._walk(lo[:stop], hi[:stop], _kernel_chunk(m)):
             if config.method == "ols" and self._buffers is None:
                 self._buffers = _ols_buffers(len(at), m, p)  # the first chunk is a whole one
             results = prefix_statistics(
-                self._gram_prefix, self._cross_prefix, a, b, lengths[at], lams[at],
-                config.method, config.solver, whitening, self._buffers,
+                self._gram_prefix, self._cross_prefix, a, b, lams[at], config.method, config.solver, whitening,
+                self._buffers,
             )
             for column, result in zip(columns, results):
                 column[at] = result
         if stop < n:
-            check_ols_rows(int(lengths[stop]), m)
+            check_ols_rows(int(hi[stop] - lo[stop]), m)
         return ScanResult(interval_set.starts, interval_set.ends, values, lams, nonzero, reliable, config.method)
 
     def max_statistic(self, interval_set: IntervalSet, config: StatConfig) -> ScanMaximum:

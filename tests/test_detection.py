@@ -564,8 +564,8 @@ def test_offline_statistics_of_online_windows_are_bitwise_the_steps(q, policy, s
     list(scanner._walk(starts - (q + 1), ends - q, len(starts)))
     held = scanner._plan
     got = prefix_statistics(
-        scanner._gram_prefix, scanner._cross_prefix, held.lo, held.hi, ends - starts + 1, lams, "lasso",
-        SolverOptions(), whitening_matrix(sigma, p),
+        scanner._gram_prefix, scanner._cross_prefix, held.lo, held.hi, lams, "lasso", SolverOptions(),
+        whitening_matrix(sigma, p),
     )
     assert [(s.interval.start, s.interval.end, s.lam) for s in want] == list(
         zip(starts.tolist(), ends.tolist(), lams.tolist())

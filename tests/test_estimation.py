@@ -471,7 +471,7 @@ def test_batch_solver_keeps_a_zero_gram_column_at_zero():
     zero = np.zeros((1, 5, 5))
     values, nonzero, reliable = prefix_statistics(
         _pack_gram(np.concatenate([zero, G[None]])), np.concatenate([zero[:, :, :3], C[None]]),
-        np.array([0]), np.array([1]), np.array([30]), np.array([lam]), "lasso", SolverOptions(), None,
+        np.array([0]), np.array([1]), np.array([lam]), "lasso", SolverOptions(), None,
     )
     assert nonzero[0] == np.count_nonzero(beta[0]) == np.count_nonzero(beta[0] != 0.0)
     assert nonzero[0] <= 12 and reliable[0] and values[0] == max(got, 0.0)
@@ -622,9 +622,8 @@ def test_prefix_statistics_values_are_the_bracket_values():
     held = scanner._plan
     lo, hi = held.lo, held.hi
     lams = interval_lambdas(StatConfig(), intervals, 4, 200)
-    lengths = intervals.ends - intervals.starts + 1
     values, _, _ = prefix_statistics(
-        scanner._gram_prefix, scanner._cross_prefix, lo, hi, lengths, lams, "lasso", SolverOptions(), None
+        scanner._gram_prefix, scanner._cross_prefix, lo, hi, lams, "lasso", SolverOptions(), None
     )
     grams = _unpack_gram(scanner._gram_prefix[hi] - scanner._gram_prefix[lo])
     crosses = scanner._cross_prefix[hi] - scanner._cross_prefix[lo]

@@ -425,9 +425,7 @@ def _full_prefix_kernel(panel, baseline, q, ivs, config):
     lo, hi = ivs.starts - q - 1, ivs.ends - q
     lams = interval_lambdas(config, ivs, p, panel.n_rows)
     whitening = whitening_matrix(config.sigma, p)
-    stats = prefix_statistics(
-        gram_prefix, cross_prefix, lo, hi, hi - lo, lams, config.method, config.solver, whitening
-    )
+    stats = prefix_statistics(gram_prefix, cross_prefix, lo, hi, lams, config.method, config.solver, whitening)
     if config.method == "ols":
         return stats, ScanMaximum(float(stats[0].max()), 0, 0)
     white = resid if whitening is None else resid @ whitening
@@ -689,8 +687,8 @@ def test_walked_scan_is_bitwise_the_held_rows_kernel(seed, q, whitened, method, 
     held = PanelScanner(panel, law.stacked, q)
     plan = _one_chunk(held, lo, hi)
     values, nonzero, reliable = prefix_statistics(
-        held._gram_prefix, held._cross_prefix, plan.lo, plan.hi, ivs.ends - ivs.starts + 1,
-        interval_lambdas(config, ivs, p, n), method, config.solver, whitening_matrix(config.sigma, p),
+        held._gram_prefix, held._cross_prefix, plan.lo, plan.hi, interval_lambdas(config, ivs, p, n), method,
+        config.solver, whitening_matrix(config.sigma, p),
     )
     scanner = PanelScanner(panel, law.stacked, q)
     with mock.patch.object(interval_stats, "_CHUNK_ENTRIES", per_chunk * m * m):
@@ -707,9 +705,10 @@ def test_walked_scan_is_bitwise_the_held_rows_kernel(seed, q, whitened, method, 
 @pytest.mark.parametrize("failing", list(itertools.permutations(["singular", "two rows", "one row"])))
 def test_walk_raises_the_first_error_in_storage_order(monkeypatch, failing):
     # the walk meets the one-row, the two-row and the singular interval in
-    # that end-row order, yet raises what the kernel on held rows raises in
-    # storage order: the singular interval's error when it is stored before
-    # every short one, otherwise the first short one's
+    # that end-row order, yet raises the first error in storage order: the
+    # singular interval's when it is stored before every short one, otherwise
+    # the first short one's, in walks of 1 and 4 intervals a chunk and of the
+    # whole set as one chunk
     base = generate_dense_stationary(3, seed=51)
     values = simulate(base, 300, seed=52).values.copy()
     values[150:200, 1] = values[150:200, 0]  # two identical predictors there
@@ -719,21 +718,18 @@ def test_walk_raises_the_first_error_in_storage_order(monkeypatch, failing):
     stored = normal[::2] + [bad[f] for f in failing] + normal[1::2]
     ivs = IntervalSet(tuple(stored), 1, (2, 300))
     cfg = StatConfig(method="ols")
-    held = PanelScanner(panel, base.stacked, 1)
-    plan = _one_chunk(held, ivs.starts - 2, ivs.ends - 1)
-    with pytest.raises(DesignError) as want:
-        prefix_statistics(
-            held._gram_prefix, held._cross_prefix, plan.lo, plan.hi, ivs.ends - ivs.starts + 1, np.zeros(len(ivs)),
-            "ols", cfg.solver, None,
-        )
-    expected = {"singular": "rank deficient", "two rows": "2 rows", "one row": "1 rows"}[failing[0]]
-    assert expected in str(want.value)
-    monkeypatch.setattr(interval_stats, "_CHUNK_ENTRIES", 4 * 3 * 3)  # 4 intervals a chunk
-    scanner = PanelScanner(panel, base.stacked, 1)
-    for call in (scanner.scan, scanner.max_statistic):
-        with pytest.raises(DesignError) as got:
-            call(ivs, cfg)
-        assert str(got.value) == str(want.value)
+    expected = {
+        "singular": "ill-posed design: interval Gram matrix is rank deficient",
+        "two rows": "interval of 2 rows cannot fit 3 predictors",
+        "one row": "interval of 1 rows cannot fit 3 predictors",
+    }[failing[0]]
+    for per_chunk in (1, 4, len(ivs)):
+        monkeypatch.setattr(interval_stats, "_CHUNK_ENTRIES", per_chunk * 3 * 3)
+        scanner = PanelScanner(panel, base.stacked, 1)
+        for call in (scanner.scan, scanner.max_statistic):
+            with pytest.raises(DesignError) as got:
+                call(ivs, cfg)
+            assert str(got.value) == expected
 
 
 def test_all_screened_lasso_scan_memory_stays_flat_in_the_interval_count():
@@ -786,7 +782,7 @@ def _count_fallbacks(monkeypatch):
 
 @pytest.mark.parametrize("whitened", [False, True])
 def test_ols_kernel_certified_path_matches_gram_ols_value(monkeypatch, whitened):
-    # chunks of 16 intervals, so the seeded scan spans several of them
+    # a scan in chunks of 16 intervals, so the seeded set spans several of them
     monkeypatch.setattr(interval_stats, "_CHUNK_ENTRIES", 16 * 6 * 6)
     base = generate_dense_stationary(6, seed=31)
     panel = simulate(base, 400, seed=32)
@@ -797,16 +793,15 @@ def test_ols_kernel_certified_path_matches_gram_ols_value(monkeypatch, whitened)
     hi = np.array([iv.end for iv in ivs]) - 1
     rng = np.random.default_rng(33)
     a = rng.standard_normal((6, 6))
-    whitening = inverse_sqrt_psd(a @ a.T + 0.5 * np.eye(6)) if whitened else None
+    sigma = a @ a.T + 0.5 * np.eye(6) if whitened else None
+    whitening = inverse_sqrt_psd(sigma) if whitened else None
     gram_prefix, cross_prefix = _held_prefixes(scanner)
     want, want_nonzero = _ols_reference(gram_prefix, cross_prefix, lo, hi, whitening)
     calls = _count_fallbacks(monkeypatch)
-    values, nonzero, reliable = prefix_statistics(
-        gram_prefix, cross_prefix, lo, hi, hi - lo, np.zeros(len(lo)), "ols", SolverOptions(), whitening,
-    )
+    got = scanner.scan(ivs, StatConfig(method="ols", sigma=sigma))
     assert not calls  # every interval certified
-    assert np.all(np.abs(values - want) <= 1e-12 * (1.0 + np.abs(want)))
-    assert np.array_equal(nonzero, want_nonzero) and reliable.all()
+    assert np.all(np.abs(got.values - want) <= 1e-12 * (1.0 + np.abs(want)))
+    assert np.array_equal(got.nonzero, want_nonzero) and got.reliable.all()
 
 
 def _stacked_prefix(grams):
@@ -824,7 +819,7 @@ def test_kernel_rejects_an_unpacked_gram_prefix_and_indices_outside_it():
     full = _unpack_gram(gram_prefix)
     for method in ("ols", "lasso"):
         with pytest.raises(ParameterError, match="packed"):
-            prefix_statistics(full, cross_prefix, lo, hi, hi - lo, np.zeros(2), method, SolverOptions(), None)
+            prefix_statistics(full, cross_prefix, lo, hi, np.zeros(2), method, SolverOptions(), None)
     with pytest.raises(ParameterError, match="packed"):
         interval_stats._bracket(
             full, cross_prefix, np.zeros((len(full), 2)), (lo, hi), lo, hi, np.zeros(2), SolverOptions(), None
@@ -833,9 +828,7 @@ def test_kernel_rejects_an_unpacked_gram_prefix_and_indices_outside_it():
     # indices rather than let a clipping take read the wrong rows
     for bad_lo, bad_hi in ((lo, hi + len(gram_prefix)), (lo - 1, hi)):
         with pytest.raises(IndexError):
-            prefix_statistics(
-                gram_prefix, cross_prefix, bad_lo, bad_hi, hi - lo, np.zeros(2), "ols", SolverOptions(), None
-            )
+            prefix_statistics(gram_prefix, cross_prefix, bad_lo, bad_hi, np.zeros(2), "ols", SolverOptions(), None)
 
 
 def _spd(rng, eigenvalues):
@@ -852,9 +845,7 @@ def test_ols_kernel_falls_back_when_certificate_fails(monkeypatch):
     gram_prefix, cross_prefix, lo, hi = _stacked_prefix(grams)
     want, want_nonzero = _ols_reference(gram_prefix, cross_prefix, lo, hi)
     calls = _count_fallbacks(monkeypatch)
-    values, nonzero, _ = prefix_statistics(
-        gram_prefix, cross_prefix, lo, hi, hi - lo, np.zeros(3), "ols", SolverOptions(), None
-    )
+    values, nonzero, _ = prefix_statistics(gram_prefix, cross_prefix, lo, hi, np.zeros(3), "ols", SolverOptions(), None)
     assert len(calls) == 1
     assert values[1] == want[1] and nonzero[1] == want_nonzero[1]
     assert np.all(np.abs(values - want) <= 1e-12 * (1.0 + np.abs(want)))
@@ -889,10 +880,11 @@ def test_ols_kernel_rank_deficient_interval_raises_like_gram_ols_value():
 
 
 def test_ols_kernel_short_interval_raises_before_any_solve(monkeypatch):
-    rng = np.random.default_rng(60)
-    gram_prefix, cross_prefix, lo, hi = _stacked_prefix([_spd(rng, [1.0, 2.0, 3.0, 4.0])] * 3)
-    lengths = hi - lo
-    lengths[0] = 3  # 3 rows for 4 predictors, read from the row counts, not the positions
+    # the scan applies the row rule before it walks: a short interval stored
+    # first raises, though it ends after the full-length ones
+    base = generate_dense_stationary(4, seed=60)
+    scanner = PanelScanner(simulate(base, 120, seed=61), base.stacked, 1)
+    ivs = IntervalSet((Interval(100, 102), Interval(10, 40), Interval(30, 60)), 3, (2, 120))
 
     def no_solve(*args):
         raise AssertionError("solved an interval")
@@ -900,7 +892,7 @@ def test_ols_kernel_short_interval_raises_before_any_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", no_solve)
     monkeypatch.setattr(interval_stats, "gram_ols_value", no_solve)
     with pytest.raises(DesignError, match="interval of 3 rows cannot fit 4 predictors"):
-        prefix_statistics(gram_prefix, cross_prefix, lo, hi, lengths, np.zeros(3), "ols", SolverOptions(), None)
+        scanner.scan(ivs, StatConfig(method="ols"))
 
 
 def _lasso_without_screen(gram_prefix, cross_prefix, lo, hi, lams, solver, whitening):
@@ -939,8 +931,8 @@ def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
     busy = level > lams
     assert 0 < busy.sum() < len(lo)
     solver = SolverOptions(tolerance=1e-9)
-    args = (gram_prefix, cross_prefix, lo, hi, hi - lo, lams)
-    want = _lasso_without_screen(*args[:4], lams, solver, whitening)
+    args = (gram_prefix, cross_prefix, lo, hi, lams)
+    want = _lasso_without_screen(*args, solver, whitening)
     seen = []
 
     def spy(grams, crosses, lams, *rest):
@@ -957,7 +949,7 @@ def test_lasso_kernel_screens_before_gathering(monkeypatch, whitened):
     assert not got[0][~busy].any() and not got[1][~busy].any() and got[2][~busy].all()
     # a set with every interval screened never calls the solver
     seen.clear()
-    values, nonzero, reliable = prefix_statistics(*args[:5], level, "lasso", solver, whitening)
+    values, nonzero, reliable = prefix_statistics(*args[:4], level, "lasso", solver, whitening)
     assert seen == []
     assert not values.any() and not nonzero.any() and reliable.all()
 
@@ -981,7 +973,7 @@ def test_lasso_kernel_chunks_change_no_value(monkeypatch, whitened):
     lams = level * rng.choice([0.2, 0.5, 0.9, 2.0], len(lo))
     busy = int((level > lams).sum())
     solver = SolverOptions()
-    args = (gram_prefix, cross_prefix, lo, hi, hi - lo, lams, "lasso", solver, whitening)
+    args = (gram_prefix, cross_prefix, lo, hi, lams, "lasso", solver, whitening)
     whole = prefix_statistics(*args)
     seen = []
 
@@ -1195,7 +1187,7 @@ def test_lasso_maximum_floor(budget, counts):
     lo, hi = ivs.starts - 2, ivs.ends - 1
     lams = interval_lambdas(config, ivs, 3, 160)
     args = (gram_prefix, cross_prefix, sq_prefix, ivs, 1, lams, config.solver, whitening)
-    values, _, reliable = prefix_statistics(*args[:2], lo, hi, hi - lo, lams, "lasso", config.solver, whitening)
+    values, _, reliable = prefix_statistics(*args[:2], lo, hi, lams, "lasso", config.solver, whitening)
     top = _maximum_of(_bracketed_chunk(*args), 0.0)
     assert top.value.hex() == float(values[reliable].max()).hex()
     assert (top.unreliable, top.pruned) == counts
